@@ -32,6 +32,26 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+_EXACT_TYPES = frozenset((int, Fraction))
+
+
+def _check_entries(values, what: str) -> None:
+    """Exact entries only: each of type int or Fraction, so a bool or a float
+    is refused."""
+    if not _EXACT_TYPES.issuperset(map(type, values)):
+        bad = next(v for v in values if type(v) not in _EXACT_TYPES)
+        raise InvalidInputError(f"{what} entry {bad!r} is not an int or a Fraction")
+
+
+def _integral(values):
+    """The values as plain ints when every one has denominator 1, else None.
+    The kernels below never divide, so they give the same exact result on
+    ints as on Fractions, without Fraction's per-operation normalisation."""
+    if all(v.denominator == 1 for v in values):
+        return [v.numerator for v in values]
+    return None
+
+
 @dataclass(frozen=True)
 class QuiddityRows:
     """The two directly computed rows: delta_low[i-1] = v({i,i+1,i+3}) and
@@ -44,6 +64,7 @@ class QuiddityRows:
     def __post_init__(self):
         if len(self.delta_low) != self.n or len(self.delta_high) != self.n:
             raise InvalidInputError("quiddity rows must have one entry per point")
+        _check_entries(self.delta_low + self.delta_high, "quiddity")
         if any(v == 0 for v in self.delta_low + self.delta_high):
             raise InvalidInputError("quiddity entries must be nonzero")
 
@@ -69,6 +90,7 @@ class FriezeGrid:
         for row in self.rows:
             if len(row) != self.n:
                 raise InvalidInputError("every row must have one entry per point")
+            _check_entries(row, "frieze")
 
     @property
     def width(self) -> int:
@@ -217,50 +239,53 @@ def extend_rows(q: QuiddityRows) -> FriezeGrid:
 
     The lower recursion builds D_2..D_w from D_1 and U_1; the upper recursion
     independently builds U_2..U_w, and the two fillings must agree under
-    U_k(i) = D_{n-3-k}(i+k+1), else the input rows were inconsistent.
+    U_k(i) = D_{n-3-k}(i+k+1), else the input rows were inconsistent and
+    InconsistentRowsError names the first (k, i) that disagrees.
+
+    Both recursions start from the border rows D_0 = U_0 = 1 and
+    D_{-1} = U_{-1} = 0, so every row k >= 2 follows one three-term step,
+    taken in a single pass over rotated earlier rows. No step divides:
+    integral quiddity rows are run in plain ints, others as Fractions, and the
+    grid holds Fractions either way.
     """
     n = q.n
     w = n - 4
     if w < 2:
         raise InvalidInputError(f"need n >= 6, got n={n}")
+    ints = _integral(q.delta_low + q.delta_high)
+    if ints is None:
+        # lists, like every computed row: the agreement check compares rows with !=
+        low1, high1 = list(q.delta_low), list(q.delta_high)
+    else:
+        low1, high1 = ints[:n], ints[n:]
 
-    low = {1: tuple(q.delta_low)}
+    def rot(row, s):
+        """row shifted so that position i holds the entry of i + s."""
+        s %= n
+        return row[s:] + row[:s]
 
-    def d(k, i):
-        if k == 0:
-            return ONE
-        return low[k][(i - 1) % n]
-
+    # low[k + 1] is D_k and high[k + 1] is U_k, each over i = 1..n.
+    border = [[0] * n, [1] * n]
+    low = border + [low1]
+    high1_next = rot(high1, 1)
     for k in range(2, w + 1):
-        if k == 2:
-            row = tuple(d(1, i) * d(1, i + 1) - q.high(i + 1) for i in range(1, n + 1))
-        else:
-            row = tuple(d(1, i) * d(k - 1, i + 1) - q.high(i + 1) * d(k - 2, i + 2) + d(k - 3, i + 3)
-                        for i in range(1, n + 1))
-        low[k] = row
-
-    high = {1: tuple(q.delta_high)}
-
-    def u(k, i):
-        if k == 0:
-            return ONE
-        return high[k][(i - 1) % n]
-
+        # D_k(i) = D_1(i) D_{k-1}(i+1) - U_1(i+1) D_{k-2}(i+2) + D_{k-3}(i+3)
+        low.append([a * b - h * c + e for a, b, h, c, e in
+                    zip(low1, rot(low[k], 1), high1_next, rot(low[k - 1], 2), rot(low[k - 2], 3))])
+    high = border + [high1]
     for k in range(2, w + 1):
-        if k == 2:
-            row = tuple(u(1, i + 1) * u(1, i) - q.low(i) for i in range(1, n + 1))
-        else:
-            row = tuple(u(1, i + k - 1) * u(k - 1, i) - q.low(i + k - 2) * u(k - 2, i) + u(k - 3, i)
-                        for i in range(1, n + 1))
-        high[k] = row
+        # U_k(i) = U_1(i+k-1) U_{k-1}(i) - D_1(i+k-2) U_{k-2}(i) + U_{k-3}(i)
+        high.append([a * b - d * c + e for a, b, d, c, e in
+                     zip(rot(high1, k - 1), high[k], rot(low1, k - 2), high[k - 1], high[k - 2])])
 
     for k in range(1, w + 1):
-        for i in range(1, n + 1):
-            if u(k, i) != d(n - 3 - k, i + k + 1):
-                raise InconsistentRowsError(
-                    f"row recursions disagree at U_{k}({i}): {u(k, i)} vs {d(n - 3 - k, i + k + 1)}")
+        upper, lower = high[k + 1], rot(low[n - 2 - k], k + 1)
+        if upper != lower:
+            j = next(j for j in range(n) if upper[j] != lower[j])
+            raise InconsistentRowsError(
+                f"row recursions disagree at U_{k}({j + 1}): {upper[j]} vs {lower[j]}")
 
-    return FriezeGrid(n, tuple(low[k] for k in range(1, w + 1)))
+    return FriezeGrid(n, tuple(tuple(map(Fraction, row)) for row in low[2:]))
 
 
 def dual_row_offset(n: int, k: int):
@@ -290,35 +315,6 @@ def build_plucker_frieze_map(n: int) -> dict:
 
 # -- diamond validation -----------------------------------------------------------
 
-def diamond_matrix(grid: FriezeGrid, r: int, t: int, k: int, mirrored: bool = False) -> list:
-    """k x k diamond anchored at its left corner, row r / period index t:
-    entry [i][j] sits at bordered row r+i-j, period index t+j. The mirrored
-    reading (columns reversed) is kept only for the orientation self-test."""
-    mat = [[grid.ext_value(r + i - j, t + j) for j in range(k)] for i in range(k)]
-    if mirrored:
-        mat = [row[::-1] for row in mat]
-    return mat
-
-
-def _det(mat) -> Fraction:
-    m = [row[:] for row in mat]
-    size = len(m)
-    det = ONE
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if m[r][col] != 0), None)
-        if pivot is None:
-            return ZERO
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        for r in range(col + 1, size):
-            factor = m[r][col] / m[col][col]
-            if factor:
-                m[r] = [m[r][j] - factor * m[col][j] for j in range(size)]
-    return det
-
-
 @dataclass
 class FriezeReport:
     n: int
@@ -338,29 +334,62 @@ class FriezeReport:
 def validate_frieze(grid: FriezeGrid) -> FriezeReport:
     """Check determinant 1 on every 3x3 diamond and determinant 0 on every 4x4
     diamond of the bordered array over one period; diamonds crossing the
-    period seam are included, which is what ties the rows together mod n."""
+    period seam are included, which is what ties the rows together mod n.
+
+    The k x k diamond at bordered row r, period index t has entry [i][j] at
+    row r+i-j, period index t+j. Its determinant is taken by cofactor
+    expansion (3x3) or by Laplace expansion over the top two rows (4x4). No
+    step divides, so an integral grid is checked exactly in plain ints and any
+    other grid in Fractions; failures list (r, t, det) with det a Fraction.
+    """
     w = grid.width
     n = grid.n
+    entries = [e for row in grid.rows for e in row]
+    ints = _integral(entries)
+    values = entries if ints is None else ints
+    # the bordered array (0, 0, 1, rows..., 1, 0, 0); each row carries its
+    # first three entries again at the end, so t + j needs no reduction mod n
+    padded = [values[k:k + n] + values[k:k + 3] for k in range(0, w * n, n)]
+    zeros, ones = [0] * (n + 3), [1] * (n + 3)
+    ext = [zeros, zeros, ones] + padded + [ones, zeros, zeros]
+
     sl3_failures = []
     for r in range(2, w + 4):
+        a, b, c, d, e = ext[r - 2:r + 3]
         for t in range(n):
-            det = _det(diamond_matrix(grid, r, t, 3))
+            m00, m01, m02 = c[t], b[t + 1], a[t + 2]
+            m10, m11, m12 = d[t], c[t + 1], b[t + 2]
+            m20, m21, m22 = e[t], d[t + 1], c[t + 2]
+            det = (m00 * (m11 * m22 - m12 * m21) - m01 * (m10 * m22 - m12 * m20)
+                   + m02 * (m10 * m21 - m11 * m20))
             if det != 1:
-                sl3_failures.append((r, t, det))
+                sl3_failures.append((r, t, Fraction(det)))
+
     tame_failures = []
     for r in range(3, w + 3):
+        p0, p1, p2, p3, p4, p5, p6 = ext[r - 3:r + 4]
         for t in range(n):
-            det = _det(diamond_matrix(grid, r, t, 4))
+            t1, t2, t3 = t + 1, t + 2, t + 3
+            m00, m01, m02, m03 = p3[t], p2[t1], p1[t2], p0[t3]
+            m10, m11, m12, m13 = p4[t], p3[t1], p2[t2], p1[t3]
+            m20, m21, m22, m23 = p5[t], p4[t1], p3[t2], p2[t3]
+            m30, m31, m32, m33 = p6[t], p5[t1], p4[t2], p3[t3]
+            det = ((m00 * m11 - m01 * m10) * (m22 * m33 - m23 * m32)
+                   - (m00 * m12 - m02 * m10) * (m21 * m33 - m23 * m31)
+                   + (m00 * m13 - m03 * m10) * (m21 * m32 - m22 * m31)
+                   + (m01 * m12 - m02 * m11) * (m20 * m33 - m23 * m30)
+                   - (m01 * m13 - m03 * m11) * (m20 * m32 - m22 * m30)
+                   + (m02 * m13 - m03 * m12) * (m20 * m31 - m21 * m30))
             if det != 0:
-                tame_failures.append((r, t, det))
-    entries = [e for row in grid.rows for e in row]
+                tame_failures.append((r, t, Fraction(det)))
+
     return FriezeReport(
         n=n,
         width=w,
         is_sl3=not sl3_failures,
         is_tame=not tame_failures,
-        integral=all(e.denominator == 1 for e in entries),
-        positive=all(e > 0 for e in entries),
+        integral=ints is not None,
+        positive=all(e > 0 for e in values),
         sl3_failures=sl3_failures,
         tame_failures=tame_failures,
     )

@@ -6,23 +6,33 @@ Claims covered:
     - the row recursions reproduce the known width-4 fixture exactly, and the
       two recursions fill one array (relabeling included)
     - diamond validation passes on the fixture, fails on perturbations, and
-      matches an independent determinant recomputation
+      matches an independent determinant recomputation, failure lists included
+    - both kernels match entry-by-entry references on random rational input,
+      and the unit frieze stays tame, integral and positive at n = 48 and 64
+    - grid and quiddity entries must be exact: int or Fraction, never a bool
     - rendering and both file formats round-trip
 """
 
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sl3frieze.cyclic import GroundSet
-from sl3frieze.errors import MalformedFileError, PreconditionError
+from sl3frieze.errors import (
+    InconsistentRowsError,
+    InvalidInputError,
+    MalformedFileError,
+    PreconditionError,
+)
+from sl3frieze.family import make_family
 from sl3frieze.fixtures import INTRO_ROWS, canonical_family, intro_frieze
 from sl3frieze.frieze import (
     FriezeGrid,
     QuiddityRows,
     almost_continuous_at,
     build_plucker_frieze_map,
-    diamond_matrix,
     dual_row_offset,
     extend_rows,
     format_rational,
@@ -35,7 +45,13 @@ from sl3frieze.frieze import (
     render_frieze,
     validate_frieze,
 )
-from sl3frieze.mutation import ValuedFamily, oracle_values, unit_specialization
+from sl3frieze.mutation import (
+    ValuedFamily,
+    family_moves,
+    oracle_values,
+    random_maximal_family,
+    unit_specialization,
+)
 from sl3frieze.stargraph import (
     build_star_graph,
     realize_star_graph,
@@ -161,21 +177,42 @@ def test_recursions_reproduce_fixture_rows():
     assert grid.rows == intro_frieze().rows
 
 
-def _upper_rows(q: QuiddityRows, w: int):
-    """The top recursion, written out independently of extend_rows."""
+def _reference_recursions(q: QuiddityRows):
+    """Both row recursions entry by entry, written out independently of
+    extend_rows: (low, upper) with low[k][i-1] = D_k(i), upper[k][i-1] = U_k(i)."""
     n = q.n
-    rows = {1: [q.high(i) for i in range(1, n + 1)]}
+    w = n - 4
+    low = {1: [q.low(i) for i in range(1, n + 1)]}
+    upper = {1: [q.high(i) for i in range(1, n + 1)]}
+
+    def d(k, i):
+        return Fraction(1) if k == 0 else low[k][(i - 1) % n]
 
     def u(k, i):
-        return Fraction(1) if k == 0 else rows[k][(i - 1) % n]
+        return Fraction(1) if k == 0 else upper[k][(i - 1) % n]
 
     for k in range(2, w + 1):
         if k == 2:
-            rows[k] = [u(1, i + 1) * u(1, i) - q.low(i) for i in range(1, n + 1)]
+            low[k] = [d(1, i) * d(1, i + 1) - q.high(i + 1) for i in range(1, n + 1)]
+            upper[k] = [u(1, i + 1) * u(1, i) - q.low(i) for i in range(1, n + 1)]
         else:
-            rows[k] = [u(1, i + k - 1) * u(k - 1, i) - q.low(i + k - 2) * u(k - 2, i) + u(k - 3, i)
-                       for i in range(1, n + 1)]
-    return rows
+            low[k] = [d(1, i) * d(k - 1, i + 1) - q.high(i + 1) * d(k - 2, i + 2) + d(k - 3, i + 3)
+                      for i in range(1, n + 1)]
+            upper[k] = [u(1, i + k - 1) * u(k - 1, i) - q.low(i + k - 2) * u(k - 2, i) + u(k - 3, i)
+                        for i in range(1, n + 1)]
+    return low, upper
+
+
+def _reference_extend(q: QuiddityRows) -> FriezeGrid:
+    """extend_rows, entry by entry: the same grid or the same first error."""
+    n = q.n
+    low, upper = _reference_recursions(q)
+    for k in range(1, n - 3):
+        for i in range(1, n + 1):
+            mine, theirs = upper[k][(i - 1) % n], low[n - 3 - k][(i + k) % n]
+            if mine != theirs:
+                raise InconsistentRowsError(f"row recursions disagree at U_{k}({i}): {mine} vs {theirs}")
+    return FriezeGrid(n, tuple(tuple(low[k]) for k in range(1, n - 3)))
 
 
 def test_dual_recursion_relabels_one_array():
@@ -183,7 +220,7 @@ def test_dual_recursion_relabels_one_array():
         g = GroundSet(n)
         q = quiddity_rows(unit_specialization(canonical_family(n)))
         grid = extend_rows(q)
-        upper = _upper_rows(q, grid.width)
+        _, upper = _reference_recursions(q)
         for k in range(1, grid.width + 1):
             m, shift = dual_row_offset(n, k)
             for i in g.points():
@@ -194,11 +231,38 @@ def test_dual_recursion_relabels_one_array():
 
 
 def test_extend_rows_detects_corrupted_input():
-    from sl3frieze.errors import InconsistentRowsError
     q = intro_quiddity()
     bad = QuiddityRows(8, q.delta_low, q.delta_low)  # wrong top row
     with pytest.raises(InconsistentRowsError):
         extend_rows(bad)
+
+
+def _outcome(extend, q):
+    try:
+        return extend(q).rows
+    except InconsistentRowsError as e:
+        return str(e)
+
+
+def test_extend_rows_matches_entrywise_reference():
+    # valid rows from random families, the same rows with one entry moved,
+    # and random rational rows: the same grid, or the same first disagreement
+    rng = random.Random(2)
+    errors = 0
+    for n in range(6, 17):
+        for seed in range(3):
+            q = quiddity_rows(unit_specialization(random_maximal_family(GroundSet(n), 2 * n, seed)))
+            low, high = list(q.delta_low), list(q.delta_high)
+            (low if seed % 2 else high)[rng.randrange(n)] += rng.choice((1, 2, Fraction(1, 2)))
+            rational = [tuple(Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3)) for _ in range(n))
+                        for _ in range(2)]
+            cases = [q, QuiddityRows(n, tuple(low), tuple(high)), QuiddityRows(n, *rational)]
+            for case in cases:
+                expected = _outcome(_reference_extend, case)
+                assert _outcome(extend_rows, case) == expected, (n, seed)
+                errors += isinstance(expected, str)
+            assert all(type(v) is Fraction for row in extend_rows(q).rows for v in row)
+    assert errors == 2 * 11 * 3  # every perturbed and random case is caught
 
 
 def test_second_row_clause_is_the_general_recursion_at_its_boundary():
@@ -214,6 +278,16 @@ def test_second_row_clause_is_the_general_recursion_at_its_boundary():
 
 
 # -- diamond validation -------------------------------------------------------------
+
+def diamond_matrix(grid: FriezeGrid, r: int, t: int, k: int, mirrored: bool = False) -> list:
+    """k x k diamond anchored at its left corner, row r / period index t:
+    entry [i][j] sits at bordered row r+i-j, period index t+j. The mirrored
+    reading (columns reversed) is kept only for the orientation self-test."""
+    mat = [[grid.ext_value(r + i - j, t + j) for j in range(k)] for i in range(k)]
+    if mirrored:
+        mat = [row[::-1] for row in mat]
+    return mat
+
 
 def _reference_det(mat):
     if len(mat) == 1:
@@ -275,6 +349,79 @@ def test_width_one_grids_checked_mechanically():
         assert rep.is_sl3 == ok3 and rep.is_tame == ok4
         valid += rep.ok
     assert valid >= 1  # the scan is not vacuous
+
+
+def _reference_failures(grid: FriezeGrid):
+    sl3 = [(r, t, _reference_det(diamond_matrix(grid, r, t, 3)))
+           for r in range(2, grid.width + 4) for t in range(grid.n)]
+    tame = [(r, t, _reference_det(diamond_matrix(grid, r, t, 4)))
+            for r in range(3, grid.width + 3) for t in range(grid.n)]
+    return [f for f in sl3 if f[2] != 1], [f for f in tame if f[2] != 0]
+
+
+@st.composite
+def rational_grids(draw):
+    n = draw(st.integers(5, 9))
+    denominators = draw(st.sampled_from((st.just(1), st.integers(1, 3))))
+    entry = st.builds(Fraction, st.integers(-4, 6), denominators)
+    return FriezeGrid(n, tuple(tuple(draw(st.lists(entry, min_size=n, max_size=n)))
+                               for _ in range(n - 4)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_grids())
+def test_validator_failures_match_reference_determinants(grid):
+    rep = validate_frieze(grid)
+    sl3, tame = _reference_failures(grid)
+    assert rep.sl3_failures == sl3
+    assert rep.tame_failures == tame
+    assert all(type(det) is Fraction for _, _, det in rep.sl3_failures + rep.tame_failures)
+    entries = [e for row in grid.rows for e in row]
+    assert rep.integral == all(e.denominator == 1 for e in entries)
+    assert rep.positive == all(e > 0 for e in entries)
+
+
+@pytest.mark.parametrize("n", [48, 64])
+def test_large_unit_frieze_is_tame_integral_positive(n):
+    # walk from the rectangles seed, written in closed form so that no greedy
+    # completion runs
+    seed = ({(1, 2, b) for b in range(3, n + 1)} | {(1, b, b + 1) for b in range(2, n)}
+            | {(b, b + 1, b + 2) for b in range(1, n - 1)})
+    fam = make_family(GroundSet(n), seed)
+    rng = random.Random(n)
+    for _ in range(10):
+        move = rng.choice(family_moves(fam))
+        fam = fam.with_exchange(move.removed, move.added)
+    grid = extend_rows(quiddity_rows(unit_specialization(fam)))
+    rep = validate_frieze(grid)
+    assert rep.ok and rep.integral and rep.positive
+    ones = 0
+    for k in range(1, grid.width + 1):
+        for i in range(1, n + 1):
+            if plucker_triple(n, k, i) in fam:
+                assert grid.entry(k, i) == 1, (k, i)
+                ones += 1
+    assert ones > 0
+
+
+# -- exact entries only ------------------------------------------------------------------
+
+def test_float_grid_entry_is_refused():
+    with pytest.raises(InvalidInputError):
+        FriezeGrid(5, ((Fraction(1), 1.0, Fraction(1), Fraction(1), Fraction(1)),))
+
+
+def test_bool_entries_are_refused():
+    with pytest.raises(InvalidInputError):
+        FriezeGrid(5, ((True,) * 5,))
+    with pytest.raises(InvalidInputError):
+        QuiddityRows(6, (True,) * 6, (1,) * 6)
+
+
+def test_float_quiddity_rows_are_refused():
+    q = intro_quiddity()
+    with pytest.raises(InvalidInputError):
+        QuiddityRows(8, tuple(map(float, q.delta_low)), q.delta_high)
 
 
 # -- layout map ------------------------------------------------------------------------
