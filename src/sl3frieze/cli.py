@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 
 from .cyclic import GroundSet
@@ -44,11 +43,11 @@ from .frieze import (
 )
 from .mutation import (
     DEFAULT_ORACLE_BUDGET,
-    family_moves,
     format_trace_line,
     mutate,
     oracle_value,
     parse_trace_line,
+    seeded_walk,
     unit_specialization,
 )
 from .stargraph import (
@@ -296,12 +295,9 @@ def cmd_gen(ns) -> int:
     GroundSet(ns.n)  # range check up front: n < 6 is a usage error
     if ns.steps < 0:
         raise InvalidInputError("--steps must be >= 0")
-    rng = random.Random(ns.seed)
     vf = unit_specialization(canonical_family(ns.n))
     trace_lines = []
-    for _ in range(ns.steps):
-        moves = family_moves(vf.family)
-        move = rng.choice(moves)
+    for move, _ in seeded_walk(vf.family, ns.steps, ns.seed):
         vf = mutate(vf, move)
         trace_lines.append(format_trace_line(move, vf.values[move.added]))
     if ns.trace_out:

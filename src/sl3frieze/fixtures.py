@@ -15,7 +15,6 @@ from fractions import Fraction
 from .cyclic import GroundSet
 from .family import Family, frozen_triangles, greedy_complete
 from .frieze import FriezeGrid
-from .mutation import ValuedFamily, unit_specialization
 
 INTRO_ROWS = (
     (4, 3, 2, 5, 1, 4, 5, 1),
@@ -34,7 +33,3 @@ def canonical_family(n: int) -> Family:
     """Greedy completion of the continuous triangles: the deterministic base
     point of all searches and generators."""
     return greedy_complete(frozen_triangles(GroundSet(n)))
-
-
-def canonical_unit_family(n: int) -> ValuedFamily:
-    return unit_specialization(canonical_family(n))

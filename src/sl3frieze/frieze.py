@@ -23,24 +23,13 @@ from .errors import (
     PreconditionError,
 )
 from .family import Triangle
-from .mutation import ValuedFamily
-from .stargraph import build_star_graph
+from .mutation import ValuedFamily, _check_entries
+from .stargraph import _incident_sequence, build_star_graph
 
 FRIEZE_SCHEMA_VERSION = 1
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-_EXACT_TYPES = frozenset((int, Fraction))
-
-
-def _check_entries(values, what: str) -> None:
-    """Exact entries only: each of type int or Fraction, so a bool or a float
-    is refused."""
-    if not _EXACT_TYPES.issuperset(map(type, values)):
-        bad = next(v for v in values if type(v) not in _EXACT_TYPES)
-        raise InvalidInputError(f"{what} entry {bad!r} is not an int or a Fraction")
 
 
 def _integral(values):
@@ -99,9 +88,6 @@ class FriezeGrid:
     def entry(self, k: int, i: int) -> Fraction:
         return self.rows[k - 1][(i - 1) % self.n]
 
-    def extended_row_count(self) -> int:
-        return self.width + 6
-
     def ext_value(self, r: int, t: int) -> Fraction:
         """Row r of the bordered array (0,0,1,rows...,1,0,0) at period index t."""
         w = self.width
@@ -144,33 +130,24 @@ def almost_continuous_at(vf: ValuedFamily, x: int):
     tp = list(g.triangulation_points)
     labels = {}
 
-    def drop_leaf(leaf, at):
-        adj[at].discard(leaf)
-        del adj[leaf]
-
-    for idx in range(1, len(tp) - 1):
-        p = tp[idx]
-        seq = [tp[idx - 1]] + g.leaves_at(p) + [tp[idx + 1]]
-        labels[p] = sum((_star_value(vf, p, seq[j], seq[j + 1]) for j in range(len(seq) - 1)),
-                        start=ZERO)
+    for i, p in enumerate(tp):
+        seq = _incident_sequence(g, i)
+        pinned = None
+        if i == 0:
+            # x+1, and x-1 below, get a label only when x+2 (x-2) is a leaf;
+            # that leaf stays, and the wrap-around end of the sequence is cut
+            if xp2 not in g.leaves:
+                continue
+            seq, pinned = seq[1:], xp2
+        elif i == len(tp) - 1:
+            if xm2 not in g.leaves:
+                continue
+            seq, pinned = seq[:-1], xm2
+        labels[p] = sum((_star_value(vf, p, a, b) for a, b in zip(seq, seq[1:])), start=ZERO)
         for leaf in g.leaves_at(p):
-            drop_leaf(leaf, p)
-
-    if xp2 in g.leaves:
-        seq = g.leaves_at(xp) + [tp[1]]  # first leaf is x+2
-        labels[xp] = sum((_star_value(vf, xp, seq[j], seq[j + 1]) for j in range(len(seq) - 1)),
-                         start=ZERO)
-        for leaf in g.leaves_at(xp):
-            if leaf != xp2:
-                drop_leaf(leaf, xp)
-
-    if xm2 in g.leaves:
-        seq = [tp[-2]] + g.leaves_at(xm)  # last leaf is x-2
-        labels[xm] = sum((_star_value(vf, xm, seq[j], seq[j + 1]) for j in range(len(seq) - 1)),
-                         start=ZERO)
-        for leaf in g.leaves_at(xm):
-            if leaf != xm2:
-                drop_leaf(leaf, xm)
+            if leaf != pinned:
+                adj[p].discard(leaf)
+                del adj[leaf]
 
     current = [p for p in tp if p in adj and len(adj[p]) >= 2]
     edge_count = sum(len(nb) for nb in adj.values()) // 2

@@ -40,6 +40,16 @@ from .stargraph import _incident_sequence, build_star_graph
 
 DEFAULT_ORACLE_BUDGET = 100_000
 
+_EXACT_TYPES = frozenset((int, Fraction))
+
+
+def _check_entries(values, what: str) -> None:
+    """Exact entries only: each of type int or Fraction, so a bool or a float
+    is refused."""
+    if not _EXACT_TYPES.issuperset(map(type, values)):
+        bad = next(v for v in values if type(v) not in _EXACT_TYPES)
+        raise InvalidInputError(f"{what} entry {bad!r} is not an int or a Fraction")
+
 
 @dataclass(frozen=True)
 class MutationMove:
@@ -83,12 +93,13 @@ class ValuedFamily:
     """A maximal family together with a nonzero exact value per triangle."""
 
     family: Family
-    values: dict  # Triangle -> Fraction
+    values: dict  # Triangle -> int or Fraction
 
     def __post_init__(self):
         object.__setattr__(self, "values", dict(self.values))  # detach from caller
         if set(self.values) != self.family.triangles:
             raise InvalidInputError("values must be given for exactly the family's triangles")
+        _check_entries(self.values.values(), "value")
         for t, v in self.values.items():
             if v == 0:
                 raise InvalidInputError(f"value of {t} must be nonzero")
@@ -116,10 +127,39 @@ def unitary_value_at(vf: ValuedFamily, x: int):
 
 def exchange_value(v_zac: Fraction, v_zab: Fraction, v_zcd: Fraction,
                    v_zad: Fraction, v_zbc: Fraction) -> Fraction:
-    """Value of the incoming triangle forced by the three-term relation."""
-    if v_zac == 0:
-        raise ZeroPivotError("cannot exchange across a zero value")
-    return (Fraction(v_zab) * Fraction(v_zcd) + Fraction(v_zad) * Fraction(v_zbc)) / Fraction(v_zac)
+    """Value of the incoming triangle forced by the three-term relation,
+    (v_zab * v_zcd + v_zad * v_zbc) / v_zac, as a Fraction; v_zac = 0 raises
+    ZeroPivotError.
+
+    Arguments must be ints or Fractions: a float or a bool raises
+    InvalidInputError. The type check runs only when the numerator or v_zac
+    is not a Fraction, so Fraction values, which every exchange in this module
+    passes, pay nothing for it; a bool multiplied by a Fraction passes as 0 or 1.
+    """
+    num = v_zab * v_zcd + v_zad * v_zbc
+    if type(num) is not Fraction or type(v_zac) is not Fraction:
+        _check_entries((v_zac, v_zab, v_zcd, v_zad, v_zbc), "exchange")
+        num = Fraction(num)
+    try:
+        return num / v_zac
+    except ZeroDivisionError:
+        raise ZeroPivotError("cannot exchange across a zero value") from None
+
+
+def _exchange(values: dict, m: tuple) -> dict:
+    """The values after the move m = (z,a,b,c,d): {z,a,c} leaves and {z,b,d}
+    enters with its exchanged value."""
+    z, a, b, c, d = m
+    zac = tuple(sorted((z, a, c)))
+    zbd = tuple(sorted((z, b, d)))
+    zab = tuple(sorted((z, a, b)))
+    zcd = tuple(sorted((z, c, d)))
+    zda = tuple(sorted((z, d, a)))
+    zbc = tuple(sorted((z, b, c)))
+    new = dict(values)
+    new[zbd] = exchange_value(values[zac], values[zab], values[zcd], values[zda], values[zbc])
+    del new[zac]
+    return new
 
 
 def mutate(vf: ValuedFamily, move: MutationMove, validate: bool = False) -> ValuedFamily:
@@ -132,20 +172,14 @@ def mutate(vf: ValuedFamily, move: MutationMove, validate: bool = False) -> Valu
     for p in (move.z, move.a, move.b, move.c, move.d):
         if not ground.contains(p):
             raise InvalidInputError(f"move point {p!r} outside 1..{ground.n}")
-    req = move.required()
-    for t in req:
+    for t in move.required():
         if t not in vf.family.triangles:
             raise InvalidMoveError(f"required triangle {t} missing from family")
     added = move.added
     if added in vf.family.triangles:
         raise InvalidMoveError(f"{added} already present; family cannot be maximal weakly separated")
-    zab, zbc, zcd, zda, zac = req
-    new_value = exchange_value(vf.values[zac], vf.values[zab], vf.values[zcd],
-                               vf.values[zda], vf.values[zbc])
+    values2 = _exchange(vf.values, move.key())
     fam2 = vf.family.with_exchange(move.removed, added)
-    values2 = dict(vf.values)
-    del values2[move.removed]
-    values2[added] = new_value
     if validate:
         ok, pair = is_weakly_separated_family(fam2)
         if not ok:
@@ -192,6 +226,16 @@ def family_moves(fam: Family) -> list:
     return [MutationMove(*m) for m in _moves_of_triangles(fam.triangles)]
 
 
+def seeded_walk(fam: Family, steps: int, seed: int):
+    """Yield (move, family after it) for `steps` moves, each drawn uniformly
+    from the moves of the current family; deterministic per seed."""
+    rng = random.Random(seed)
+    for _ in range(steps):
+        move = rng.choice(family_moves(fam))
+        fam = fam.with_exchange(move.removed, move.added)
+        yield move, fam
+
+
 def random_maximal_family(ground: GroundSet, steps: int, seed: int) -> Family:
     """A maximal family obtained from the canonical greedy completion of the
     continuous triangles by `steps` uniformly chosen moves; deterministic per
@@ -199,11 +243,8 @@ def random_maximal_family(ground: GroundSet, steps: int, seed: int) -> Family:
     if steps < 0:
         raise InvalidInputError("steps must be >= 0")
     fam = greedy_complete(frozen_triangles(ground))
-    rng = random.Random(seed)
-    for _ in range(steps):
-        moves = family_moves(fam)
-        move = rng.choice(moves)
-        fam = fam.with_exchange(move.removed, move.added)
+    for _, fam in seeded_walk(fam, steps, seed):
+        pass
     return fam
 
 
@@ -268,20 +309,6 @@ def contract_degree2(vf: ValuedFamily, x: int, p: int, side: str) -> ValuedFamil
 
 # -- breadth-first oracle -------------------------------------------------------
 
-def _apply_raw(values: dict, m: tuple) -> dict:
-    z, a, b, c, d = m
-    zac = tuple(sorted((z, a, c)))
-    zbd = tuple(sorted((z, b, d)))
-    zab = tuple(sorted((z, a, b)))
-    zcd = tuple(sorted((z, c, d)))
-    zda = tuple(sorted((z, d, a)))
-    zbc = tuple(sorted((z, b, c)))
-    new = dict(values)
-    new[zbd] = (values[zab] * values[zcd] + values[zda] * values[zbc]) / values[zac]
-    del new[zac]
-    return new
-
-
 def oracle_values(vf: ValuedFamily, targets, budget: int = DEFAULT_ORACLE_BUDGET,
                   tie_break: str = "lex") -> dict:
     """Values of the given triangles under the specialization pinned by vf.
@@ -334,7 +361,7 @@ def oracle_values(vf: ValuedFamily, targets, budget: int = DEFAULT_ORACLE_BUDGET
             if reverse:
                 moves.reverse()
             for m in moves:
-                child = _apply_raw(vals, m)
+                child = _exchange(vals, m)
                 key = frozenset(child)
                 seen = visited.get(key)
                 if seen is not None:

@@ -23,11 +23,23 @@ from .family import Family, greedy_complete, is_maximal_family, make_family
 STAR_GRAPH_SCHEMA_VERSION = 1
 
 STRUCTURE_RULES = {
+    "polygon.endpoints": "triangulation points must run from x+1 to x-1",
     "polygon.boundary": "consecutive triangulation points must be adjacent",
     "polygon.noncrossing": "chords between triangulation points must not cross",
     "polygon.faces": "inner faces of the triangulation must all be triangles",
     "leaf.attachment": "non-triangulation vertices must have degree 1 into a triangulation point",
     "leaf.location": "a leaf must lie between the neighbours of its triangulation point",
+    "leaf.order": "leaves in <_x order must attach to triangulation points in <_x order",
+    "frozen.edges": "the frozen edges {x+1,x+2} and {x-2,x-1} must be present",
+}
+
+# The realizability condition (i)-(v) each rule belongs to; (ii) holds by
+# construction, since the triangulation points are the vertices of degree >= 2.
+RULE_CONDITIONS = {
+    "polygon.endpoints": "i", "polygon.boundary": "i", "polygon.noncrossing": "i", "polygon.faces": "i",
+    "leaf.attachment": "iii", "leaf.location": "iii",
+    "leaf.order": "iv",
+    "frozen.edges": "v",
 }
 
 
@@ -123,13 +135,24 @@ def _chords_cross(e1, e2) -> bool:
 
 
 def verify_structure_theorem(g: StarGraph) -> StructureReport:
-    """Check the classification claims on a star graph, reporting violations
-    instead of raising."""
+    """Check all realizability conditions (i)-(v) on a star graph, reporting
+    violations instead of raising.
+
+    Violations are (rule id, witness) pairs; RULE_CONDITIONS names the
+    condition of each rule. The rules run in condition order, so the first
+    violation names the first failed condition. The report is ok exactly when
+    realize_star_graph accepts the graph.
+    """
     violations = []
+    x, n = g.x, g.ground.n
+    wrap = g.ground.wrap
     tp = g.triangulation_points
     tset = set(tp)
     r = len(tp)
+    xp, xm = wrap(x + 1), wrap(x - 1)
 
+    if not tp or tp[0] != xp or tp[-1] != xm:
+        violations.append(("polygon.endpoints", f"triangulation points must run from {xp} to {xm}, got {tp}"))
     if r < 2:
         violations.append(("polygon.faces", f"only {r} triangulation points"))
     else:
@@ -148,19 +171,12 @@ def verify_structure_theorem(g: StarGraph) -> StructureReport:
             violations.append(("polygon.faces",
                                f"{len(t_edges)} edges on {r} points, expected {2 * r - 3}"))
 
-    for v in sorted(g.vertices):
-        if v in tset:
-            continue
-        nbs = g.neighbours(v)
-        if len(nbs) != 1 or nbs[0] not in tset:
-            violations.append(("leaf.attachment", f"vertex {v} has neighbours {nbs}"))
-
-    n = g.ground.n
-    x = g.x
+    # every vertex outside the triangulation points has degree 1: a leaf
     for leaf in sorted(g.leaves):
         att = g.leaves[leaf]
         if att not in tset:
-            continue  # already reported under leaf.attachment
+            violations.append(("leaf.attachment", f"leaf {leaf} hangs off {att}, not a triangulation point"))
+            continue
         i = tp.index(att)
         if i == 0:
             lo, hi = tp[0], tp[1] if r > 1 else tp[0]
@@ -172,6 +188,17 @@ def verify_structure_theorem(g: StarGraph) -> StructureReport:
         if not (position_from(x, lo, n) < pos < position_from(x, hi, n)):
             violations.append(("leaf.location",
                                f"leaf {leaf} at {att} outside interval ({lo},{hi})"))
+
+    # Sorted by <_x, the leaves must attach at positions that never decrease.
+    leaves = sorted_from(x, g.leaves, n)
+    for l1, l2 in zip(leaves, leaves[1:]):
+        t1, t2 = g.leaves[l1], g.leaves[l2]
+        if position_from(x, t2, n) < position_from(x, t1, n):
+            violations.append(("leaf.order", f"leaves {l1} (at {t1}) and {l2} (at {t2}) out of order"))
+
+    for e in (tuple(sorted((xp, wrap(x + 2)))), tuple(sorted((wrap(x - 2), xm)))):
+        if e not in g.edges:
+            violations.append(("frozen.edges", f"frozen edge {e} missing"))
 
     return StructureReport(ok=not violations, violations=violations)
 
@@ -243,63 +270,6 @@ def star_open_interval(fam: Family, A, B, x: int) -> list:
     return out
 
 
-# -- realization of admissible graphs ------------------------------------------
-
-def _check_realizable(g: StarGraph):
-    """Conditions (i)-(v) for a candidate star graph to come from a maximal
-    family; raises ConditionViolationError naming the first failed condition."""
-    x, n = g.x, g.ground.n
-    wrap = g.ground.wrap
-    tp = g.triangulation_points
-    tset = set(tp)
-    r = len(tp)
-
-    xp, xm = wrap(x + 1), wrap(x - 1)
-    if xp not in tset or xm not in tset:
-        raise ConditionViolationError("i", f"x+1={xp} and x-1={xm} must be triangulation points")
-    if tp[0] != xp or tp[-1] != xm:
-        raise ConditionViolationError("i", f"triangulation points must run from {xp} to {xm}, got {tp}")
-    t_edges = sorted(e for e in g.edges if e[0] in tset and e[1] in tset)
-    boundary = {tuple(sorted((tp[i], tp[(i + 1) % r]))) for i in range(r)}
-    for e in sorted(boundary):
-        if e not in g.edges:
-            raise ConditionViolationError("i", f"polygon boundary edge {e} missing")
-    for i, e1 in enumerate(t_edges):
-        for e2 in t_edges[i + 1:]:
-            if _chords_cross(e1, e2):
-                raise ConditionViolationError("i", f"edges {e1} and {e2} cross")
-    if len(t_edges) != 2 * r - 3:
-        raise ConditionViolationError("i", f"not a full triangulation: {len(t_edges)} edges on {r} points")
-
-    # (ii) holds by construction: triangulation points are the degree->=2 vertices.
-
-    for leaf in sorted(g.leaves):
-        att = g.leaves[leaf]
-        if att not in tset:
-            raise ConditionViolationError("iii", f"leaf {leaf} attaches to non-triangulation vertex {att}")
-        pos = position_from(x, leaf, n)
-        below = max((t for t in tp if position_from(x, t, n) < pos),
-                    key=lambda t: position_from(x, t, n))
-        above = min((t for t in tp if position_from(x, t, n) > pos),
-                    key=lambda t: position_from(x, t, n))
-        if att not in (below, above):
-            raise ConditionViolationError(
-                "iii", f"leaf {leaf} attaches to {att}, not a nearest triangulation point {below}/{above}")
-
-    pairs = sorted(g.leaves.items())
-    for l1, t1 in pairs:
-        for l2, t2 in pairs:
-            p1, p2 = position_from(x, t1, n), position_from(x, t2, n)
-            if p1 < p2 and position_from(x, l1, n) >= position_from(x, l2, n):
-                raise ConditionViolationError("iv", f"leaves {l1} (at {t1}) and {l2} (at {t2}) out of order")
-
-    xp2, xm2 = wrap(x + 2), wrap(x - 2)
-    if xp2 not in g.vertices or xm2 not in g.vertices:
-        raise ConditionViolationError("v", f"x+2={xp2} and x-2={xm2} must be vertices")
-    if tuple(sorted((xp, xp2))) not in g.edges or tuple(sorted((xm, xm2))) not in g.edges:
-        raise ConditionViolationError("v", f"frozen edges {{{xp},{xp2}}} and {{{xm2},{xm}}} must be present")
-
-
 # -- JSON format ---------------------------------------------------------------
 #
 # {"x": 1, "n": 8, "edges": [[2,3], [3,4], ...]}  (optional "schema_version")
@@ -335,11 +305,20 @@ def star_graph_from_dict(data) -> StarGraph:
         raise MalformedFileError(str(e)) from e
 
 
+# -- realization of admissible graphs ------------------------------------------
+
 def realize_star_graph(g: StarGraph) -> Family:
     """Construct a maximal weakly separated family whose star graph at g.x is
     exactly g, following the two-phase construction: star triangles plus the
-    border family, then greedy completion."""
-    _check_realizable(g)
+    border family, then greedy completion.
+
+    A graph that fails verify_structure_theorem raises ConditionViolationError
+    with the condition (i)-(v) of the first violation and its witness.
+    """
+    report = verify_structure_theorem(g)
+    if not report.ok:
+        rule, witness = report.violations[0]
+        raise ConditionViolationError(RULE_CONDITIONS[rule], witness)
     x = g.x
     star_triangles = [tuple(sorted((x, a, b))) for a, b in g.edges]
     base = star_triangles + _border_candidates(g)

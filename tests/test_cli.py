@@ -16,6 +16,7 @@ from sl3frieze.family import dump_family, load_family, make_family
 from sl3frieze.cyclic import GroundSet
 from sl3frieze.fixtures import INTRO_ROWS, canonical_family, intro_frieze
 from sl3frieze.frieze import dump_frieze
+from sl3frieze.mutation import random_maximal_family
 
 
 @pytest.fixture()
@@ -162,6 +163,13 @@ def test_gen_deterministic_bytes(run, tmp_path):
     run("gen", "--n", "7", "--steps", "9", "--seed", "5", "--out", a)
     run("gen", "--n", "7", "--steps", "9", "--seed", "5", "--out", b)
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("n, steps, seed", [(6, 10, 1), (9, 14, 4)])
+def test_gen_walk_is_random_maximal_family(run, tmp_path, n, steps, seed):
+    out_path = tmp_path / "g.json"
+    run("gen", "--n", n, "--steps", steps, "--seed", seed, "--out", out_path)
+    assert load_family(out_path.read_text()).triangles == random_maximal_family(GroundSet(n), steps, seed).triangles
 
 
 def test_reports_deterministic_bytes(run, fam8):

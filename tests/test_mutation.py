@@ -7,6 +7,8 @@ Claims covered:
       two-term sums the border values dictate
     - the oracle returns stored values with zero expansions, is tie-break
       independent, and enforces its budget
+    - values are exact: floats and bools are refused, and a zero pivot is a
+      ZeroPivotError on every path that exchanges
 """
 
 import random
@@ -73,6 +75,37 @@ def test_exchange_value_examples():
     assert exchange_value(Fraction(2), 1, 1, 1, 1) == 1
     with pytest.raises(ZeroPivotError):
         exchange_value(0, 1, 1, 1, 1)
+
+
+def test_float_values_are_refused():
+    with pytest.raises(InvalidInputError):
+        exchange_value(0.1, 1, 1, 1, 1)
+    with pytest.raises(InvalidInputError):
+        exchange_value(Fraction(1), Fraction(1), 0.5, Fraction(1), Fraction(1))
+    fam = canonical_family(6)
+    values = {t: Fraction(1) for t in fam.triangles}
+    values[(1, 2, 4)] = 0.5
+    with pytest.raises(InvalidInputError):
+        ValuedFamily(fam, values)
+
+
+def test_bool_values_are_refused():
+    with pytest.raises(InvalidInputError):
+        exchange_value(True, 1, 1, 1, 1)
+    fam = canonical_family(6)
+    values = {t: Fraction(1) for t in fam.triangles}
+    values[(1, 2, 4)] = True
+    with pytest.raises(InvalidInputError):
+        ValuedFamily(fam, values)
+
+
+def test_oracle_zero_pivot_is_zero_pivot_error():
+    # with one value -1 an exchange reaches 1 + (-1) = 0, and a later one divides by it
+    fam = canonical_family(6)
+    values = {t: Fraction(1) for t in fam.triangles}
+    values[(1, 2, 4)] = Fraction(-1)
+    with pytest.raises(ZeroPivotError):
+        oracle_values(ValuedFamily(fam, values), list(combinations(range(1, 7), 3)))
 
 
 def test_mutate_all_ones_gives_two():

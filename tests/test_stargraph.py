@@ -8,7 +8,12 @@ Claims covered:
       nested pairs force an intermediate point splitting them
     - realizable candidate graphs round-trip through a maximal family, and the
       admissibility conditions are reported by name
+    - the structure check covers all of conditions (i)-(v): it passes exactly
+      the graphs that realization accepts, and its first violation names the
+      condition that realization reports
 """
+
+import random
 
 import pytest
 
@@ -20,7 +25,9 @@ from sl3frieze.errors import (
 )
 from sl3frieze.family import frozen_triangles
 from sl3frieze.fixtures import canonical_family
+from sl3frieze.mutation import random_maximal_family
 from sl3frieze.stargraph import (
+    RULE_CONDITIONS,
     border_triangles,
     build_star_graph,
     realize_star_graph,
@@ -225,3 +232,63 @@ def test_star_graph_json_rejects_unknown_keys():
     data["extra"] = 1
     with pytest.raises(MalformedFileError):
         star_graph_from_dict(data)
+
+
+# n=7 graphs that pass the polygon boundary, crossing, face, attachment and
+# location rules, yet break a further condition of realizability
+UNREALIZABLE_N7 = [
+    (4, [(2, 3), (3, 6), (6, 7)], "polygon.endpoints"),  # x+1 = 5 is not a vertex
+    (6, [(1, 7), (2, 5), (3, 7), (4, 5), (5, 7)], "leaf.order"),  # leaf 3 at 7 follows leaf 2 at 5
+    (2, [(1, 3), (1, 5), (3, 4)], "frozen.edges"),  # {7,1} missing
+]
+
+
+@pytest.mark.parametrize("x, edges, rule", UNREALIZABLE_N7)
+def test_structure_covers_every_condition(x, edges, rule):
+    g = star_graph_from_edges(x, GroundSet(7), edges)
+    rep = verify_structure_theorem(g)
+    assert not rep.ok
+    assert rule in [r for r, _ in rep.violations]
+    with pytest.raises(ConditionViolationError) as exc:
+        realize_star_graph(g)
+    assert exc.value.condition == RULE_CONDITIONS[rule]
+
+
+def _perturbed_star_graphs(count, seed):
+    """Star graphs of random maximal families (n = 7..10), each with one or
+    two edits: an edge dropped, an edge added, or an edge end moved."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(7, 10)
+        ground = GroundSet(n)
+        fam = random_maximal_family(ground, 3 * n, rng.randrange(2**32))
+        x = rng.randint(1, n)
+        edges = sorted(build_star_graph(fam, x).edges)
+        others = [p for p in ground.points() if p != x]
+        for _ in range(rng.randint(1, 2)):
+            kind = rng.randrange(3)
+            if kind == 0 and len(edges) > 1:
+                edges.pop(rng.randrange(len(edges)))
+            elif kind == 1:
+                edges.append(tuple(sorted(rng.sample(others, 2))))
+            else:
+                a, b = edges.pop(rng.randrange(len(edges)))
+                edges.append(tuple(sorted((a, rng.choice([p for p in others if p not in (a, b)])))))
+            edges = sorted(set(edges))
+        yield star_graph_from_edges(x, ground, edges)
+
+
+def test_structure_check_decides_realizability():
+    seen = set()
+    for g in _perturbed_star_graphs(400, seed=3):
+        rep = verify_structure_theorem(g)
+        try:
+            realize_star_graph(g)
+        except ConditionViolationError as e:
+            assert not rep.ok, (g.x, sorted(g.edges), e)
+            assert e.condition == RULE_CONDITIONS[rep.violations[0][0]]
+            seen.add(e.condition)
+        else:
+            assert rep.ok, (g.x, sorted(g.edges), rep.violations)
+            seen.add("ok")
+    assert seen == {"ok", "i", "iii", "iv", "v"}
