@@ -4,6 +4,7 @@ from .cyclic import GroundSet, cyclically_ordered, interval, less_x
 from .errors import FriezeError
 from .family import (
     Family,
+    canonical_family,
     frozen_triangles,
     greedy_complete,
     is_maximal_family,
@@ -51,7 +52,7 @@ __version__ = "0.1.0"
 __all__ = [
     "GroundSet", "cyclically_ordered", "interval", "less_x",
     "FriezeError",
-    "Family", "frozen_triangles", "greedy_complete", "is_maximal_family",
+    "Family", "canonical_family", "frozen_triangles", "greedy_complete", "is_maximal_family",
     "is_weakly_separated_family", "make_family", "make_triangle",
     "FriezeGrid", "QuiddityRows", "almost_continuous_at", "build_plucker_frieze_map",
     "extend_rows", "quiddity_rows", "render_frieze", "validate_frieze",

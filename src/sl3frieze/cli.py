@@ -24,6 +24,7 @@ from .errors import (
 )
 from .family import (
     Family,
+    canonical_family,
     dump_family,
     is_maximal_family,
     is_weakly_separated_family,
@@ -31,7 +32,6 @@ from .family import (
     make_triangle,
     maximal_size,
 )
-from .fixtures import canonical_family
 from .frieze import (
     extend_rows,
     format_rational,

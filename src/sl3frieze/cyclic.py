@@ -98,9 +98,3 @@ def sorted_from(x: int, points, n: int) -> list:
     """Sort points by the <_x order."""
     return sorted(points, key=lambda p: (p - x) % n)
 
-
-def in_open_interval(p: int, a: int, b: int) -> bool:
-    """p in (a,b) for distinct a,b; false when p coincides with an endpoint."""
-    if p == a or p == b:
-        return False
-    return is_cyclic((a, p, b))

@@ -8,12 +8,13 @@ pairwise weak-separation check has been run on construction.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 
 from .cyclic import GroundSet
 from .errors import InvalidInputError, MalformedFileError
-from .separation import crossing
+from .separation import masks_cross, triangle_mask
 
 Triangle = tuple  # ascending (a, b, c)
 
@@ -29,11 +30,6 @@ def make_triangle(a: int, b: int, c: int, ground: GroundSet) -> Triangle:
     if len(set(t)) != 3:
         raise InvalidInputError(f"triangle points must be distinct: {t}")
     return tuple(sorted(t))
-
-
-def wrap_triangle(ground: GroundSet, a: int, b: int, c: int) -> Triangle:
-    """Like make_triangle but first reduces the points mod n into 1..n."""
-    return make_triangle(ground.wrap(a), ground.wrap(b), ground.wrap(c), ground)
 
 
 def all_triangles(ground: GroundSet):
@@ -86,21 +82,35 @@ def make_family(ground: GroundSet, triangles, validate: bool = True) -> Family:
     return fam
 
 
+def continuous_triangles(n: int) -> list:
+    """The n continuous triangles {i, i+1, i+2} (mod n) as ascending tuples."""
+    return [(i, i + 1, i + 2) for i in range(1, n - 1)] + [(1, n - 1, n), (1, 2, n)]
+
+
 def frozen_triangles(ground: GroundSet) -> Family:
     """The n continuous triangles {i, i+1, i+2}; they cross nothing, so they lie
     in every maximal family."""
-    ts = frozenset(wrap_triangle(ground, i, i + 1, i + 2) for i in ground.points())
-    return Family(ground, ts, validated=True)
+    return Family(ground, frozenset(continuous_triangles(ground.n)), validated=True)
+
+
+def canonical_family(n: int) -> Family:
+    """The rectangles seed: the frozen triangles, {1,2,j} for 4 <= j <= n-1 and
+    {1,j,j+1} for 3 <= j <= n-2. It equals the greedy completion of the frozen
+    triangles and is the deterministic base point of all generators."""
+    ts = continuous_triangles(n) + [(1, 2, j) for j in range(4, n)] + [(1, j, j + 1) for j in range(3, n - 1)]
+    return Family(GroundSet(n), frozenset(ts), validated=True)
 
 
 def is_weakly_separated_family(fam: Family):
     """(True, None) if all pairs are non-crossing, else (False, first bad pair)
     in lex order of the sorted triangle list."""
     ts = fam.sorted_triangles()
-    for i, A in enumerate(ts):
-        for B in ts[i + 1:]:
-            if crossing(A, B):
-                return False, (A, B)
+    masks = [triangle_mask(t) for t in ts]
+    for i, m in enumerate(masks):
+        # a later triangle starting at or past max A lies above A: no crossing
+        for j in range(i + 1, bisect_left(ts, (ts[i][2],), i + 1)):
+            if masks_cross(m, masks[j]):
+                return False, (ts[i], ts[j])
     return True, None
 
 
@@ -110,11 +120,11 @@ def maximal_size(ground: GroundSet) -> int:
 
 def addable_triangles(fam: Family) -> list:
     """Triangles outside the family that are weakly separated from all of it."""
+    masks = [triangle_mask(s) for s in fam.triangles]
     out = []
     for t in all_triangles(fam.ground):
-        if t in fam.triangles:
-            continue
-        if all(not crossing(t, s) for s in fam.triangles):
+        m = triangle_mask(t)
+        if t not in fam.triangles and not any(masks_cross(m, s) for s in masks):
             out.append(t)
     return out
 
@@ -134,18 +144,18 @@ def is_maximal_family(fam: Family, thorough: bool = False) -> bool:
 
 def greedy_complete(fam: Family) -> Family:
     """Extend to a maximal weakly separated family, repeatedly adding the
-    lexicographically smallest compatible triangle."""
+    lexicographically smallest compatible triangle; star-graph realization
+    completes its base family this way."""
     if not fam.validated:
         ok, pair = is_weakly_separated_family(fam)
         if not ok:
             raise InvalidInputError(f"family is not weakly separated: {pair[0]} crosses {pair[1]}")
     current = set(fam.triangles)
-    candidates = [t for t in all_triangles(fam.ground)
-                  if t not in current and all(not crossing(t, s) for s in current)]
+    candidates = [(t, triangle_mask(t)) for t in addable_triangles(fam)]
     while candidates:
-        chosen = candidates[0]  # lex smallest by construction order
+        chosen, chosen_mask = candidates[0]  # lex smallest by construction order
         current.add(chosen)
-        candidates = [t for t in candidates[1:] if not crossing(t, chosen)]
+        candidates = [(t, m) for t, m in candidates[1:] if not masks_cross(m, chosen_mask)]
     return Family(fam.ground, frozenset(current), validated=True)
 
 

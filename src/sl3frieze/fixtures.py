@@ -5,15 +5,14 @@ diamond conventions. It is not unitary: exhaustive enumeration of all 2136
 maximal weakly separated triangle families over [8] (flip search and clique
 search agree on the count) shows none of them specializes to these rows, in
 any of the 16 dihedral relabelings. Family-pipeline tests therefore use the
-canonical greedy families instead.
+canonical families (``canonical_family``, re-exported here) instead.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclic import GroundSet
-from .family import Family, frozen_triangles, greedy_complete
+from .family import canonical_family  # re-exported
 from .frieze import FriezeGrid
 
 INTRO_ROWS = (
@@ -27,9 +26,3 @@ INTRO_ROWS = (
 def intro_frieze() -> FriezeGrid:
     """The width-4, period-8 display example as a grid."""
     return FriezeGrid(8, tuple(tuple(Fraction(v) for v in row) for row in INTRO_ROWS))
-
-
-def canonical_family(n: int) -> Family:
-    """Greedy completion of the continuous triangles: the deterministic base
-    point of all searches and generators."""
-    return greedy_complete(frozen_triangles(GroundSet(n)))

@@ -31,8 +31,8 @@ from .errors import (
 from .family import (
     Family,
     Triangle,
-    frozen_triangles,
-    greedy_complete,
+    canonical_family,
+    continuous_triangles,
     is_maximal_family,
     is_weakly_separated_family,
 )
@@ -103,7 +103,7 @@ class ValuedFamily:
         for t, v in self.values.items():
             if v == 0:
                 raise InvalidInputError(f"value of {t} must be nonzero")
-        if not frozen_triangles(self.family.ground).triangles <= self.family.triangles:
+        if not all(t in self.family.triangles for t in continuous_triangles(self.family.ground.n)):
             raise InvalidInputError("family must contain all continuous triangles")
         if not is_maximal_family(self.family):
             raise InvalidInputError("valued families must be maximal")
@@ -191,9 +191,9 @@ def mutate(vf: ValuedFamily, move: MutationMove, validate: bool = False) -> Valu
 
 def _moves_of_triangles(triangles) -> list:
     """All applicable moves of a triangle set, as (z,a,b,c,d) tuples sorted
-    lexicographically. For each point z and each internal chord {a,c} of the
-    star graph at z, any common neighbours b in (a,c) and d in (c,a) give a
-    move."""
+    lexicographically. For each point z and each edge {a,c}, a < c, of the
+    star graph at z, any common neighbours b of a and c with a < b < c and d
+    outside [a,c] give a move."""
     adjacency = {}
     for t in triangles:
         p, q, r = t
@@ -210,10 +210,9 @@ def _moves_of_triangles(triangles) -> list:
             for c in sorted(star[a]):
                 if c < a:
                     continue
-                shared = [p for p in star if p != a and p != c
-                          and c in star.get(p, ()) and a in star.get(p, ())]
-                inner = [b for b in shared if is_cyclic((a, b, c))]
-                outer = [d for d in shared if is_cyclic((c, d, a))]
+                shared = star[a] & star[c]
+                inner = [b for b in shared if a < b < c]
+                outer = [d for d in shared if not a < d < c]
                 for b in inner:
                     for d in outer:
                         moves.append((z, a, b, c, d))
@@ -237,12 +236,11 @@ def seeded_walk(fam: Family, steps: int, seed: int):
 
 
 def random_maximal_family(ground: GroundSet, steps: int, seed: int) -> Family:
-    """A maximal family obtained from the canonical greedy completion of the
-    continuous triangles by `steps` uniformly chosen moves; deterministic per
-    seed."""
+    """A maximal family obtained from the canonical family by `steps`
+    uniformly chosen moves; deterministic per seed."""
     if steps < 0:
         raise InvalidInputError("steps must be >= 0")
-    fam = greedy_complete(frozen_triangles(ground))
+    fam = canonical_family(ground.n)
     for _, fam in seeded_walk(fam, steps, seed):
         pass
     return fam

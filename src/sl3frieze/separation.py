@@ -4,19 +4,18 @@ Two routes are provided and kept independent on purpose:
 
 * ``crossing_definition`` searches for interleaved witnesses a,c in A\\B and
   b,d in B\\A directly.
-* ``crossing_cases`` runs the three-interval case analysis over the placements
-  of B's points relative to the arcs cut out by A.
+* ``crossing_cases`` evaluates the closed form for equal-size sets
+  (Leclerc-Zelevinsky; Oh-Postnikov-Speyer) on point bitmasks.
 
-Production callers go through ``crossing``, a cached wrapper around the case
-analysis; the definitional search stays around as the oracle the fast route is
-tested against.
+Production callers go through ``crossing``, the closed form, or precompute one
+mask per triangle with ``triangle_mask`` and test pairs with ``masks_cross``;
+the definitional search stays around as the oracle the fast route is tested
+against.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-from .cyclic import in_open_interval, is_cyclic
+from .cyclic import is_cyclic
 
 
 def crossing_definition(A, B) -> bool:
@@ -37,42 +36,31 @@ def crossing_definition(A, B) -> bool:
     return False
 
 
-def crossing_cases(A, B) -> bool:
-    """Interval case analysis: with (a,b,c) the sorted points of A, B crosses A
-    iff some labelling (u,v,w) of B's points satisfies one of
+def triangle_mask(t) -> int:
+    """The distinct points of t as a bitmask: bit p is set for each point p."""
+    return sum(1 << p for p in t)
 
-      (i)   u in (a,b), v in (b,c), w != b
-      (ii)  u in (a,b), w in (c,a), v != a
-      (iii) v in (b,c), w in (c,a), u != c
-    """
-    if A == B:
+
+def masks_cross(m: int, k: int) -> bool:
+    """Crossing of two equal-size point sets given as bitmasks.
+
+    With a = A\\B and b = B\\A, the sets cross iff |a| >= 2, some point of b
+    lies between min a and max a, and some point of a lies between min b and
+    max b (linear order on 1..n)."""
+    a = m & ~k
+    if not a & (a - 1):
         return False
-    a, b, c = sorted(A)
-    pts = tuple(B)
-    for u in pts:
-        for v in pts:
-            if v == u:
-                continue
-            w = next(p for p in pts if p != u and p != v)
-            if in_open_interval(u, a, b) and in_open_interval(v, b, c) and w != b:
-                return True
-            if in_open_interval(u, a, b) and in_open_interval(w, c, a) and v != a:
-                return True
-            if in_open_interval(v, b, c) and in_open_interval(w, c, a) and u != c:
-                return True
-    return False
+    b = k & ~m
+    return bool(b & ((1 << a.bit_length()) - (a & -a))
+                and a & ((1 << b.bit_length()) - (b & -b)))
 
 
-@lru_cache(maxsize=None)
-def _crossing_cached(A, B) -> bool:
-    return crossing_cases(A, B)
+def crossing_cases(A, B) -> bool:
+    """Closed-form crossing test of two triangles; see masks_cross."""
+    return masks_cross(triangle_mask(A), triangle_mask(B))
 
 
-def crossing(A, B) -> bool:
-    """Cached crossing test on sorted triangle tuples."""
-    if A <= B:
-        return _crossing_cached(A, B)
-    return _crossing_cached(B, A)
+crossing = crossing_cases
 
 
 def weakly_separated(A, B) -> bool:

@@ -114,12 +114,21 @@ def build_star_graph(fam: Family, x: int) -> StarGraph:
     sub = star_subfamily(fam, x)
     edges = [tuple(p for p in t if p != x) for t in sub.sorted_triangles()]
     g = star_graph_from_edges(x, fam.ground, edges)
-    n = fam.ground.n
-    tp = g.triangulation_points
-    if not tp or tp[0] != fam.ground.wrap(x + 1) or tp[-1] != fam.ground.wrap(x - 1):
-        raise InternalConsistencyError(
-            f"triangulation points of a maximal family must run from x+1 to x-1, got {tp} at x={x}, n={n}")
+    witness = _endpoints_violation(g)
+    if witness:
+        raise InternalConsistencyError(f"maximal family at x={x}, n={fam.ground.n}: {witness}")
     return g
+
+
+def _endpoints_violation(g: StarGraph):
+    """The witness of a polygon.endpoints violation, or None when the
+    triangulation points run from x+1 to x-1."""
+    wrap = g.ground.wrap
+    xp, xm = wrap(g.x + 1), wrap(g.x - 1)
+    tp = g.triangulation_points
+    if not tp or tp[0] != xp or tp[-1] != xm:
+        return f"triangulation points must run from {xp} to {xm}, got {tp}"
+    return None
 
 
 def _chords_cross(e1, e2) -> bool:
@@ -151,8 +160,9 @@ def verify_structure_theorem(g: StarGraph) -> StructureReport:
     r = len(tp)
     xp, xm = wrap(x + 1), wrap(x - 1)
 
-    if not tp or tp[0] != xp or tp[-1] != xm:
-        violations.append(("polygon.endpoints", f"triangulation points must run from {xp} to {xm}, got {tp}"))
+    witness = _endpoints_violation(g)
+    if witness:
+        violations.append(("polygon.endpoints", witness))
     if r < 2:
         violations.append(("polygon.faces", f"only {r} triangulation points"))
     else:

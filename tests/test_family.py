@@ -5,16 +5,24 @@ Claims covered:
       maximal family
     - maximal families have exactly 3n-8 triangles and admit no addition
     - greedy completion is deterministic and a fixpoint on maximal input
+    - the closed-form canonical family equals the greedy completion of the
+      frozen triangles
+    - the pairwise check reports the same first crossing pair as a lex scan
+      with the definitional crossing search
     - the JSON format round-trips and rejects unknown keys / unsorted triples
 """
 
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sl3frieze.cyclic import GroundSet
 from sl3frieze.errors import InvalidInputError, MalformedFileError
 from sl3frieze.family import (
     Family,
     addable_triangles,
+    canonical_family,
     dump_family,
     family_from_dict,
     family_to_dict,
@@ -28,6 +36,7 @@ from sl3frieze.family import (
     maximal_size,
 )
 from sl3frieze.mutation import random_maximal_family
+from sl3frieze.separation import crossing_definition
 
 G6 = GroundSet(6)
 G8 = GroundSet(8)
@@ -104,6 +113,30 @@ def test_maximality_admits_no_addition_up_to_n10():
         assert is_maximal_family(fam, thorough=True)
         walked = random_maximal_family(g, steps=15, seed=n)
         assert is_maximal_family(walked, thorough=True)
+
+
+def test_canonical_family_is_the_greedy_completion():
+    for n in range(6, 25):
+        fam = canonical_family(n)
+        assert fam.validated and fam.ground == GroundSet(n)
+        assert fam.triangles == greedy_complete(frozen_triangles(GroundSet(n))).triangles, n
+
+
+def test_canonical_family_rejects_small_n():
+    with pytest.raises(InvalidInputError):
+        canonical_family(5)
+
+
+@settings(max_examples=200)
+@given(st.integers(6, 10), st.data())
+def test_first_bad_pair_matches_definitional_scan(n, data):
+    tris = list(combinations(range(1, n + 1), 3))
+    picked = data.draw(st.lists(st.sampled_from(tris), min_size=2, max_size=12, unique=True))
+    ts = sorted(picked)
+    expected = next(((A, B) for i, A in enumerate(ts) for B in ts[i + 1:]
+                     if crossing_definition(A, B)), None)
+    fam = make_family(GroundSet(n), picked, validate=False)
+    assert is_weakly_separated_family(fam) == (expected is None, expected)
 
 
 def test_greedy_complete_rejects_crossing_input():

@@ -9,6 +9,9 @@ Claims covered:
       independent, and enforces its budget
     - values are exact: floats and bools are refused, and a zero pivot is a
       ZeroPivotError on every path that exchanges
+    - valued families must contain every continuous triangle
+    - move enumeration by neighbour-set intersection lists the same moves, in
+      the same order, as a scan over every vertex of the star graph
 """
 
 import random
@@ -17,7 +20,7 @@ from itertools import combinations
 
 import pytest
 
-from sl3frieze.cyclic import GroundSet
+from sl3frieze.cyclic import GroundSet, is_cyclic
 from sl3frieze.errors import (
     BudgetExceededError,
     FrozenLeafError,
@@ -26,11 +29,12 @@ from sl3frieze.errors import (
     PreconditionError,
     ZeroPivotError,
 )
-from sl3frieze.family import is_maximal_family, is_weakly_separated_family
+from sl3frieze.family import is_maximal_family, is_weakly_separated_family, make_family
 from sl3frieze.fixtures import canonical_family
 from sl3frieze.mutation import (
     MutationMove,
     ValuedFamily,
+    _moves_of_triangles,
     contract_degree2,
     exchange_value,
     family_moves,
@@ -41,6 +45,7 @@ from sl3frieze.mutation import (
     parse_trace_line,
     random_maximal_family,
     remove_leaf,
+    seeded_walk,
     unit_specialization,
     unitary_value_at,
 )
@@ -144,6 +149,14 @@ def test_valued_family_rejects_zero_and_partial_values():
     values.pop(some)
     with pytest.raises(InvalidInputError):
         ValuedFamily(fam, values)
+
+
+def test_valued_family_requires_continuous_triangles():
+    # ten triangles, as many as a maximal family at n=6, without {1,2,3}
+    tris = sorted(canonical_family(6).triangles - {(1, 2, 3)}) + [(1, 3, 5)]
+    fam = make_family(GroundSet(6), tris, validate=False)
+    with pytest.raises(InvalidInputError, match="^family must contain all continuous triangles$"):
+        ValuedFamily(fam, {t: 1 for t in tris})
 
 
 def test_remove_leaf_sums_border_values():
@@ -312,6 +325,44 @@ def test_exchange_propagation_reproduces_determinants():
     got = oracle_values(ValuedFamily(fam, {t: _moment_minor(ts, t) for t in fam.triangles}), probe)
     for t in probe:
         assert got[tuple(sorted(t))] == _moment_minor(ts, t)
+
+
+def _reference_moves(triangles) -> list:
+    """Move enumeration scanning every vertex of the star graph at z for the
+    common neighbours of a chord {a,c}."""
+    adjacency = {}
+    for t in triangles:
+        p, q, r = t
+        adjacency.setdefault(p, {}).setdefault(q, set()).add(r)
+        adjacency.setdefault(p, {}).setdefault(r, set()).add(q)
+        adjacency.setdefault(q, {}).setdefault(p, set()).add(r)
+        adjacency.setdefault(q, {}).setdefault(r, set()).add(p)
+        adjacency.setdefault(r, {}).setdefault(p, set()).add(q)
+        adjacency.setdefault(r, {}).setdefault(q, set()).add(p)
+    moves = []
+    for z in sorted(adjacency):
+        star = adjacency[z]
+        for a in sorted(star):
+            for c in sorted(star[a]):
+                if c < a:
+                    continue
+                shared = [p for p in star if p != a and p != c
+                          and c in star.get(p, ()) and a in star.get(p, ())]
+                inner = [b for b in shared if is_cyclic((a, b, c))]
+                outer = [d for d in shared if is_cyclic((c, d, a))]
+                for b in inner:
+                    for d in outer:
+                        moves.append((z, a, b, c, d))
+    moves.sort()
+    return moves
+
+
+def test_moves_match_reference_on_walk_families():
+    for n in range(6, 33):
+        fam = canonical_family(n)
+        assert _moves_of_triangles(fam.triangles) == _reference_moves(fam.triangles)
+        for _, fam in seeded_walk(fam, 8, seed=n):
+            assert _moves_of_triangles(fam.triangles) == _reference_moves(fam.triangles), n
 
 
 def test_random_walk_stays_maximal():

@@ -2,7 +2,9 @@
 
 Claims covered:
     - the star graph of a maximal family classifies into a polygon
-      triangulation plus leaves, with x+1 first and x-1 last
+      triangulation plus leaves, with x+1 first and x-1 last; a family only
+      marked maximal that breaks this is an internal error naming the rule's
+      witness
     - border triangles read off the graph always already lie in the family
     - the nesting-order facts hold: empty interval forces a shared pair, and
       nested pairs force an intermediate point splitting them
@@ -14,16 +16,18 @@ Claims covered:
 """
 
 import random
+from itertools import combinations
 
 import pytest
 
 from sl3frieze.cyclic import GroundSet
 from sl3frieze.errors import (
     ConditionViolationError,
+    InternalConsistencyError,
     InvalidInputError,
     MalformedFileError,
 )
-from sl3frieze.family import frozen_triangles
+from sl3frieze.family import Family, frozen_triangles
 from sl3frieze.fixtures import canonical_family
 from sl3frieze.mutation import random_maximal_family
 from sl3frieze.stargraph import (
@@ -84,6 +88,18 @@ def test_build_star_graph_endpoints_all_x(small_corpus):
 def test_build_star_graph_rejects_non_maximal():
     with pytest.raises(InvalidInputError):
         build_star_graph(frozen_triangles(G8), 1)
+
+
+def test_build_star_graph_guards_endpoints_with_the_structure_rule():
+    # all C(5,3) = 3n-8 triangles avoiding x=1, marked validated: maximal by
+    # count, but the star graph at 1 is empty
+    g6 = GroundSet(6)
+    fam = Family(g6, frozenset(combinations(range(2, 7), 3)), validated=True)
+    with pytest.raises(InternalConsistencyError, match=r"triangulation points must run from 2 to 6, got \(\)"):
+        build_star_graph(fam, 1)
+    empty = star_graph_from_edges(1, g6, [])
+    assert verify_structure_theorem(empty).violations[0] == (
+        "polygon.endpoints", "triangulation points must run from 2 to 6, got ()")
 
 
 def test_structure_theorem_on_corpus(small_corpus):
