@@ -3,7 +3,8 @@
 Commands: validate, analyze, frieze, check-frieze, oracle, mutate, gen.
 Exit codes: 0 success, 1 semantically invalid input (crossing pair, missing
 maximality, failed diamonds, unrealizable star graph, bad replay), 2 usage or
-file-format error, 3 internal error or exhausted search budget.
+file-format error (a ground size above MAX_N included), 3 internal error or
+exhausted search budget.
 """
 
 from __future__ import annotations
@@ -292,7 +293,7 @@ def cmd_gen(ns) -> int:
         return 0
     if ns.n is None:
         raise InvalidInputError("gen needs --n (or --star-graph-file)")
-    GroundSet(ns.n)  # range check up front: n < 6 is a usage error
+    GroundSet(ns.n)  # range check up front: n < 6 or n > MAX_N is a usage error
     if ns.steps < 0:
         raise InvalidInputError("--steps must be >= 0")
     vf = unit_specialization(canonical_family(ns.n))

@@ -13,16 +13,24 @@ from .errors import InvalidInputError
 
 MIN_GROUND = 6
 
+# The largest ground size accepted. Every family, star graph, trace and
+# frieze input, and `gen --n`, is over some n, and the work on it grows with
+# n: 3n-8 triangles per family, n(n-4) frieze entries. A larger n is refused
+# as an InvalidInputError (exit 2 on the command line) before anything is built.
+MAX_N = 512
+
 
 @dataclass(frozen=True)
 class GroundSet:
-    """The cyclically arranged point set {1,..,n}, n >= 6."""
+    """The cyclically arranged point set {1,..,n}, 6 <= n <= MAX_N."""
 
     n: int
 
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < MIN_GROUND:
             raise InvalidInputError(f"ground set needs n >= {MIN_GROUND}, got {self.n!r}")
+        if self.n > MAX_N:
+            raise InvalidInputError(f"ground set needs n <= {MAX_N}, got {self.n!r}")
 
     def wrap(self, i: int) -> int:
         """Map any integer to its representative in 1..n."""

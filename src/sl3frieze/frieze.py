@@ -15,6 +15,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .cyclic import MAX_N
 from .errors import (
     InconsistentRowsError,
     InternalConsistencyError,
@@ -24,7 +25,7 @@ from .errors import (
 )
 from .family import Triangle
 from .mutation import ValuedFamily, _check_entries
-from .stargraph import _incident_sequence, build_star_graph
+from .stargraph import StarGraph, _incident_sequence, build_star_graph, star_graphs
 
 FRIEZE_SCHEMA_VERSION = 1
 
@@ -76,6 +77,8 @@ class FriezeGrid:
         if len(self.rows) < 1 or self.n != len(self.rows) + 4:
             raise InvalidInputError(
                 f"period must exceed width by 4: n={self.n}, width={len(self.rows)}")
+        if self.n > MAX_N:
+            raise InvalidInputError(f"frieze period needs n <= {MAX_N}, got {self.n}")
         for row in self.rows:
             if len(row) != self.n:
                 raise InvalidInputError("every row must have one entry per point")
@@ -100,38 +103,30 @@ class FriezeGrid:
 
 # -- Algorithm: almost continuous values at x ----------------------------------
 
-def _star_value(vf: ValuedFamily, a: int, b: int, c: int) -> Fraction:
-    t = tuple(sorted((a, b, c)))
-    if t not in vf.values:
-        raise InternalConsistencyError(f"border triangle {t} unexpectedly missing from family")
-    return vf.values[t]
+def _contract(g: StarGraph, values: dict):
+    """(label at x-1, label at x+1) after contracting the star graph g at x,
+    where `values` maps every triangle of the family to its value.
 
-
-def almost_continuous_at(vf: ValuedFamily, x: int):
-    """(v({x-2,x-1,x+1}), v({x-1,x+1,x+2})) for a family whose triangles
-    through x all have value 1.
-
-    Runs entirely on a working copy of the star graph at x: initialize each
+    Runs entirely on a working copy of g's neighbour map: initialize each
     interior triangulation point's label with the sum of its border values
     (removing its leaves), handle x+2/x-2 specially since their edges to x+1 /
     x-1 are frozen, then repeatedly contract degree-2 points, adding labels,
-    until only the three frozen edges remain.
+    until only the three frozen edges remain. Labels are summed in the values'
+    own type; a missing border triangle, a missing label or a contraction that
+    gets stuck is an InternalConsistencyError.
     """
-    ground = vf.family.ground
-    wrap = ground.wrap
-    for t in vf.family.triangles:
-        if x in t and vf.values[t] != 1:
-            raise PreconditionError(f"triangles through x={x} must all have value 1, {t} has {vf.values[t]}")
-    g = build_star_graph(vf.family, x)
+    x = g.x
+    wrap = g.ground.wrap
     xp, xm = wrap(x + 1), wrap(x - 1)
     xp2, xm2 = wrap(x + 2), wrap(x - 2)
 
-    adj = {v: set(g.neighbours(v)) for v in g.vertices}
-    tp = list(g.triangulation_points)
+    adj = {v: set(nb) for v, nb in g.adjacency.items()}
+    tp = g.triangulation_points
     labels = {}
 
     for i, p in enumerate(tp):
         seq = _incident_sequence(g, i)
+        leaves = seq[1:-1]
         pinned = None
         if i == 0:
             # x+1, and x-1 below, get a label only when x+2 (x-2) is a leaf;
@@ -143,8 +138,14 @@ def almost_continuous_at(vf: ValuedFamily, x: int):
             if xm2 not in g.leaves:
                 continue
             seq, pinned = seq[:-1], xm2
-        labels[p] = sum((_star_value(vf, p, a, b) for a, b in zip(seq, seq[1:])), start=ZERO)
-        for leaf in g.leaves_at(p):
+        label = 0
+        for a, b in zip(seq, seq[1:]):
+            t = tuple(sorted((p, a, b)))
+            if t not in values:
+                raise InternalConsistencyError(f"border triangle {t} unexpectedly missing from family")
+            label += values[t]
+        labels[p] = label
+        for leaf in leaves:
             if leaf != pinned:
                 adj[p].discard(leaf)
                 del adj[leaf]
@@ -190,20 +191,34 @@ def almost_continuous_at(vf: ValuedFamily, x: int):
     return labels[xm], labels[xp]
 
 
+def almost_continuous_at(vf: ValuedFamily, x: int):
+    """(v({x-2,x-1,x+1}), v({x-1,x+1,x+2})) for a family whose triangles
+    through x all have value 1, by contracting the star graph at x."""
+    for t in vf.family.triangles:
+        if x in t and vf.values[t] != 1:
+            raise PreconditionError(f"triangles through x={x} must all have value 1, {t} has {vf.values[t]}")
+    g = build_star_graph(vf.family, x)
+    ints = _integral(vf.values.values())
+    lo, hi = _contract(g, vf.values if ints is None else dict(zip(vf.values, ints)))
+    return Fraction(lo), Fraction(hi)
+
+
 def quiddity_rows(vf: ValuedFamily) -> QuiddityRows:
     """Run the contraction at every x of a family specialized to 1; the value
     of {i,i+1,i+3} lands at delta_low[i], the value of {i,i+2,i+3} at
-    delta_high[i]."""
+    delta_high[i]. The star graphs come from one pass over the triangles, and
+    the labels are counted in plain ints."""
     if any(v != 1 for v in vf.values.values()):
         raise PreconditionError("quiddity rows need the all-ones specialization")
     n = vf.family.ground.n
     wrap = vf.family.ground.wrap
+    ones = dict.fromkeys(vf.family.triangles, 1)
     low = {}
     high = {}
-    for x in vf.family.ground.points():
-        lo, hi = almost_continuous_at(vf, x)
-        low[wrap(x - 2)] = lo
-        high[wrap(x - 1)] = hi
+    for g in star_graphs(vf.family):
+        lo, hi = _contract(g, ones)
+        low[wrap(g.x - 2)] = Fraction(lo)
+        high[wrap(g.x - 1)] = Fraction(hi)
     return QuiddityRows(n,
                         tuple(low[i] for i in range(1, n + 1)),
                         tuple(high[i] for i in range(1, n + 1)))
@@ -263,12 +278,6 @@ def extend_rows(q: QuiddityRows) -> FriezeGrid:
                 f"row recursions disagree at U_{k}({j + 1}): {upper[j]} vs {lower[j]}")
 
     return FriezeGrid(n, tuple(tuple(map(Fraction, row)) for row in low[2:]))
-
-
-def dual_row_offset(n: int, k: int):
-    """(m, shift) such that U_k(i) = D_m(i + shift): both sides name the
-    triangle {i, i+k+1, i+k+2}."""
-    return n - 3 - k, k + 1
 
 
 # -- Pluecker triple layout -------------------------------------------------------
@@ -392,29 +401,6 @@ def render_frieze(grid: FriezeGrid) -> str:
         body = (" " * cell).join(format_rational(v).ljust(cell) for v in row)
         lines.append((pad + body).rstrip())
     return "\n".join(lines) + "\n"
-
-
-def parse_rendered_frieze(text: str) -> FriezeGrid:
-    """Inverse of render_frieze (whitespace insensitive)."""
-    rows = [line.split() for line in text.splitlines() if line.strip()]
-    if len(rows) < 7:
-        raise MalformedFileError("rendered frieze needs at least 7 rows")
-    w = len(rows) - 6
-    n = w + 4
-    for r in (0, 1, w + 4, w + 5):
-        if rows[r] != ["0"] * n:
-            raise MalformedFileError(f"row {r} must be {n} zeros")
-    for r in (2, w + 3):
-        if rows[r] != ["1"] * n:
-            raise MalformedFileError(f"row {r} must be {n} ones")
-    try:
-        body = tuple(tuple(Fraction(tok) for tok in rows[r]) for r in range(3, w + 3))
-    except (ValueError, ZeroDivisionError) as e:
-        raise MalformedFileError(f"bad frieze entry: {e}") from e
-    for row in body:
-        if len(row) != n:
-            raise MalformedFileError("inner rows must all have the same length")
-    return FriezeGrid(n, body)
 
 
 def frieze_to_dict(grid: FriezeGrid) -> dict:

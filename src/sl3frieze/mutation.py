@@ -36,7 +36,7 @@ from .family import (
     is_maximal_family,
     is_weakly_separated_family,
 )
-from .stargraph import _incident_sequence, build_star_graph
+from .stargraph import _incident_sequence, build_star_graph, link_triangle, star_index, unlink_triangle
 
 DEFAULT_ORACLE_BUDGET = 100_000
 
@@ -189,35 +189,34 @@ def mutate(vf: ValuedFamily, move: MutationMove, validate: bool = False) -> Valu
     return ValuedFamily(fam2, values2)
 
 
-def _moves_of_triangles(triangles) -> list:
-    """All applicable moves of a triangle set, as (z,a,b,c,d) tuples sorted
-    lexicographically. For each point z and each edge {a,c}, a < c, of the
-    star graph at z, any common neighbours b of a and c with a < b < c and d
-    outside [a,c] give a move."""
-    adjacency = {}
-    for t in triangles:
-        p, q, r = t
-        adjacency.setdefault(p, {}).setdefault(q, set()).add(r)
-        adjacency.setdefault(p, {}).setdefault(r, set()).add(q)
-        adjacency.setdefault(q, {}).setdefault(p, set()).add(r)
-        adjacency.setdefault(q, {}).setdefault(r, set()).add(p)
-        adjacency.setdefault(r, {}).setdefault(p, set()).add(q)
-        adjacency.setdefault(r, {}).setdefault(q, set()).add(p)
+def _moves_at(z: int, star: dict) -> list:
+    """The moves at z, as (z,a,b,c,d) tuples sorted lexicographically, from
+    the neighbour map of the star graph at z: for each edge {a,c}, a < c, any
+    common neighbours b of a and c with a < b < c and d outside [a,c] give a
+    move."""
     moves = []
-    for z in sorted(adjacency):
-        star = adjacency[z]
-        for a in sorted(star):
-            for c in sorted(star[a]):
-                if c < a:
-                    continue
-                shared = star[a] & star[c]
-                inner = [b for b in shared if a < b < c]
-                outer = [d for d in shared if not a < d < c]
-                for b in inner:
-                    for d in outer:
-                        moves.append((z, a, b, c, d))
+    for a in sorted(star):
+        star_a = star[a]
+        for c in sorted(star_a):
+            if c < a:
+                continue
+            shared = star_a & star[c]
+            if len(shared) < 2:  # a move needs one b inside [a,c] and one d outside
+                continue
+            inner = [b for b in shared if a < b < c]
+            outer = [d for d in shared if not a < d < c]
+            for b in inner:
+                for d in outer:
+                    moves.append((z, a, b, c, d))
     moves.sort()
     return moves
+
+
+def _moves_of_triangles(triangles) -> list:
+    """All applicable moves of a triangle set, as (z,a,b,c,d) tuples sorted
+    lexicographically: the moves at each point z, in z order."""
+    index = star_index(triangles)
+    return [m for z in sorted(index) for m in _moves_at(z, index[z])]
 
 
 def family_moves(fam: Family) -> list:
@@ -227,11 +226,24 @@ def family_moves(fam: Family) -> list:
 
 def seeded_walk(fam: Family, steps: int, seed: int):
     """Yield (move, family after it) for `steps` moves, each drawn uniformly
-    from the moves of the current family; deterministic per seed."""
+    from the moves of the current family; deterministic per seed.
+
+    The star index and the moves at every point are kept across steps. A
+    move changes only triangles through its five points, so only their stars
+    and move lists are updated; the lists, joined in z order, are the
+    lexicographic list family_moves gives.
+    """
     rng = random.Random(seed)
+    index = star_index(fam.triangles)
+    moves_at = {z: _moves_at(z, star) for z, star in index.items()}
     for _ in range(steps):
-        move = rng.choice(family_moves(fam))
-        fam = fam.with_exchange(move.removed, move.added)
+        move = MutationMove(*rng.choice([m for z in sorted(moves_at) for m in moves_at[z]]))
+        removed, added = move.removed, move.added
+        fam = fam.with_exchange(removed, added)
+        unlink_triangle(index, removed)
+        link_triangle(index, added)
+        for z in move.key():
+            moves_at[z] = _moves_at(z, index[z])
         yield move, fam
 
 

@@ -51,18 +51,18 @@ class StarGraph:
     edges: frozenset  # of ascending 2-tuples
     triangulation_points: tuple  # ordered by <_x
     leaves: dict = field(compare=False)  # leaf -> its sole neighbour
+    adjacency: dict = field(compare=False, repr=False)  # vertex -> set of its neighbours
 
     def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
+        return len(self.adjacency.get(v, ()))
 
     def neighbours(self, v: int) -> list:
-        out = [b if a == v else a for a, b in self.edges if v in (a, b)]
-        return sorted_from(self.x, out, self.ground.n)
+        return sorted_from(self.x, self.adjacency.get(v, ()), self.ground.n)
 
     def leaves_at(self, p: int) -> list:
         """Leaves attached to p, in <_x order."""
-        ls = [l for l, att in self.leaves.items() if att == p]
-        return sorted_from(self.x, ls, self.ground.n)
+        leaves = self.leaves
+        return sorted_from(self.x, [l for l in self.adjacency.get(p, ()) if l in leaves], self.ground.n)
 
     def same_edges(self, other: "StarGraph") -> bool:
         return self.x == other.x and self.ground == other.ground and self.edges == other.edges
@@ -82,42 +82,102 @@ def star_subfamily(fam: Family, x: int) -> Family:
     return Family(fam.ground, ts, validated=fam.validated)
 
 
+def star_index(triangles) -> dict:
+    """{x: {a: set of b}}: for every point x, the neighbour map of its star
+    graph, one edge {a,b} per triangle {x,a,b}; one pass over the triangles."""
+    index = {}
+    for t in triangles:
+        link_triangle(index, t)
+    return index
+
+
+def link_triangle(index: dict, t) -> None:
+    """Add the triangle's edge to the star of each of its three points."""
+    p, q, r = t
+    for x, a, b in ((p, q, r), (q, p, r), (r, p, q)):
+        star = index.setdefault(x, {})
+        star.setdefault(a, set()).add(b)
+        star.setdefault(b, set()).add(a)
+
+
+def unlink_triangle(index: dict, t) -> None:
+    """Remove the triangle's edge from the star of each of its three points;
+    a vertex left without neighbours leaves the star."""
+    p, q, r = t
+    for x, a, b in ((p, q, r), (q, p, r), (r, p, q)):
+        star = index[x]
+        for u, v in ((a, b), (b, a)):
+            nb = star[u]
+            nb.discard(v)
+            if not nb:
+                del star[u]
+
+
+def _classify(x: int, ground: GroundSet, adjacency: dict) -> StarGraph:
+    """The star graph at x with the given neighbour map: degrees, leaves and
+    triangulation points read off the map in O(E)."""
+    edges = frozenset((a, b) for a, nb in adjacency.items() for b in nb if a < b)
+    tpoints = tuple(sorted_from(x, [v for v, nb in adjacency.items() if len(nb) >= 2], ground.n))
+    leaves = {v: next(iter(nb)) for v, nb in adjacency.items() if len(nb) == 1}
+    return StarGraph(x, ground, frozenset(adjacency), edges, tpoints, leaves, adjacency)
+
+
 def star_graph_from_edges(x: int, ground: GroundSet, edges) -> StarGraph:
     """Classify an explicit edge list; tolerant of graphs that violate the
     structure theorem (verification is a separate step)."""
     if not ground.contains(x):
         raise InvalidInputError(f"point {x!r} outside 1..{ground.n}")
-    edge_set = set()
+    adjacency = {}
     for e in edges:
         a, b = e
         if a == b or not ground.contains(a) or not ground.contains(b) or x in (a, b):
             raise InvalidInputError(f"bad star-graph edge {e!r}")
-        edge_set.add((min(a, b), max(a, b)))
-    degree = {}
-    for a, b in edge_set:
-        degree[a] = degree.get(a, 0) + 1
-        degree[b] = degree.get(b, 0) + 1
-    vertices = frozenset(degree)
-    tpoints = tuple(sorted_from(x, [v for v, d in degree.items() if d >= 2], ground.n))
-    leaves = {}
-    for v, d in degree.items():
-        if d == 1:
-            (nb,) = [b if a == v else a for a, b in edge_set if v in (a, b)]
-            leaves[v] = nb
-    return StarGraph(x, ground, vertices, frozenset(edge_set), tpoints, leaves)
+        adjacency.setdefault(a, set()).add(b)
+        adjacency.setdefault(b, set()).add(a)
+    return _classify(x, ground, adjacency)
+
+
+def _require_maximal(fam: Family) -> None:
+    if not is_maximal_family(fam):
+        raise InvalidInputError("family is not maximal; star-graph classification needs maximality")
+
+
+def _require_endpoints(g: StarGraph) -> None:
+    witness = _endpoints_violation(g)
+    if witness:
+        raise InternalConsistencyError(f"maximal family at x={g.x}, n={g.ground.n}: {witness}")
 
 
 def build_star_graph(fam: Family, x: int) -> StarGraph:
     """Star graph of a maximal weakly separated family at x."""
-    if not is_maximal_family(fam):
-        raise InvalidInputError("family is not maximal; star-graph classification needs maximality")
+    _require_maximal(fam)
     sub = star_subfamily(fam, x)
     edges = [tuple(p for p in t if p != x) for t in sub.sorted_triangles()]
     g = star_graph_from_edges(x, fam.ground, edges)
-    witness = _endpoints_violation(g)
-    if witness:
-        raise InternalConsistencyError(f"maximal family at x={x}, n={fam.ground.n}: {witness}")
+    _require_endpoints(g)
     return g
+
+
+def star_graphs(fam: Family):
+    """Yield the star graph at every point of a maximal family, x = 1..n.
+
+    The stars come from one star_index of the family, so the triangles are
+    scanned once, not once per point; maximality and the points of every
+    triangle are checked once up front, the polygon.endpoints guard at each x.
+    """
+    _require_maximal(fam)
+    ground = fam.ground
+    for t in fam.triangles:
+        if len(t) != 3 or len(set(t)) != 3:
+            raise InvalidInputError(f"triangle {t!r} needs three distinct points")
+    for p in set().union(*fam.triangles):
+        if not ground.contains(p):
+            raise InvalidInputError(f"point {p!r} outside 1..{ground.n}")
+    index = star_index(fam.triangles)
+    for x in ground.points():
+        g = _classify(x, ground, index.get(x, {}))
+        _require_endpoints(g)
+        yield g
 
 
 def _endpoints_violation(g: StarGraph):
@@ -253,31 +313,6 @@ def border_triangles(fam: Family, x: int) -> list:
         if t not in fam.triangles:
             raise InternalConsistencyError(f"border triangle {t} missing from family at x={x}")
     return tris
-
-
-# -- the order on triangles through x, used by the property-test suite --------
-
-def star_precedes(A, B, x: int, n: int) -> bool:
-    """A <= B in the nesting order on triangles through x: writing A={x,a,b},
-    B={x,c,d} with a <_x b and c <_x d, this is a <=_x c and d <=_x b."""
-    if x not in A or x not in B:
-        raise InvalidInputError("both triangles must contain x")
-    a, b = sorted((p for p in A if p != x), key=lambda p: position_from(x, p, n))
-    c, d = sorted((p for p in B if p != x), key=lambda p: position_from(x, p, n))
-    return (position_from(x, a, n) <= position_from(x, c, n)
-            and position_from(x, d, n) <= position_from(x, b, n))
-
-
-def star_open_interval(fam: Family, A, B, x: int) -> list:
-    """Triangles of the family strictly between A and B in the nesting order."""
-    n = fam.ground.n
-    out = []
-    for C in star_subfamily(fam, x).sorted_triangles():
-        if C in (A, B):
-            continue
-        if star_precedes(A, C, x, n) and star_precedes(C, B, x, n):
-            out.append(C)
-    return out
 
 
 # -- JSON format ---------------------------------------------------------------

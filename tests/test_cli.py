@@ -3,7 +3,8 @@
 Claims covered:
     - gen -> validate -> analyze -> frieze -> check-frieze all accept each
       other's files
-    - exit codes: 1 for semantic failures, 2 for malformed input, 3 for budget
+    - exit codes: 1 for semantic failures, 2 for malformed input (n above
+      MAX_N included, refused before anything is built), 3 for budget
     - identical inputs and flags give byte-identical output
 """
 
@@ -13,7 +14,7 @@ import pytest
 
 from sl3frieze.cli import main
 from sl3frieze.family import dump_family, load_family, make_family
-from sl3frieze.cyclic import GroundSet
+from sl3frieze.cyclic import MAX_N, GroundSet
 from sl3frieze.fixtures import INTRO_ROWS, canonical_family, intro_frieze
 from sl3frieze.frieze import dump_frieze
 from sl3frieze.mutation import random_maximal_family
@@ -150,6 +151,30 @@ def test_oracle_budget_env(run, fam8, monkeypatch):
 def test_gen_rejects_small_n(run):
     _, err = run("gen", "--n", "5", expect=2)
     assert "n >= 6" in err
+
+
+def test_gen_refuses_n_above_max_before_building(run, monkeypatch):
+    import sl3frieze.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("a family was built")
+
+    monkeypatch.setattr(cli, "canonical_family", never)
+    monkeypatch.setattr(cli, "seeded_walk", never)
+    _, err = run("gen", "--n", "1000000000", "--steps", "3", expect=2)
+    assert f"n <= {MAX_N}, got 1000000000" in err
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("validate", {"n": MAX_N + 1, "triangles": [[1, 2, 3]]}),
+    ("gen --star-graph-file", {"x": 1, "n": MAX_N + 1, "edges": [[2, 3]]}),
+    ("check-frieze", {"n": MAX_N + 1, "rows": [["1"]] * (MAX_N - 3)}),
+])
+def test_loaders_refuse_n_above_max(run, tmp_path, command, payload):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    _, err = run(*command.split(), path, expect=2)
+    assert f"n <= {MAX_N}, got {MAX_N + 1}" in err
 
 
 def test_gen_zero_steps_is_canonical(run, tmp_path):

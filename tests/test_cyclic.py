@@ -1,6 +1,7 @@
 """Cyclic order, intervals and the order <_x.
 
 Claims covered:
+    - a ground set has 6 <= n <= MAX_N
     - a tuple is cyclically ordered iff it is ascending up to one rotation
     - intervals walk from a to b with endpoint flags, wrapping at n
     - a <_x b iff (x,a,b) is cyclically ordered; <_x totally orders [n]\\{x}
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sl3frieze.cyclic import (
+    MAX_N,
     GroundSet,
     cyclically_ordered,
     interval,
@@ -27,6 +29,13 @@ def test_ground_set_rejects_small_n():
         with pytest.raises(InvalidInputError):
             GroundSet(n)
     assert GroundSet(6).n == 6
+
+
+def test_ground_set_rejects_n_above_max():
+    assert GroundSet(MAX_N).n == MAX_N
+    for n in (MAX_N + 1, 10**9):
+        with pytest.raises(InvalidInputError, match=f"^ground set needs n <= {MAX_N}, got {n}$"):
+            GroundSet(n)
 
 
 def test_wrap_lands_in_one_to_n():

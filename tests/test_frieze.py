@@ -3,6 +3,8 @@
 Claims covered:
     - the contraction algorithm agrees with the mutation oracle at every x
       (small samples here, the big sweeps live in the acceptance suite)
+    - the single-pass contraction gives the same quiddity rows, values and
+      errors as the per-x contraction over edge scans it replaced
     - the row recursions reproduce the known width-4 fixture exactly, and the
       two recursions fill one array (relabeling included)
     - diamond validation passes on the fixture, fails on perturbations, and
@@ -15,31 +17,32 @@ Claims covered:
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sl3frieze.cyclic import GroundSet
 from sl3frieze.errors import (
+    FriezeError,
     InconsistentRowsError,
+    InternalConsistencyError,
     InvalidInputError,
     MalformedFileError,
     PreconditionError,
 )
-from sl3frieze.family import make_family
+from sl3frieze.family import Family, continuous_triangles, make_family
 from sl3frieze.fixtures import INTRO_ROWS, canonical_family, intro_frieze
 from sl3frieze.frieze import (
     FriezeGrid,
     QuiddityRows,
     almost_continuous_at,
     build_plucker_frieze_map,
-    dual_row_offset,
     extend_rows,
     format_rational,
     frieze_from_dict,
     load_frieze,
     dump_frieze,
-    parse_rendered_frieze,
     plucker_triple,
     quiddity_rows,
     render_frieze,
@@ -53,6 +56,7 @@ from sl3frieze.mutation import (
     unit_specialization,
 )
 from sl3frieze.stargraph import (
+    _incident_sequence,
     build_star_graph,
     realize_star_graph,
     star_graph_from_edges,
@@ -160,6 +164,168 @@ def test_quiddity_requires_all_ones():
         quiddity_rows(ValuedFamily(fam, values))
 
 
+def _scan_neighbours(g, v):
+    return sorted(b if a == v else a for a, b in g.edges if v in (a, b))
+
+
+def _scan_leaves_at(g, p):
+    n = g.ground.n
+    return sorted((l for l, att in g.leaves.items() if att == p), key=lambda l: (l - g.x) % n)
+
+
+def _reference_almost_continuous_at(vf: ValuedFamily, x: int):
+    """The per-x contraction that quiddity_rows ran before the single-pass
+    star index: it reads the star graph's neighbours and leaves by scanning
+    every edge, and sums the labels as Fractions."""
+    ground = vf.family.ground
+    wrap = ground.wrap
+    for t in vf.family.triangles:
+        if x in t and vf.values[t] != 1:
+            raise PreconditionError(f"triangles through x={x} must all have value 1, {t} has {vf.values[t]}")
+    g = build_star_graph(vf.family, x)
+    xp, xm = wrap(x + 1), wrap(x - 1)
+    xp2, xm2 = wrap(x + 2), wrap(x - 2)
+
+    def star_value(a, b, c):
+        t = tuple(sorted((a, b, c)))
+        if t not in vf.values:
+            raise InternalConsistencyError(f"border triangle {t} unexpectedly missing from family")
+        return vf.values[t]
+
+    adj = {v: set(_scan_neighbours(g, v)) for v in g.vertices}
+    tp = list(g.triangulation_points)
+    labels = {}
+    for i, p in enumerate(tp):
+        seq = [tp[i - 1]] + _scan_leaves_at(g, p) + [tp[(i + 1) % len(tp)]]
+        pinned = None
+        if i == 0:
+            if xp2 not in g.leaves:
+                continue
+            seq, pinned = seq[1:], xp2
+        elif i == len(tp) - 1:
+            if xm2 not in g.leaves:
+                continue
+            seq, pinned = seq[:-1], xm2
+        labels[p] = sum((star_value(p, a, b) for a, b in zip(seq, seq[1:])), start=Fraction(0))
+        for leaf in _scan_leaves_at(g, p):
+            if leaf != pinned:
+                adj[p].discard(leaf)
+                del adj[leaf]
+
+    current = [p for p in tp if p in adj and len(adj[p]) >= 2]
+    edge_count = sum(len(nb) for nb in adj.values()) // 2
+
+    def bump(point, delta):
+        if point not in labels:
+            raise InternalConsistencyError(f"missing label at {point} during contraction at x={x}")
+        labels[point] += delta
+
+    while edge_count > 3:
+        p = next((q for q in current if q not in (xp, xm) and len(adj[q]) == 2), None)
+        if p is None:
+            raise InternalConsistencyError(
+                f"no contractible degree-2 point left with {edge_count} edges at x={x}")
+        if p in (xp2, xm2):
+            anchor = xp if p == xp2 else xm
+            (other,) = adj[p] - {anchor}
+            labels[anchor] = labels[p]
+            bump(other, labels[p])
+            del labels[p]
+            adj[p].discard(other)
+            adj[other].discard(p)
+            edge_count -= 1
+        else:
+            u, v = adj[p]
+            bump(u, labels[p])
+            bump(v, labels[p])
+            del labels[p]
+            adj[u].discard(p)
+            adj[v].discard(p)
+            del adj[p]
+            edge_count -= 2
+        current.remove(p)
+
+    if xm not in labels or xp not in labels:
+        raise InternalConsistencyError(f"contraction finished without labels at x+-1 (x={x})")
+    return labels[xm], labels[xp]
+
+
+def _reference_quiddity_rows(vf: ValuedFamily) -> QuiddityRows:
+    if any(v != 1 for v in vf.values.values()):
+        raise PreconditionError("quiddity rows need the all-ones specialization")
+    n = vf.family.ground.n
+    wrap = vf.family.ground.wrap
+    low, high = {}, {}
+    for x in vf.family.ground.points():
+        low[wrap(x - 2)], high[wrap(x - 1)] = _reference_almost_continuous_at(vf, x)
+    return QuiddityRows(n, tuple(low[i] for i in range(1, n + 1)), tuple(high[i] for i in range(1, n + 1)))
+
+
+def _result(fn, *args):
+    """The value, or the exception's type and message."""
+    try:
+        return fn(*args)
+    except FriezeError as e:
+        return type(e), str(e)
+
+
+def _typed(q: QuiddityRows):
+    return [(type(v), v) for v in q.delta_low + q.delta_high]
+
+
+def test_quiddity_rows_match_per_x_reference():
+    for n in range(6, 49):
+        for fam in (canonical_family(n), random_maximal_family(GroundSet(n), 60, n)):
+            vf = unit_specialization(fam)
+            q, ref = quiddity_rows(vf), _reference_quiddity_rows(vf)
+            assert q == ref, n
+            assert _typed(q) == _typed(ref)
+            for x in (1, n // 2, n):
+                assert _result(almost_continuous_at, vf, x) == _result(_reference_almost_continuous_at, vf, x)
+
+
+def test_quiddity_rows_errors_match_per_x_reference():
+    fam = random_maximal_family(GroundSet(9), 30, 3)
+    values = dict.fromkeys(fam.triangles, Fraction(1))
+    values[max(fam.triangles)] = Fraction(2)
+    vf = ValuedFamily(fam, values)
+    assert _result(quiddity_rows, vf) == _result(_reference_quiddity_rows, vf)
+    assert _result(quiddity_rows, vf)[0] is PreconditionError
+    # families only marked maximal: every swap of one triangle of the
+    # canonical family fails, or not, at the same x with the same message
+    base = canonical_family(8).triangles
+    kinds = set()
+    for removed in sorted(base - set(continuous_triangles(8))):
+        for added in combinations(range(1, 9), 3):
+            if added in base:
+                continue
+            forged = unit_specialization(Family(GroundSet(8), base - {removed} | {added}, validated=True))
+            got = _result(quiddity_rows, forged)
+            assert got == _result(_reference_quiddity_rows, forged), (removed, added)
+            if isinstance(got, tuple):
+                kinds.add(got[1].split(" ")[0])
+    assert kinds == {"border", "missing", "no", "contraction"}  # every contraction check fired
+
+
+@st.composite
+def values_unit_at_x(draw):
+    n = draw(st.integers(6, 12))
+    fam = random_maximal_family(GroundSet(n), draw(st.integers(0, 3 * n)), draw(st.integers(0, 2**16)))
+    x = draw(st.integers(1, n))
+    entry = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 4))
+    values = {t: Fraction(1) if x in t else draw(entry) for t in fam.sorted_triangles()}
+    return ValuedFamily(fam, values), x
+
+
+@settings(max_examples=150, deadline=None)
+@given(values_unit_at_x())
+def test_almost_continuous_matches_per_x_reference(case):
+    vf, x = case
+    got = _result(almost_continuous_at, vf, x)
+    assert got == _result(_reference_almost_continuous_at, vf, x)
+    assert all(type(v) is Fraction for v in got)
+
+
 # -- row recursions ---------------------------------------------------------------
 
 def test_second_row_spot_values_from_fixture():
@@ -213,6 +379,12 @@ def _reference_extend(q: QuiddityRows) -> FriezeGrid:
             if mine != theirs:
                 raise InconsistentRowsError(f"row recursions disagree at U_{k}({i}): {mine} vs {theirs}")
     return FriezeGrid(n, tuple(tuple(low[k]) for k in range(1, n - 3)))
+
+
+def dual_row_offset(n: int, k: int):
+    """(m, shift) such that U_k(i) = D_m(i + shift): both sides name the
+    triangle {i, i+k+1, i+k+2}."""
+    return n - 3 - k, k + 1
 
 
 def test_dual_recursion_relabels_one_array():
@@ -455,6 +627,29 @@ def test_render_shows_fixture_rows_verbatim():
     # staircase: each row starts strictly further right than the previous
     indents = [len(l) - len(l.lstrip()) for l in lines]
     assert indents == sorted(indents) and len(set(indents)) == len(indents)
+
+
+def parse_rendered_frieze(text: str) -> FriezeGrid:
+    """Inverse of render_frieze (whitespace insensitive)."""
+    rows = [line.split() for line in text.splitlines() if line.strip()]
+    if len(rows) < 7:
+        raise MalformedFileError("rendered frieze needs at least 7 rows")
+    w = len(rows) - 6
+    n = w + 4
+    for r in (0, 1, w + 4, w + 5):
+        if rows[r] != ["0"] * n:
+            raise MalformedFileError(f"row {r} must be {n} zeros")
+    for r in (2, w + 3):
+        if rows[r] != ["1"] * n:
+            raise MalformedFileError(f"row {r} must be {n} ones")
+    try:
+        body = tuple(tuple(Fraction(tok) for tok in rows[r]) for r in range(3, w + 3))
+    except (ValueError, ZeroDivisionError) as e:
+        raise MalformedFileError(f"bad frieze entry: {e}") from e
+    for row in body:
+        if len(row) != n:
+            raise MalformedFileError("inner rows must all have the same length")
+    return FriezeGrid(n, body)
 
 
 def test_render_parse_round_trip():

@@ -11,7 +11,8 @@ Claims covered:
       ZeroPivotError on every path that exchanges
     - valued families must contain every continuous triangle
     - move enumeration by neighbour-set intersection lists the same moves, in
-      the same order, as a scan over every vertex of the star graph
+      the same order, as a scan over every vertex of the star graph, and the
+      walk that updates only the stars a move touches draws the same moves
 """
 
 import random
@@ -363,6 +364,24 @@ def test_moves_match_reference_on_walk_families():
         assert _moves_of_triangles(fam.triangles) == _reference_moves(fam.triangles)
         for _, fam in seeded_walk(fam, 8, seed=n):
             assert _moves_of_triangles(fam.triangles) == _reference_moves(fam.triangles), n
+
+
+def _reference_walk(fam, steps, seed):
+    """The seeded walk drawing from the whole reference move list at every step."""
+    rng = random.Random(seed)
+    for _ in range(steps):
+        move = MutationMove(*rng.choice(_reference_moves(fam.triangles)))
+        fam = fam.with_exchange(move.removed, move.added)
+        yield move, fam
+
+
+def test_walk_matches_reference_walk():
+    # the walk keeps its star index and per-point move lists across steps;
+    # it must draw the same moves and reach the same families
+    for n in range(6, 33):
+        for seed in range(1, 6):
+            fam = canonical_family(n)
+            assert list(seeded_walk(fam, 20, seed)) == list(_reference_walk(fam, 20, seed)), (n, seed)
 
 
 def test_random_walk_stays_maximal():

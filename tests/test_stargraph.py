@@ -5,6 +5,9 @@ Claims covered:
       triangulation plus leaves, with x+1 first and x-1 last; a family only
       marked maximal that breaks this is an internal error naming the rule's
       witness
+    - the classification read off the neighbour map agrees with scans over
+      every edge, and the stars of all points built from one star index equal
+      the stars built one point at a time
     - border triangles read off the graph always already lie in the family
     - the nesting-order facts hold: empty interval forces a shared pair, and
       nested pairs force an intermediate point splitting them
@@ -20,7 +23,7 @@ from itertools import combinations
 
 import pytest
 
-from sl3frieze.cyclic import GroundSet
+from sl3frieze.cyclic import GroundSet, position_from
 from sl3frieze.errors import (
     ConditionViolationError,
     InternalConsistencyError,
@@ -29,18 +32,20 @@ from sl3frieze.errors import (
 )
 from sl3frieze.family import Family, frozen_triangles
 from sl3frieze.fixtures import canonical_family
-from sl3frieze.mutation import random_maximal_family
+from sl3frieze.mutation import family_moves, random_maximal_family
 from sl3frieze.stargraph import (
     RULE_CONDITIONS,
     border_triangles,
     build_star_graph,
+    link_triangle,
     realize_star_graph,
     star_graph_from_dict,
     star_graph_from_edges,
     star_graph_to_dict,
-    star_open_interval,
-    star_precedes,
+    star_graphs,
+    star_index,
     star_subfamily,
+    unlink_triangle,
     verify_structure_theorem,
 )
 
@@ -83,6 +88,79 @@ def test_build_star_graph_endpoints_all_x(small_corpus):
                 assert sg.triangulation_points[-1] == g.wrap(x - 1)
                 assert g.wrap(x + 2) in sg.vertices
                 assert g.wrap(x - 2) in sg.vertices
+
+
+def _scanned(g):
+    """Degree, neighbours and leaves of every vertex read by scanning every
+    edge, plus the triangulation points and the leaf map."""
+    n = g.ground.n
+    by_x = lambda p: (p - g.x) % n
+    per_vertex = {}
+    for v in g.vertices:
+        nb = sorted((b if a == v else a for a, b in g.edges if v in (a, b)), key=by_x)
+        per_vertex[v] = (len(nb), nb)
+    leaves = {v: nb[0] for v, (d, nb) in per_vertex.items() if d == 1}
+    leaves_at = {v: sorted((l for l, att in leaves.items() if att == v), key=by_x) for v in g.vertices}
+    tp = tuple(sorted((v for v, (d, _) in per_vertex.items() if d >= 2), key=by_x))
+    return per_vertex, leaves, leaves_at, tp
+
+
+def _classified(g):
+    per_vertex = {v: (g.degree(v), g.neighbours(v)) for v in g.vertices}
+    return per_vertex, g.leaves, {v: g.leaves_at(v) for v in g.vertices}, g.triangulation_points
+
+
+def test_classification_matches_edge_scans(small_corpus):
+    rng = random.Random(4)
+    graphs = [build_star_graph(fam, x) for fams in small_corpus.values() for fam in fams[:4]
+              for x in fam.ground.points()]
+    for _ in range(300):  # arbitrary edge lists, repeated edges included
+        n = rng.randint(6, 10)
+        x = rng.randint(1, n)
+        others = [p for p in range(1, n + 1) if p != x]
+        edges = [tuple(rng.sample(others, 2)) for _ in range(rng.randint(0, 2 * n))]
+        graphs.append(star_graph_from_edges(x, GroundSet(n), edges))
+    for g in graphs:
+        assert _classified(g) == _scanned(g)
+        assert g.degree(g.x) == 0 and g.neighbours(g.x) == [] and g.leaves_at(g.x) == []
+
+
+def test_star_graphs_equal_build_star_graph_at_every_x():
+    for n in range(6, 17):
+        fam = random_maximal_family(GroundSet(n), 3 * n, n)
+        graphs = list(star_graphs(fam))
+        assert [g.x for g in graphs] == list(fam.ground.points())
+        for g in graphs:
+            single = build_star_graph(fam, g.x)
+            assert g == single
+            assert g.leaves == single.leaves and g.adjacency == single.adjacency
+
+
+def test_star_graphs_check_maximality_points_and_endpoints():
+    with pytest.raises(InvalidInputError, match="not maximal"):
+        next(star_graphs(frozen_triangles(G8)))
+    tris = canonical_family(8).triangles
+    for bad, message in (((1, 2, 9), "point 9 outside 1..8"), ((1, 1, 2), r"triangle \(1, 1, 2\) needs")):
+        forged = Family(G8, tris - {(1, 2, 4)} | {bad}, validated=True)
+        with pytest.raises(InvalidInputError, match=message):
+            next(star_graphs(forged))
+    # the endpoints guard of build_star_graph runs at every x
+    avoiding_1 = Family(GroundSet(6), frozenset(combinations(range(2, 7), 3)), validated=True)
+    with pytest.raises(InternalConsistencyError, match=r"x=1, n=6: triangulation points must run from 2 to 6"):
+        list(star_graphs(avoiding_1))
+
+
+def test_star_index_link_and_unlink_follow_an_exchange():
+    fam = canonical_family(9)
+    index = star_index(fam.triangles)
+    for move in family_moves(fam):
+        after = star_index(fam.triangles - {move.removed} | {move.added})
+        unlink_triangle(index, move.removed)
+        link_triangle(index, move.added)
+        assert index == after
+        unlink_triangle(index, move.added)
+        link_triangle(index, move.removed)
+        assert index == star_index(fam.triangles)
 
 
 def test_build_star_graph_rejects_non_maximal():
@@ -157,6 +235,31 @@ def test_border_triangles_without_leaves_are_consecutive_triples():
     assert border_triangles(fam, 1) == expected
 
 
+# -- the nesting order on triangles through x ------------------------------------
+
+def star_precedes(A, B, x: int, n: int) -> bool:
+    """A <= B in the nesting order on triangles through x: writing A={x,a,b},
+    B={x,c,d} with a <_x b and c <_x d, this is a <=_x c and d <=_x b."""
+    if x not in A or x not in B:
+        raise InvalidInputError("both triangles must contain x")
+    a, b = sorted((p for p in A if p != x), key=lambda p: position_from(x, p, n))
+    c, d = sorted((p for p in B if p != x), key=lambda p: position_from(x, p, n))
+    return (position_from(x, a, n) <= position_from(x, c, n)
+            and position_from(x, d, n) <= position_from(x, b, n))
+
+
+def star_open_interval(fam: Family, A, B, x: int) -> list:
+    """Triangles of the family strictly between A and B in the nesting order."""
+    n = fam.ground.n
+    out = []
+    for C in star_subfamily(fam, x).sorted_triangles():
+        if C in (A, B):
+            continue
+        if star_precedes(A, C, x, n) and star_precedes(C, B, x, n):
+            out.append(C)
+    return out
+
+
 def _nesting_pairs(fam, x):
     n = fam.ground.n
     sub = star_subfamily(fam, x).sorted_triangles()
@@ -176,7 +279,6 @@ def test_empty_interval_forces_shared_pair(small_corpus):
 
 
 def test_nested_pair_splits_at_some_point(small_corpus):
-    from sl3frieze.cyclic import position_from
     for n, fams in small_corpus.items():
         for fam in fams[:4]:
             for x in fam.ground.points():
