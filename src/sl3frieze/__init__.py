@@ -1,6 +1,6 @@
 """Tame integral SL3-friezes from maximal weakly separated triangle families."""
 
-from .cyclic import GroundSet, cyclically_ordered, interval, less_x
+from .cyclic import GroundSet
 from .errors import FriezeError
 from .family import (
     Family,
@@ -16,7 +16,6 @@ from .frieze import (
     FriezeGrid,
     QuiddityRows,
     almost_continuous_at,
-    build_plucker_frieze_map,
     extend_rows,
     quiddity_rows,
     render_frieze,
@@ -25,17 +24,15 @@ from .frieze import (
 from .mutation import (
     MutationMove,
     ValuedFamily,
-    contract_degree2,
     exchange_value,
     family_moves,
     mutate,
     oracle_value,
     oracle_values,
     random_maximal_family,
-    remove_leaf,
     unit_specialization,
 )
-from .separation import crossing, crossing_cases, crossing_definition, weakly_separated
+from .separation import crossing, crossing_definition
 from .stargraph import (
     StarGraph,
     StructureReport,
@@ -50,16 +47,16 @@ from .stargraph import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "GroundSet", "cyclically_ordered", "interval", "less_x",
+    "GroundSet",
     "FriezeError",
     "Family", "canonical_family", "frozen_triangles", "greedy_complete", "is_maximal_family",
     "is_weakly_separated_family", "make_family", "make_triangle",
-    "FriezeGrid", "QuiddityRows", "almost_continuous_at", "build_plucker_frieze_map",
+    "FriezeGrid", "QuiddityRows", "almost_continuous_at",
     "extend_rows", "quiddity_rows", "render_frieze", "validate_frieze",
-    "MutationMove", "ValuedFamily", "contract_degree2", "exchange_value",
+    "MutationMove", "ValuedFamily", "exchange_value",
     "family_moves", "mutate", "oracle_value", "oracle_values",
-    "random_maximal_family", "remove_leaf", "unit_specialization",
-    "crossing", "crossing_cases", "crossing_definition", "weakly_separated",
+    "random_maximal_family", "unit_specialization",
+    "crossing", "crossing_definition",
     "StarGraph", "StructureReport", "border_triangles", "build_star_graph",
     "realize_star_graph", "star_graph_from_edges", "star_subfamily",
     "verify_structure_theorem",

@@ -3,8 +3,8 @@
 Commands: validate, analyze, frieze, check-frieze, oracle, mutate, gen.
 Exit codes: 0 success, 1 semantically invalid input (crossing pair, missing
 maximality, failed diamonds, unrealizable star graph, bad replay), 2 usage or
-file-format error (a ground size above MAX_N included), 3 internal error or
-exhausted search budget.
+file-format error (a ground size above MAX_N and a negative oracle budget
+included), 3 internal error or exhausted search budget.
 """
 
 from __future__ import annotations

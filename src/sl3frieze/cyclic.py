@@ -1,8 +1,10 @@
-"""Cyclic order on [n] = {1,..,n}: ordered tuples, intervals and the order <_x.
+"""Cyclic order on [n] = {1,..,n}: ordered tuples and the order <_x.
 
 Points are 1-based throughout; modular arithmetic always lands back in 1..n.
 Whether a tuple of distinct points is cyclically ordered does not depend on n,
-so the unvalidated predicates below take no ground set.
+so ``is_cyclic`` takes no ground set. For a point x, a <_x b iff (x, a, b) is
+cyclically ordered: a total order on [n] \\ {x} that ``position_from`` ranks and
+``sorted_from`` sorts by.
 """
 
 from __future__ import annotations
@@ -58,43 +60,6 @@ def is_cyclic(points) -> bool:
                 return False
         prev = p
     return descents == 1
-
-
-def cyclically_ordered(points, ground: GroundSet) -> bool:
-    """True iff `points` is ascending or a single rotation of an ascending tuple."""
-    if len(points) < 3:
-        raise InvalidInputError("need at least 3 points")
-    if len(set(points)) != len(points):
-        raise InvalidInputError(f"points must be pairwise distinct: {points}")
-    for p in points:
-        if not ground.contains(p):
-            raise InvalidInputError(f"point {p!r} outside 1..{ground.n}")
-    return is_cyclic(points)
-
-
-def interval(a: int, b: int, ground: GroundSet,
-             closed_left: bool = False, closed_right: bool = False) -> list:
-    """The points strictly between a and b in cyclic order, listed starting
-    after a; endpoints are included when the corresponding flag is set."""
-    if not ground.contains(a) or not ground.contains(b):
-        raise InvalidInputError(f"interval endpoints must lie in 1..{ground.n}")
-    if a == b:
-        raise InvalidInputError("interval endpoints must differ")
-    out = [a] if closed_left else []
-    p = ground.wrap(a + 1)
-    while p != b:
-        out.append(p)
-        p = ground.wrap(p + 1)
-    if closed_right:
-        out.append(b)
-    return out
-
-
-def less_x(x: int, a: int, b: int) -> bool:
-    """a <_x b, i.e. (x,a,b) is cyclically ordered; a total order on [n] \\ {x}."""
-    if x == a or x == b or a == b:
-        raise InvalidInputError(f"points must be pairwise distinct: {(x, a, b)}")
-    return is_cyclic((x, a, b))
 
 
 def position_from(x: int, p: int, n: int) -> int:

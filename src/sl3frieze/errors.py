@@ -28,10 +28,6 @@ class InvalidMoveError(FriezeError):
     """A mutation move cannot be applied to the given family."""
 
 
-class FrozenLeafError(InvalidMoveError):
-    """Attempt to remove a leaf whose edge corresponds to a frozen triangle."""
-
-
 class PreconditionError(FriezeError):
     """A valuation-level precondition (e.g. unitarity at x) does not hold."""
 

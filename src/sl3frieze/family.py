@@ -129,17 +129,14 @@ def addable_triangles(fam: Family) -> list:
     return out
 
 
-def is_maximal_family(fam: Family, thorough: bool = False) -> bool:
-    """Maximality via the cardinality 3n-8; ``thorough`` additionally scans for
-    addable triangles (slow diagnostic mode)."""
+def is_maximal_family(fam: Family) -> bool:
+    """Maximality via the cardinality 3n-8: a weakly separated family of that
+    size admits no addable triangle."""
     if not fam.validated:
         ok, pair = is_weakly_separated_family(fam)
         if not ok:
             raise InvalidInputError(f"family is not weakly separated: {pair[0]} crosses {pair[1]}")
-    size_ok = len(fam) == maximal_size(fam.ground)
-    if not thorough:
-        return size_ok
-    return size_ok and not addable_triangles(fam)
+    return len(fam) == maximal_size(fam.ground)
 
 
 def greedy_complete(fam: Family) -> Family:

@@ -23,7 +23,6 @@ from .errors import (
     MalformedFileError,
     PreconditionError,
 )
-from .family import Triangle
 from .mutation import ValuedFamily, _check_entries
 from .stargraph import StarGraph, _incident_sequence, build_star_graph, star_graphs
 
@@ -278,25 +277,6 @@ def extend_rows(q: QuiddityRows) -> FriezeGrid:
                 f"row recursions disagree at U_{k}({j + 1}): {upper[j]} vs {lower[j]}")
 
     return FriezeGrid(n, tuple(tuple(map(Fraction, row)) for row in low[2:]))
-
-
-# -- Pluecker triple layout -------------------------------------------------------
-
-def plucker_triple(n: int, k: int, i: int) -> Triangle:
-    """Index triple occupying grid row k at position i: {i, i+1, i+k+2} mod n,
-    sorted, possibly with a repeat for the zero border rows (k in {-2,-1} and
-    {w+2, w+3} give repeated indices, k=0 and k=w+1 the continuous triples)."""
-    pts = sorted(((i - 1) % n + 1, i % n + 1, (i + k + 1) % n + 1))
-    return tuple(pts)
-
-
-def build_plucker_frieze_map(n: int) -> dict:
-    """(k, i) -> triple for the bordered grid, k = -2 .. w+3."""
-    if n < 6:
-        raise InvalidInputError(f"need n >= 6, got n={n}")
-    w = n - 4
-    return {(k, i): plucker_triple(n, k, i)
-            for k in range(-2, w + 4) for i in range(1, n + 1)}
 
 
 # -- diamond validation -----------------------------------------------------------

@@ -7,8 +7,11 @@ the three-term relation
 
     v(zac) * v(zbd) = v(zab) * v(zcd) + v(zad) * v(zbc)
 
-forces the value of the new triangle. The oracle at the bottom of the module
-evaluates arbitrary Pluecker coordinates by breadth-first search over moves.
+forces the value of the new triangle. Moves are enumerated from the star
+index of a family, and ``seeded_walk`` draws them uniformly. The oracle at the
+bottom of the module evaluates arbitrary Pluecker coordinates by breadth-first
+search over moves; the label contraction, which takes the border values of
+the star graph at x to the frieze rows without a search, lives in ``frieze``.
 """
 
 from __future__ import annotations
@@ -21,11 +24,9 @@ from fractions import Fraction
 from .cyclic import GroundSet, is_cyclic
 from .errors import (
     BudgetExceededError,
-    FrozenLeafError,
     InternalConsistencyError,
     InvalidInputError,
     InvalidMoveError,
-    PreconditionError,
     ZeroPivotError,
 )
 from .family import (
@@ -34,9 +35,8 @@ from .family import (
     canonical_family,
     continuous_triangles,
     is_maximal_family,
-    is_weakly_separated_family,
 )
-from .stargraph import _incident_sequence, build_star_graph, link_triangle, star_index, unlink_triangle
+from .stargraph import link_triangle, star_index, unlink_triangle
 
 DEFAULT_ORACLE_BUDGET = 100_000
 
@@ -108,21 +108,10 @@ class ValuedFamily:
         if not is_maximal_family(self.family):
             raise InvalidInputError("valued families must be maximal")
 
-    def value(self, t: Triangle) -> Fraction:
-        return self.values[t]
-
 
 def unit_specialization(fam: Family) -> ValuedFamily:
     """All triangle values set to 1."""
     return ValuedFamily(fam, {t: Fraction(1) for t in fam.triangles})
-
-
-def unitary_value_at(vf: ValuedFamily, x: int):
-    """The common value of all triangles through x, or None if they differ."""
-    vals = {vf.values[t] for t in vf.family.triangles if x in t}
-    if len(vals) == 1:
-        return vals.pop()
-    return None
 
 
 def exchange_value(v_zac: Fraction, v_zab: Fraction, v_zcd: Fraction,
@@ -162,12 +151,9 @@ def _exchange(values: dict, m: tuple) -> dict:
     return new
 
 
-def mutate(vf: ValuedFamily, move: MutationMove, validate: bool = False) -> ValuedFamily:
-    """Apply one move, propagating the exchanged value.
-
-    validate=True re-checks weak separation and maximality of the result; the
-    production path trusts the exchange guarantee instead.
-    """
+def mutate(vf: ValuedFamily, move: MutationMove) -> ValuedFamily:
+    """Apply one move, propagating the exchanged value. The result is not
+    re-checked: an exchange keeps the family maximal weakly separated."""
     ground = vf.family.ground
     for p in (move.z, move.a, move.b, move.c, move.d):
         if not ground.contains(p):
@@ -179,14 +165,7 @@ def mutate(vf: ValuedFamily, move: MutationMove, validate: bool = False) -> Valu
     if added in vf.family.triangles:
         raise InvalidMoveError(f"{added} already present; family cannot be maximal weakly separated")
     values2 = _exchange(vf.values, move.key())
-    fam2 = vf.family.with_exchange(move.removed, added)
-    if validate:
-        ok, pair = is_weakly_separated_family(fam2)
-        if not ok:
-            raise InternalConsistencyError(f"mutation broke weak separation: {pair}")
-        if not is_maximal_family(fam2):
-            raise InternalConsistencyError("mutation broke maximality")
-    return ValuedFamily(fam2, values2)
+    return ValuedFamily(vf.family.with_exchange(move.removed, added), values2)
 
 
 def _moves_at(z: int, star: dict) -> list:
@@ -258,69 +237,9 @@ def random_maximal_family(ground: GroundSet, steps: int, seed: int) -> Family:
     return fam
 
 
-# -- guided moves on the star graph at x ---------------------------------------
-
-def remove_leaf(vf: ValuedFamily, x: int, p: int, q1: int, q2: int, q3: int) -> ValuedFamily:
-    """Remove the leaf q2 of triangulation point p, replacing {x,p,q2} by
-    {p,q1,q3}; under unitarity at x the new border value is the sum of the two
-    it straddles."""
-    wrap = vf.family.ground.wrap
-    if q2 in (wrap(x + 2), wrap(x - 2)):
-        raise FrozenLeafError(f"leaf {q2} corresponds to a frozen triangle and cannot be removed")
-    if unitary_value_at(vf, x) is None:
-        raise PreconditionError(f"family is not unitary at x={x}")
-    g = build_star_graph(vf.family, x)
-    if q2 not in g.leaves or g.leaves[q2] != p:
-        raise InvalidMoveError(f"{q2} is not a leaf at {p} in the star graph at x={x}")
-    i = g.triangulation_points.index(p)
-    seq = _incident_sequence(g, i)
-    j = seq.index(q2)
-    if seq[j - 1] != q1 or seq[j + 1] != q3:
-        raise InvalidMoveError(f"{q1},{q3} are not the points flanking {q2} at {p}")
-    return mutate(vf, MutationMove(p, x, q1, q2, q3))
-
-
-def contract_degree2(vf: ValuedFamily, x: int, p: int, side: str) -> ValuedFamily:
-    """Contract a degree-2 triangulation point p away from x: side="left"
-    removes {x, prev, p}, side="right" removes {x, p, next}; the replacement
-    border value is again a two-term sum under unitarity at x."""
-    if side not in ("left", "right"):
-        raise InvalidInputError(f'side must be "left" or "right", got {side!r}')
-    ground = vf.family.ground
-    wrap = ground.wrap
-    if unitary_value_at(vf, x) is None:
-        raise PreconditionError(f"family is not unitary at x={x}")
-    g = build_star_graph(vf.family, x)
-    tp = g.triangulation_points
-    if p not in tp or p in (wrap(x + 1), wrap(x - 1)):
-        raise InvalidMoveError(f"{p} is not an interior triangulation point at x={x}")
-    if g.degree(p) != 2:
-        raise InvalidMoveError(f"{p} has degree {g.degree(p)}, need 2")
-    if side == "left" and p == wrap(x + 2):
-        raise InvalidMoveError(f"left contraction at {p}=x+2 would remove a frozen triangle")
-    if side == "right" and p == wrap(x - 2):
-        raise InvalidMoveError(f"right contraction at {p}=x-2 would remove a frozen triangle")
-    i = tp.index(p)
-    prev_t, next_t = tp[i - 1], tp[i + 1]
-    if side == "left":
-        behind = g.leaves_at(prev_t)
-        q1 = behind[-1] if behind else (tp[i - 2] if i >= 2 else None)
-        if q1 is None:
-            raise InvalidMoveError(f"no flank point behind {prev_t}")
-        move = MutationMove(prev_t, x, q1, p, next_t)
-    else:
-        ahead = g.leaves_at(next_t)
-        q2 = ahead[0] if ahead else (tp[i + 2] if i + 2 < len(tp) else None)
-        if q2 is None:
-            raise InvalidMoveError(f"no flank point beyond {next_t}")
-        move = MutationMove(next_t, p, q2, x, prev_t)
-    return mutate(vf, move)
-
-
 # -- breadth-first oracle -------------------------------------------------------
 
-def oracle_values(vf: ValuedFamily, targets, budget: int = DEFAULT_ORACLE_BUDGET,
-                  tie_break: str = "lex") -> dict:
+def oracle_values(vf: ValuedFamily, targets, budget: int = DEFAULT_ORACLE_BUDGET) -> dict:
     """Values of the given triangles under the specialization pinned by vf.
 
     Breadth-first search over moves, propagating values exchange by exchange
@@ -328,9 +247,8 @@ def oracle_values(vf: ValuedFamily, targets, budget: int = DEFAULT_ORACLE_BUDGET
     is asserted: a family reached twice must carry the same values, and a
     target found in two families must get the same number.
     """
-    if tie_break not in ("lex", "revlex"):
-        raise InvalidInputError(f"unknown tie break {tie_break!r}")
-    reverse = tie_break == "revlex"
+    if budget < 0:
+        raise InvalidInputError(f"oracle budget must be >= 0, got {budget}")
     ground = vf.family.ground
     wanted = set()
     for t in targets:
@@ -367,10 +285,7 @@ def oracle_values(vf: ValuedFamily, targets, budget: int = DEFAULT_ORACLE_BUDGET
                 missing = sorted(wanted - set(found))
                 raise BudgetExceededError(budget, expanded - 1,
                                           f"targets not reached: {missing}")
-            moves = _moves_of_triangles(vals)
-            if reverse:
-                moves.reverse()
-            for m in moves:
+            for m in _moves_of_triangles(vals):
                 child = _exchange(vals, m)
                 key = frozenset(child)
                 seen = visited.get(key)
@@ -389,11 +304,10 @@ def oracle_values(vf: ValuedFamily, targets, budget: int = DEFAULT_ORACLE_BUDGET
     raise BudgetExceededError(budget, expanded, f"search space exhausted, targets not reached: {missing}")
 
 
-def oracle_value(vf: ValuedFamily, target, budget: int = DEFAULT_ORACLE_BUDGET,
-                 tie_break: str = "lex") -> Fraction:
+def oracle_value(vf: ValuedFamily, target, budget: int = DEFAULT_ORACLE_BUDGET) -> Fraction:
     """Value of a single Pluecker coordinate; see oracle_values."""
     tt = tuple(sorted(target))
-    return oracle_values(vf, [tt], budget=budget, tie_break=tie_break)[tt]
+    return oracle_values(vf, [tt], budget=budget)[tt]
 
 
 # -- trace format ----------------------------------------------------------------
@@ -423,7 +337,10 @@ def parse_trace_line(line: str):
     z, a, b, c, d = (int(m.group(i)) for i in range(1, 6))
     removed = tuple(sorted(int(m.group(i)) for i in range(6, 9)))
     added = tuple(sorted(int(m.group(i)) for i in range(9, 12)))
-    value = Fraction(m.group(12))
+    try:
+        value = Fraction(m.group(12))
+    except ZeroDivisionError:
+        raise InvalidInputError(f"zero denominator in trace value: {line!r}") from None
     move = MutationMove(z, a, b, c, d)
     if move.removed != removed or move.added != added:
         raise InvalidInputError(f"trace line inconsistent with its move: {line!r}")

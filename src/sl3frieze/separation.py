@@ -4,13 +4,13 @@ Two routes are provided and kept independent on purpose:
 
 * ``crossing_definition`` searches for interleaved witnesses a,c in A\\B and
   b,d in B\\A directly.
-* ``crossing_cases`` evaluates the closed form for equal-size sets
+* ``crossing`` evaluates the closed form for equal-size sets
   (Leclerc-Zelevinsky; Oh-Postnikov-Speyer) on point bitmasks.
 
-Production callers go through ``crossing``, the closed form, or precompute one
-mask per triangle with ``triangle_mask`` and test pairs with ``masks_cross``;
-the definitional search stays around as the oracle the fast route is tested
-against.
+Production callers use ``crossing``, or precompute one mask per triangle with
+``triangle_mask`` and test pairs with ``masks_cross``; the definitional search
+stays around as the oracle the closed form is tested against. Two triangles
+are weakly separated iff they do not cross.
 """
 
 from __future__ import annotations
@@ -55,13 +55,6 @@ def masks_cross(m: int, k: int) -> bool:
                 and a & ((1 << b.bit_length()) - (b & -b)))
 
 
-def crossing_cases(A, B) -> bool:
+def crossing(A, B) -> bool:
     """Closed-form crossing test of two triangles; see masks_cross."""
     return masks_cross(triangle_mask(A), triangle_mask(B))
-
-
-crossing = crossing_cases
-
-
-def weakly_separated(A, B) -> bool:
-    return not crossing(A, B)

@@ -26,14 +26,13 @@ from itertools import combinations
 
 import pytest
 
+from conftest import intro_frieze, plucker_triple
 from sl3frieze.cyclic import GroundSet
 from sl3frieze.family import is_maximal_family, is_weakly_separated_family
-from sl3frieze.fixtures import intro_frieze
 from sl3frieze.frieze import (
     QuiddityRows,
     almost_continuous_at,
     extend_rows,
-    plucker_triple,
     quiddity_rows,
     validate_frieze,
 )
@@ -44,7 +43,7 @@ from sl3frieze.mutation import (
     random_maximal_family,
     unit_specialization,
 )
-from sl3frieze.separation import crossing_cases, crossing_definition
+from sl3frieze.separation import crossing, crossing_definition
 from sl3frieze.stargraph import (
     border_triangles,
     build_star_graph,
@@ -107,7 +106,7 @@ def test_criterion_2_predicate_equivalence():
         for i, A in enumerate(tris):
             for B in tris[i:]:
                 d = crossing_definition(A, B)
-                assert d == crossing_cases(A, B), (n, A, B)
+                assert d == crossing(A, B), (n, A, B)
                 if len(set(A) & set(B)) >= 2:
                     assert not d, (n, A, B)
                 pairs += 1
@@ -247,9 +246,12 @@ def test_criterion_7_mutation_involution_and_closure(corpus):
         vf = unit_specialization(fam)
         moves = family_moves(fam)
         move = moves[rng.randrange(len(moves))]
-        there = mutate(vf, move, validate=True)
+        there = mutate(vf, move)
+        assert is_weakly_separated_family(there.family) == (True, None), (fam.ground.n, move)
         assert is_maximal_family(there.family), (fam.ground.n, move)
-        back = mutate(there, move.inverse(), validate=True)
+        back = mutate(there, move.inverse())
+        assert is_weakly_separated_family(back.family) == (True, None), (fam.ground.n, move)
+        assert is_maximal_family(back.family), (fam.ground.n, move)
         assert back.family.triangles == vf.family.triangles
         assert back.values == vf.values
         pairs += 1

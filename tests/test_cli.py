@@ -12,10 +12,11 @@ import json
 
 import pytest
 
+from conftest import INTRO_ROWS, intro_frieze
+from sl3frieze import canonical_family
 from sl3frieze.cli import main
 from sl3frieze.family import dump_family, load_family, make_family
 from sl3frieze.cyclic import MAX_N, GroundSet
-from sl3frieze.fixtures import INTRO_ROWS, canonical_family, intro_frieze
 from sl3frieze.frieze import dump_frieze
 from sl3frieze.mutation import random_maximal_family
 
@@ -148,6 +149,18 @@ def test_oracle_budget_env(run, fam8, monkeypatch):
     assert "budget" in err.lower()
 
 
+def test_oracle_rejects_negative_budget_flag(run, fam8):
+    # even a target the family holds, which needs no search, is refused
+    _, err = run("oracle", fam8, "--triangle", "1,2,3", "--budget", "-1", expect=2)
+    assert err == "error: oracle budget must be >= 0, got -1\n"
+
+
+def test_oracle_rejects_negative_budget_env(run, fam8, monkeypatch):
+    monkeypatch.setenv("FRIEZE_ORACLE_BUDGET", "-1")
+    _, err = run("oracle", fam8, "--triangle", "1,4,7", expect=2)
+    assert err == "error: oracle budget must be >= 0, got -1\n"
+
+
 def test_gen_rejects_small_n(run):
     _, err = run("gen", "--n", "5", expect=2)
     assert "n >= 6" in err
@@ -234,6 +247,19 @@ def test_trace_replay_rejects_malformed_line(run, tmp_path, fam8):
     trace = tmp_path / "trace.txt"
     trace.write_text("not a trace line\n")
     run("mutate", fam8, "--replay", trace, expect=2)
+
+
+def test_trace_replay_rejects_zero_denominator(run, tmp_path):
+    base = tmp_path / "base.json"
+    trace = tmp_path / "trace.txt"
+    run("gen", "--n", "8", "--steps", "0", "--out", base)
+    run("gen", "--n", "8", "--steps", "2", "--seed", "2", "--trace-out", trace,
+        "--out", tmp_path / "ignore.json")
+    first, second = trace.read_text().splitlines()
+    head, _ = second.rsplit("value=", 1)
+    trace.write_text(f"{first}\n{head}value=1/0\n")
+    _, err = run("mutate", base, "--replay", trace, expect=2)
+    assert err.startswith("error: trace line 2: zero denominator in trace value")
 
 
 def test_star_graph_realization_chain(run, fam8, tmp_path):

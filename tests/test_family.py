@@ -85,7 +85,7 @@ def test_maximal_family_size_n6():
     fam = greedy_complete(frozen_triangles(G6))
     assert len(fam) == 10 == maximal_size(G6)
     assert is_maximal_family(fam)
-    assert is_maximal_family(fam, thorough=True)
+    assert not addable_triangles(fam)
 
 
 def test_frozen_alone_not_maximal():
@@ -95,7 +95,7 @@ def test_frozen_alone_not_maximal():
 def test_greedy_complete_n8():
     fam = greedy_complete(frozen_triangles(G8))
     assert len(fam) == 16
-    assert is_maximal_family(fam, thorough=True)
+    assert is_maximal_family(fam) and not addable_triangles(fam)
     ok, _ = is_weakly_separated_family(fam)
     assert ok
 
@@ -110,9 +110,9 @@ def test_maximality_admits_no_addition_up_to_n10():
         g = GroundSet(n)
         fam = greedy_complete(frozen_triangles(g))
         assert len(fam) == maximal_size(g)
-        assert is_maximal_family(fam, thorough=True)
+        assert is_maximal_family(fam) and not addable_triangles(fam)
         walked = random_maximal_family(g, steps=15, seed=n)
-        assert is_maximal_family(walked, thorough=True)
+        assert is_maximal_family(walked) and not addable_triangles(walked)
 
 
 def test_canonical_family_is_the_greedy_completion():

@@ -22,6 +22,8 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import INTRO_ROWS, build_plucker_frieze_map, intro_frieze, plucker_triple
+from sl3frieze import canonical_family
 from sl3frieze.cyclic import GroundSet
 from sl3frieze.errors import (
     FriezeError,
@@ -32,18 +34,15 @@ from sl3frieze.errors import (
     PreconditionError,
 )
 from sl3frieze.family import Family, continuous_triangles, make_family
-from sl3frieze.fixtures import INTRO_ROWS, canonical_family, intro_frieze
 from sl3frieze.frieze import (
     FriezeGrid,
     QuiddityRows,
     almost_continuous_at,
-    build_plucker_frieze_map,
     extend_rows,
     format_rational,
     frieze_from_dict,
     load_frieze,
     dump_frieze,
-    plucker_triple,
     quiddity_rows,
     render_frieze,
     validate_frieze,
@@ -56,7 +55,6 @@ from sl3frieze.mutation import (
     unit_specialization,
 )
 from sl3frieze.stargraph import (
-    _incident_sequence,
     build_star_graph,
     realize_star_graph,
     star_graph_from_edges,

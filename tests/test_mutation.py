@@ -1,12 +1,14 @@
-"""Mutations, exchange values, guided moves and the breadth-first oracle.
+"""Mutations, exchange values and the breadth-first oracle.
 
 Claims covered:
     - the exchange value implements (zab*zcd + zad*zbc)/zac exactly
-    - a move followed by its inverse restores the family and all values
-    - leaf removal and degree-2 contraction keep unitarity at x and produce the
+    - a move followed by its inverse restores the family and all values, and
+      every result stays maximal weakly separated
+    - leaf removal and degree-2 contraction at x, the steps of the label
+      contraction, are exchanges: they keep unitarity at x and produce the
       two-term sums the border values dictate
-    - the oracle returns stored values with zero expansions, is tie-break
-      independent, and enforces its budget
+    - the oracle returns stored values with zero expansions, enforces its
+      budget and refuses a negative one
     - values are exact: floats and bools are refused, and a zero pivot is a
       ZeroPivotError on every path that exchanges
     - valued families must contain every continuous triangle
@@ -21,22 +23,25 @@ from itertools import combinations
 
 import pytest
 
+from sl3frieze import canonical_family
 from sl3frieze.cyclic import GroundSet, is_cyclic
 from sl3frieze.errors import (
     BudgetExceededError,
-    FrozenLeafError,
     InvalidInputError,
     InvalidMoveError,
-    PreconditionError,
     ZeroPivotError,
 )
-from sl3frieze.family import is_maximal_family, is_weakly_separated_family, make_family
-from sl3frieze.fixtures import canonical_family
+from sl3frieze.family import (
+    addable_triangles,
+    continuous_triangles,
+    is_maximal_family,
+    is_weakly_separated_family,
+    make_family,
+)
 from sl3frieze.mutation import (
     MutationMove,
     ValuedFamily,
     _moves_of_triangles,
-    contract_degree2,
     exchange_value,
     family_moves,
     format_trace_line,
@@ -45,10 +50,8 @@ from sl3frieze.mutation import (
     oracle_values,
     parse_trace_line,
     random_maximal_family,
-    remove_leaf,
     seeded_walk,
     unit_specialization,
-    unitary_value_at,
 )
 from sl3frieze.stargraph import build_star_graph, realize_star_graph, star_graph_from_edges
 
@@ -60,6 +63,19 @@ LEAFY_EDGES = [(2, 5), (5, 8), (2, 8), (2, 3), (4, 5), (5, 6), (7, 8)]
 
 def leafy_family():
     return realize_star_graph(star_graph_from_edges(1, G8, LEAFY_EDGES))
+
+
+def checked_mutate(vf, move):
+    """mutate, then assert that the result is maximal weakly separated."""
+    out = mutate(vf, move)
+    assert is_weakly_separated_family(out.family) == (True, None), move
+    assert is_maximal_family(out.family), move
+    return out
+
+
+def unitary_at(vf, x) -> bool:
+    """Every triangle through x has value 1."""
+    return all(v == 1 for t, v in vf.values.items() if x in t)
 
 
 def test_move_validation():
@@ -117,16 +133,15 @@ def test_oracle_zero_pivot_is_zero_pivot_error():
 def test_mutate_all_ones_gives_two():
     vf = unit_specialization(canonical_family(6))
     for move in family_moves(vf.family):
-        out = mutate(vf, move, validate=True)
+        out = checked_mutate(vf, move)
         assert out.values[move.added] == 2
-        assert is_maximal_family(out.family)
 
 
 def test_mutate_involution_restores_values():
     vf = unit_specialization(canonical_family(8))
     for move in family_moves(vf.family)[:3]:
-        there = mutate(vf, move, validate=True)
-        back = mutate(there, move.inverse(), validate=True)
+        there = checked_mutate(vf, move)
+        back = checked_mutate(there, move.inverse())
         assert back.family.triangles == vf.family.triangles
         assert back.values == vf.values
 
@@ -160,97 +175,80 @@ def test_valued_family_requires_continuous_triangles():
         ValuedFamily(fam, {t: 1 for t in tris})
 
 
+# Leaf removal at x: the leaf q2 of the triangulation point p, flanked by q1
+# and q3, leaves with the move (p, x, q1, q2, q3), which trades {x,p,q2} for
+# {p,q1,q3}. Degree-2 contraction of p, between the triangulation points prev
+# and next, is the move (prev, x, q1, p, next) on the left or
+# (next, p, q2, x, prev) on the right, with q1 and q2 the flank points beyond
+# prev and next.
+
 def test_remove_leaf_sums_border_values():
     vf = unit_specialization(leafy_family())
     # leaf 6 at 5, flanked by 4 and 8: borders are both 1
-    out = remove_leaf(vf, 1, 5, 4, 6, 8)
+    out = checked_mutate(vf, MutationMove(5, 1, 4, 6, 8))
     assert out.values[(4, 5, 8)] == 2
-    assert unitary_value_at(out, 1) == 1
-    assert is_maximal_family(out.family, thorough=True)
+    assert unitary_at(out, 1)
+    assert not addable_triangles(out.family)
     # now leaf 4 at 5 flanked by 2 and 8: borders 1 and 2
-    out2 = remove_leaf(out, 1, 5, 2, 4, 8)
+    out2 = checked_mutate(out, MutationMove(5, 1, 2, 4, 8))
     assert out2.values[(2, 5, 8)] == 3
-    assert unitary_value_at(out2, 1) == 1
+    assert unitary_at(out2, 1)
 
 
 def test_remove_leaf_matches_oracle():
     vf = unit_specialization(leafy_family())
     expect = oracle_value(vf, (4, 5, 8))
-    out = remove_leaf(vf, 1, 5, 4, 6, 8)
+    out = mutate(vf, MutationMove(5, 1, 4, 6, 8))
     assert out.values[(4, 5, 8)] == expect
 
 
 def test_remove_leaf_refuses_frozen_leaves():
-    vf = unit_specialization(leafy_family())
-    with pytest.raises(FrozenLeafError):
-        remove_leaf(vf, 1, 2, 8, 3, 5)  # 3 = x+2
-    with pytest.raises(FrozenLeafError):
-        remove_leaf(vf, 1, 8, 5, 7, 2)  # 7 = x-2
-
-
-def test_remove_leaf_requires_unitarity():
-    vf = unit_specialization(leafy_family())
-    skew = dict(vf.values)
-    skew[(1, 2, 5)] = Fraction(2)
-    with pytest.raises(PreconditionError):
-        remove_leaf(ValuedFamily(vf.family, skew), 1, 5, 4, 6, 8)
-
-
-def test_remove_leaf_rejects_non_leaf():
-    vf = unit_specialization(leafy_family())
-    with pytest.raises(InvalidMoveError):
-        remove_leaf(vf, 1, 5, 4, 8, 2)  # 8 is a triangulation point
+    # the leaves x+2 and x-2 stand for the frozen triangles {x,x+1,x+2} and
+    # {x-2,x-1,x}, which no move removes, here or after any walk step
+    frozen = set(continuous_triangles(8))
+    start = leafy_family()
+    for fam in [start] + [fam for _, fam in seeded_walk(start, 30, seed=8)]:
+        moves = family_moves(fam)
+        assert moves and not any(m.removed in frozen for m in moves)
 
 
 def test_contract_degree2_sums_and_preserves_unitarity():
     vf = unit_specialization(leafy_family())
     # remove both leaves of 5 first so it has degree 2
-    vf = remove_leaf(vf, 1, 5, 4, 6, 8)
-    vf = remove_leaf(vf, 1, 5, 2, 4, 8)
+    vf = mutate(vf, MutationMove(5, 1, 4, 6, 8))
+    vf = mutate(vf, MutationMove(5, 1, 2, 4, 8))
     g = build_star_graph(vf.family, 1)
     assert g.degree(5) == 2
     # border values next to 5 now read v({2,3,5})=1 and v({2,5,8})=3
-    left = contract_degree2(vf, 1, 5, "left")
-    assert unitary_value_at(left, 1) == 1
-    assert is_maximal_family(left.family, thorough=True)
+    left = checked_mutate(vf, MutationMove(2, 1, 3, 5, 8))
+    assert unitary_at(left, 1)
+    assert not addable_triangles(left.family)
     assert left.values[(2, 3, 8)] == 1 + 3
-    right = contract_degree2(vf, 1, 5, "right")
-    assert unitary_value_at(right, 1) == 1
+    right = checked_mutate(vf, MutationMove(8, 5, 7, 1, 2))
+    assert unitary_at(right, 1)
     assert right.values[(2, 7, 8)] == 1 + 3  # v({5,7,8}) + v({2,5,8})
 
 
 def test_contract_degree2_unit_borders_merge_to_two():
-    # canonical n=6 at x=1: the fan leaves 3 = x+2 with degree 2; only the
-    # right contraction is allowed there, and both border values are 1
+    # canonical n=6 at x=1: the fan leaves 3 = x+2 with degree 2, and both
+    # border values of its right contraction are 1
     vf = unit_specialization(canonical_family(6))
     g = build_star_graph(vf.family, 1)
     assert g.degree(3) == 2
-    with pytest.raises(InvalidMoveError):
-        contract_degree2(vf, 1, 3, "left")
-    out = contract_degree2(vf, 1, 3, "right")
+    out = checked_mutate(vf, MutationMove(4, 3, 5, 1, 2))
     assert out.values[(2, 4, 5)] == 2
-    assert is_maximal_family(out.family, thorough=True)
-
-
-def test_contract_degree2_guards():
-    vf = unit_specialization(leafy_family())
-    with pytest.raises(InvalidMoveError):
-        contract_degree2(vf, 1, 5, "left")  # degree 4, not 2
-    with pytest.raises(InvalidMoveError):
-        contract_degree2(vf, 1, 2, "left")  # x+1 is never contractible
-    with pytest.raises(InvalidInputError):
-        contract_degree2(vf, 1, 5, "sideways")
+    assert not addable_triangles(out.family)
 
 
 def test_contract_degree2_respects_frozen_sides():
-    # x=1, n=8: triangulation {2,3,8} with 3 = x+2 of degree 2
+    # x=1, n=8: triangulation {2,3,8} with 3 = x+2 of degree 2; the right
+    # contraction keeps the frozen triangle {1,2,3} and leaves 3 a leaf of 2
     edges = [(2, 3), (3, 8), (2, 8), (4, 8), (5, 8), (6, 8), (7, 8)]
     fam = realize_star_graph(star_graph_from_edges(1, G8, edges))
     vf = unit_specialization(fam)
-    with pytest.raises(InvalidMoveError):
-        contract_degree2(vf, 1, 3, "left")
-    out = contract_degree2(vf, 1, 3, "right")
-    assert unitary_value_at(out, 1) == 1
+    out = checked_mutate(vf, MutationMove(8, 3, 4, 1, 2))
+    assert unitary_at(out, 1)
+    assert (1, 2, 3) in out.family
     g = build_star_graph(out.family, 1)
     assert 3 in g.leaves and g.leaves[3] == 2
 
@@ -262,13 +260,15 @@ def test_oracle_returns_stored_value_without_search():
 
 
 def test_oracle_tie_break_independence(small_corpus):
+    # relabeling by a rotation or a reflection of [n] changes the order in
+    # which the search tries moves, but not the value it finds
     for fam in small_corpus[7][:3]:
-        vf = unit_specialization(fam)
         g = fam.ground
         target = (g.wrap(6), g.wrap(1), g.wrap(3))
-        lex = oracle_value(vf, target, tie_break="lex")
-        rev = oracle_value(vf, target, tie_break="revlex")
-        assert lex == rev
+        value = oracle_value(unit_specialization(fam), target)
+        for relabel in (lambda p: g.wrap(p + 3), lambda p: g.n + 1 - p):
+            image = make_family(g, [[relabel(p) for p in t] for t in fam.triangles])
+            assert oracle_value(unit_specialization(image), [relabel(p) for p in target]) == value
 
 
 def test_oracle_budget_exhaustion():
@@ -276,6 +276,13 @@ def test_oracle_budget_exhaustion():
     target = next(t for t in combinations(range(1, 9), 3) if t not in vf.family.triangles)
     with pytest.raises(BudgetExceededError):
         oracle_values(vf, [target], budget=0)
+
+
+def test_oracle_rejects_negative_budget():
+    # refused before any lookup, even for a target the family holds
+    vf = unit_specialization(canonical_family(8))
+    with pytest.raises(InvalidInputError, match="^oracle budget must be >= 0, got -1$"):
+        oracle_value(vf, (1, 2, 3), budget=-1)
 
 
 def test_oracle_rejects_bad_targets():
@@ -295,6 +302,8 @@ def test_trace_line_round_trip():
         parse_trace_line("garbage")
     with pytest.raises(InvalidInputError):
         parse_trace_line("1:(2,4,6,8) removed={1,2,4} added={1,4,8} value=2")
+    with pytest.raises(InvalidInputError, match="zero denominator"):
+        parse_trace_line("1:(2,4,6,8) removed={1,2,6} added={1,4,8} value=1/0")
 
 
 def _moment_minor(ts, triple):
@@ -319,7 +328,7 @@ def test_exchange_propagation_reproduces_determinants():
     rng = random.Random(13)
     for _ in range(25):
         move = rng.choice(family_moves(vf.family))
-        vf = mutate(vf, move, validate=True)
+        vf = checked_mutate(vf, move)
         assert vf.values[move.added] == _moment_minor(ts, move.added)
 
     probe = [(1, 4, 7), (2, 5, 8), (1, 3, 6), (3, 5, 8)]
@@ -388,7 +397,7 @@ def test_random_walk_stays_maximal():
     fam = random_maximal_family(G8, steps=40, seed=11)
     ok, pair = is_weakly_separated_family(fam)
     assert ok, pair
-    assert is_maximal_family(fam, thorough=True)
+    assert is_maximal_family(fam) and not addable_triangles(fam)
 
 
 def test_walk_values_stay_positive_integers():

@@ -1,4 +1,4 @@
-"""Crossing / weak separation: the definitional search and the case analysis.
+"""Crossing / weak separation: the definitional search and the closed form.
 
 Claims covered:
     - interleaved triangles cross, disjoint-arc triangles do not
@@ -12,33 +12,33 @@ from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
-from sl3frieze.separation import crossing, crossing_cases, crossing_definition
+from sl3frieze.separation import crossing, crossing_definition
 
 
 def test_interleaved_triangles_cross():
     assert crossing_definition((1, 3, 5), (2, 4, 6))
-    assert crossing_cases((1, 3, 5), (2, 4, 6))
+    assert crossing((1, 3, 5), (2, 4, 6))
 
 
 def test_disjoint_arcs_do_not_cross():
     assert not crossing_definition((1, 2, 3), (4, 5, 6))
-    assert not crossing_cases((1, 2, 3), (4, 5, 6))
+    assert not crossing((1, 2, 3), (4, 5, 6))
 
 
 def test_shared_pair_never_crosses():
     assert not crossing_definition((1, 2, 5), (1, 2, 6))
-    assert not crossing_cases((1, 2, 5), (1, 2, 6))
+    assert not crossing((1, 2, 5), (1, 2, 6))
 
 
 def test_equal_triangles_do_not_cross():
-    assert not crossing_cases((2, 4, 6), (2, 4, 6))
+    assert not crossing((2, 4, 6), (2, 4, 6))
     assert not crossing_definition((2, 4, 6), (2, 4, 6))
 
 
 def test_spec_pair_against_definitional_oracle():
     # {1,2,4} vs {2,3,5}: whatever the definitional search says is the answer.
     a, b = (1, 2, 4), (2, 3, 5)
-    assert crossing_cases(a, b) == crossing_definition(a, b)
+    assert crossing(a, b) == crossing_definition(a, b)
 
 
 def test_small_exhaustive_equivalence_and_shared_pair_rule():
@@ -47,7 +47,7 @@ def test_small_exhaustive_equivalence_and_shared_pair_rule():
         for i, A in enumerate(tris):
             for B in tris[i:]:
                 d = crossing_definition(A, B)
-                assert d == crossing_cases(A, B), (A, B)
+                assert d == crossing(A, B), (A, B)
                 if len(set(A) & set(B)) >= 2:
                     assert not d, (A, B)
 
@@ -59,13 +59,5 @@ def test_crossing_symmetry(n, data):
     A = tuple(sorted(data.draw(st.sets(st.sampled_from(pts), min_size=3, max_size=3))))
     B = tuple(sorted(data.draw(st.sets(st.sampled_from(pts), min_size=3, max_size=3))))
     assert crossing_definition(A, B) == crossing_definition(B, A)
-    assert crossing_cases(A, B) == crossing_cases(B, A)
     assert crossing(A, B) == crossing(B, A)
 
-
-def test_cached_predicate_matches_cases():
-    for n in (6, 8):
-        tris = list(combinations(range(1, n + 1), 3))
-        for i, A in enumerate(tris):
-            for B in tris[i:]:
-                assert crossing(A, B) == crossing_cases(A, B)

@@ -30,8 +30,8 @@ from sl3frieze.errors import (
     InvalidInputError,
     MalformedFileError,
 )
+from sl3frieze import canonical_family
 from sl3frieze.family import Family, frozen_triangles
-from sl3frieze.fixtures import canonical_family
 from sl3frieze.mutation import family_moves, random_maximal_family
 from sl3frieze.stargraph import (
     RULE_CONDITIONS,
