@@ -207,6 +207,6 @@ def dump_family(fam: Family) -> str:
 def load_family(text: str, validate: bool = True) -> Family:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or an integer past the 4,300-digit limit
         raise MalformedFileError(f"invalid JSON: {e}") from e
     return family_from_dict(data, validate=validate)

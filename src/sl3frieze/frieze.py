@@ -12,6 +12,7 @@ namings of one array: U_k(i) = D_{n-3-k}(i+k+1).
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,6 +28,9 @@ from .mutation import ValuedFamily, _check_entries
 from .stargraph import StarGraph, _incident_sequence, build_star_graph, star_graphs
 
 FRIEZE_SCHEMA_VERSION = 1
+
+# a frieze entry in a file: a JSON integer, or a string as format_rational writes it
+_ENTRY_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -297,14 +301,52 @@ class FriezeReport:
         return self.is_sl3 and self.is_tame
 
 
+def _det3(ext, r: int, t: int):
+    """Determinant of the 3x3 diamond at (r, t) of the padded bordered array,
+    by cofactor expansion."""
+    a, b, c, d, e = ext[r - 2:r + 3]
+    m00, m01, m02 = c[t], b[t + 1], a[t + 2]
+    m10, m11, m12 = d[t], c[t + 1], b[t + 2]
+    m20, m21, m22 = e[t], d[t + 1], c[t + 2]
+    return (m00 * (m11 * m22 - m12 * m21) - m01 * (m10 * m22 - m12 * m20)
+            + m02 * (m10 * m21 - m11 * m20))
+
+
+def _det4(ext, r: int, t: int):
+    """Determinant of the 4x4 diamond at (r, t) of the padded bordered array,
+    by Laplace expansion over the top two rows."""
+    p0, p1, p2, p3, p4, p5, p6 = ext[r - 3:r + 4]
+    t1, t2, t3 = t + 1, t + 2, t + 3
+    m00, m01, m02, m03 = p3[t], p2[t1], p1[t2], p0[t3]
+    m10, m11, m12, m13 = p4[t], p3[t1], p2[t2], p1[t3]
+    m20, m21, m22, m23 = p5[t], p4[t1], p3[t2], p2[t3]
+    m30, m31, m32, m33 = p6[t], p5[t1], p4[t2], p3[t3]
+    return ((m00 * m11 - m01 * m10) * (m22 * m33 - m23 * m32)
+            - (m00 * m12 - m02 * m10) * (m21 * m33 - m23 * m31)
+            + (m00 * m13 - m03 * m10) * (m21 * m32 - m22 * m31)
+            + (m01 * m12 - m02 * m11) * (m20 * m33 - m23 * m30)
+            - (m01 * m13 - m03 * m11) * (m20 * m32 - m22 * m30)
+            + (m02 * m13 - m03 * m12) * (m20 * m31 - m21 * m30))
+
+
 def validate_frieze(grid: FriezeGrid) -> FriezeReport:
     """Check determinant 1 on every 3x3 diamond and determinant 0 on every 4x4
     diamond of the bordered array over one period; diamonds crossing the
     period seam are included, which is what ties the rows together mod n.
 
     The k x k diamond at bordered row r, period index t has entry [i][j] at
-    row r+i-j, period index t+j. Its determinant is taken by cofactor
-    expansion (3x3) or by Laplace expansion over the top two rows (4x4). No
+    row r+i-j, period index t+j; e(r, t) is an entry of the bordered array.
+    The verdicts come from Dodgson condensation (the Desnanot-Jacobi identity)
+    over one table of 2x2 minors M2(r, t) = e(r,t) e(r,t+1) - e(r-1,t+1) e(r+1,t):
+
+        det3(r,t) e(r,t+1)  = M2(r,t) M2(r,t+1) - M2(r-1,t+1) M2(r+1,t)
+        det4(r,t) M2(r,t+1) = det3(r,t) det3(r,t+1) - det3(r-1,t+1) det3(r+1,t)
+
+    So a 3x3 diamond is 1 when its centre e(r,t+1) is nonzero and the right
+    side equals it, and a 4x4 diamond is 0 when its four 3x3 corner diamonds
+    are 1 and its centre minor M2(r,t+1) is nonzero. Any other diamond, a zero
+    centre or a witness, is expanded in full (cofactors for 3x3, Laplace over
+    the top two rows for 4x4), so failures carry their true determinants. No
     step divides, so an integral grid is checked exactly in plain ints and any
     other grid in Fractions; failures list (r, t, det) with det a Fraction.
     """
@@ -319,35 +361,40 @@ def validate_frieze(grid: FriezeGrid) -> FriezeReport:
     zeros, ones = [0] * (n + 3), [1] * (n + 3)
     ext = [zeros, zeros, ones] + padded + [ones, zeros, zeros]
 
+    # m2[r][t] = M2(r, t) for r = 1..w+4, t = 0..n+1 (row 0 and row w+5 unused)
+    m2 = [None] + [[a * b - c * d for a, b, c, d in zip(ext[r], ext[r][1:], ext[r - 1][1:], ext[r + 1])]
+                   for r in range(1, w + 5)]
+
     sl3_failures = []
+    # is_one[r][t]: the 3x3 diamond at (r, t) has determinant 1; index n
+    # repeats index 0
+    is_one = {}
     for r in range(2, w + 4):
-        a, b, c, d, e = ext[r - 2:r + 3]
-        for t in range(n):
-            m00, m01, m02 = c[t], b[t + 1], a[t + 2]
-            m10, m11, m12 = d[t], c[t + 1], b[t + 2]
-            m20, m21, m22 = e[t], d[t + 1], c[t + 2]
-            det = (m00 * (m11 * m22 - m12 * m21) - m01 * (m10 * m22 - m12 * m20)
-                   + m02 * (m10 * m21 - m11 * m20))
-            if det != 1:
-                sl3_failures.append((r, t, Fraction(det)))
+        above, row, below, centre = m2[r - 1], m2[r], m2[r + 1], ext[r]
+        flags = [c != 0 and p * q - u * v == c
+                 for p, q, u, v, c in zip(row[:n], row[1:], above[1:], below, centre[1:])]
+        if not all(flags):
+            for t in range(n):
+                if not flags[t]:
+                    det = _det3(ext, r, t)
+                    if det == 1:
+                        flags[t] = True
+                    else:
+                        sl3_failures.append((r, t, Fraction(det)))
+        flags.append(flags[0])
+        is_one[r] = flags
 
     tame_failures = []
     for r in range(3, w + 3):
-        p0, p1, p2, p3, p4, p5, p6 = ext[r - 3:r + 4]
-        for t in range(n):
-            t1, t2, t3 = t + 1, t + 2, t + 3
-            m00, m01, m02, m03 = p3[t], p2[t1], p1[t2], p0[t3]
-            m10, m11, m12, m13 = p4[t], p3[t1], p2[t2], p1[t3]
-            m20, m21, m22, m23 = p5[t], p4[t1], p3[t2], p2[t3]
-            m30, m31, m32, m33 = p6[t], p5[t1], p4[t2], p3[t3]
-            det = ((m00 * m11 - m01 * m10) * (m22 * m33 - m23 * m32)
-                   - (m00 * m12 - m02 * m10) * (m21 * m33 - m23 * m31)
-                   + (m00 * m13 - m03 * m10) * (m21 * m32 - m22 * m31)
-                   + (m01 * m12 - m02 * m11) * (m20 * m33 - m23 * m30)
-                   - (m01 * m13 - m03 * m11) * (m20 * m32 - m22 * m30)
-                   + (m02 * m13 - m03 * m12) * (m20 * m31 - m21 * m30))
-            if det != 0:
-                tame_failures.append((r, t, Fraction(det)))
+        above, row, below, centre = is_one[r - 1], is_one[r], is_one[r + 1], m2[r]
+        is_zero = [p and q and u and v and c != 0
+                   for p, q, u, v, c in zip(row, row[1:], above[1:], below, centre[1:])]
+        if not all(is_zero):
+            for t in range(n):
+                if not is_zero[t]:
+                    det = _det4(ext, r, t)
+                    if det != 0:
+                        tame_failures.append((r, t, Fraction(det)))
 
     return FriezeReport(
         n=n,
@@ -406,7 +453,9 @@ def frieze_from_dict(data) -> FriezeGrid:
     if not isinstance(n, int) or not isinstance(rows, list) or not rows:
         raise MalformedFileError('"n" must be an integer and "rows" a nonempty list')
     def parse_entry(e):
-        if isinstance(e, bool) or not isinstance(e, (int, str)):
+        # the writer's form only: Fraction(str) would also take exponents,
+        # and "1e1000000" costs seconds
+        if type(e) is not int and not (type(e) is str and _ENTRY_RE.fullmatch(e)):
             raise MalformedFileError(f"bad frieze entry {e!r}")
         try:
             return Fraction(e)
@@ -431,6 +480,6 @@ def dump_frieze(grid: FriezeGrid) -> str:
 def load_frieze(text: str) -> FriezeGrid:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or an integer past the 4,300-digit limit
         raise MalformedFileError(f"invalid JSON: {e}") from e
     return frieze_from_dict(data)

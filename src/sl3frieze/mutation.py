@@ -152,8 +152,10 @@ def _exchange(values: dict, m: tuple) -> dict:
 
 
 def mutate(vf: ValuedFamily, move: MutationMove) -> ValuedFamily:
-    """Apply one move, propagating the exchanged value. The result is not
-    re-checked: an exchange keeps the family maximal weakly separated."""
+    """Apply one move, propagating the exchanged value. Of the result only the
+    new value is checked: an exchange keeps the family maximal weakly
+    separated with every continuous triangle, and exchange_value checks the
+    types, but signed values can exchange to zero."""
     ground = vf.family.ground
     for p in (move.z, move.a, move.b, move.c, move.d):
         if not ground.contains(p):
@@ -165,7 +167,12 @@ def mutate(vf: ValuedFamily, move: MutationMove) -> ValuedFamily:
     if added in vf.family.triangles:
         raise InvalidMoveError(f"{added} already present; family cannot be maximal weakly separated")
     values2 = _exchange(vf.values, move.key())
-    return ValuedFamily(vf.family.with_exchange(move.removed, added), values2)
+    if values2[added] == 0:
+        raise InvalidInputError(f"value of {added} must be nonzero")
+    result = object.__new__(ValuedFamily)  # skips __post_init__'s whole-family checks
+    object.__setattr__(result, "family", vf.family.with_exchange(move.removed, added))
+    object.__setattr__(result, "values", values2)
+    return result
 
 
 def _moves_at(z: int, star: dict) -> list:
@@ -174,9 +181,9 @@ def _moves_at(z: int, star: dict) -> list:
     common neighbours b of a and c with a < b < c and d outside [a,c] give a
     move."""
     moves = []
-    for a in sorted(star):
+    for a in star:
         star_a = star[a]
-        for c in sorted(star_a):
+        for c in star_a:
             if c < a:
                 continue
             shared = star_a & star[c]
@@ -334,13 +341,15 @@ def parse_trace_line(line: str):
     m = _TRACE_RE.match(line.strip())
     if not m:
         raise InvalidInputError(f"malformed trace line: {line!r}")
-    z, a, b, c, d = (int(m.group(i)) for i in range(1, 6))
-    removed = tuple(sorted(int(m.group(i)) for i in range(6, 9)))
-    added = tuple(sorted(int(m.group(i)) for i in range(9, 12)))
     try:
+        z, a, b, c, d = (int(m.group(i)) for i in range(1, 6))
+        removed = tuple(sorted(int(m.group(i)) for i in range(6, 9)))
+        added = tuple(sorted(int(m.group(i)) for i in range(9, 12)))
         value = Fraction(m.group(12))
     except ZeroDivisionError:
         raise InvalidInputError(f"zero denominator in trace value: {line!r}") from None
+    except ValueError as e:  # a number past Python's int string-conversion limit
+        raise InvalidInputError(f"bad number in trace line: {e}") from None
     move = MutationMove(z, a, b, c, d)
     if move.removed != removed or move.added != added:
         raise InvalidInputError(f"trace line inconsistent with its move: {line!r}")

@@ -4,7 +4,8 @@ Claims covered:
     - gen -> validate -> analyze -> frieze -> check-frieze all accept each
       other's files
     - exit codes: 1 for semantic failures, 2 for malformed input (n above
-      MAX_N included, refused before anything is built), 3 for budget
+      MAX_N, numbers past the 4,300-digit limit and frieze entries not in the
+      written form, all refused before anything is built), 3 for budget
     - identical inputs and flags give byte-identical output
 """
 
@@ -188,6 +189,37 @@ def test_loaders_refuse_n_above_max(run, tmp_path, command, payload):
     path.write_text(json.dumps(payload))
     _, err = run(*command.split(), path, expect=2)
     assert f"n <= {MAX_N}, got {MAX_N + 1}" in err
+
+
+@pytest.mark.parametrize("command", ["validate", "gen --star-graph-file", "check-frieze"])
+def test_loaders_refuse_integers_past_the_digit_limit(run, tmp_path, command):
+    # Python refuses to convert integer literals of more than 4,300 digits
+    path = tmp_path / "input.json"
+    path.write_text('{"n": ' + "9" * 5000 + "}")
+    _, err = run(*command.split(), path, expect=2)
+    assert err.startswith("error: invalid JSON")
+
+
+def test_trace_replay_rejects_value_past_the_digit_limit(run, tmp_path):
+    base = tmp_path / "base.json"
+    trace = tmp_path / "trace.txt"
+    run("gen", "--n", "8", "--steps", "0", "--out", base)
+    run("gen", "--n", "8", "--steps", "1", "--seed", "2", "--trace-out", trace,
+        "--out", tmp_path / "ignore.json")
+    head, _ = trace.read_text().strip().rsplit("value=", 1)
+    trace.write_text(head + "value=" + "1" * 5000 + "\n")
+    _, err = run("mutate", base, "--replay", trace, expect=2)
+    assert err.startswith("error: trace line 1: bad number in trace line")
+
+
+@pytest.mark.parametrize("entry", ["1e3", "2.5", "1E5", " 1", "+1", "1/-2", "\u0661"])
+def test_check_frieze_accepts_only_the_written_entry_form(run, tmp_path, entry):
+    rows = [list(row) for row in json.loads(dump_frieze(intro_frieze()))["rows"]]
+    rows[1][3] = entry
+    path = tmp_path / "entry.json"
+    path.write_text(json.dumps({"n": 8, "rows": rows}))
+    _, err = run("check-frieze", path, expect=2)
+    assert err.startswith(f"error: bad frieze entry {entry!r}")
 
 
 def test_gen_zero_steps_is_canonical(run, tmp_path):

@@ -9,6 +9,8 @@ Claims covered:
       two recursions fill one array (relabeling included)
     - diamond validation passes on the fixture, fails on perturbations, and
       matches an independent determinant recomputation, failure lists included
+    - the condensed validator falls back to full expansion exactly where it
+      must: zero centre entries, zero centre minors, failing corner diamonds
     - both kernels match entry-by-entry references on random rational input,
       and the unit frieze stays tame, integral and positive at n = 48 and 64
     - grid and quiddity entries must be exact: int or Fraction, never a bool
@@ -549,6 +551,103 @@ def test_validator_failures_match_reference_determinants(grid):
     entries = [e for row in grid.rows for e in row]
     assert rep.integral == all(e.denominator == 1 for e in entries)
     assert rep.positive == all(e > 0 for e in entries)
+
+
+# Condensation decides a 3x3 diamond from its centre entry and a 4x4 diamond
+# from its centre 2x2 minor; where that centre is zero, or a corner diamond
+# fails, the validator must fall back to the full expansion. Each grid below
+# holds one such diamond at (r, t) = (6, 2), every other entry 1, and the
+# whole failure lists must match the reference.
+
+def _grid_with_diamond(mat, n=11, r=6, t=2) -> FriezeGrid:
+    rows = [[Fraction(1)] * n for _ in range(n - 4)]
+    for i, line in enumerate(mat):
+        for j, v in enumerate(line):
+            rows[r + i - j - 3][(t + j) % n] = Fraction(v)
+    grid = FriezeGrid(n, tuple(map(tuple, rows)))
+    assert diamond_matrix(grid, r, t, len(mat)) == mat
+    return grid
+
+
+def _corner_dets(grid, r, t):
+    """The four corner 3x3 diamonds of the 4x4 diamond at (r, t), in the order
+    of the Desnanot-Jacobi terms: top left, bottom right, top right, bottom left."""
+    return [_reference_det(diamond_matrix(grid, r + dr, t + dt, 3))
+            for dr, dt in ((0, 0), (0, 1), (-1, 1), (1, 0))]
+
+
+def _assert_matches_reference(grid):
+    rep = validate_frieze(grid)
+    assert (rep.sl3_failures, rep.tame_failures) == _reference_failures(grid)
+
+
+@pytest.mark.parametrize("mat, det", [
+    ([[1, 1, 0], [0, 0, 1], [1, 0, 0]], 1),
+    ([[2, 1, 1], [1, 0, 1], [1, 1, 2]], -2),
+])
+def test_zero_centre_3x3_diamond_is_expanded(mat, det):
+    grid = _grid_with_diamond(mat)
+    assert _reference_det(diamond_matrix(grid, 6, 2, 3)) == det
+    _assert_matches_reference(grid)
+
+
+@pytest.mark.parametrize("corners, det", [((0, 0, 0, 0), 0), ((2, 0, 0, 1), 3)])
+def test_zero_centre_minor_4x4_diamond_is_expanded(corners, det):
+    a00, a03, a30, a33 = corners
+    grid = _grid_with_diamond([[a00, 0, 1, a03], [1, 1, 1, 1], [0, 1, 1, 0], [a30, 0, 1, a33]])
+    assert _corner_dets(grid, 6, 2) == [1, 1, 1, 1]
+    assert _reference_det(diamond_matrix(grid, 6, 3, 2)) == 0  # the centre minor
+    assert _reference_det(diamond_matrix(grid, 6, 2, 4)) == det
+    _assert_matches_reference(grid)
+
+
+@pytest.mark.parametrize("mat, corners, det", [
+    ([[1, 0, 2, 1], [2, 1, 0, 0], [0, 0, 1, 1], [1, 0, 1, 2]], [1, 1, -1, 1], 2),
+    ([[0, 2, 0, 0], [0, 2, 2, 0], [1, 2, 1, 2], [1, 1, 1, 2]], [4, -4, 8, -2], 0),
+])
+def test_4x4_diamond_beside_failing_3x3_is_expanded(mat, corners, det):
+    grid = _grid_with_diamond(mat)
+    assert _corner_dets(grid, 6, 2) == corners
+    assert _reference_det(diamond_matrix(grid, 6, 3, 2)) != 0
+    assert _reference_det(diamond_matrix(grid, 6, 2, 4)) == det
+    _assert_matches_reference(grid)
+
+
+def test_4x4_diamond_with_only_its_bottom_corner_diamond_failing():
+    # Raising the bottom entry of the 4x4 diamond at (6, 2) of a unit frieze
+    # breaks, of its four corner 3x3 diamonds, only the one at (6, 3). The
+    # same entry is the centre of the 3x3 diamond at (6, 4); moving that
+    # diamond's top right entry, outside the 4x4 diamond, makes it 1 again.
+    n, r, t = 11, 6, 2
+    fam = random_maximal_family(GroundSet(n), 2 * n, n)
+    rows = [list(row) for row in extend_rows(quiddity_rows(unit_specialization(fam))).rows]
+
+    def det3(rr, tt):
+        return _reference_det(diamond_matrix(FriezeGrid(n, tuple(map(tuple, rows))), rr, tt, 3))
+
+    rows[r - 3][t + 3] += 1
+    k, i = r - 5, t + 4
+    base, before = rows[k][i], det3(r, t + 2)
+    rows[k][i] = base + 1
+    slope = det3(r, t + 2) - before  # a determinant is affine in each entry
+    rows[k][i] = base + (1 - before) / slope
+    assert [det3(r + dr, t + dt) for dr, dt in ((0, 0), (-1, 1), (1, 0), (0, 2))] == [1, 1, 1, 1]
+    assert det3(r, t + 1) != 1
+    _assert_matches_reference(FriezeGrid(n, tuple(map(tuple, rows))))
+
+
+@pytest.mark.parametrize("n", range(6, 17))
+def test_perturbed_walk_friezes_match_reference(n):
+    fam = random_maximal_family(GroundSet(n), 2 * n, n)
+    rows = extend_rows(quiddity_rows(unit_specialization(fam))).rows
+    _assert_matches_reference(FriezeGrid(n, rows))
+    rng = random.Random(n)
+    for change in (1, -1, Fraction(1, 2), None):
+        for _ in range(2):
+            k, i = rng.randrange(n - 4), rng.randrange(n)
+            perturbed = [list(row) for row in rows]
+            perturbed[k][i] = Fraction(0) if change is None else perturbed[k][i] + change
+            _assert_matches_reference(FriezeGrid(n, tuple(map(tuple, perturbed))))
 
 
 @pytest.mark.parametrize("n", [48, 64])

@@ -9,8 +9,9 @@ Claims covered:
       two-term sums the border values dictate
     - the oracle returns stored values with zero expansions, enforces its
       budget and refuses a negative one
-    - values are exact: floats and bools are refused, and a zero pivot is a
-      ZeroPivotError on every path that exchanges
+    - values are exact: floats and bools are refused, a zero pivot is a
+      ZeroPivotError on every path that exchanges, and mutate refuses an
+      exchange whose value is zero
     - valued families must contain every continuous triangle
     - move enumeration by neighbour-set intersection lists the same moves, in
       the same order, as a scan over every vertex of the star graph, and the
@@ -18,6 +19,7 @@ Claims covered:
 """
 
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -66,8 +68,10 @@ def leafy_family():
 
 
 def checked_mutate(vf, move):
-    """mutate, then assert that the result is maximal weakly separated."""
+    """mutate, then assert that the result is maximal weakly separated and
+    passes every check of a directly constructed ValuedFamily."""
     out = mutate(vf, move)
+    assert ValuedFamily(out.family, out.values) == out, move
     assert is_weakly_separated_family(out.family) == (True, None), move
     assert is_maximal_family(out.family), move
     return out
@@ -144,6 +148,17 @@ def test_mutate_involution_restores_values():
         back = checked_mutate(there, move.inverse())
         assert back.family.triangles == vf.family.triangles
         assert back.values == vf.values
+
+
+def test_mutate_refuses_an_exchange_to_zero():
+    # signed values: v_zab v_zcd + v_zad v_zbc = 1 + (-1) = 0
+    fam = canonical_family(6)
+    move = family_moves(fam)[0]
+    z, a, b, c, d = move.key()
+    values = {t: Fraction(1) for t in fam.triangles}
+    values[tuple(sorted((z, a, d)))] = Fraction(-1)
+    with pytest.raises(InvalidInputError, match=f"^value of {re.escape(str(move.added))} must be nonzero$"):
+        mutate(ValuedFamily(fam, values), move)
 
 
 def test_mutate_rejects_missing_triangles():
@@ -304,6 +319,9 @@ def test_trace_line_round_trip():
         parse_trace_line("1:(2,4,6,8) removed={1,2,4} added={1,4,8} value=2")
     with pytest.raises(InvalidInputError, match="zero denominator"):
         parse_trace_line("1:(2,4,6,8) removed={1,2,6} added={1,4,8} value=1/0")
+    # past Python's 4,300-digit int string-conversion limit
+    with pytest.raises(InvalidInputError, match="bad number"):
+        parse_trace_line("1:(2,4,6,8) removed={1,2,6} added={1,4,8} value=" + "1" * 5000)
 
 
 def _moment_minor(ts, triple):
