@@ -8,13 +8,12 @@ pairwise weak-separation check has been run on construction.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 
 from .cyclic import GroundSet
 from .errors import InvalidInputError, MalformedFileError
-from .separation import masks_cross, triangle_mask
+from .separation import crossing_index, masks_cross, triangle_mask
 
 Triangle = tuple  # ascending (a, b, c)
 
@@ -103,14 +102,23 @@ def canonical_family(n: int) -> Family:
 
 def is_weakly_separated_family(fam: Family):
     """(True, None) if all pairs are non-crossing, else (False, first bad pair)
-    in lex order of the sorted triangle list."""
+    in lex order of the sorted triangle list.
+
+    One ``crossing_index`` over the sorted list answers, for each triangle
+    A = (a1 < a2 < a3), which triangles cross it, instead of a test per pair.
+    A cuts [n] into the gaps g1 = (a1, a2), g2 = (a2, a3) and
+    g3 = [1, a1) u (a3, n]; B crosses A iff B is disjoint from A and meets two
+    gaps, or B shares only a1 and meets g2 and g1 u g3 (only a2: g3 and
+    g1 u g2; only a3: g1 and g2 u g3). The first i whose crossers include a
+    later position, and the lowest such position j, give the same witness as
+    a scan of the pairs (i, j) in lex order. The cost is O(m) operations on
+    m-bit masks for m triangles, after an O(n log n) build of the index."""
     ts = fam.sorted_triangles()
-    masks = [triangle_mask(t) for t in ts]
-    for i, m in enumerate(masks):
-        # a later triangle starting at or past max A lies above A: no crossing
-        for j in range(i + 1, bisect_left(ts, (ts[i][2],), i + 1)):
-            if masks_cross(m, masks[j]):
-                return False, (ts[i], ts[j])
+    crossers = crossing_index(ts, fam.ground.n)
+    for i, t in enumerate(ts):
+        later = crossers(t) >> (i + 1)
+        if later:
+            return False, (t, ts[i + (later & -later).bit_length()])
     return True, None
 
 
@@ -120,13 +128,8 @@ def maximal_size(ground: GroundSet) -> int:
 
 def addable_triangles(fam: Family) -> list:
     """Triangles outside the family that are weakly separated from all of it."""
-    masks = [triangle_mask(s) for s in fam.triangles]
-    out = []
-    for t in all_triangles(fam.ground):
-        m = triangle_mask(t)
-        if t not in fam.triangles and not any(masks_cross(m, s) for s in masks):
-            out.append(t)
-    return out
+    crossers = crossing_index(fam.triangles, fam.ground.n)
+    return [t for t in all_triangles(fam.ground) if t not in fam.triangles and not crossers(t)]
 
 
 def is_maximal_family(fam: Family) -> bool:

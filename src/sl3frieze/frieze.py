@@ -410,10 +410,31 @@ def validate_frieze(grid: FriezeGrid) -> FriezeReport:
 
 # -- rendering and files ------------------------------------------------------------
 
+def _decimal(v: int) -> str:
+    """All decimal digits of v, also past Python's int-string limit of 4,300
+    digits (which stays as it is): a long int is split at a power of ten and
+    each part converted on its own."""
+    try:
+        return str(v)
+    except ValueError:
+        pass
+    if v < 0:
+        return "-" + _decimal(-v)
+    k = v.bit_length() * 3 // 20  # about half the digits: log10(2) > 3/10
+    high, low = divmod(v, 10 ** k)
+    return _decimal(high) + _decimal(low).zfill(k)
+
+
 def format_rational(v: Fraction) -> str:
-    if v.denominator == 1:
-        return str(v.numerator)
-    return f"{v.numerator}/{v.denominator}"
+    """"p" or "p/q" in lowest terms, every digit written out at any length."""
+    try:
+        if v.denominator == 1:
+            return str(v.numerator)
+        return f"{v.numerator}/{v.denominator}"
+    except ValueError:  # a part of more than 4,300 digits
+        if v.denominator == 1:
+            return _decimal(v.numerator)
+        return f"{_decimal(v.numerator)}/{_decimal(v.denominator)}"
 
 
 def render_frieze(grid: FriezeGrid) -> str:

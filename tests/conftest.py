@@ -11,6 +11,7 @@ Test modules import the helpers with ``from conftest import ...``.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -18,6 +19,7 @@ from sl3frieze.cyclic import GroundSet
 from sl3frieze.errors import InvalidInputError
 from sl3frieze.frieze import FriezeGrid
 from sl3frieze.mutation import random_maximal_family
+from sl3frieze.separation import masks_cross, triangle_mask
 
 INTRO_ROWS = (
     (4, 3, 2, 5, 1, 4, 5, 1),
@@ -46,6 +48,29 @@ def build_plucker_frieze_map(n: int) -> dict:
     w = n - 4
     return {(k, i): plucker_triple(n, k, i)
             for k in range(-2, w + 4) for i in range(1, n + 1)}
+
+
+def parse_decimal(text: str) -> int:
+    """int(text) for a decimal string of any length, read 4,000 digits at a
+    time to stay under Python's 4,300-digit conversion limit."""
+    sign, digits = (-1, text[1:]) if text.startswith("-") else (1, text)
+    value = 0
+    for i in range(0, len(digits), 4000):
+        chunk = digits[i:i + 4000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return sign * value
+
+
+def mask_pair_scan(fam):
+    """(True, None), or (False, first crossing pair) in lex order of the sorted
+    triangle list, by testing every pair with ``masks_cross``: the reference
+    for ``is_weakly_separated_family`` at any n."""
+    ts = fam.sorted_triangles()
+    masks = [triangle_mask(t) for t in ts]
+    for i, j in combinations(range(len(ts)), 2):
+        if masks_cross(masks[i], masks[j]):
+            return False, (ts[i], ts[j])
+    return True, None
 
 
 @pytest.fixture(scope="session")

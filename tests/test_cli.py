@@ -4,8 +4,11 @@ Claims covered:
     - gen -> validate -> analyze -> frieze -> check-frieze all accept each
       other's files
     - exit codes: 1 for semantic failures, 2 for malformed input (n above
-      MAX_N, numbers past the 4,300-digit limit and frieze entries not in the
-      written form, all refused before anything is built), 3 for budget
+      MAX_N, numbers past the 4,300-digit limit, frieze entries not in the
+      written form and files that are not UTF-8, all refused before anything
+      is built), 3 for budget
+    - check-frieze writes every failing determinant in full, also past the
+      4,300-digit limit
     - identical inputs and flags give byte-identical output
 """
 
@@ -13,12 +16,12 @@ import json
 
 import pytest
 
-from conftest import INTRO_ROWS, intro_frieze
+from conftest import INTRO_ROWS, intro_frieze, parse_decimal
 from sl3frieze import canonical_family
 from sl3frieze.cli import main
 from sl3frieze.family import dump_family, load_family, make_family
 from sl3frieze.cyclic import MAX_N, GroundSet
-from sl3frieze.frieze import dump_frieze
+from sl3frieze.frieze import dump_frieze, load_frieze, validate_frieze
 from sl3frieze.mutation import random_maximal_family
 
 
@@ -220,6 +223,51 @@ def test_check_frieze_accepts_only_the_written_entry_form(run, tmp_path, entry):
     path.write_text(json.dumps({"n": 8, "rows": rows}))
     _, err = run("check-frieze", path, expect=2)
     assert err.startswith(f"error: bad frieze entry {entry!r}")
+
+
+@pytest.mark.parametrize("args", [
+    pytest.param(["validate", "{bad}"], id="validate"),
+    pytest.param(["check-frieze", "{bad}"], id="check-frieze"),
+    pytest.param(["frieze", "{bad}"], id="frieze"),
+    pytest.param(["analyze", "{bad}", "--x", "1"], id="analyze"),
+    pytest.param(["oracle", "{bad}", "--triangle", "1,2,3"], id="oracle"),
+    pytest.param(["mutate", "{bad}", "--replay", "{bad}"], id="mutate-family"),
+    pytest.param(["mutate", "{fam}", "--replay", "{bad}"], id="mutate-replay"),
+    pytest.param(["gen", "--star-graph-file", "{bad}"], id="gen-star-graph"),
+])
+def test_input_that_is_not_utf8_is_a_file_error(run, tmp_path, fam8, args):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    argv = [a.format(bad=bad, fam=fam8) for a in args]
+    _, err = run(*argv, expect=2)
+    assert err.startswith(f"error: cannot read {bad}: 'utf-8' codec can't decode byte 0xff")
+
+
+def test_check_frieze_lists_determinants_past_the_digit_limit(run, tmp_path):
+    # entries of 2,001 digits, well inside the limit, give failing determinants
+    # of up to 8,000 digits; each is written out in full
+    big = "1" + "0" * 2000
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"n": 6, "rows": [[big] * 6, ["1"] * 6]}))
+    report = validate_frieze(load_frieze(path.read_text()))
+    expected = ([("sl3", r, t, det) for r, t, det in report.sl3_failures]
+                + [("tame", r, t, det) for r, t, det in report.tame_failures])
+    assert max(abs(det) for *_, det in expected) > 10 ** 7999
+
+    out, _ = run("check-frieze", path, expect=1)
+    lines = out.splitlines()
+    assert len(lines) == len(expected)
+    for line, (kind, r, t, det) in zip(lines, expected):
+        size, want = (3, 1) if kind == "sl3" else (4, 0)
+        head = f"{size}x{size} diamond at row {r}, col {r + 2 * t}: det "
+        assert line.startswith(head) and line.endswith(f" != {want}")
+        assert parse_decimal(line[len(head):-len(f" != {want}")]) == det
+
+    out, _ = run("check-frieze", path, "--format", "json", expect=1)
+    failures = json.loads(out)["failures"]
+    assert [(f["kind"], f["row"], f["col"]) for f in failures] == [
+        (kind, r, r + 2 * t) for kind, r, t, _ in expected]
+    assert [parse_decimal(f["det"]) for f in failures] == [det for *_, det in expected]
 
 
 def test_gen_zero_steps_is_canonical(run, tmp_path):

@@ -7,16 +7,21 @@ Claims covered:
     - greedy completion is deterministic and a fixpoint on maximal input
     - the closed-form canonical family equals the greedy completion of the
       frozen triangles
-    - the pairwise check reports the same first crossing pair as a lex scan
-      with the definitional crossing search
+    - the weak-separation check reports the same first crossing pair as a lex
+      scan of the pairs with the definitional crossing search (random sets,
+      n = 6..14) and with the mask test (walk families, n = 128..512)
+    - the addable triangles are those that cross no member, by the
+      definitional search
     - the JSON format round-trips and rejects unknown keys / unsorted triples
 """
 
+import random
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import mask_pair_scan
 from sl3frieze.cyclic import GroundSet
 from sl3frieze.errors import InvalidInputError, MalformedFileError
 from sl3frieze.family import (
@@ -127,16 +132,59 @@ def test_canonical_family_rejects_small_n():
         canonical_family(5)
 
 
-@settings(max_examples=200)
-@given(st.integers(6, 10), st.data())
-def test_first_bad_pair_matches_definitional_scan(n, data):
+def _definitional_scan(fam):
+    """(ok, first crossing pair) with every pair of the sorted triangle list
+    tested by crossing_definition, in lex order."""
+    ts = fam.sorted_triangles()
+    return next(((False, (A, B)) for A, B in combinations(ts, 2) if crossing_definition(A, B)),
+                (True, None))
+
+
+@st.composite
+def triangle_sets(draw):
+    """A family over n = 6..14, unvalidated: either any triangles, which mostly
+    cross, or part of a maximal walk family plus up to two triangles."""
+    n = draw(st.integers(6, 14))
     tris = list(combinations(range(1, n + 1), 3))
-    picked = data.draw(st.lists(st.sampled_from(tris), min_size=2, max_size=12, unique=True))
-    ts = sorted(picked)
-    expected = next(((A, B) for i, A in enumerate(ts) for B in ts[i + 1:]
-                     if crossing_definition(A, B)), None)
-    fam = make_family(GroundSet(n), picked, validate=False)
-    assert is_weakly_separated_family(fam) == (expected is None, expected)
+    if draw(st.booleans()):
+        walk = random_maximal_family(GroundSet(n), steps=draw(st.integers(0, 20)),
+                                     seed=draw(st.integers(0, 99)))
+        kept = draw(st.sets(st.sampled_from(walk.sorted_triangles())))
+        picked = kept | draw(st.sets(st.sampled_from(tris), max_size=2))
+    else:
+        picked = draw(st.sets(st.sampled_from(tris), max_size=3 * n))
+    return Family(GroundSet(n), frozenset(picked))
+
+
+@settings(max_examples=300, deadline=None)
+@given(triangle_sets())
+def test_first_bad_pair_matches_definitional_scan(fam):
+    assert is_weakly_separated_family(fam) == _definitional_scan(fam)
+
+
+@settings(max_examples=100, deadline=None)
+@given(triangle_sets())
+def test_addable_triangles_match_the_definitional_filter(fam):
+    expected = [t for t in combinations(fam.ground.points(), 3)
+                if t not in fam.triangles
+                and not any(crossing_definition(t, s) for s in fam.triangles)]
+    assert addable_triangles(fam) == expected
+
+
+@pytest.mark.parametrize("n", [128, 256, 512])
+def test_crossing_index_matches_the_mask_pair_scan_at_scale(n):
+    walk = random_maximal_family(GroundSet(n), steps=200, seed=n)
+    unchecked = Family(walk.ground, walk.triangles)
+    assert is_weakly_separated_family(unchecked) == mask_pair_scan(unchecked) == (True, None)
+    rng = random.Random(n)
+    ts = walk.sorted_triangles()
+    outside = [t for t in (tuple(sorted(rng.sample(range(1, n + 1), 3))) for _ in range(5))
+               if t not in walk.triangles]
+    for added in outside:
+        swapped = Family(walk.ground, walk.triangles - {ts[rng.randrange(len(ts))]} | {added})
+        ok, pair = is_weakly_separated_family(swapped)
+        assert not ok
+        assert (ok, pair) == mask_pair_scan(swapped)
 
 
 def test_greedy_complete_rejects_crossing_input():

@@ -14,7 +14,8 @@ Claims covered:
     - both kernels match entry-by-entry references on random rational input,
       and the unit frieze stays tame, integral and positive at n = 48 and 64
     - grid and quiddity entries must be exact: int or Fraction, never a bool
-    - rendering and both file formats round-trip
+    - rendering and both file formats round-trip; numbers are written with
+      every digit, also past the 4,300-digit limit of str(int)
 """
 
 import random
@@ -24,7 +25,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import INTRO_ROWS, build_plucker_frieze_map, intro_frieze, plucker_triple
+from conftest import INTRO_ROWS, build_plucker_frieze_map, intro_frieze, parse_decimal, plucker_triple
 from sl3frieze import canonical_family
 from sl3frieze.cyclic import GroundSet
 from sl3frieze.errors import (
@@ -784,3 +785,9 @@ def test_frieze_json_rejects_bad_shapes():
 def test_format_rational():
     assert format_rational(Fraction(7)) == "7"
     assert format_rational(Fraction(-7, 3)) == "-7/3"
+    # parts past the 4,300-digit limit of str(int) are written out in full
+    for v in (Fraction(10 ** 5000 + 1, 3), Fraction(-7, 10 ** 6000 + 3), Fraction(-10 ** 9000 - 12345),
+              Fraction(10 ** 4300), Fraction(-10 ** 4300 + 1)):
+        num, _, den = format_rational(v).partition("/")
+        assert Fraction(parse_decimal(num), parse_decimal(den) if den else 1) == v
+        assert not num.lstrip("-").startswith("0") and not den.startswith("0")

@@ -6,13 +6,15 @@ Claims covered:
     - the two implementations agree pairwise (exhaustive sweeps live in the
       acceptance suite; a smaller sweep plus sampled checks live here)
     - crossing is symmetric
+    - the crossing index's gap formula names exactly the crossers of a
+      triangle, exhaustively over all triangles for n = 6..9
 """
 
 from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
-from sl3frieze.separation import crossing, crossing_definition
+from sl3frieze.separation import crossing, crossing_definition, crossing_index
 
 
 def test_interleaved_triangles_cross():
@@ -50,6 +52,15 @@ def test_small_exhaustive_equivalence_and_shared_pair_rule():
                 assert d == crossing(A, B), (A, B)
                 if len(set(A) & set(B)) >= 2:
                     assert not d, (A, B)
+
+
+def test_crossing_index_exhaustive():
+    for n in (6, 7, 8, 9):
+        tris = list(combinations(range(1, n + 1), 3))
+        crossers = crossing_index(tris, n)
+        for A in tris:
+            expected = sum(1 << j for j, B in enumerate(tris) if crossing_definition(A, B))
+            assert crossers(A) == expected, (n, A)
 
 
 @settings(max_examples=200)
