@@ -311,7 +311,7 @@ def cmd_gen(ns) -> int:
 def _load_json(path: str):
     try:
         return json.loads(_read(path))
-    except ValueError as e:  # JSONDecodeError, or an integer past the 4,300-digit limit
+    except (ValueError, RecursionError) as e:  # bad JSON, a number past the digit limit, too deep
         raise MalformedFileError(f"invalid JSON in {path}: {e}") from e
 
 

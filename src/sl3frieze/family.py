@@ -2,7 +2,8 @@
 
 A triangle is stored as a strictly ascending 3-tuple of points. A family keeps
 its ground set, a frozenset of triangles and a ``validated`` flag meaning the
-pairwise weak-separation check has been run on construction.
+weak-separation check (one crossing-index query per triangle) has been run on
+construction.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ def all_triangles(ground: GroundSet):
 class Family:
     """A set of triangles over a ground set.
 
-    ``validated`` records that pairwise weak separation was checked; operations
+    ``validated`` records that weak separation was checked; operations
     whose guarantees need it refuse unvalidated input.
     """
 
@@ -74,9 +75,7 @@ def make_family(ground: GroundSet, triangles, validate: bool = True) -> Family:
         raise InvalidInputError("duplicate triangles in family")
     fam = Family(ground, ts, validated=False)
     if validate:
-        ok, pair = is_weakly_separated_family(fam)
-        if not ok:
-            raise InvalidInputError(f"family is not weakly separated: {pair[0]} crosses {pair[1]}")
+        _require_weakly_separated(fam)
         fam = Family(ground, ts, validated=True)
     return fam
 
@@ -122,6 +121,12 @@ def is_weakly_separated_family(fam: Family):
     return True, None
 
 
+def _require_weakly_separated(fam: Family) -> None:
+    ok, pair = is_weakly_separated_family(fam)
+    if not ok:
+        raise InvalidInputError(f"family is not weakly separated: {pair[0]} crosses {pair[1]}")
+
+
 def maximal_size(ground: GroundSet) -> int:
     return 3 * ground.n - 8
 
@@ -136,9 +141,7 @@ def is_maximal_family(fam: Family) -> bool:
     """Maximality via the cardinality 3n-8: a weakly separated family of that
     size admits no addable triangle."""
     if not fam.validated:
-        ok, pair = is_weakly_separated_family(fam)
-        if not ok:
-            raise InvalidInputError(f"family is not weakly separated: {pair[0]} crosses {pair[1]}")
+        _require_weakly_separated(fam)
     return len(fam) == maximal_size(fam.ground)
 
 
@@ -147,9 +150,7 @@ def greedy_complete(fam: Family) -> Family:
     lexicographically smallest compatible triangle; star-graph realization
     completes its base family this way."""
     if not fam.validated:
-        ok, pair = is_weakly_separated_family(fam)
-        if not ok:
-            raise InvalidInputError(f"family is not weakly separated: {pair[0]} crosses {pair[1]}")
+        _require_weakly_separated(fam)
     current = set(fam.triangles)
     candidates = [(t, triangle_mask(t)) for t in addable_triangles(fam)]
     while candidates:
@@ -210,6 +211,6 @@ def dump_family(fam: Family) -> str:
 def load_family(text: str, validate: bool = True) -> Family:
     try:
         data = json.loads(text)
-    except ValueError as e:  # JSONDecodeError, or an integer past the 4,300-digit limit
+    except (ValueError, RecursionError) as e:  # bad JSON, a number past the digit limit, too deep
         raise MalformedFileError(f"invalid JSON: {e}") from e
     return family_from_dict(data, validate=validate)

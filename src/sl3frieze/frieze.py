@@ -32,23 +32,10 @@ FRIEZE_SCHEMA_VERSION = 1
 # a frieze entry in a file: a JSON integer, or a string as format_rational writes it
 _ENTRY_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
-
-def _integral(values):
-    """The values as plain ints when every one has denominator 1, else None.
-    The kernels below never divide, so they give the same exact result on
-    ints as on Fractions, without Fraction's per-operation normalisation."""
-    if all(v.denominator == 1 for v in values):
-        return [v.numerator for v in values]
-    return None
-
-
 @dataclass(frozen=True)
 class QuiddityRows:
     """The two directly computed rows: delta_low[i-1] = v({i,i+1,i+3}) and
-    delta_high[i-1] = v({i,i+2,i+3})."""
+    delta_high[i-1] = v({i,i+2,i+3}). Entries are ints or Fractions."""
 
     n: int
     delta_low: tuple
@@ -61,10 +48,10 @@ class QuiddityRows:
         if any(v == 0 for v in self.delta_low + self.delta_high):
             raise InvalidInputError("quiddity entries must be nonzero")
 
-    def low(self, i: int) -> Fraction:
+    def low(self, i: int) -> int | Fraction:
         return self.delta_low[(i - 1) % self.n]
 
-    def high(self, i: int) -> Fraction:
+    def high(self, i: int) -> int | Fraction:
         return self.delta_high[(i - 1) % self.n]
 
 
@@ -74,7 +61,7 @@ class FriezeGrid:
     period n, width w = n - 4 >= 1."""
 
     n: int
-    rows: tuple  # of n-tuples of Fraction
+    rows: tuple  # of n-tuples of int or Fraction
 
     def __post_init__(self):
         if len(self.rows) < 1 or self.n != len(self.rows) + 4:
@@ -91,16 +78,16 @@ class FriezeGrid:
     def width(self) -> int:
         return len(self.rows)
 
-    def entry(self, k: int, i: int) -> Fraction:
+    def entry(self, k: int, i: int) -> int | Fraction:
         return self.rows[k - 1][(i - 1) % self.n]
 
-    def ext_value(self, r: int, t: int) -> Fraction:
+    def ext_value(self, r: int, t: int) -> int | Fraction:
         """Row r of the bordered array (0,0,1,rows...,1,0,0) at period index t."""
         w = self.width
         if r in (0, 1, w + 4, w + 5):
-            return ZERO
+            return 0
         if r in (2, w + 3):
-            return ONE
+            return 1
         return self.rows[r - 3][t % self.n]
 
 
@@ -200,17 +187,14 @@ def almost_continuous_at(vf: ValuedFamily, x: int):
     for t in vf.family.triangles:
         if x in t and vf.values[t] != 1:
             raise PreconditionError(f"triangles through x={x} must all have value 1, {t} has {vf.values[t]}")
-    g = build_star_graph(vf.family, x)
-    ints = _integral(vf.values.values())
-    lo, hi = _contract(g, vf.values if ints is None else dict(zip(vf.values, ints)))
-    return Fraction(lo), Fraction(hi)
+    return _contract(build_star_graph(vf.family, x), vf.values)
 
 
 def quiddity_rows(vf: ValuedFamily) -> QuiddityRows:
     """Run the contraction at every x of a family specialized to 1; the value
     of {i,i+1,i+3} lands at delta_low[i], the value of {i,i+2,i+3} at
     delta_high[i]. The star graphs come from one pass over the triangles, and
-    the labels are counted in plain ints."""
+    the labels are counted, and kept, as plain ints."""
     if any(v != 1 for v in vf.values.values()):
         raise PreconditionError("quiddity rows need the all-ones specialization")
     n = vf.family.ground.n
@@ -220,8 +204,8 @@ def quiddity_rows(vf: ValuedFamily) -> QuiddityRows:
     high = {}
     for g in star_graphs(vf.family):
         lo, hi = _contract(g, ones)
-        low[wrap(g.x - 2)] = Fraction(lo)
-        high[wrap(g.x - 1)] = Fraction(hi)
+        low[wrap(g.x - 2)] = lo
+        high[wrap(g.x - 1)] = hi
     return QuiddityRows(n,
                         tuple(low[i] for i in range(1, n + 1)),
                         tuple(high[i] for i in range(1, n + 1)))
@@ -239,20 +223,16 @@ def extend_rows(q: QuiddityRows) -> FriezeGrid:
 
     Both recursions start from the border rows D_0 = U_0 = 1 and
     D_{-1} = U_{-1} = 0, so every row k >= 2 follows one three-term step,
-    taken in a single pass over rotated earlier rows. No step divides:
-    integral quiddity rows are run in plain ints, others as Fractions, and the
-    grid holds Fractions either way.
+    taken in a single pass over rotated earlier rows. No step divides, so
+    each entry has the type the arithmetic gives: int rows give an int grid,
+    and Fractions appear only where the input has them.
     """
     n = q.n
     w = n - 4
     if w < 2:
         raise InvalidInputError(f"need n >= 6, got n={n}")
-    ints = _integral(q.delta_low + q.delta_high)
-    if ints is None:
-        # lists, like every computed row: the agreement check compares rows with !=
-        low1, high1 = list(q.delta_low), list(q.delta_high)
-    else:
-        low1, high1 = ints[:n], ints[n:]
+    # lists, like every computed row: the agreement check compares rows with !=
+    low1, high1 = list(q.delta_low), list(q.delta_high)
 
     def rot(row, s):
         """row shifted so that position i holds the entry of i + s."""
@@ -280,7 +260,7 @@ def extend_rows(q: QuiddityRows) -> FriezeGrid:
             raise InconsistentRowsError(
                 f"row recursions disagree at U_{k}({j + 1}): {upper[j]} vs {lower[j]}")
 
-    return FriezeGrid(n, tuple(tuple(map(Fraction, row)) for row in low[2:]))
+    return FriezeGrid(n, tuple(map(tuple, low[2:])))
 
 
 # -- diamond validation -----------------------------------------------------------
@@ -347,14 +327,12 @@ def validate_frieze(grid: FriezeGrid) -> FriezeReport:
     are 1 and its centre minor M2(r,t+1) is nonzero. Any other diamond, a zero
     centre or a witness, is expanded in full (cofactors for 3x3, Laplace over
     the top two rows for 4x4), so failures carry their true determinants. No
-    step divides, so an integral grid is checked exactly in plain ints and any
-    other grid in Fractions; failures list (r, t, det) with det a Fraction.
+    step divides, so the entries are used as they are (an int grid is checked
+    in plain ints); failures list (r, t, det) with det a Fraction.
     """
     w = grid.width
     n = grid.n
-    entries = [e for row in grid.rows for e in row]
-    ints = _integral(entries)
-    values = entries if ints is None else ints
+    values = [e for row in grid.rows for e in row]
     # the bordered array (0, 0, 1, rows..., 1, 0, 0); each row carries its
     # first three entries again at the end, so t + j needs no reduction mod n
     padded = [values[k:k + n] + values[k:k + 3] for k in range(0, w * n, n)]
@@ -401,7 +379,7 @@ def validate_frieze(grid: FriezeGrid) -> FriezeReport:
         width=w,
         is_sl3=not sl3_failures,
         is_tame=not tame_failures,
-        integral=ints is not None,
+        integral=all(e.denominator == 1 for e in values),
         positive=all(e > 0 for e in values),
         sl3_failures=sl3_failures,
         tame_failures=tame_failures,
@@ -425,7 +403,7 @@ def _decimal(v: int) -> str:
     return _decimal(high) + _decimal(low).zfill(k)
 
 
-def format_rational(v: Fraction) -> str:
+def format_rational(v: int | Fraction) -> str:
     """"p" or "p/q" in lowest terms, every digit written out at any length."""
     try:
         if v.denominator == 1:
@@ -474,14 +452,17 @@ def frieze_from_dict(data) -> FriezeGrid:
     if not isinstance(n, int) or not isinstance(rows, list) or not rows:
         raise MalformedFileError('"n" must be an integer and "rows" a nonempty list')
     def parse_entry(e):
+        if type(e) is int:
+            return e
         # the writer's form only: Fraction(str) would also take exponents,
         # and "1e1000000" costs seconds
-        if type(e) is not int and not (type(e) is str and _ENTRY_RE.fullmatch(e)):
+        if not (type(e) is str and _ENTRY_RE.fullmatch(e)):
             raise MalformedFileError(f"bad frieze entry {e!r}")
         try:
-            return Fraction(e)
+            v = Fraction(e)
         except (ValueError, ZeroDivisionError) as exc:
             raise MalformedFileError(f"bad frieze entry {e!r}: {exc}") from exc
+        return v.numerator if v.denominator == 1 else v
 
     parsed = []
     for row in rows:
@@ -501,6 +482,6 @@ def dump_frieze(grid: FriezeGrid) -> str:
 def load_frieze(text: str) -> FriezeGrid:
     try:
         data = json.loads(text)
-    except ValueError as e:  # JSONDecodeError, or an integer past the 4,300-digit limit
+    except (ValueError, RecursionError) as e:  # bad JSON, a number past the digit limit, too deep
         raise MalformedFileError(f"invalid JSON: {e}") from e
     return frieze_from_dict(data)

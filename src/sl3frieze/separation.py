@@ -7,10 +7,11 @@ Two routes are provided and kept independent on purpose:
 * ``crossing`` evaluates the closed form for equal-size sets
   (Leclerc-Zelevinsky; Oh-Postnikov-Speyer) on point bitmasks.
 
-Production callers use ``crossing``, or precompute one mask per triangle with
-``triangle_mask`` and test pairs with ``masks_cross``; the definitional search
-stays around as the oracle the closed form is tested against. Two triangles
-are weakly separated iff they do not cross.
+Single pairs go through ``crossing``, or through ``masks_cross`` on masks
+precomputed with ``triangle_mask``; whole families go through
+``crossing_index`` below. The definitional search stays around as the oracle
+the closed form is tested against. Two triangles are weakly separated iff
+they do not cross.
 
 To test one triangle against a whole list at once, ``crossing_index`` reads
 the closed form off the points instead of the pairs. A triangle

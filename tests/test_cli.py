@@ -5,8 +5,8 @@ Claims covered:
       other's files
     - exit codes: 1 for semantic failures, 2 for malformed input (n above
       MAX_N, numbers past the 4,300-digit limit, frieze entries not in the
-      written form and files that are not UTF-8, all refused before anything
-      is built), 3 for budget
+      written form, files that are not UTF-8 and JSON nested too deep to
+      parse, all refused before anything is built), 3 for budget
     - check-frieze writes every failing determinant in full, also past the
       4,300-digit limit
     - identical inputs and flags give byte-identical output
@@ -241,6 +241,23 @@ def test_input_that_is_not_utf8_is_a_file_error(run, tmp_path, fam8, args):
     argv = [a.format(bad=bad, fam=fam8) for a in args]
     _, err = run(*argv, expect=2)
     assert err.startswith(f"error: cannot read {bad}: 'utf-8' codec can't decode byte 0xff")
+
+
+@pytest.mark.parametrize("args", [
+    pytest.param(["validate", "{deep}"], id="validate"),
+    pytest.param(["check-frieze", "{deep}"], id="check-frieze"),
+    pytest.param(["frieze", "{deep}"], id="frieze"),
+    pytest.param(["analyze", "{deep}", "--x", "1"], id="analyze"),
+    pytest.param(["oracle", "{deep}", "--triangle", "1,2,3"], id="oracle"),
+    pytest.param(["mutate", "{deep}", "--replay", "{deep}"], id="mutate-family"),
+    pytest.param(["gen", "--star-graph-file", "{deep}"], id="gen-star-graph"),
+])
+def test_json_nested_too_deep_is_a_file_error(run, tmp_path, args):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    argv = [a.format(deep=deep) for a in args]
+    _, err = run(*argv, expect=2)
+    assert err.startswith("error: invalid JSON") and "maximum recursion depth exceeded" in err
 
 
 def test_check_frieze_lists_determinants_past_the_digit_limit(run, tmp_path):
