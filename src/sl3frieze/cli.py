@@ -3,8 +3,9 @@
 Commands: validate, analyze, frieze, check-frieze, oracle, mutate, gen.
 Exit codes: 0 success, 1 semantically invalid input (crossing pair, missing
 maximality, failed diamonds, unrealizable star graph, bad replay), 2 usage or
-file-format error (a ground size above MAX_N and a negative oracle budget
-included), 3 internal error or exhausted search budget.
+file-format error (a ground size above MAX_N, a negative oracle budget, an
+output that cannot be written and a stdout closed by its reader included), 3
+internal error or exhausted search budget.
 """
 
 from __future__ import annotations
@@ -72,10 +73,17 @@ def _read(path: str) -> str:
         raise MalformedFileError(f"cannot read {path}: {e}") from e
 
 
+def _write(path: str, text: str):
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise MalformedFileError(f"cannot write {path}: {e}") from e
+
+
 def _write_out(text: str, out):
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(out, text)
     else:
         sys.stdout.write(text)
 
@@ -302,8 +310,7 @@ def cmd_gen(ns) -> int:
         vf = mutate(vf, move)
         trace_lines.append(format_trace_line(move, vf.values[move.added]))
     if ns.trace_out:
-        with open(ns.trace_out, "w", encoding="utf-8") as fh:
-            fh.write("".join(line + "\n" for line in trace_lines))
+        _write(ns.trace_out, "".join(line + "\n" for line in trace_lines))
     _write_out(dump_family(vf.family), ns.out)
     return 0
 
@@ -372,7 +379,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
-        return ns.func(ns)
+        code = ns.func(ns)
+        sys.stdout.flush()  # a reader that closed the pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # Python's recipe for a closed stdout: point it at devnull, so that the
+        # flush at interpreter exit raises nothing more
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 2
     except ConditionViolationError as e:
         print(f"star graph not realizable: {e}", file=sys.stderr)
         return 1

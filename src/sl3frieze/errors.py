@@ -10,7 +10,8 @@ class InvalidInputError(FriezeError):
 
 
 class MalformedFileError(InvalidInputError):
-    """A JSON/text input file does not match its documented format."""
+    """A JSON/text input file does not match its documented format, or a file
+    cannot be read or written."""
 
 
 class ConditionViolationError(InvalidInputError):

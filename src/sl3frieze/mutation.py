@@ -90,7 +90,8 @@ class MutationMove:
 
 @dataclass(frozen=True)
 class ValuedFamily:
-    """A maximal family together with a nonzero exact value per triangle."""
+    """A maximal family together with a nonzero value per triangle, each an
+    int or a Fraction."""
 
     family: Family
     values: dict  # Triangle -> int or Fraction
@@ -110,26 +111,34 @@ class ValuedFamily:
 
 
 def unit_specialization(fam: Family) -> ValuedFamily:
-    """All triangle values set to 1."""
-    return ValuedFamily(fam, {t: Fraction(1) for t in fam.triangles})
+    """All triangle values set to the int 1."""
+    return ValuedFamily(fam, dict.fromkeys(fam.triangles, 1))
 
 
-def exchange_value(v_zac: Fraction, v_zab: Fraction, v_zcd: Fraction,
-                   v_zad: Fraction, v_zbc: Fraction) -> Fraction:
+def exchange_value(v_zac: int | Fraction, v_zab: int | Fraction, v_zcd: int | Fraction,
+                   v_zad: int | Fraction, v_zbc: int | Fraction) -> int | Fraction:
     """Value of the incoming triangle forced by the three-term relation,
-    (v_zab * v_zcd + v_zad * v_zbc) / v_zac, as a Fraction; v_zac = 0 raises
-    ZeroPivotError.
+    (v_zab * v_zcd + v_zad * v_zbc) / v_zac; v_zac = 0 raises ZeroPivotError.
+
+    Five ints give an int when v_zac divides the numerator, and a Fraction
+    otherwise. From the unit specialization every exchange divides exactly:
+    by the Laurent phenomenon and positivity every value reached from a
+    cluster set to 1 is a positive integer. Any Fraction argument gives a
+    Fraction.
 
     Arguments must be ints or Fractions: a float or a bool raises
-    InvalidInputError. The type check runs only when the numerator or v_zac
-    is not a Fraction, so Fraction values, which every exchange in this module
-    passes, pay nothing for it; a bool multiplied by a Fraction passes as 0 or 1.
+    InvalidInputError. The int path is taken only when all five are exactly
+    int; the Fraction path checks the types unless the numerator and v_zac
+    are both Fractions, so a bool multiplied by a Fraction passes as 0 or 1.
     """
     num = v_zab * v_zcd + v_zad * v_zbc
-    if type(num) is not Fraction or type(v_zac) is not Fraction:
-        _check_entries((v_zac, v_zab, v_zcd, v_zad, v_zbc), "exchange")
-        num = Fraction(num)
     try:
+        if type(v_zac) is type(v_zab) is type(v_zcd) is type(v_zad) is type(v_zbc) is int:
+            q, r = divmod(num, v_zac)
+            return Fraction(num, v_zac) if r else q
+        if type(num) is not Fraction or type(v_zac) is not Fraction:
+            _check_entries((v_zac, v_zab, v_zcd, v_zad, v_zbc), "exchange")
+            num = Fraction(num)
         return num / v_zac
     except ZeroDivisionError:
         raise ZeroPivotError("cannot exchange across a zero value") from None
@@ -252,7 +261,9 @@ def oracle_values(vf: ValuedFamily, targets, budget: int = DEFAULT_ORACLE_BUDGET
     Breadth-first search over moves, propagating values exchange by exchange
     until every target has been seen in some reached family. Path independence
     is asserted: a family reached twice must carry the same values, and a
-    target found in two families must get the same number.
+    target found in two families must get the same number. Values are ints or
+    Fractions, as exchange_value gives them: all ints from the unit
+    specialization.
     """
     if budget < 0:
         raise InvalidInputError(f"oracle budget must be >= 0, got {budget}")
@@ -311,8 +322,9 @@ def oracle_values(vf: ValuedFamily, targets, budget: int = DEFAULT_ORACLE_BUDGET
     raise BudgetExceededError(budget, expanded, f"search space exhausted, targets not reached: {missing}")
 
 
-def oracle_value(vf: ValuedFamily, target, budget: int = DEFAULT_ORACLE_BUDGET) -> Fraction:
-    """Value of a single Pluecker coordinate; see oracle_values."""
+def oracle_value(vf: ValuedFamily, target, budget: int = DEFAULT_ORACLE_BUDGET) -> int | Fraction:
+    """Value of a single Pluecker coordinate, an int or a Fraction; see
+    oracle_values."""
     tt = tuple(sorted(target))
     return oracle_values(vf, [tt], budget=budget)[tt]
 
@@ -328,7 +340,7 @@ _TRACE_RE = re.compile(
     r" value=(-?\d+(?:/\d+)?)$")
 
 
-def format_trace_line(move: MutationMove, value: Fraction) -> str:
+def format_trace_line(move: MutationMove, value: int | Fraction) -> str:
     rem = ",".join(str(p) for p in move.removed)
     add = ",".join(str(p) for p in move.added)
     return (f"{move.z}:({move.a},{move.b},{move.c},{move.d})"
@@ -336,8 +348,9 @@ def format_trace_line(move: MutationMove, value: Fraction) -> str:
 
 
 def parse_trace_line(line: str):
-    """-> (MutationMove, expected value); raises InvalidInputError on malformed
-    lines or removed/added sets inconsistent with the move points."""
+    """-> (MutationMove, expected value), the value an int when it is integral
+    and a Fraction otherwise; raises InvalidInputError on malformed lines or
+    removed/added sets inconsistent with the move points."""
     m = _TRACE_RE.match(line.strip())
     if not m:
         raise InvalidInputError(f"malformed trace line: {line!r}")
@@ -353,4 +366,4 @@ def parse_trace_line(line: str):
     move = MutationMove(z, a, b, c, d)
     if move.removed != removed or move.added != added:
         raise InvalidInputError(f"trace line inconsistent with its move: {line!r}")
-    return move, value
+    return move, value.numerator if value.denominator == 1 else value

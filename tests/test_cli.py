@@ -6,13 +6,17 @@ Claims covered:
     - exit codes: 1 for semantic failures, 2 for malformed input (n above
       MAX_N, numbers past the 4,300-digit limit, frieze entries not in the
       written form, files that are not UTF-8 and JSON nested too deep to
-      parse, all refused before anything is built), 3 for budget
+      parse, all refused before anything is built; an output path that
+      cannot be written; a stdout closed by its reader, with no traceback),
+      3 for budget
     - check-frieze writes every failing determinant in full, also past the
       4,300-digit limit
     - identical inputs and flags give byte-identical output
 """
 
 import json
+import os
+import sys
 
 import pytest
 
@@ -258,6 +262,54 @@ def test_json_nested_too_deep_is_a_file_error(run, tmp_path, args):
     argv = [a.format(deep=deep) for a in args]
     _, err = run(*argv, expect=2)
     assert err.startswith("error: invalid JSON") and "maximum recursion depth exceeded" in err
+
+
+@pytest.mark.parametrize("args", [
+    pytest.param(["gen", "--n", "8", "--out", "{out}"], id="gen-out"),
+    pytest.param(["gen", "--n", "8", "--steps", "2", "--trace-out", "{out}"], id="gen-trace-out"),
+    pytest.param(["mutate", "{fam}", "--replay", "{trace}", "--out", "{out}"], id="mutate-out"),
+])
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+def test_output_that_cannot_be_written_is_a_file_error(run, tmp_path, fam8, args, where):
+    out = tmp_path if where == "directory" else tmp_path / "missing" / "out.json"
+    trace = tmp_path / "trace.txt"
+    trace.write_text("")
+    argv = [a.format(out=out, fam=fam8, trace=trace) for a in args]
+    _, err = run(*argv, expect=2)
+    assert err.startswith(f"error: cannot write {out}: ")
+    assert not (tmp_path / "missing").exists()
+
+
+class ClosedPipe:
+    """A stdout whose reader has gone: writing, or only flushing, raises
+    BrokenPipeError. fileno() is a file of the test's own, which the CLI
+    points at devnull."""
+
+    def __init__(self, fd, fail_on):
+        self.fd = fd
+        self.fail_on = fail_on
+
+    def write(self, text):
+        if self.fail_on == "write":
+            raise BrokenPipeError(32, "Broken pipe")
+        return len(text)
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("fail_on", ["write", "flush"])
+def test_stdout_closed_by_its_reader_exits_2_without_a_traceback(tmp_path, fam8, monkeypatch, capsys, fail_on):
+    with open(tmp_path / "stdout", "w") as fh:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(fh.fileno(), fail_on))
+        code = main(["frieze", str(fam8)])
+        monkeypatch.undo()
+        assert os.path.samestat(os.fstat(fh.fileno()), os.stat(os.devnull))
+    assert code == 2
+    assert capsys.readouterr().err == ""
 
 
 def test_check_frieze_lists_determinants_past_the_digit_limit(run, tmp_path):

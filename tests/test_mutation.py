@@ -9,9 +9,14 @@ Claims covered:
       two-term sums the border values dictate
     - the oracle returns stored values with zero expansions, enforces its
       budget and refuses a negative one
-    - values are exact: floats and bools are refused, a zero pivot is a
-      ZeroPivotError on every path that exchanges, and mutate refuses an
-      exchange whose value is zero
+    - values are exact: floats and bools are refused in every argument of an
+      exchange, a zero pivot is a ZeroPivotError on every path that exchanges,
+      and mutate refuses an exchange whose value is zero
+    - five ints exchange to an int exactly when the division is exact, so the
+      unit specialization walks and searches in plain ints, with the values
+      the Fraction(1) specialization gives
+    - a trace value loads as an int when it is integral and as a Fraction
+      otherwise
     - valued families must contain every continuous triangle
     - move enumeration by neighbour-set intersection lists the same moves, in
       the same order, as a scan over every vertex of the star graph, and the
@@ -24,6 +29,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sl3frieze import canonical_family
 from sl3frieze.cyclic import GroundSet, is_cyclic
@@ -101,11 +107,32 @@ def test_exchange_value_examples():
     assert exchange_value(Fraction(2), 1, 1, 1, 1) == 1
     with pytest.raises(ZeroPivotError):
         exchange_value(0, 1, 1, 1, 1)
+    with pytest.raises(ZeroPivotError):
+        exchange_value(Fraction(0), 1, 1, 1, 1)
+
+
+nonzero_ints = st.one_of(st.integers(-12, 12), st.integers(-10**30, 10**30)).filter(bool)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.tuples(nonzero_ints, nonzero_ints, nonzero_ints, nonzero_ints, nonzero_ints))
+def test_exchange_value_is_an_int_exactly_when_the_division_is_exact(args):
+    v_zac, v_zab, v_zcd, v_zad, v_zbc = args
+    expected = Fraction(v_zab * v_zcd + v_zad * v_zbc, v_zac)
+    got = exchange_value(*args)
+    assert got == expected
+    assert type(got) is (int if expected.denominator == 1 else Fraction)
+    # a Fraction argument keeps the Fraction path
+    got = exchange_value(Fraction(v_zac), v_zab, v_zcd, v_zad, v_zbc)
+    assert got == expected and type(got) is Fraction
 
 
 def test_float_values_are_refused():
-    with pytest.raises(InvalidInputError):
-        exchange_value(0.1, 1, 1, 1, 1)
+    for i in range(5):
+        args = [1] * 5
+        args[i] = 1.0
+        with pytest.raises(InvalidInputError):
+            exchange_value(*args)
     with pytest.raises(InvalidInputError):
         exchange_value(Fraction(1), Fraction(1), 0.5, Fraction(1), Fraction(1))
     fam = canonical_family(6)
@@ -116,8 +143,13 @@ def test_float_values_are_refused():
 
 
 def test_bool_values_are_refused():
-    with pytest.raises(InvalidInputError):
-        exchange_value(True, 1, 1, 1, 1)
+    # in each of the five positions, among ints, which would otherwise take
+    # the int path
+    for i in range(5):
+        args = [1] * 5
+        args[i] = True
+        with pytest.raises(InvalidInputError, match="^exchange entry True is not an int or a Fraction$"):
+            exchange_value(*args)
     fam = canonical_family(6)
     values = {t: Fraction(1) for t in fam.triangles}
     values[(1, 2, 4)] = True
@@ -312,7 +344,11 @@ def test_trace_line_round_trip():
     m = MutationMove(1, 2, 4, 6, 8)
     line = format_trace_line(m, Fraction(7, 3))
     m2, v = parse_trace_line(line)
-    assert m2 == m and v == Fraction(7, 3)
+    assert m2 == m and v == Fraction(7, 3) and type(v) is Fraction
+    m2, v = parse_trace_line(format_trace_line(m, 5))
+    assert m2 == m and v == 5 and type(v) is int
+    _, v = parse_trace_line("1:(2,4,6,8) removed={1,2,6} added={1,4,8} value=-10/2")
+    assert v == -5 and type(v) is int
     with pytest.raises(InvalidInputError):
         parse_trace_line("garbage")
     with pytest.raises(InvalidInputError):
@@ -426,3 +462,29 @@ def test_walk_values_stay_positive_integers():
         move = rng.choice(family_moves(vf.family))
         vf = mutate(vf, move)
         assert all(v > 0 and v.denominator == 1 for v in vf.values.values())
+
+
+def fraction_specialization(fam):
+    """All triangle values set to Fraction(1): the unit specialization in the
+    Fraction path of exchange_value."""
+    return ValuedFamily(fam, {t: Fraction(1) for t in fam.triangles})
+
+
+def test_unit_walk_values_are_ints_equal_to_the_fraction_walk():
+    for n in range(6, 13):
+        fam = canonical_family(n)
+        ints, fracs = unit_specialization(fam), fraction_specialization(fam)
+        for move, _ in seeded_walk(fam, 40, seed=n):
+            ints, fracs = mutate(ints, move), mutate(fracs, move)
+            assert all(type(v) is int for v in ints.values.values()), (n, move)
+            assert all(type(v) is Fraction for v in fracs.values.values()), (n, move)
+            assert ints.values == fracs.values, (n, move)
+
+
+def test_oracle_values_agree_on_int_and_fraction_specializations(small_corpus):
+    for fam in small_corpus[7][:3]:
+        targets = list(combinations(range(1, 8), 3))
+        ints = oracle_values(unit_specialization(fam), targets)
+        fracs = oracle_values(fraction_specialization(fam), targets)
+        assert ints == fracs
+        assert all(type(v) is int for v in ints.values())
