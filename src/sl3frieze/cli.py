@@ -6,6 +6,10 @@ maximality, failed diamonds, unrealizable star graph, bad replay), 2 usage or
 file-format error (a ground size above MAX_N, a negative oracle budget, an
 output that cannot be written and a stdout closed by its reader included), 3
 internal error or exhausted search budget.
+
+The module loads only the layers every command needs (family and mutation);
+each command that needs ``stargraph`` or ``frieze`` imports it itself, so
+``validate``, ``mutate`` and ``gen --n`` never load them.
 """
 
 from __future__ import annotations
@@ -34,15 +38,6 @@ from .family import (
     make_triangle,
     maximal_size,
 )
-from .frieze import (
-    extend_rows,
-    format_rational,
-    frieze_to_dict,
-    load_frieze,
-    quiddity_rows,
-    render_frieze,
-    validate_frieze,
-)
 from .mutation import (
     DEFAULT_ORACLE_BUDGET,
     format_trace_line,
@@ -51,15 +46,6 @@ from .mutation import (
     parse_trace_line,
     seeded_walk,
     unit_specialization,
-)
-from .stargraph import (
-    STRUCTURE_RULES,
-    border_triangles,
-    build_star_graph,
-    realize_star_graph,
-    star_graph_from_dict,
-    star_graph_to_dict,
-    verify_structure_theorem,
 )
 
 SCHEMA_VERSION = 1
@@ -133,6 +119,14 @@ def cmd_validate(ns) -> int:
 
 
 def cmd_analyze(ns) -> int:
+    from .stargraph import (
+        STRUCTURE_RULES,
+        _border_triangles,
+        build_star_graph,
+        star_graph_to_dict,
+        verify_structure_theorem,
+    )
+
     fam, err = _load_checked_family(ns.family)
     if err:
         return err
@@ -140,7 +134,7 @@ def cmd_analyze(ns) -> int:
         raise InvalidInputError(f"--x must lie in 1..{fam.ground.n}, got {ns.x}")
     g = build_star_graph(fam, ns.x)
     report = verify_structure_theorem(g)
-    borders = border_triangles(fam, ns.x)
+    borders = _border_triangles(fam, g)
     if ns.format == "json":
         _emit_json({
             "schema_version": SCHEMA_VERSION,
@@ -171,6 +165,8 @@ def cmd_analyze(ns) -> int:
 
 
 def cmd_frieze(ns) -> int:
+    from .frieze import extend_rows, frieze_to_dict, quiddity_rows, render_frieze, validate_frieze
+
     fam, err = _load_checked_family(ns.family)
     if err:
         return err
@@ -201,6 +197,8 @@ def cmd_frieze(ns) -> int:
 
 
 def cmd_check_frieze(ns) -> int:
+    from .frieze import format_rational, load_frieze, validate_frieze
+
     grid = load_frieze(_read(ns.frieze))
     report = validate_frieze(grid)
     failures = [("sl3", r, t, det) for r, t, det in report.sl3_failures]
@@ -244,6 +242,8 @@ def _parse_triangle_arg(spec: str, ground: GroundSet):
 
 
 def cmd_oracle(ns) -> int:
+    from .frieze import format_rational
+
     fam, err = _load_checked_family(ns.family)
     if err:
         return err
@@ -295,6 +295,8 @@ def cmd_mutate(ns) -> int:
 
 def cmd_gen(ns) -> int:
     if ns.star_graph_file:
+        from .stargraph import realize_star_graph, star_graph_from_dict
+
         g = star_graph_from_dict(_load_json(ns.star_graph_file))
         fam = realize_star_graph(g)
         _write_out(dump_family(fam), ns.out)
@@ -309,9 +311,10 @@ def cmd_gen(ns) -> int:
     for move, _ in seeded_walk(vf.family, ns.steps, ns.seed):
         vf = mutate(vf, move)
         trace_lines.append(format_trace_line(move, vf.values[move.added]))
+    # the family first: a trace must not outlive a family that was never written
+    _write_out(dump_family(vf.family), ns.out)
     if ns.trace_out:
         _write(ns.trace_out, "".join(line + "\n" for line in trace_lines))
-    _write_out(dump_family(vf.family), ns.out)
     return 0
 
 

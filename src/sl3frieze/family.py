@@ -4,6 +4,12 @@ A triangle is stored as a strictly ascending 3-tuple of points. A family keeps
 its ground set, a frozenset of triangles and a ``validated`` flag meaning the
 weak-separation check (one crossing-index query per triangle) has been run on
 construction.
+
+Beside the ``crossing_index`` queries lives the other index over a triangle
+set: ``star_index``, the star graph of every point at once, which
+``link_triangle`` and ``unlink_triangle`` keep current across an exchange.
+``mutation`` enumerates moves from it and ``stargraph`` classifies its stars,
+so ``mutation`` does not load ``stargraph``.
 """
 
 from __future__ import annotations
@@ -119,6 +125,37 @@ def is_weakly_separated_family(fam: Family):
         if later:
             return False, (t, ts[i + (later & -later).bit_length()])
     return True, None
+
+
+def star_index(triangles) -> dict:
+    """{x: {a: set of b}}: for every point x, the neighbour map of its star
+    graph, one edge {a,b} per triangle {x,a,b}; one pass over the triangles."""
+    index = {}
+    for t in triangles:
+        link_triangle(index, t)
+    return index
+
+
+def link_triangle(index: dict, t) -> None:
+    """Add the triangle's edge to the star of each of its three points."""
+    p, q, r = t
+    for x, a, b in ((p, q, r), (q, p, r), (r, p, q)):
+        star = index.setdefault(x, {})
+        star.setdefault(a, set()).add(b)
+        star.setdefault(b, set()).add(a)
+
+
+def unlink_triangle(index: dict, t) -> None:
+    """Remove the triangle's edge from the star of each of its three points;
+    a vertex left without neighbours leaves the star."""
+    p, q, r = t
+    for x, a, b in ((p, q, r), (q, p, r), (r, p, q)):
+        star = index[x]
+        for u, v in ((a, b), (b, a)):
+            nb = star[u]
+            nb.discard(v)
+            if not nb:
+                del star[u]
 
 
 def _require_weakly_separated(fam: Family) -> None:

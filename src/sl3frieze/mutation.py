@@ -8,7 +8,8 @@ the three-term relation
     v(zac) * v(zbd) = v(zab) * v(zcd) + v(zad) * v(zbc)
 
 forces the value of the new triangle. Moves are enumerated from the star
-index of a family, and ``seeded_walk`` draws them uniformly. The oracle at the
+index of a family (``family.star_index``, so this module does not load
+``stargraph``), and ``seeded_walk`` draws them uniformly. The oracle at the
 bottom of the module evaluates arbitrary Pluecker coordinates by breadth-first
 search over moves; the label contraction, which takes the border values of
 the star graph at x to the frieze rows without a search, lives in ``frieze``.
@@ -35,8 +36,10 @@ from .family import (
     canonical_family,
     continuous_triangles,
     is_maximal_family,
+    link_triangle,
+    star_index,
+    unlink_triangle,
 )
-from .stargraph import link_triangle, star_index, unlink_triangle
 
 DEFAULT_ORACLE_BUDGET = 100_000
 

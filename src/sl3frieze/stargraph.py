@@ -5,6 +5,9 @@ with x and one edge {a,b} per triangle {x,a,b}. For maximal weakly separated
 families the vertices of degree >= 2 (triangulation points) induce a polygon
 triangulation, everything else is a leaf hanging off a triangulation point, and
 the graph can be realized back into a maximal family.
+
+``star_graphs`` reads every star from one ``family.star_index`` of the
+family; the index lives in ``family`` because ``mutation`` queries it too.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from .errors import (
     InvalidInputError,
     MalformedFileError,
 )
-from .family import Family, greedy_complete, is_maximal_family, make_family
+from .family import Family, greedy_complete, is_maximal_family, make_family, star_index
 
 STAR_GRAPH_SCHEMA_VERSION = 1
 
@@ -80,37 +83,6 @@ def star_subfamily(fam: Family, x: int) -> Family:
         raise InvalidInputError(f"point {x!r} outside 1..{fam.ground.n}")
     ts = frozenset(t for t in fam.triangles if x in t)
     return Family(fam.ground, ts, validated=fam.validated)
-
-
-def star_index(triangles) -> dict:
-    """{x: {a: set of b}}: for every point x, the neighbour map of its star
-    graph, one edge {a,b} per triangle {x,a,b}; one pass over the triangles."""
-    index = {}
-    for t in triangles:
-        link_triangle(index, t)
-    return index
-
-
-def link_triangle(index: dict, t) -> None:
-    """Add the triangle's edge to the star of each of its three points."""
-    p, q, r = t
-    for x, a, b in ((p, q, r), (q, p, r), (r, p, q)):
-        star = index.setdefault(x, {})
-        star.setdefault(a, set()).add(b)
-        star.setdefault(b, set()).add(a)
-
-
-def unlink_triangle(index: dict, t) -> None:
-    """Remove the triangle's edge from the star of each of its three points;
-    a vertex left without neighbours leaves the star."""
-    p, q, r = t
-    for x, a, b in ((p, q, r), (q, p, r), (r, p, q)):
-        star = index[x]
-        for u, v in ((a, b), (b, a)):
-            nb = star[u]
-            nb.discard(v)
-            if not nb:
-                del star[u]
 
 
 def _classify(x: int, ground: GroundSet, adjacency: dict) -> StarGraph:
@@ -307,11 +279,15 @@ def _border_candidates(g: StarGraph) -> list:
 def border_triangles(fam: Family, x: int) -> list:
     """Border triangles of the family at x; each is guaranteed to already lie
     in the family, so a miss signals an upstream bug."""
-    g = build_star_graph(fam, x)
+    return _border_triangles(fam, build_star_graph(fam, x))
+
+
+def _border_triangles(fam: Family, g: StarGraph) -> list:
+    """border_triangles for a caller that holds the star graph of fam at g.x."""
     tris = _border_candidates(g)
     for t in tris:
         if t not in fam.triangles:
-            raise InternalConsistencyError(f"border triangle {t} missing from family at x={x}")
+            raise InternalConsistencyError(f"border triangle {t} missing from family at x={g.x}")
     return tris
 
 

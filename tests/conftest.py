@@ -10,10 +10,16 @@ canonical families instead.
 Test modules import the helpers with ``from conftest import ...``.
 """
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
+
+import sl3frieze
 
 from sl3frieze.cyclic import GroundSet
 from sl3frieze.errors import InvalidInputError
@@ -59,6 +65,19 @@ def parse_decimal(text: str) -> int:
         chunk = digits[i:i + 4000]
         value = value * 10 ** len(chunk) + int(chunk)
     return sign * value
+
+
+def run_fresh(code: str) -> tuple:
+    """Run code in a fresh interpreter that imports this checkout's
+    sl3frieze; (its stdout lines, the sorted names of the sl3frieze modules it
+    held at exit)."""
+    src = str(Path(sl3frieze.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    probe = code + "\nimport sys\nprint(' '.join(sorted(m for m in sys.modules if m.startswith('sl3frieze'))))\n"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), check=True)
+    *lines, modules = proc.stdout.splitlines()
+    return lines, modules.split()
 
 
 def mask_pair_scan(fam):

@@ -12,6 +12,10 @@ Claims covered:
     - check-frieze writes every failing determinant in full, also past the
       4,300-digit limit
     - identical inputs and flags give byte-identical output
+    - gen writes its trace only after the family, so a family that cannot be
+      written leaves no trace file
+    - each command loads only its own layers: gen and validate load neither
+      frieze nor stargraph
 """
 
 import json
@@ -20,7 +24,7 @@ import sys
 
 import pytest
 
-from conftest import INTRO_ROWS, intro_frieze, parse_decimal
+from conftest import INTRO_ROWS, intro_frieze, parse_decimal, run_fresh
 from sl3frieze import canonical_family
 from sl3frieze.cli import main
 from sl3frieze.family import dump_family, load_family, make_family
@@ -278,6 +282,32 @@ def test_output_that_cannot_be_written_is_a_file_error(run, tmp_path, fam8, args
     _, err = run(*argv, expect=2)
     assert err.startswith(f"error: cannot write {out}: ")
     assert not (tmp_path / "missing").exists()
+
+
+def test_gen_writes_no_trace_when_the_family_cannot_be_written(run, tmp_path):
+    out = tmp_path / "missing" / "family.json"
+    trace = tmp_path / "trace.txt"
+    _, err = run("gen", "--n", "8", "--steps", "3", "--out", out, "--trace-out", trace, expect=2)
+    assert err.startswith(f"error: cannot write {out}: ")
+    assert not trace.exists()
+
+
+GEN_MODULES = ["sl3frieze", "sl3frieze.cli", "sl3frieze.cyclic", "sl3frieze.errors",
+               "sl3frieze.family", "sl3frieze.mutation", "sl3frieze.separation"]
+
+
+def test_gen_loads_only_the_walk_layers(tmp_path):
+    argv = ["gen", "--n", "12", "--steps", "5", "--seed", "3",
+            "--out", str(tmp_path / "f.json"), "--trace-out", str(tmp_path / "t.txt")]
+    lines, modules = run_fresh(f"from sl3frieze.cli import main\nprint(main({argv!r}))")
+    assert lines == ["0"]
+    assert modules == GEN_MODULES
+
+
+def test_validate_loads_neither_frieze_nor_stargraph(fam8):
+    lines, modules = run_fresh(f"from sl3frieze.cli import main\nprint(main(['validate', {str(fam8)!r}]))")
+    assert lines == ["maximal weakly separated (16 = 3*8-8)", "0"]
+    assert "sl3frieze.frieze" not in modules and "sl3frieze.stargraph" not in modules
 
 
 class ClosedPipe:

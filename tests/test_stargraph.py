@@ -31,21 +31,18 @@ from sl3frieze.errors import (
     MalformedFileError,
 )
 from sl3frieze import canonical_family
-from sl3frieze.family import Family, frozen_triangles
+from sl3frieze.family import Family, frozen_triangles, link_triangle, star_index, unlink_triangle
 from sl3frieze.mutation import family_moves, random_maximal_family
 from sl3frieze.stargraph import (
     RULE_CONDITIONS,
     border_triangles,
     build_star_graph,
-    link_triangle,
     realize_star_graph,
     star_graph_from_dict,
     star_graph_from_edges,
     star_graph_to_dict,
     star_graphs,
-    star_index,
     star_subfamily,
-    unlink_triangle,
     verify_structure_theorem,
 )
 
