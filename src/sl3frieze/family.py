@@ -8,8 +8,8 @@ construction.
 Beside the ``crossing_index`` queries lives the other index over a triangle
 set: ``star_index``, the star graph of every point at once, which
 ``link_triangle`` and ``unlink_triangle`` keep current across an exchange.
-``mutation`` enumerates moves from it and ``stargraph`` classifies its stars,
-so ``mutation`` does not load ``stargraph``.
+``mutation`` enumerates moves from it and ``frieze`` contracts its stars, so
+``mutation`` does not load ``stargraph``.
 """
 
 from __future__ import annotations

@@ -15,8 +15,9 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from bisect import insort
 
-from .cyclic import MAX_N
+from .cyclic import MAX_N, sorted_from
 from .errors import (
     InconsistentRowsError,
     InternalConsistencyError,
@@ -24,8 +25,9 @@ from .errors import (
     MalformedFileError,
     PreconditionError,
 )
+from .family import star_index
 from .mutation import ValuedFamily, _check_entries
-from .stargraph import StarGraph, _incident_sequence, build_star_graph, star_graphs
+from .stargraph import _require_endpoints, _require_maximal, build_star_graph
 
 FRIEZE_SCHEMA_VERSION = 1
 
@@ -42,6 +44,8 @@ class QuiddityRows:
     delta_high: tuple
 
     def __post_init__(self):
+        if self.n > MAX_N:
+            raise InvalidInputError(f"frieze period needs n <= {MAX_N}, got {self.n}")
         if len(self.delta_low) != self.n or len(self.delta_high) != self.n:
             raise InvalidInputError("quiddity rows must have one entry per point")
         _check_entries(self.delta_low + self.delta_high, "quiddity")
@@ -93,39 +97,48 @@ class FriezeGrid:
 
 # -- Algorithm: almost continuous values at x ----------------------------------
 
-def _contract(g: StarGraph, values: dict):
-    """(label at x-1, label at x+1) after contracting the star graph g at x,
-    where `values` maps every triangle of the family to its value.
+def _contract(x: int, n: int, adjacency: dict, values: dict):
+    """(label at x-1, label at x+1) after contracting the star graph at x,
+    given by its neighbour map (left unchanged), where `values` maps every
+    triangle of the family to its value.
 
-    Runs entirely on a working copy of g's neighbour map: initialize each
-    interior triangulation point's label with the sum of its border values
-    (removing its leaves), handle x+2/x-2 specially since their edges to x+1 /
-    x-1 are frozen, then repeatedly contract degree-2 points, adding labels,
-    until only the three frozen edges remain. Labels are summed in the values'
-    own type; a missing border triangle, a missing label or a contraction that
-    gets stuck is an InternalConsistencyError.
+    On a working copy of the map: initialize each interior triangulation
+    point's label with the sum of its border values (removing its leaves,
+    grouped in one pass in <_x order), handle x+2/x-2 specially since their
+    edges to x+1 / x-1 are frozen, then repeatedly contract the first degree-2
+    point in <_x order, adding labels, until only the three frozen edges
+    remain. Labels are summed in the values' own type; triangulation points
+    not running from x+1 to x-1, a missing border triangle, a missing label
+    or a stuck contraction is an InternalConsistencyError.
     """
-    x = g.x
-    wrap = g.ground.wrap
-    xp, xm = wrap(x + 1), wrap(x - 1)
-    xp2, xm2 = wrap(x + 2), wrap(x - 2)
+    xp, xm = x % n + 1, (x - 2) % n + 1
+    xp2, xm2 = xp % n + 1, (xm - 2) % n + 1
 
-    adj = {v: set(nb) for v, nb in g.adjacency.items()}
-    tp = g.triangulation_points
+    tp = []
+    leaves_at = {}
+    for v in sorted_from(x, adjacency, n):
+        nb = adjacency[v]
+        if len(nb) >= 2:
+            tp.append(v)
+        else:
+            (attachment,) = nb
+            leaves_at.setdefault(attachment, []).append(v)
+    _require_endpoints(x, n, tuple(tp))
+
+    adj = {v: set(nb) for v, nb in adjacency.items()}
     labels = {}
-
     for i, p in enumerate(tp):
-        seq = _incident_sequence(g, i)
-        leaves = seq[1:-1]
+        leaves = leaves_at.get(p, [])
+        seq = [tp[i - 1], *leaves, tp[(i + 1) % len(tp)]]
         pinned = None
         if i == 0:
             # x+1, and x-1 below, get a label only when x+2 (x-2) is a leaf;
             # that leaf stays, and the wrap-around end of the sequence is cut
-            if xp2 not in g.leaves:
+            if len(adjacency.get(xp2, ())) != 1:
                 continue
             seq, pinned = seq[1:], xp2
         elif i == len(tp) - 1:
-            if xm2 not in g.leaves:
+            if len(adjacency.get(xm2, ())) != 1:
                 continue
             seq, pinned = seq[:-1], xm2
         label = 0
@@ -140,7 +153,10 @@ def _contract(g: StarGraph, values: dict):
                 adj[p].discard(leaf)
                 del adj[leaf]
 
-    current = [p for p in tp if p in adj and len(adj[p]) >= 2]
+    # the points that are or become contractible, sorted so that the first in
+    # <_x order is last; degrees only fall, so an entry whose degree is no
+    # longer 2 is stale
+    ready = [p for p in reversed(tp[1:-1]) if len(adj[p]) == 2]
     edge_count = sum(len(nb) for nb in adj.values()) // 2
 
     def bump(point, delta):
@@ -149,10 +165,12 @@ def _contract(g: StarGraph, values: dict):
         labels[point] += delta
 
     while edge_count > 3:
-        p = next((q for q in current if q not in (xp, xm) and len(adj[q]) == 2), None)
-        if p is None:
+        while ready and len(adj.get(ready[-1], ())) != 2:
+            ready.pop()
+        if not ready:
             raise InternalConsistencyError(
                 f"no contractible degree-2 point left with {edge_count} edges at x={x}")
+        p = ready.pop()
         if p in (xp2, xm2):
             # The frozen edge to x+1 (resp. x-1) stays; p becomes that point's
             # pinned leaf and hands its label over.
@@ -164,9 +182,9 @@ def _contract(g: StarGraph, values: dict):
             adj[p].discard(other)
             adj[other].discard(p)
             edge_count -= 1
-            current.remove(p)
+            touched = (other,)
         else:
-            u, v = adj[p]
+            u, v = touched = tuple(adj[p])
             bump(u, labels[p])
             bump(v, labels[p])
             del labels[p]
@@ -174,7 +192,9 @@ def _contract(g: StarGraph, values: dict):
             adj[v].discard(p)
             del adj[p]
             edge_count -= 2
-            current.remove(p)
+        for q in touched:
+            if len(adj[q]) == 2 and q != xp and q != xm:
+                insort(ready, q, key=lambda v: -((v - x) % n))
 
     if xm not in labels or xp not in labels:
         raise InternalConsistencyError(f"contraction finished without labels at x+-1 (x={x})")
@@ -187,28 +207,34 @@ def almost_continuous_at(vf: ValuedFamily, x: int):
     for t in vf.family.triangles:
         if x in t and vf.values[t] != 1:
             raise PreconditionError(f"triangles through x={x} must all have value 1, {t} has {vf.values[t]}")
-    return _contract(build_star_graph(vf.family, x), vf.values)
+    return _contract(x, vf.family.ground.n, build_star_graph(vf.family, x).adjacency, vf.values)
 
 
 def quiddity_rows(vf: ValuedFamily) -> QuiddityRows:
     """Run the contraction at every x of a family specialized to 1; the value
     of {i,i+1,i+3} lands at delta_low[i], the value of {i,i+2,i+3} at
-    delta_high[i]. The star graphs come from one pass over the triangles, and
-    the labels are counted, and kept, as plain ints."""
+    delta_high[i]. Every star comes straight off one star_index of the
+    family, and the labels are counted, and kept, as plain ints."""
     if any(v != 1 for v in vf.values.values()):
         raise PreconditionError("quiddity rows need the all-ones specialization")
-    n = vf.family.ground.n
-    wrap = vf.family.ground.wrap
-    ones = dict.fromkeys(vf.family.triangles, 1)
-    low = {}
-    high = {}
-    for g in star_graphs(vf.family):
-        lo, hi = _contract(g, ones)
-        low[wrap(g.x - 2)] = lo
-        high[wrap(g.x - 1)] = hi
-    return QuiddityRows(n,
-                        tuple(low[i] for i in range(1, n + 1)),
-                        tuple(high[i] for i in range(1, n + 1)))
+    fam = vf.family
+    ground = fam.ground
+    n = ground.n
+    _require_maximal(fam)
+    for t in fam.triangles:
+        if len(t) != 3 or len(set(t)) != 3:
+            raise InvalidInputError(f"triangle {t!r} needs three distinct points")
+    for p in set().union(*fam.triangles):
+        if not ground.contains(p):
+            raise InvalidInputError(f"point {p!r} outside 1..{n}")
+    ones = dict.fromkeys(fam.triangles, 1)
+    index = star_index(fam.triangles)
+    low, high = [0] * n, [0] * n
+    for x in ground.points():
+        # wrap(x - 2) and wrap(x - 1), as 0-based positions; a contracted star
+        # leaves the index, so its memory is freed as the loop goes on
+        low[(x - 3) % n], high[(x - 2) % n] = _contract(x, n, index.pop(x, {}), ones)
+    return QuiddityRows(n, tuple(low), tuple(high))
 
 
 # -- row recursions -------------------------------------------------------------
@@ -216,10 +242,42 @@ def quiddity_rows(vf: ValuedFamily) -> QuiddityRows:
 def extend_rows(q: QuiddityRows) -> FriezeGrid:
     """Fill the whole fundamental region from the two computed rows.
 
-    The lower recursion builds D_2..D_w from D_1 and U_1; the upper recursion
-    independently builds U_2..U_w, and the two fillings must agree under
-    U_k(i) = D_{n-3-k}(i+k+1), else the input rows were inconsistent and
+    The lower recursion builds D_2..D_w from D_1 and U_1. The rows are
+    consistent when the upper recursion, building U_2..U_w from U_1 and D_1,
+    fills the same array: U_k(i) = D_{n-3-k}(i+k+1). With a_i = D_1(i),
+    b_i = U_1(i), v_1, v_2, v_3 = e_1, e_2, e_3 and
+    v_{i+3} = a_i v_{i+2} - b_i v_{i+1} + v_i, that holds iff the vectors
+    close up, v_{n+1..n+3} = v_{1..3} (certificate part (a)): an O(n) check.
+    Only when it fails does the upper recursion run, so that
     InconsistentRowsError names the first (k, i) that disagrees.
+
+    Proof that agreement and closure are the same. Extend v_j to all j. Every
+    step keeps det(v_j, v_{j+1}, v_{j+2}) = 1, and shifting j by n maps
+    solutions to solutions, so v_{j+n} = M v_j for one M in SL3; closure
+    means M = I. Put w_j = v_j x v_{j+1}. In the basis v_{j+1}, v_{j+2},
+    v_{j+3} one checks w_j = a_j w_{j+1} - b_{j+1} w_{j+2} + w_{j+3}, so
+    det(v_i, v_{i+1}, v_{i+k+2}) = w_i . v_{i+k+2} obeys the lower recursion
+    and det(v_i, v_{i+k+1}, v_{i+k+2}) = w_{i+k+1} . v_i obeys the upper one,
+    from the same border rows 0, 1 and the same first rows. Both are n-periodic
+    in i, as det M = 1. So D_k(i) and U_k(i) are those determinants, and
+    D_{n-3-k}(i+k+1) = det(v_{i+n}, v_{i+k+1}, v_{i+k+2}). Agreement thus says
+    (M - I) v_i . w_j = 0 whenever 2 <= j - i <= n - 3.
+      - Closure gives agreement at once.
+      - Agreement gives closure. For fixed j, g(t) = (M - I) v_t . w_j solves
+        the three-term equation and vanishes at the n - 4 points
+        t = j-n+3..j-2. If n >= 7, three consecutive zeros make g = 0; so
+        (M - I)^T w_j = 0 for every j, and the w_j span, so M = I. If n = 6,
+        g(t) = c_j w_{j-3} . v_t, as both solve the equation and vanish at
+        t = j-3, j-2 (c_j is g(j-1), and w_{j-3} . v_{j-1} = 1). So
+        (M - I)^T w_j = c_j w_{j-3} for all j. Applying (M - I)^T to the
+        recursion of w_j and comparing with that of w_{j-3}, in the basis
+        w_{j-2}, w_{j-1}, w_j, gives c_{j+3} = c_j and c_j a_{j+3} =
+        c_{j+1} a_j; with a_{j+6} = a_j and a_j != 0 (QuiddityRows refuses 0)
+        that makes c_j^2 one rational s >= 0. Then (M - I)^2 = s M, since
+        w_{j-6} = M^T w_j. The eigenvalues of M solve
+        l^2 - (2 + s) l + 1 = 0: positive reals l, 1/l, three of which
+        multiply to det M = 1, so l = 1 and s = 0. Then every c_j = 0, and
+        M = I as before.
 
     Both recursions start from the border rows D_0 = U_0 = 1 and
     D_{-1} = U_{-1} = 0, so every row k >= 2 follows one three-term step,
@@ -247,18 +305,23 @@ def extend_rows(q: QuiddityRows) -> FriezeGrid:
         # D_k(i) = D_1(i) D_{k-1}(i+1) - U_1(i+1) D_{k-2}(i+2) + D_{k-3}(i+3)
         low.append([a * b - h * c + e for a, b, h, c, e in
                     zip(low1, rot(low[k], 1), high1_next, rot(low[k - 1], 2), rot(low[k - 2], 3))])
-    high = border + [high1]
-    for k in range(2, w + 1):
-        # U_k(i) = U_1(i+k-1) U_{k-1}(i) - D_1(i+k-2) U_{k-2}(i) + U_{k-3}(i)
-        high.append([a * b - d * c + e for a, b, d, c, e in
-                     zip(rot(high1, k - 1), high[k], rot(low1, k - 2), high[k - 1], high[k - 2])])
 
-    for k in range(1, w + 1):
-        upper, lower = high[k + 1], rot(low[n - 2 - k], k + 1)
-        if upper != lower:
-            j = next(j for j in range(n) if upper[j] != lower[j])
-            raise InconsistentRowsError(
-                f"row recursions disagree at U_{k}({j + 1}): {upper[j]} vs {lower[j]}")
+    basis = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    v0, v1, v2 = basis
+    for a, b in zip(low1, high1):
+        v0, v1, v2 = v1, v2, tuple(a * z - b * y + x for x, y, z in zip(v0, v1, v2))
+    if (v0, v1, v2) != basis:
+        high = border + [high1]
+        for k in range(2, w + 1):
+            # U_k(i) = U_1(i+k-1) U_{k-1}(i) - D_1(i+k-2) U_{k-2}(i) + U_{k-3}(i)
+            high.append([a * b - d * c + e for a, b, d, c, e in
+                         zip(rot(high1, k - 1), high[k], rot(low1, k - 2), high[k - 1], high[k - 2])])
+        for k in range(1, w + 1):
+            upper, lower = high[k + 1], rot(low[n - 2 - k], k + 1)
+            if upper != lower:
+                j = next(j for j in range(n) if upper[j] != lower[j])
+                raise InconsistentRowsError(
+                    f"row recursions disagree at U_{k}({j + 1}): {upper[j]} vs {lower[j]}")
 
     return FriezeGrid(n, tuple(map(tuple, low[2:])))
 

@@ -6,8 +6,9 @@ families the vertices of degree >= 2 (triangulation points) induce a polygon
 triangulation, everything else is a leaf hanging off a triangulation point, and
 the graph can be realized back into a maximal family.
 
-``star_graphs`` reads every star from one ``family.star_index`` of the
-family; the index lives in ``family`` because ``mutation`` queries it too.
+``frieze.quiddity_rows`` contracts every star straight off one
+``family.star_index`` of the family; the index lives in ``family`` because
+``mutation`` queries it too.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .errors import (
     InvalidInputError,
     MalformedFileError,
 )
-from .family import Family, greedy_complete, is_maximal_family, make_family, star_index
+from .family import Family, greedy_complete, is_maximal_family, make_family
 
 STAR_GRAPH_SCHEMA_VERSION = 1
 
@@ -85,15 +86,6 @@ def star_subfamily(fam: Family, x: int) -> Family:
     return Family(fam.ground, ts, validated=fam.validated)
 
 
-def _classify(x: int, ground: GroundSet, adjacency: dict) -> StarGraph:
-    """The star graph at x with the given neighbour map: degrees, leaves and
-    triangulation points read off the map in O(E)."""
-    edges = frozenset((a, b) for a, nb in adjacency.items() for b in nb if a < b)
-    tpoints = tuple(sorted_from(x, [v for v, nb in adjacency.items() if len(nb) >= 2], ground.n))
-    leaves = {v: next(iter(nb)) for v, nb in adjacency.items() if len(nb) == 1}
-    return StarGraph(x, ground, frozenset(adjacency), edges, tpoints, leaves, adjacency)
-
-
 def star_graph_from_edges(x: int, ground: GroundSet, edges) -> StarGraph:
     """Classify an explicit edge list; tolerant of graphs that violate the
     structure theorem (verification is a separate step)."""
@@ -106,7 +98,11 @@ def star_graph_from_edges(x: int, ground: GroundSet, edges) -> StarGraph:
             raise InvalidInputError(f"bad star-graph edge {e!r}")
         adjacency.setdefault(a, set()).add(b)
         adjacency.setdefault(b, set()).add(a)
-    return _classify(x, ground, adjacency)
+    # degrees, leaves and triangulation points read off the map in O(E)
+    edges = frozenset((a, b) for a, nb in adjacency.items() for b in nb if a < b)
+    tpoints = tuple(sorted_from(x, [v for v, nb in adjacency.items() if len(nb) >= 2], ground.n))
+    leaves = {v: next(iter(nb)) for v, nb in adjacency.items() if len(nb) == 1}
+    return StarGraph(x, ground, frozenset(adjacency), edges, tpoints, leaves, adjacency)
 
 
 def _require_maximal(fam: Family) -> None:
@@ -114,10 +110,11 @@ def _require_maximal(fam: Family) -> None:
         raise InvalidInputError("family is not maximal; star-graph classification needs maximality")
 
 
-def _require_endpoints(g: StarGraph) -> None:
-    witness = _endpoints_violation(g)
+def _require_endpoints(x: int, n: int, tp) -> None:
+    """The polygon.endpoints guard on the triangulation points tp at x."""
+    witness = _endpoints_violation(x, n, tp)
     if witness:
-        raise InternalConsistencyError(f"maximal family at x={g.x}, n={g.ground.n}: {witness}")
+        raise InternalConsistencyError(f"maximal family at x={x}, n={n}: {witness}")
 
 
 def build_star_graph(fam: Family, x: int) -> StarGraph:
@@ -126,38 +123,14 @@ def build_star_graph(fam: Family, x: int) -> StarGraph:
     sub = star_subfamily(fam, x)
     edges = [tuple(p for p in t if p != x) for t in sub.sorted_triangles()]
     g = star_graph_from_edges(x, fam.ground, edges)
-    _require_endpoints(g)
+    _require_endpoints(x, fam.ground.n, g.triangulation_points)
     return g
 
 
-def star_graphs(fam: Family):
-    """Yield the star graph at every point of a maximal family, x = 1..n.
-
-    The stars come from one star_index of the family, so the triangles are
-    scanned once, not once per point; maximality and the points of every
-    triangle are checked once up front, the polygon.endpoints guard at each x.
-    """
-    _require_maximal(fam)
-    ground = fam.ground
-    for t in fam.triangles:
-        if len(t) != 3 or len(set(t)) != 3:
-            raise InvalidInputError(f"triangle {t!r} needs three distinct points")
-    for p in set().union(*fam.triangles):
-        if not ground.contains(p):
-            raise InvalidInputError(f"point {p!r} outside 1..{ground.n}")
-    index = star_index(fam.triangles)
-    for x in ground.points():
-        g = _classify(x, ground, index.get(x, {}))
-        _require_endpoints(g)
-        yield g
-
-
-def _endpoints_violation(g: StarGraph):
+def _endpoints_violation(x: int, n: int, tp):
     """The witness of a polygon.endpoints violation, or None when the
-    triangulation points run from x+1 to x-1."""
-    wrap = g.ground.wrap
-    xp, xm = wrap(g.x + 1), wrap(g.x - 1)
-    tp = g.triangulation_points
+    triangulation points tp run from x+1 to x-1."""
+    xp, xm = x % n + 1, (x - 2) % n + 1
     if not tp or tp[0] != xp or tp[-1] != xm:
         return f"triangulation points must run from {xp} to {xm}, got {tp}"
     return None
@@ -192,7 +165,7 @@ def verify_structure_theorem(g: StarGraph) -> StructureReport:
     r = len(tp)
     xp, xm = wrap(x + 1), wrap(x - 1)
 
-    witness = _endpoints_violation(g)
+    witness = _endpoints_violation(x, n, tp)
     if witness:
         violations.append(("polygon.endpoints", witness))
     if r < 2:

@@ -3,10 +3,17 @@
 Claims covered:
     - the contraction algorithm agrees with the mutation oracle at every x
       (small samples here, the big sweeps live in the acceptance suite)
-    - the single-pass contraction gives the same quiddity rows, values and
-      errors as the per-x contraction over edge scans it replaced
+    - the contraction straight off the star index gives the same quiddity
+      rows, values and errors as the per-x contraction over edge scans it
+      replaced, also on 200-step walks at n = 128 and 256, and checks
+      maximality, triangle points and the star endpoints
     - the row recursions reproduce the known width-4 fixture exactly, and the
       two recursions fill one array (relabeling included)
+    - extend_rows decides consistency by closure of the Gale vectors; on
+      valid rows, on rows with one or two entries moved and on random
+      rational rows, n = 6..32, it gives the entrywise reference's grid or its
+      first disagreement, message included
+    - quiddity rows over more than MAX_N points are refused on construction
     - diamond validation passes on the fixture, fails on perturbations, and
       matches an independent determinant recomputation, failure lists included
     - the condensed validator falls back to full expansion exactly where it
@@ -30,7 +37,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import INTRO_ROWS, build_plucker_frieze_map, intro_frieze, parse_decimal, plucker_triple
 from sl3frieze import canonical_family
-from sl3frieze.cyclic import GroundSet
+from sl3frieze.cyclic import MAX_N, GroundSet
 from sl3frieze.errors import (
     FriezeError,
     InconsistentRowsError,
@@ -39,7 +46,7 @@ from sl3frieze.errors import (
     MalformedFileError,
     PreconditionError,
 )
-from sl3frieze.family import Family, continuous_triangles, make_family
+from sl3frieze.family import Family, continuous_triangles, frozen_triangles, make_family
 from sl3frieze.frieze import (
     FriezeGrid,
     QuiddityRows,
@@ -291,6 +298,30 @@ def test_quiddity_rows_match_per_x_reference():
                 assert _result(almost_continuous_at, vf, x) == _result(_reference_almost_continuous_at, vf, x)
 
 
+def _unchecked_unit(fam: Family) -> ValuedFamily:
+    """The unit specialization of fam without ValuedFamily's own checks, which
+    refuse a family that is not maximal or lacks a continuous triangle before
+    quiddity_rows could see it."""
+    vf = object.__new__(ValuedFamily)
+    object.__setattr__(vf, "family", fam)
+    object.__setattr__(vf, "values", dict.fromkeys(fam.triangles, 1))
+    return vf
+
+
+def test_quiddity_rows_check_maximality_points_and_endpoints():
+    with pytest.raises(InvalidInputError, match="not maximal"):
+        quiddity_rows(_unchecked_unit(frozen_triangles(GroundSet(8))))
+    tris = canonical_family(8).triangles
+    for bad, message in (((1, 2, 9), "point 9 outside 1..8"), ((1, 1, 2), r"triangle \(1, 1, 2\) needs")):
+        forged = Family(GroundSet(8), tris - {(1, 2, 4)} | {bad}, validated=True)
+        with pytest.raises(InvalidInputError, match=message):
+            quiddity_rows(unit_specialization(forged))
+    # the endpoints guard runs at every x
+    avoiding_1 = Family(GroundSet(6), frozenset(combinations(range(2, 7), 3)), validated=True)
+    with pytest.raises(InternalConsistencyError, match=r"x=1, n=6: triangulation points must run from 2 to 6"):
+        quiddity_rows(_unchecked_unit(avoiding_1))
+
+
 def test_quiddity_rows_errors_match_per_x_reference():
     fam = random_maximal_family(GroundSet(9), 30, 3)
     values = dict.fromkeys(fam.triangles, Fraction(1))
@@ -424,28 +455,59 @@ def _outcome(extend, q):
         return str(e)
 
 
+def _perturbed(q: QuiddityRows, rng, spots) -> QuiddityRows:
+    """q with the entry at each (row, index) of spots moved by +-1, +-2 or 1/2,
+    never onto 0; row 0 is delta_low, row 1 delta_high."""
+    rows = [list(q.delta_low), list(q.delta_high)]
+    for r, i in spots:
+        rows[r][i] += rng.choice([d for d in (1, -1, 2, -2, Fraction(1, 2)) if rows[r][i] + d != 0])
+    return QuiddityRows(q.n, *map(tuple, rows))
+
+
 def test_extend_rows_matches_entrywise_reference():
-    # valid rows from random families, the same rows with one entry moved,
-    # and random rational rows: the same grid, or the same first disagreement
+    # valid rows from random families; the same rows with one or two entries
+    # moved, in either row or both; and random rational rows: the same grid,
+    # or the same first disagreement. extend_rows decides consistency by
+    # closure of the vectors and runs the upper recursion only for a witness,
+    # so this also checks that closure holds exactly when the two recursions
+    # agree.
     rng = random.Random(2)
-    errors = 0
-    for n in range(6, 17):
+    errors = cases_run = 0
+    for n in range(6, 33):
         for seed in range(3):
             q = quiddity_rows(unit_specialization(random_maximal_family(GroundSet(n), 2 * n, seed)))
-            low, high = list(q.delta_low), list(q.delta_high)
-            (low if seed % 2 else high)[rng.randrange(n)] += rng.choice((1, 2, Fraction(1, 2)))
+            i, j = rng.sample(range(n), 2)
+            r = seed % 2
+            perturbed = [_perturbed(q, rng, spots)
+                         for spots in ([(0, i)], [(1, i)], [(0, i), (1, j)], [(r, i), (r, j)])]
             rational = [tuple(Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3)) for _ in range(n))
                         for _ in range(2)]
-            cases = [q, QuiddityRows(n, tuple(low), tuple(high)), QuiddityRows(n, *rational)]
-            for case in cases:
+            for case in [q, *perturbed, QuiddityRows(n, *rational)]:
                 expected = _outcome(_reference_extend, case)
                 got = _outcome(extend_rows, case)
                 assert got == expected, (n, seed)
+                cases_run += 1
                 errors += isinstance(expected, str)
                 if not isinstance(got, str):
                     assert _exact((v for row in got for v in row), ints=False)
             assert _exact((v for row in extend_rows(q).rows for v in row), ints=True)
-    assert errors == 2 * 11 * 3  # every perturbed and random case is caught
+    assert cases_run == 27 * 3 * 6
+    assert errors == 27 * 3 * 5  # every perturbed and random case is caught
+
+
+def test_quiddity_rows_and_extend_rows_match_references_at_scale():
+    for n in (128, 256):
+        vf = unit_specialization(random_maximal_family(GroundSet(n), 200, n))
+        q = quiddity_rows(vf)
+        assert q == _reference_quiddity_rows(vf)
+        assert extend_rows(q) == _reference_extend(q)
+
+
+def test_quiddity_rows_past_max_n_are_refused():
+    QuiddityRows(MAX_N, (3,) * MAX_N, (3,) * MAX_N)
+    for n in (MAX_N + 1, 2400):
+        with pytest.raises(InvalidInputError, match=f"frieze period needs n <= {MAX_N}, got {n}"):
+            QuiddityRows(n, (3,) * n, (3,) * n)
 
 
 def test_second_row_clause_is_the_general_recursion_at_its_boundary():

@@ -6,8 +6,7 @@ Claims covered:
       marked maximal that breaks this is an internal error naming the rule's
       witness
     - the classification read off the neighbour map agrees with scans over
-      every edge, and the stars of all points built from one star index equal
-      the stars built one point at a time
+      every edge
     - border triangles read off the graph always already lie in the family
     - the nesting-order facts hold: empty interval forces a shared pair, and
       nested pairs force an intermediate point splitting them
@@ -41,7 +40,6 @@ from sl3frieze.stargraph import (
     star_graph_from_dict,
     star_graph_from_edges,
     star_graph_to_dict,
-    star_graphs,
     star_subfamily,
     verify_structure_theorem,
 )
@@ -120,31 +118,6 @@ def test_classification_matches_edge_scans(small_corpus):
     for g in graphs:
         assert _classified(g) == _scanned(g)
         assert g.degree(g.x) == 0 and g.neighbours(g.x) == [] and g.leaves_at(g.x) == []
-
-
-def test_star_graphs_equal_build_star_graph_at_every_x():
-    for n in range(6, 17):
-        fam = random_maximal_family(GroundSet(n), 3 * n, n)
-        graphs = list(star_graphs(fam))
-        assert [g.x for g in graphs] == list(fam.ground.points())
-        for g in graphs:
-            single = build_star_graph(fam, g.x)
-            assert g == single
-            assert g.leaves == single.leaves and g.adjacency == single.adjacency
-
-
-def test_star_graphs_check_maximality_points_and_endpoints():
-    with pytest.raises(InvalidInputError, match="not maximal"):
-        next(star_graphs(frozen_triangles(G8)))
-    tris = canonical_family(8).triangles
-    for bad, message in (((1, 2, 9), "point 9 outside 1..8"), ((1, 1, 2), r"triangle \(1, 1, 2\) needs")):
-        forged = Family(G8, tris - {(1, 2, 4)} | {bad}, validated=True)
-        with pytest.raises(InvalidInputError, match=message):
-            next(star_graphs(forged))
-    # the endpoints guard of build_star_graph runs at every x
-    avoiding_1 = Family(GroundSet(6), frozenset(combinations(range(2, 7), 3)), validated=True)
-    with pytest.raises(InternalConsistencyError, match=r"x=1, n=6: triangulation points must run from 2 to 6"):
-        list(star_graphs(avoiding_1))
 
 
 def test_star_index_link_and_unlink_follow_an_exchange():
