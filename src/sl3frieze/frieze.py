@@ -7,6 +7,9 @@ w = n - 4. Row 1 is printed first; each later row shifts half a cell to the
 right, and three border rows (1, 0, 0) frame the grid above and below. The top
 recursion works with U_k(i), the value of {i, i+k+1, i+k+2}; the two are two
 namings of one array: U_k(i) = D_{n-3-k}(i+k+1).
+
+The contraction takes each star's layout from ``stargraph.border_sequences``
+and its family as ``ValuedFamily`` checked it; it re-derives neither.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from bisect import insort
 
-from .cyclic import MAX_N, sorted_from
+from .cyclic import MAX_N
 from .errors import (
     InconsistentRowsError,
     InternalConsistencyError,
@@ -27,7 +30,7 @@ from .errors import (
 )
 from .family import star_index
 from .mutation import ValuedFamily, _check_entries
-from .stargraph import _require_endpoints, _require_maximal, build_star_graph
+from .stargraph import border_sequences, build_star_graph
 
 FRIEZE_SCHEMA_VERSION = 1
 
@@ -85,15 +88,6 @@ class FriezeGrid:
     def entry(self, k: int, i: int) -> int | Fraction:
         return self.rows[k - 1][(i - 1) % self.n]
 
-    def ext_value(self, r: int, t: int) -> int | Fraction:
-        """Row r of the bordered array (0,0,1,rows...,1,0,0) at period index t."""
-        w = self.width
-        if r in (0, 1, w + 4, w + 5):
-            return 0
-        if r in (2, w + 3):
-            return 1
-        return self.rows[r - 3][t % self.n]
-
 
 # -- Algorithm: almost continuous values at x ----------------------------------
 
@@ -103,44 +97,25 @@ def _contract(x: int, n: int, adjacency: dict, values: dict):
     triangle of the family to its value.
 
     On a working copy of the map: initialize each interior triangulation
-    point's label with the sum of its border values (removing its leaves,
-    grouped in one pass in <_x order), handle x+2/x-2 specially since their
-    edges to x+1 / x-1 are frozen, then repeatedly contract the first degree-2
-    point in <_x order, adding labels, until only the three frozen edges
-    remain. Labels are summed in the values' own type; triangulation points
-    not running from x+1 to x-1, a missing border triangle, a missing label
-    or a stuck contraction is an InternalConsistencyError.
+    point's label with the sum of the values over its border sequence
+    (stargraph.border_sequences) and remove its leaves; x+1 (x-1) gets a label
+    only when x+2 (x-2) is a leaf, which stays pinned, since the edges
+    {x+1,x+2} and {x-2,x-1} are frozen. Then repeatedly contract the first
+    degree-2 point in <_x order, adding labels, until only the three frozen
+    edges remain. Labels are summed in the values' own type; triangulation
+    points not running from x+1 to x-1, a missing border triangle, a missing
+    label or a stuck contraction is an InternalConsistencyError.
     """
     xp, xm = x % n + 1, (x - 2) % n + 1
     xp2, xm2 = xp % n + 1, (xm - 2) % n + 1
 
-    tp = []
-    leaves_at = {}
-    for v in sorted_from(x, adjacency, n):
-        nb = adjacency[v]
-        if len(nb) >= 2:
-            tp.append(v)
-        else:
-            (attachment,) = nb
-            leaves_at.setdefault(attachment, []).append(v)
-    _require_endpoints(x, n, tuple(tp))
-
+    layout = border_sequences(x, n, adjacency)
     adj = {v: set(nb) for v, nb in adjacency.items()}
     labels = {}
-    for i, p in enumerate(tp):
-        leaves = leaves_at.get(p, [])
-        seq = [tp[i - 1], *leaves, tp[(i + 1) % len(tp)]]
-        pinned = None
-        if i == 0:
-            # x+1, and x-1 below, get a label only when x+2 (x-2) is a leaf;
-            # that leaf stays, and the wrap-around end of the sequence is cut
-            if len(adjacency.get(xp2, ())) != 1:
-                continue
-            seq, pinned = seq[1:], xp2
-        elif i == len(tp) - 1:
-            if len(adjacency.get(xm2, ())) != 1:
-                continue
-            seq, pinned = seq[:-1], xm2
+    for p, leaves, seq in layout:
+        pinned = xp2 if p == xp else xm2 if p == xm else None
+        if pinned is not None and len(adjacency.get(pinned, ())) != 1:
+            continue
         label = 0
         for a, b in zip(seq, seq[1:]):
             t = tuple(sorted((p, a, b)))
@@ -156,7 +131,7 @@ def _contract(x: int, n: int, adjacency: dict, values: dict):
     # the points that are or become contractible, sorted so that the first in
     # <_x order is last; degrees only fall, so an entry whose degree is no
     # longer 2 is stale
-    ready = [p for p in reversed(tp[1:-1]) if len(adj[p]) == 2]
+    ready = [p for p, _, _ in reversed(layout[1:-1]) if len(adj[p]) == 2]
     edge_count = sum(len(nb) for nb in adj.values()) // 2
 
     def bump(point, delta):
@@ -214,23 +189,16 @@ def quiddity_rows(vf: ValuedFamily) -> QuiddityRows:
     """Run the contraction at every x of a family specialized to 1; the value
     of {i,i+1,i+3} lands at delta_low[i], the value of {i,i+2,i+3} at
     delta_high[i]. Every star comes straight off one star_index of the
-    family, and the labels are counted, and kept, as plain ints."""
+    family, and the labels are counted, and kept, as plain ints. The family
+    is as ValuedFamily checked it: maximal, of triangles over 1..n."""
     if any(v != 1 for v in vf.values.values()):
         raise PreconditionError("quiddity rows need the all-ones specialization")
     fam = vf.family
-    ground = fam.ground
-    n = ground.n
-    _require_maximal(fam)
-    for t in fam.triangles:
-        if len(t) != 3 or len(set(t)) != 3:
-            raise InvalidInputError(f"triangle {t!r} needs three distinct points")
-    for p in set().union(*fam.triangles):
-        if not ground.contains(p):
-            raise InvalidInputError(f"point {p!r} outside 1..{n}")
+    n = fam.ground.n
     ones = dict.fromkeys(fam.triangles, 1)
     index = star_index(fam.triangles)
     low, high = [0] * n, [0] * n
-    for x in ground.points():
+    for x in fam.ground.points():
         # wrap(x - 2) and wrap(x - 1), as 0-based positions; a contracted star
         # leaves the index, so its memory is freed as the loop goes on
         low[(x - 3) % n], high[(x - 2) % n] = _contract(x, n, index.pop(x, {}), ones)
@@ -481,8 +449,8 @@ def format_rational(v: int | Fraction) -> str:
 def render_frieze(grid: FriezeGrid) -> str:
     """Staircase text layout: border rows included, each row indented half a
     cell further than the one above."""
-    w = grid.width
-    rows = [[grid.ext_value(r, t) for t in range(grid.n)] for r in range(w + 6)]
+    zeros, ones = (0,) * grid.n, (1,) * grid.n
+    rows = [zeros, zeros, ones, *grid.rows, ones, zeros, zeros]
     cell = max(len(format_rational(v)) for row in rows for v in row)
     lines = []
     for r, row in enumerate(rows):

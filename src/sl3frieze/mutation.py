@@ -94,7 +94,10 @@ class MutationMove:
 @dataclass(frozen=True)
 class ValuedFamily:
     """A maximal family together with a nonzero value per triangle, each an
-    int or a Fraction."""
+    int or a Fraction. Construction is the one gate of a family on its way to
+    ``frieze``: every triangle is three distinct points of 1..n, checked
+    before weak separation reads them, every continuous triangle is present,
+    and the family is maximal."""
 
     family: Family
     values: dict  # Triangle -> int or Fraction
@@ -107,8 +110,15 @@ class ValuedFamily:
         for t, v in self.values.items():
             if v == 0:
                 raise InvalidInputError(f"value of {t} must be nonzero")
-        if not all(t in self.family.triangles for t in continuous_triangles(self.family.ground.n)):
+        ground = self.family.ground
+        if not all(t in self.family.triangles for t in continuous_triangles(ground.n)):
             raise InvalidInputError("family must contain all continuous triangles")
+        for t in self.family.triangles:
+            if len(t) != 3 or len(set(t)) != 3:
+                raise InvalidInputError(f"triangle {t!r} needs three distinct points")
+        for p in set().union(*self.family.triangles):
+            if not ground.contains(p):
+                raise InvalidInputError(f"point {p!r} outside 1..{ground.n}")
         if not is_maximal_family(self.family):
             raise InvalidInputError("valued families must be maximal")
 

@@ -6,9 +6,11 @@ families the vertices of degree >= 2 (triangulation points) induce a polygon
 triangulation, everything else is a leaf hanging off a triangulation point, and
 the graph can be realized back into a maximal family.
 
-``frieze.quiddity_rows`` contracts every star straight off one
-``family.star_index`` of the family; the index lives in ``family`` because
-``mutation`` queries it too.
+``border_sequences`` is the one layout of a star: its triangulation points in
+<_x order, each with its leaves and its border sequence. Border triangles and
+realization read it off a ``StarGraph``; ``frieze.quiddity_rows`` reads it off
+each neighbour map of one ``family.star_index`` (which lives in ``family``
+because ``mutation`` queries it too) and contracts it.
 """
 
 from __future__ import annotations
@@ -57,20 +59,6 @@ class StarGraph:
     leaves: dict = field(compare=False)  # leaf -> its sole neighbour
     adjacency: dict = field(compare=False, repr=False)  # vertex -> set of its neighbours
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency.get(v, ()))
-
-    def neighbours(self, v: int) -> list:
-        return sorted_from(self.x, self.adjacency.get(v, ()), self.ground.n)
-
-    def leaves_at(self, p: int) -> list:
-        """Leaves attached to p, in <_x order."""
-        leaves = self.leaves
-        return sorted_from(self.x, [l for l in self.adjacency.get(p, ()) if l in leaves], self.ground.n)
-
-    def same_edges(self, other: "StarGraph") -> bool:
-        return self.x == other.x and self.ground == other.ground and self.edges == other.edges
-
 
 @dataclass
 class StructureReport:
@@ -98,16 +86,25 @@ def star_graph_from_edges(x: int, ground: GroundSet, edges) -> StarGraph:
             raise InvalidInputError(f"bad star-graph edge {e!r}")
         adjacency.setdefault(a, set()).add(b)
         adjacency.setdefault(b, set()).add(a)
-    # degrees, leaves and triangulation points read off the map in O(E)
     edges = frozenset((a, b) for a, nb in adjacency.items() for b in nb if a < b)
-    tpoints = tuple(sorted_from(x, [v for v, nb in adjacency.items() if len(nb) >= 2], ground.n))
-    leaves = {v: next(iter(nb)) for v, nb in adjacency.items() if len(nb) == 1}
-    return StarGraph(x, ground, frozenset(adjacency), edges, tpoints, leaves, adjacency)
+    tp, leaves_at = _classify(x, ground.n, adjacency)
+    leaves = {leaf: p for p, ls in leaves_at.items() for leaf in ls}
+    return StarGraph(x, ground, frozenset(adjacency), edges, tuple(tp), leaves, adjacency)
 
 
-def _require_maximal(fam: Family) -> None:
-    if not is_maximal_family(fam):
-        raise InvalidInputError("family is not maximal; star-graph classification needs maximality")
+def _classify(x: int, n: int, adjacency: dict):
+    """The triangulation points (degree >= 2) of a star's neighbour map in <_x
+    order, and {vertex: the leaves attached to it, in <_x order}; one pass
+    over the vertices sorted by <_x."""
+    tp, leaves_at = [], {}
+    for v in sorted_from(x, adjacency, n):
+        nb = adjacency[v]
+        if len(nb) >= 2:
+            tp.append(v)
+        else:
+            (attachment,) = nb
+            leaves_at.setdefault(attachment, []).append(v)
+    return tp, leaves_at
 
 
 def _require_endpoints(x: int, n: int, tp) -> None:
@@ -119,7 +116,8 @@ def _require_endpoints(x: int, n: int, tp) -> None:
 
 def build_star_graph(fam: Family, x: int) -> StarGraph:
     """Star graph of a maximal weakly separated family at x."""
-    _require_maximal(fam)
+    if not is_maximal_family(fam):
+        raise InvalidInputError("family is not maximal; star-graph classification needs maximality")
     sub = star_subfamily(fam, x)
     edges = [tuple(p for p in t if p != x) for t in sub.sorted_triangles()]
     g = star_graph_from_edges(x, fam.ground, edges)
@@ -218,35 +216,30 @@ def verify_structure_theorem(g: StarGraph) -> StructureReport:
     return StructureReport(ok=not violations, violations=violations)
 
 
-def _incident_sequence(g: StarGraph, i: int) -> list:
-    """Points incident to triangulation point tp[i], ordered: previous
-    triangulation point, its leaves in <_x order, next triangulation point
-    (cyclic conventions at the ends)."""
-    tp = g.triangulation_points
-    r = len(tp)
-    prev_t = tp[(i - 1) % r]
-    next_t = tp[(i + 1) % r]
-    return [prev_t] + g.leaves_at(tp[i]) + [next_t]
+def border_sequences(x: int, n: int, adjacency: dict) -> list:
+    """The layout of the star at x, given by its neighbour map: for each
+    triangulation point p in <_x order, (p, its leaves in <_x order, its
+    border sequence). The border sequence runs from the previous
+    triangulation point through the leaves to the next one; the first and
+    last points have no wrap-around end, so the sequence of x+1 starts at its
+    leaves and that of x-1 ends at them. Each consecutive pair (a, b) of a
+    border sequence gives the border triangle {p, a, b}. Triangulation points
+    that do not run from x+1 to x-1 are an InternalConsistencyError."""
+    tp, leaves_at = _classify(x, n, adjacency)
+    _require_endpoints(x, n, tuple(tp))
+    out = []
+    for i, p in enumerate(tp):
+        leaves = leaves_at.get(p, [])
+        # the slices are empty past either end, which cuts the wrap-around
+        out.append((p, leaves, tp[i - 1:i] + leaves + tp[i + 1:i + 2]))
+    return out
 
 
 def _border_candidates(g: StarGraph) -> list:
-    """The border triangles {B, P_j, P_j+1} read off the graph, skipping the
-    two wrap-around slots at the first and last triangulation point."""
-    out = []
-    tp = g.triangulation_points
-    r = len(tp)
-    for i, b in enumerate(tp):
-        seq = _incident_sequence(g, i)
-        for j in range(len(seq) - 1):
-            if i == 0 and j == 0:
-                continue
-            if i == r - 1 and j == len(seq) - 2:
-                continue
-            tri = (b, seq[j], seq[j + 1])
-            if len(set(tri)) != 3:
-                raise InternalConsistencyError(f"degenerate border triangle {tri}")
-            out.append(tuple(sorted(tri)))
-    return out
+    """The border triangles {p, a, b} of the graph, read off its border
+    sequences."""
+    return [tuple(sorted((p, a, b))) for p, _, seq in border_sequences(g.x, g.ground.n, g.adjacency)
+            for a, b in zip(seq, seq[1:])]
 
 
 def border_triangles(fam: Family, x: int) -> list:
@@ -322,6 +315,6 @@ def realize_star_graph(g: StarGraph) -> Family:
         raise InternalConsistencyError(f"realization base family not weakly separated: {e}") from e
     full = greedy_complete(fam)
     rebuilt = build_star_graph(full, x)
-    if not rebuilt.same_edges(g):
+    if rebuilt.edges != g.edges:
         raise InternalConsistencyError("realized family does not reproduce the candidate star graph")
     return full

@@ -269,7 +269,7 @@ def test_criterion_8_realization_round_trip(corpus):
                 realized = realize_star_graph(sg)
                 ok, pair = is_weakly_separated_family(realized)
                 assert ok, pair
-                assert build_star_graph(realized, x).same_edges(sg), (n, x)
+                assert build_star_graph(realized, x).edges == sg.edges, (n, x)
                 cases += 1
                 if cases >= 100:
                     break

@@ -309,8 +309,8 @@ def _unchecked_unit(fam: Family) -> ValuedFamily:
 
 
 def test_quiddity_rows_check_maximality_points_and_endpoints():
-    with pytest.raises(InvalidInputError, match="not maximal"):
-        quiddity_rows(_unchecked_unit(frozen_triangles(GroundSet(8))))
+    with pytest.raises(InvalidInputError, match="valued families must be maximal"):
+        unit_specialization(frozen_triangles(GroundSet(8)))
     tris = canonical_family(8).triangles
     for bad, message in (((1, 2, 9), "point 9 outside 1..8"), ((1, 1, 2), r"triangle \(1, 1, 2\) needs")):
         forged = Family(GroundSet(8), tris - {(1, 2, 4)} | {bad}, validated=True)
@@ -528,7 +528,9 @@ def diamond_matrix(grid: FriezeGrid, r: int, t: int, k: int, mirrored: bool = Fa
     """k x k diamond anchored at its left corner, row r / period index t:
     entry [i][j] sits at bordered row r+i-j, period index t+j. The mirrored
     reading (columns reversed) is kept only for the orientation self-test."""
-    mat = [[grid.ext_value(r + i - j, t + j) for j in range(k)] for i in range(k)]
+    zeros, ones = (0,) * grid.n, (1,) * grid.n
+    bordered = [zeros, zeros, ones, *grid.rows, ones, zeros, zeros]
+    mat = [[bordered[r + i - j][(t + j) % grid.n] for j in range(k)] for i in range(k)]
     if mirrored:
         mat = [row[::-1] for row in mat]
     return mat

@@ -40,6 +40,7 @@ from sl3frieze.errors import (
     ZeroPivotError,
 )
 from sl3frieze.family import (
+    Family,
     addable_triangles,
     continuous_triangles,
     is_maximal_family,
@@ -222,6 +223,20 @@ def test_valued_family_requires_continuous_triangles():
         ValuedFamily(fam, {t: 1 for t in tris})
 
 
+@pytest.mark.parametrize("bad, message", [
+    ((1, 2, 99), r"^point 99 outside 1\.\.8$"),
+    ((1, 2), r"^triangle \(1, 2\) needs three distinct points$"),
+    ((0, 1, 2), r"^point 0 outside 1\.\.8$"),
+    ((1, 1, 2), r"^triangle \(1, 1, 2\) needs three distinct points$"),
+], ids=["point-above-n", "two-points", "point-zero", "repeated-point"])
+def test_valued_family_refuses_bad_triangles_before_weak_separation(bad, message):
+    # a hand-built family that is neither validated nor well formed: the
+    # shape and range checks come before the crossing index reads its points
+    fam = Family(GroundSet(8), canonical_family(8).triangles - {(1, 2, 4)} | {bad}, validated=False)
+    with pytest.raises(InvalidInputError, match=message):
+        unit_specialization(fam)
+
+
 # Leaf removal at x: the leaf q2 of the triangulation point p, flanked by q1
 # and q3, leaves with the move (p, x, q1, q2, q3), which trades {x,p,q2} for
 # {p,q1,q3}. Degree-2 contraction of p, between the triangulation points prev
@@ -265,7 +280,7 @@ def test_contract_degree2_sums_and_preserves_unitarity():
     vf = mutate(vf, MutationMove(5, 1, 4, 6, 8))
     vf = mutate(vf, MutationMove(5, 1, 2, 4, 8))
     g = build_star_graph(vf.family, 1)
-    assert g.degree(5) == 2
+    assert len(g.adjacency[5]) == 2
     # border values next to 5 now read v({2,3,5})=1 and v({2,5,8})=3
     left = checked_mutate(vf, MutationMove(2, 1, 3, 5, 8))
     assert unitary_at(left, 1)
@@ -281,7 +296,7 @@ def test_contract_degree2_unit_borders_merge_to_two():
     # border values of its right contraction are 1
     vf = unit_specialization(canonical_family(6))
     g = build_star_graph(vf.family, 1)
-    assert g.degree(3) == 2
+    assert len(g.adjacency[3]) == 2
     out = checked_mutate(vf, MutationMove(4, 3, 5, 1, 2))
     assert out.values[(2, 4, 5)] == 2
     assert not addable_triangles(out.family)

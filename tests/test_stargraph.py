@@ -5,8 +5,8 @@ Claims covered:
       triangulation plus leaves, with x+1 first and x-1 last; a family only
       marked maximal that breaks this is an internal error naming the rule's
       witness
-    - the classification read off the neighbour map agrees with scans over
-      every edge
+    - the classification read off the neighbour map, and the border
+      sequences laid out from it, agree with scans over every edge
     - border triangles read off the graph always already lie in the family
     - the nesting-order facts hold: empty interval forces a shared pair, and
       nested pairs force an intermediate point splitting them
@@ -34,6 +34,7 @@ from sl3frieze.family import Family, frozen_triangles, link_triangle, star_index
 from sl3frieze.mutation import family_moves, random_maximal_family
 from sl3frieze.stargraph import (
     RULE_CONDITIONS,
+    border_sequences,
     border_triangles,
     build_star_graph,
     realize_star_graph,
@@ -87,7 +88,7 @@ def test_build_star_graph_endpoints_all_x(small_corpus):
 
 def _scanned(g):
     """Degree, neighbours and leaves of every vertex read by scanning every
-    edge, plus the triangulation points and the leaf map."""
+    edge, plus the leaf map and the triangulation points."""
     n = g.ground.n
     by_x = lambda p: (p - g.x) % n
     per_vertex = {}
@@ -101,8 +102,24 @@ def _scanned(g):
 
 
 def _classified(g):
-    per_vertex = {v: (g.degree(v), g.neighbours(v)) for v in g.vertices}
-    return per_vertex, g.leaves, {v: g.leaves_at(v) for v in g.vertices}, g.triangulation_points
+    """The same, read off the graph's neighbour map and classification."""
+    n = g.ground.n
+    by_x = lambda p: (p - g.x) % n
+    per_vertex = {v: (len(g.adjacency[v]), sorted(g.adjacency[v], key=by_x)) for v in g.vertices}
+    leaves_at = {v: sorted((l for l in g.adjacency[v] if l in g.leaves), key=by_x) for v in g.vertices}
+    return per_vertex, g.leaves, leaves_at, g.triangulation_points
+
+
+def _scanned_border_sequences(g):
+    """border_sequences rebuilt from the edge scans: the previous
+    triangulation point, the leaves, the next one, cut at both ends."""
+    _, _, leaves_at, tp = _scanned(g)
+    out = []
+    for i, p in enumerate(tp):
+        before = [tp[i - 1]] if i > 0 else []
+        after = [tp[i + 1]] if i < len(tp) - 1 else []
+        out.append((p, leaves_at[p], before + leaves_at[p] + after))
+    return out
 
 
 def test_classification_matches_edge_scans(small_corpus):
@@ -115,9 +132,19 @@ def test_classification_matches_edge_scans(small_corpus):
         others = [p for p in range(1, n + 1) if p != x]
         edges = [tuple(rng.sample(others, 2)) for _ in range(rng.randint(0, 2 * n))]
         graphs.append(star_graph_from_edges(x, GroundSet(n), edges))
+    laid_out = 0
     for g in graphs:
         assert _classified(g) == _scanned(g)
-        assert g.degree(g.x) == 0 and g.neighbours(g.x) == [] and g.leaves_at(g.x) == []
+        assert g.x not in g.adjacency
+        tp = _scanned(g)[3]
+        x, n = g.x, g.ground.n
+        if tp and tp[0] == x % n + 1 and tp[-1] == (x - 2) % n + 1:
+            assert border_sequences(x, n, g.adjacency) == _scanned_border_sequences(g)
+            laid_out += 1
+        else:
+            with pytest.raises(InternalConsistencyError, match=f"x={x}, n={n}: triangulation points must run"):
+                border_sequences(x, n, g.adjacency)
+    assert laid_out > len(graphs) - 300  # every corpus star, and some random ones
 
 
 def test_star_index_link_and_unlink_follow_an_exchange():
@@ -270,13 +297,13 @@ def test_realize_round_trip_on_corpus(small_corpus):
             for x in (1, 2):
                 g = build_star_graph(fam, x)
                 realized = realize_star_graph(g)
-                assert build_star_graph(realized, x).same_edges(g)
+                assert build_star_graph(realized, x).edges == g.edges
 
 
 def test_realize_admissible_hand_graph():
     g = star_graph_from_edges(1, G8, ADMISSIBLE_EDGES)
     fam = realize_star_graph(g)
-    assert build_star_graph(fam, 1).same_edges(g)
+    assert build_star_graph(fam, 1).edges == g.edges
 
 
 def test_realize_rejects_missing_frozen_edge():
@@ -312,7 +339,7 @@ def test_realize_rejects_leaf_order_violation():
 def test_star_graph_json_round_trip():
     g = build_star_graph(canonical_family(8), 3)
     again = star_graph_from_dict(star_graph_to_dict(g))
-    assert again.same_edges(g)
+    assert again.edges == g.edges
 
 
 def test_star_graph_json_rejects_unknown_keys():
