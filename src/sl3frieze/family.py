@@ -20,7 +20,7 @@ from itertools import combinations
 
 from .cyclic import GroundSet
 from .errors import InvalidInputError, MalformedFileError
-from .separation import crossing_index, masks_cross, triangle_mask
+from .separation import crossing_index
 
 Triangle = tuple  # ascending (a, b, c)
 
@@ -185,15 +185,22 @@ def is_maximal_family(fam: Family) -> bool:
 def greedy_complete(fam: Family) -> Family:
     """Extend to a maximal weakly separated family, repeatedly adding the
     lexicographically smallest compatible triangle; star-graph realization
-    completes its base family this way."""
+    completes its base family this way.
+
+    The addable triangles are in lex order, and one ``crossing_index`` over
+    them gives, per chosen triangle, the candidates it rules out; the live
+    candidates are a bitmask, so the next choice is its lowest bit."""
     if not fam.validated:
         _require_weakly_separated(fam)
     current = set(fam.triangles)
-    candidates = [(t, triangle_mask(t)) for t in addable_triangles(fam)]
-    while candidates:
-        chosen, chosen_mask = candidates[0]  # lex smallest by construction order
+    candidates = addable_triangles(fam)
+    crossers = crossing_index(candidates, fam.ground.n)
+    live = (1 << len(candidates)) - 1
+    while live:
+        lowest = live & -live
+        chosen = candidates[lowest.bit_length() - 1]
         current.add(chosen)
-        candidates = [(t, m) for t, m in candidates[1:] if not masks_cross(m, chosen_mask)]
+        live &= ~(lowest | crossers(chosen))
     return Family(fam.ground, frozenset(current), validated=True)
 
 

@@ -1,5 +1,5 @@
 """Friezes from unit-specialized families: quiddity rows, row recursions,
-diamond validation and rendering.
+Gale vectors, diamond validation and rendering.
 
 Row/position conventions used throughout: the grid stores D_k(i), the value of
 the triangle {i, i+1, i+k+2} (indices mod n), for k = 1..w and i = 1..n, with
@@ -207,6 +207,22 @@ def quiddity_rows(vf: ValuedFamily) -> QuiddityRows:
 
 # -- row recursions -------------------------------------------------------------
 
+def gale_vectors(low, high):
+    """Yield the Gale vectors v_1..v_{n+3} of the rows D_1 = low and
+    U_1 = high: v_1, v_2, v_3 = e_1, e_2, e_3 and
+    v_{i+3} = D_1(i) v_{i+2} - U_1(i) v_{i+1} + v_i. Every step keeps
+    det(v_j, v_{j+1}, v_{j+2}) = 1; the vectors close up (certificate part
+    (a)) when v_{n+1..n+3} = v_{1..3}. Each step multiplies by an entry, so
+    a caller that checks the vectors as they come can stop before their
+    coordinates outgrow the rows. Entries keep the type the arithmetic
+    gives."""
+    x, y, z = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+    yield from (x, y, z)
+    for a, b in zip(low, high):
+        x, y, z = y, z, (a * z[0] - b * y[0] + x[0], a * z[1] - b * y[1] + x[1], a * z[2] - b * y[2] + x[2])
+        yield z
+
+
 def extend_rows(q: QuiddityRows) -> FriezeGrid:
     """Fill the whole fundamental region from the two computed rows.
 
@@ -214,8 +230,9 @@ def extend_rows(q: QuiddityRows) -> FriezeGrid:
     consistent when the upper recursion, building U_2..U_w from U_1 and D_1,
     fills the same array: U_k(i) = D_{n-3-k}(i+k+1). With a_i = D_1(i),
     b_i = U_1(i), v_1, v_2, v_3 = e_1, e_2, e_3 and
-    v_{i+3} = a_i v_{i+2} - b_i v_{i+1} + v_i, that holds iff the vectors
-    close up, v_{n+1..n+3} = v_{1..3} (certificate part (a)): an O(n) check.
+    v_{i+3} = a_i v_{i+2} - b_i v_{i+1} + v_i (gale_vectors), that holds iff
+    the vectors close up, v_{n+1..n+3} = v_{1..3} (certificate part (a)): an
+    O(n) check.
     Only when it fails does the upper recursion run, so that
     InconsistentRowsError names the first (k, i) that disagrees.
 
@@ -274,11 +291,8 @@ def extend_rows(q: QuiddityRows) -> FriezeGrid:
         low.append([a * b - h * c + e for a, b, h, c, e in
                     zip(low1, rot(low[k], 1), high1_next, rot(low[k - 1], 2), rot(low[k - 2], 3))])
 
-    basis = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    v0, v1, v2 = basis
-    for a, b in zip(low1, high1):
-        v0, v1, v2 = v1, v2, tuple(a * z - b * y + x for x, y, z in zip(v0, v1, v2))
-    if (v0, v1, v2) != basis:
+    vs = list(gale_vectors(low1, high1))
+    if vs[n:] != vs[:3]:
         high = border + [high1]
         for k in range(2, w + 1):
             # U_k(i) = U_1(i+k-1) U_{k-1}(i) - D_1(i+k-2) U_{k-2}(i) + U_{k-3}(i)
@@ -340,33 +354,50 @@ def _det4(ext, r: int, t: int):
             + (m02 * m13 - m03 * m12) * (m20 * m31 - m21 * m30))
 
 
-def validate_frieze(grid: FriezeGrid) -> FriezeReport:
-    """Check determinant 1 on every 3x3 diamond and determinant 0 on every 4x4
-    diamond of the bordered array over one period; diamonds crossing the
-    period seam are included, which is what ties the rows together mod n.
+def _gale_certified(grid: FriezeGrid) -> bool:
+    """Certificate parts (a) and (c) on the grid: the Gale vectors of D_1 and
+    U_1(i) = D_w(i+2) close up, and every D_k(i) equals
+    det(v_i, v_{i+1}, v_{i+k+2}) = w_i . v_{i+k+2}, with w_i = v_i x v_{i+1}
+    computed once per i and every index taken mod n. O(n w) products.
 
-    The k x k diamond at bordered row r, period index t has entry [i][j] at
-    row r+i-j, period index t+j; e(r, t) is an entry of the bordered array.
-    The verdicts come from Dodgson condensation (the Desnanot-Jacobi identity)
-    over one table of 2x2 minors M2(r, t) = e(r,t) e(r,t+1) - e(r-1,t+1) e(r+1,t):
+    Part (c) at i = 1, 2, 3 is checked on v_3..v_{n-1} as they are built:
+    w_1 = e_3, w_2 = e_1 and w_3 = U_1(1) e_1 + e_2, so every coordinate of
+    such a v_m is an entry of the bordered array, or one minus U_1(1) times
+    another. The first vector that disagrees ends the build, so no
+    coordinate grows much past the digits of the grid's largest entries."""
+    n, rows = grid.n, grid.rows
+    last = rows[-1]
+    b1 = last[2]  # U_1(1) = D_w(3)
+    # columns i = 1, 2, 3 of the bordered array, D_k(i) at position k + 2
+    col1, col2, col3 = ([0, 0, 1, *(row[i] for row in rows), 1, 0, 0] for i in range(3))
+    vs = []
+    for m, v in enumerate(gale_vectors(rows[0], last[2:] + last[:2]), 1):
+        if 3 <= m < n and v != (col2[m - 2], col3[m - 3] - b1 * col2[m - 2], col1[m - 1]):
+            return False
+        vs.append(v)
+    if vs[n:] != vs[:3]:
+        return False
+    vs = vs[:n]
+    w0, w1, w2 = zip(*[(y1 * z2 - y2 * z1, y2 * z0 - y0 * z2, y0 * z1 - y1 * z0)
+                       for (y0, y1, y2), (z0, z1, z2) in zip(vs, vs[1:] + vs[:1])])
+    # the coordinates of v_1..v_n twice over, so that i + k + 2 needs no
+    # reduction mod n
+    c0, c1, c2 = (c * 2 for c in zip(*vs))
+    for s, row in enumerate(rows, 3):
+        if list(row) != [p * x + q * y + r * z for p, q, r, x, y, z in
+                         zip(w0, w1, w2, c0[s:], c1[s:], c2[s:])]:
+            return False
+    return True
 
-        det3(r,t) e(r,t+1)  = M2(r,t) M2(r,t+1) - M2(r-1,t+1) M2(r+1,t)
-        det4(r,t) M2(r,t+1) = det3(r,t) det3(r,t+1) - det3(r-1,t+1) det3(r+1,t)
 
-    So a 3x3 diamond is 1 when its centre e(r,t+1) is nonzero and the right
-    side equals it, and a 4x4 diamond is 0 when its four 3x3 corner diamonds
-    are 1 and its centre minor M2(r,t+1) is nonzero. Any other diamond, a zero
-    centre or a witness, is expanded in full (cofactors for 3x3, Laplace over
-    the top two rows for 4x4), so failures carry their true determinants. No
-    step divides, so the entries are used as they are (an int grid is checked
-    in plain ints); failures list (r, t, det) with det a Fraction.
-    """
+def _diamond_failures(grid: FriezeGrid):
+    """(sl3_failures, tame_failures) of every diamond over one period, by
+    Dodgson condensation; see validate_frieze."""
     w = grid.width
     n = grid.n
-    values = [e for row in grid.rows for e in row]
     # the bordered array (0, 0, 1, rows..., 1, 0, 0); each row carries its
     # first three entries again at the end, so t + j needs no reduction mod n
-    padded = [values[k:k + n] + values[k:k + 3] for k in range(0, w * n, n)]
+    padded = [[*row, *row[:3]] for row in grid.rows]
     zeros, ones = [0] * (n + 3), [1] * (n + 3)
     ext = [zeros, zeros, ones] + padded + [ones, zeros, zeros]
 
@@ -404,14 +435,59 @@ def validate_frieze(grid: FriezeGrid) -> FriezeReport:
                     det = _det4(ext, r, t)
                     if det != 0:
                         tame_failures.append((r, t, Fraction(det)))
+    return sl3_failures, tame_failures
 
+
+def validate_frieze(grid: FriezeGrid) -> FriezeReport:
+    """Check determinant 1 on every 3x3 diamond and determinant 0 on every 4x4
+    diamond of the bordered array over one period; diamonds crossing the
+    period seam are included, which is what ties the rows together mod n.
+
+    The k x k diamond at bordered row r, period index t has entry [i][j] at
+    row r+i-j, period index t+j; e(r, t) is an entry of the bordered array.
+
+    First the Gale certificate, parts (a) and (c): the vectors v_j of
+    gale_vectors(D_1, U_1), U_1(i) = D_w(i+2), close up, and every entry is
+    D_k(i) = w_i . v_{i+k+2} with w_i = v_i x v_{i+1}. That accepts the grid
+    in O(n w) products, for this reason. By (a), v_{j+n} = v_j, every step of
+    the recursion holds at every j, and det(v_j, v_{j+1}, v_{j+2}) = 1; so the
+    border rows are the same minors too (D_0 = D_{w+1} = 1 as consecutive
+    triples, D_{-1} = D_{-2} = D_{w+2} = D_{w+3} = 0 as repeated vectors), and
+    e(r, t) = w_{t+1} . v_{t+r+1} on the whole bordered array. The k x k
+    diamond at (r, t) is then the product of the k rows v_a, ..., v_{a+k-1}
+    (a = t+r+1) and the k columns w_b, ..., w_{b+k-1} (b = t+1):
+      - a 3x3 diamond is det(v_a, v_{a+1}, v_{a+2}) det(w_b, w_{b+1}, w_{b+2})
+        = 1 . 1, since w_{b+2} = v_{b+2} x v_b + U_1(b) w_{b+1} by the
+        recursion, and (w_b, w_{b+1}, v_{b+2} x v_b) is a cyclic reordering
+        of the cofactor matrix of (v_b, v_{b+1}, v_{b+2}), whose determinant
+        is 1^2;
+      - a 4x4 diamond has rank at most 3, so it is 0.
+    The report then has empty failure lists.
+
+    Every other grid goes through the witness path, Dodgson condensation (the
+    Desnanot-Jacobi identity) over one table of 2x2 minors
+    M2(r, t) = e(r,t) e(r,t+1) - e(r-1,t+1) e(r+1,t):
+
+        det3(r,t) e(r,t+1)  = M2(r,t) M2(r,t+1) - M2(r-1,t+1) M2(r+1,t)
+        det4(r,t) M2(r,t+1) = det3(r,t) det3(r,t+1) - det3(r-1,t+1) det3(r+1,t)
+
+    So a 3x3 diamond is 1 when its centre e(r,t+1) is nonzero and the right
+    side equals it, and a 4x4 diamond is 0 when its four 3x3 corner diamonds
+    are 1 and its centre minor M2(r,t+1) is nonzero. Any other diamond, a zero
+    centre or a witness, is expanded in full (cofactors for 3x3, Laplace over
+    the top two rows for 4x4), so failures carry their true determinants. No
+    step of either path divides, so the entries are used as they are (an int
+    grid is checked in plain ints); failures list (r, t, det) with det a
+    Fraction. integral and positive are read off the entries.
+    """
+    sl3_failures, tame_failures = ([], []) if _gale_certified(grid) else _diamond_failures(grid)
     return FriezeReport(
-        n=n,
-        width=w,
+        n=grid.n,
+        width=grid.width,
         is_sl3=not sl3_failures,
         is_tame=not tame_failures,
-        integral=all(e.denominator == 1 for e in values),
-        positive=all(e > 0 for e in values),
+        integral=all(e.denominator == 1 for row in grid.rows for e in row),
+        positive=min(map(min, grid.rows)) > 0,
         sl3_failures=sl3_failures,
         tame_failures=tame_failures,
     )

@@ -4,7 +4,8 @@ Claims covered:
     - the n continuous triangles are pairwise weakly separated and lie in every
       maximal family
     - maximal families have exactly 3n-8 triangles and admit no addition
-    - greedy completion is deterministic and a fixpoint on maximal input
+    - greedy completion is deterministic, a fixpoint on maximal input, and
+      the same as filtering the candidates by a mask test per addition
     - the closed-form canonical family equals the greedy completion of the
       frozen triangles
     - the weak-separation check reports the same first crossing pair as a lex
@@ -41,7 +42,7 @@ from sl3frieze.family import (
     maximal_size,
 )
 from sl3frieze.mutation import random_maximal_family
-from sl3frieze.separation import crossing_definition
+from sl3frieze.separation import crossing_definition, masks_cross, triangle_mask
 
 G6 = GroundSet(6)
 G8 = GroundSet(8)
@@ -125,6 +126,27 @@ def test_canonical_family_is_the_greedy_completion():
         fam = canonical_family(n)
         assert fam.validated and fam.ground == GroundSet(n)
         assert fam.triangles == greedy_complete(frozen_triangles(GroundSet(n))).triangles, n
+
+
+def _reference_greedy_complete(fam):
+    """The completion by filtering: take the lex-smallest candidate, then drop
+    every candidate that crosses it, by a mask test per candidate."""
+    current = set(fam.triangles)
+    candidates = [(t, triangle_mask(t)) for t in addable_triangles(fam)]
+    while candidates:
+        chosen, chosen_mask = candidates[0]
+        current.add(chosen)
+        candidates = [(t, m) for t, m in candidates[1:] if not masks_cross(m, chosen_mask)]
+    return current
+
+
+def test_greedy_complete_matches_filter_reference():
+    rng = random.Random(5)
+    for n in range(6, 15):
+        walked = random_maximal_family(GroundSet(n), steps=20, seed=n).sorted_triangles()
+        for keep in (0.0, 0.3, 0.7):
+            fam = make_family(GroundSet(n), [t for t in walked if rng.random() < keep])
+            assert greedy_complete(fam).triangles == _reference_greedy_complete(fam), (n, keep)
 
 
 def test_canonical_family_rejects_small_n():

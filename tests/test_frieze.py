@@ -18,6 +18,13 @@ Claims covered:
       matches an independent determinant recomputation, failure lists included
     - the condensed validator falls back to full expansion exactly where it
       must: zero centre entries, zero centre minors, failing corner diamonds
+    - the Gale certificate (closure and every entry a minor) accepts walk
+      friezes and the fixture without running the condensation, and refuses
+      every grid the condensation fails, the minors of vectors that do not
+      close included, which then get the condensation's report; it stops
+      building the vectors at the first that disagrees with the grid, before
+      their coordinates outgrow its entries; the minors equal the BFS oracle
+      on every triple at n = 7
     - both kernels match entry-by-entry references on random rational input,
       and the unit frieze stays tame, integral and positive at n = 48 and 64
     - grid and quiddity entries must be exact: int or Fraction, never a bool;
@@ -54,6 +61,7 @@ from sl3frieze.frieze import (
     extend_rows,
     format_rational,
     frieze_from_dict,
+    gale_vectors,
     load_frieze,
     dump_frieze,
     quiddity_rows,
@@ -73,6 +81,7 @@ from sl3frieze.stargraph import (
     star_graph_from_edges,
     star_subfamily,
 )
+import sl3frieze.frieze as frieze_module
 
 
 def intro_quiddity() -> QuiddityRows:
@@ -657,6 +666,10 @@ def _assert_matches_reference(grid):
     # the entries' type changes nothing in the report, not even its repr
     wrapped = FriezeGrid(grid.n, tuple(tuple(map(Fraction, row)) for row in grid.rows))
     assert repr(validate_frieze(wrapped)) == repr(rep)
+    # the Gale certificate accepts exactly the valid grids; every other grid
+    # gets the report of the condensation
+    assert frieze_module._gale_certified(grid) == rep.ok
+    assert frieze_module._diamond_failures(grid) == (rep.sl3_failures, rep.tame_failures)
 
 
 @pytest.mark.parametrize("mat, det", [
@@ -726,6 +739,96 @@ def test_perturbed_walk_friezes_match_reference(n):
             perturbed = [list(row) for row in rows]
             perturbed[k][i] = Fraction(0) if change is None else perturbed[k][i] + change
             _assert_matches_reference(FriezeGrid(n, tuple(map(tuple, perturbed))))
+
+
+# -- the Gale certificate ------------------------------------------------------------
+
+def _paths(grid, monkeypatch):
+    """validate_frieze's report, whether the condensation ran for it, and the
+    report of the condensation alone."""
+    ran = []
+    condense = frieze_module._diamond_failures
+    with monkeypatch.context() as m:
+        m.setattr(frieze_module, "_diamond_failures", lambda g: ran.append(g) or condense(g))
+        rep = validate_frieze(grid)
+    with monkeypatch.context() as m:
+        m.setattr(frieze_module, "_gale_certified", lambda g: False)
+        reference = validate_frieze(grid)
+    return rep, bool(ran), reference
+
+
+@pytest.mark.parametrize("n", range(6, 17))
+def test_certificate_accepts_walk_friezes_without_condensation(n, monkeypatch):
+    fam = random_maximal_family(GroundSet(n), 2 * n, n)
+    grids = [extend_rows(quiddity_rows(unit_specialization(fam)))]
+    if n == 8:
+        grids.append(intro_frieze())  # Fraction entries, and not unitary
+    for grid in grids:
+        rep, condensed, reference = _paths(grid, monkeypatch)
+        assert rep.ok and not condensed
+        assert repr(rep) == repr(reference)
+
+
+def test_minors_of_vectors_that_do_not_close_are_refused(monkeypatch):
+    # v_1..v_n from the recursion, so every det(v_j, v_{j+1}, v_{j+2}) is 1
+    # except across the seam; the grid of their minors, indices mod n, has
+    # these v_j as its Gale vectors and passes part (c), so only part (a)
+    # refuses it
+    rng = random.Random(7)
+    for n in range(6, 13):
+        vs = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        while len(vs) < n:
+            a, b = rng.randint(1, 4), rng.randint(-3, 3)
+            vs.append(tuple(a * z - b * y + x for x, y, z in zip(*vs[-3:])))
+        rows = tuple(tuple(_reference_det([vs[i], vs[(i + 1) % n], vs[(i + k + 2) % n]]) for i in range(n))
+                     for k in range(1, n - 3))
+        assert list(gale_vectors(rows[0], rows[-1][2:] + rows[-1][:2]))[:n] == vs
+        rep, condensed, reference = _paths(FriezeGrid(n, rows), monkeypatch)
+        assert condensed and not rep.ok
+        assert repr(rep) == repr(reference)
+
+
+def test_gale_minors_equal_oracle_values():
+    # certificate part (b) and beyond: the minor of every triple, in the grid
+    # or not, is the value the BFS oracle finds
+    triples = list(combinations(range(1, 8), 3))
+    for seed in (1, 2, 3):
+        vf = unit_specialization(random_maximal_family(GroundSet(7), 40, seed))
+        q = quiddity_rows(vf)
+        vs = list(gale_vectors(q.delta_low, q.delta_high))
+        assert vs[7:] == vs[:3]
+        minors = {(a, b, c): _reference_det([vs[a - 1], vs[b - 1], vs[c - 1]]) for a, b, c in triples}
+        assert minors == oracle_values(vf, triples)
+        assert all(minors[t] == 1 for t in vf.family.triangles)
+
+
+@pytest.mark.parametrize("entry", [10 ** 4299 + 7, Fraction(10 ** 4299 + 7, 3)], ids=["int", "Fraction"])
+def test_certificate_stops_before_coordinates_outgrow_the_grid(entry, monkeypatch):
+    # 4,300-digit entries, the most an entry string may carry, in D_1 and D_w
+    # only, the other rows 1, at n = MAX_N: built to the end, the vectors
+    # would reach about n times those digits; the build stops at the first
+    # vector that disagrees with the grid
+    built = []
+    gale = frieze_module.gale_vectors
+
+    def recording(low, high):
+        for v in gale(low, high):
+            built.append(v)
+            yield v
+
+    monkeypatch.setattr(frieze_module, "gale_vectors", recording)
+    bits = max(Fraction(entry).numerator.bit_length(), Fraction(entry).denominator.bit_length())
+    for n in (MAX_N, 8):
+        grid = FriezeGrid(n, ((entry,) * n,) + ((1,) * n,) * (n - 6) + ((entry,) * n,))
+        built.clear()
+        assert not frieze_module._gale_certified(grid)
+        coordinates = [Fraction(c) for v in built for c in v]
+        assert max(max(c.numerator.bit_length(), c.denominator.bit_length()) for c in coordinates) <= 3 * bits
+    # the condensation then reports as it does alone (at n = 8, where it is
+    # quick on such entries; the determinants are too long for repr)
+    rep, condensed, reference = _paths(grid, monkeypatch)
+    assert condensed and not rep.ok
+    assert rep == reference
 
 
 @pytest.mark.parametrize("n", [48, 64])
