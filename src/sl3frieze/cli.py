@@ -3,9 +3,9 @@
 Commands: validate, analyze, frieze, check-frieze, oracle, mutate, gen.
 Exit codes: 0 success, 1 semantically invalid input (crossing pair, missing
 maximality, failed diamonds, unrealizable star graph, bad replay), 2 usage or
-file-format error (a ground size above MAX_N, a negative oracle budget, an
-output that cannot be written and a stdout closed by its reader included), 3
-internal error or exhausted search budget.
+file-format error (a ground size above MAX_N, gen --steps above MAX_STEPS, a
+negative oracle budget, an output that cannot be written and a stdout closed
+by its reader included), 3 internal error or exhausted search budget.
 
 The module loads only the layers every command needs (family and mutation);
 each command that needs ``stargraph`` or ``frieze`` imports it itself, so
@@ -49,6 +49,11 @@ from .mutation import (
 )
 
 SCHEMA_VERSION = 1
+
+# gen --steps bound: a walk step costs about 1.5 ms at n = MAX_N, so the
+# longest walk runs about 2.5 minutes there, and the trace lines it keeps in
+# memory (about 100 bytes a step) stay near 10 MB
+MAX_STEPS = 100_000
 
 
 def _read(path: str) -> str:
@@ -306,6 +311,8 @@ def cmd_gen(ns) -> int:
     GroundSet(ns.n)  # range check up front: n < 6 or n > MAX_N is a usage error
     if ns.steps < 0:
         raise InvalidInputError("--steps must be >= 0")
+    if ns.steps > MAX_STEPS:
+        raise InvalidInputError(f"--steps must be <= {MAX_STEPS}, got {ns.steps}")
     vf = unit_specialization(canonical_family(ns.n))
     trace_lines = []
     for move, _ in seeded_walk(vf.family, ns.steps, ns.seed):

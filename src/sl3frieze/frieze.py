@@ -1,12 +1,14 @@
-"""Friezes from unit-specialized families: quiddity rows, row recursions,
-Gale vectors, diamond validation and rendering.
+"""Friezes from unit-specialized families: quiddity rows, Gale vectors and
+their minors, diamond validation and rendering.
 
 Row/position conventions used throughout: the grid stores D_k(i), the value of
 the triangle {i, i+1, i+k+2} (indices mod n), for k = 1..w and i = 1..n, with
 w = n - 4. Row 1 is printed first; each later row shifts half a cell to the
-right, and three border rows (1, 0, 0) frame the grid above and below. The top
-recursion works with U_k(i), the value of {i, i+k+1, i+k+2}; the two are two
-namings of one array: U_k(i) = D_{n-3-k}(i+k+1).
+right, and three border rows (1, 0, 0) frame the grid above and below.
+U_k(i), the value of {i, i+k+1, i+k+2}, names the same array from the other
+end: U_k(i) = D_{n-3-k}(i+k+1). Every entry is a Gale minor,
+D_k(i) = det(v_i, v_{i+1}, v_{i+k+2}); extend_rows builds the grid that way,
+and validate_frieze checks it that way.
 
 The contraction takes each star's layout from ``stargraph.border_sequences``
 and its family as ``ValuedFamily`` checked it; it re-derives neither.
@@ -54,12 +56,6 @@ class QuiddityRows:
         _check_entries(self.delta_low + self.delta_high, "quiddity")
         if any(v == 0 for v in self.delta_low + self.delta_high):
             raise InvalidInputError("quiddity entries must be nonzero")
-
-    def low(self, i: int) -> int | Fraction:
-        return self.delta_low[(i - 1) % self.n]
-
-    def high(self, i: int) -> int | Fraction:
-        return self.delta_high[(i - 1) % self.n]
 
 
 @dataclass(frozen=True)
@@ -205,7 +201,7 @@ def quiddity_rows(vf: ValuedFamily) -> QuiddityRows:
     return QuiddityRows(n, tuple(low), tuple(high))
 
 
-# -- row recursions -------------------------------------------------------------
+# -- Gale vectors and minors ----------------------------------------------------
 
 def gale_vectors(low, high):
     """Yield the Gale vectors v_1..v_{n+3} of the rows D_1 = low and
@@ -223,18 +219,41 @@ def gale_vectors(low, high):
         yield z
 
 
+def _wedges(vs):
+    """w_j = v_j x v_{j+1} for every two consecutive vectors of vs."""
+    return [(y1 * z2 - y2 * z1, y2 * z0 - y0 * z2, y0 * z1 - y1 * z0)
+            for (y0, y1, y2), (z0, z1, z2) in zip(vs, vs[1:])]
+
+
+def _gale_minors(vs):
+    """Yield the rows D_k(i) = det(v_i, v_{i+1}, v_{i+k+2}) = w_i . v_{i+k+2},
+    k = 1..n-4, each a list over i = 1..n, of closed Gale vectors
+    vs = [v_1..v_n] (indices mod n). w_i is computed once per i, so each
+    entry costs three products; a caller that compares row by row can stop
+    at the first row that differs."""
+    n = len(vs)
+    w0, w1, w2 = zip(*_wedges(vs + vs[:1]))
+    # the coordinates of v_1..v_n twice over, so that i + k + 2 needs no
+    # reduction mod n
+    c0, c1, c2 = (c * 2 for c in zip(*vs))
+    for s in range(3, n - 1):
+        yield [p * x + q * y + r * z for p, q, r, x, y, z in
+               zip(w0, w1, w2, c0[s:], c1[s:], c2[s:])]
+
+
 def extend_rows(q: QuiddityRows) -> FriezeGrid:
     """Fill the whole fundamental region from the two computed rows.
 
-    The lower recursion builds D_2..D_w from D_1 and U_1. The rows are
-    consistent when the upper recursion, building U_2..U_w from U_1 and D_1,
-    fills the same array: U_k(i) = D_{n-3-k}(i+k+1). With a_i = D_1(i),
-    b_i = U_1(i), v_1, v_2, v_3 = e_1, e_2, e_3 and
-    v_{i+3} = a_i v_{i+2} - b_i v_{i+1} + v_i (gale_vectors), that holds iff
-    the vectors close up, v_{n+1..n+3} = v_{1..3} (certificate part (a)): an
-    O(n) check.
-    Only when it fails does the upper recursion run, so that
-    InconsistentRowsError names the first (k, i) that disagrees.
+    With a_i = D_1(i), b_i = U_1(i), v_1, v_2, v_3 = e_1, e_2, e_3 and
+    v_{i+3} = a_i v_{i+2} - b_i v_{i+1} + v_i (gale_vectors), the rows are
+    consistent iff the vectors close up, v_{n+1..n+3} = v_{1..3} (certificate
+    part (a)): an O(n) check. The grid is then their minors,
+    D_k(i) = det(v_i, v_{i+1}, v_{i+k+2}) = w_i . v_{i+k+2} with
+    w_i = v_i x v_{i+1} (_gale_minors): the same array that the paper's
+    lower row recursion builds from D_1 and U_1, and that the upper one,
+    building U_2..U_w from U_1 and D_1, names as U_k(i) = D_{n-3-k}(i+k+1).
+    Only when the vectors do not close is the first (k, i) where the two
+    recursions disagree looked up, so that InconsistentRowsError names it.
 
     Proof that agreement and closure are the same. Extend v_j to all j. Every
     step keeps det(v_j, v_{j+1}, v_{j+2}) = 1, and shifting j by n maps
@@ -264,48 +283,29 @@ def extend_rows(q: QuiddityRows) -> FriezeGrid:
         multiply to det M = 1, so l = 1 and s = 0. Then every c_j = 0, and
         M = I as before.
 
-    Both recursions start from the border rows D_0 = U_0 = 1 and
-    D_{-1} = U_{-1} = 0, so every row k >= 2 follows one three-term step,
-    taken in a single pass over rotated earlier rows. No step divides, so
+    The witness therefore builds v_1..v_{2n+3} from the rows repeated twice
+    and compares U_k(i) = w_{i+k+1} . v_i with
+    D_{n-3-k}(i+k+1) = w_{i+k+1} . v_{i+n}, k-major. No step divides, so
     each entry has the type the arithmetic gives: int rows give an int grid,
     and Fractions appear only where the input has them.
     """
     n = q.n
-    w = n - 4
-    if w < 2:
+    if n < 6:
         raise InvalidInputError(f"need n >= 6, got n={n}")
-    # lists, like every computed row: the agreement check compares rows with !=
-    low1, high1 = list(q.delta_low), list(q.delta_high)
-
-    def rot(row, s):
-        """row shifted so that position i holds the entry of i + s."""
-        s %= n
-        return row[s:] + row[:s]
-
-    # low[k + 1] is D_k and high[k + 1] is U_k, each over i = 1..n.
-    border = [[0] * n, [1] * n]
-    low = border + [low1]
-    high1_next = rot(high1, 1)
-    for k in range(2, w + 1):
-        # D_k(i) = D_1(i) D_{k-1}(i+1) - U_1(i+1) D_{k-2}(i+2) + D_{k-3}(i+3)
-        low.append([a * b - h * c + e for a, b, h, c, e in
-                    zip(low1, rot(low[k], 1), high1_next, rot(low[k - 1], 2), rot(low[k - 2], 3))])
-
-    vs = list(gale_vectors(low1, high1))
+    vs = list(gale_vectors(q.delta_low, q.delta_high))
     if vs[n:] != vs[:3]:
-        high = border + [high1]
-        for k in range(2, w + 1):
-            # U_k(i) = U_1(i+k-1) U_{k-1}(i) - D_1(i+k-2) U_{k-2}(i) + U_{k-3}(i)
-            high.append([a * b - d * c + e for a, b, d, c, e in
-                         zip(rot(high1, k - 1), high[k], rot(low1, k - 2), high[k - 1], high[k - 2])])
-        for k in range(1, w + 1):
-            upper, lower = high[k + 1], rot(low[n - 2 - k], k + 1)
-            if upper != lower:
-                j = next(j for j in range(n) if upper[j] != lower[j])
-                raise InconsistentRowsError(
-                    f"row recursions disagree at U_{k}({j + 1}): {upper[j]} vs {lower[j]}")
-
-    return FriezeGrid(n, tuple(map(tuple, low[2:])))
+        # 0-based lists: vs[j] = v_{j+1}, ws[j] = w_{j+1}, and i stands for point i + 1
+        vs = list(gale_vectors(q.delta_low * 2, q.delta_high * 2))
+        ws = _wedges(vs)
+        for k in range(1, n - 3):
+            for i in range(n):
+                wk = ws[i + k + 1]
+                upper, lower = (sum(a * b for a, b in zip(wk, v)) for v in (vs[i], vs[i + n]))
+                if upper != lower:
+                    raise InconsistentRowsError(
+                        f"row recursions disagree at U_{k}({i + 1}): {upper} vs {lower}")
+        raise InternalConsistencyError("Gale vectors do not close, yet the row recursions agree")
+    return FriezeGrid(n, tuple(map(tuple, _gale_minors(vs[:n]))))
 
 
 # -- diamond validation -----------------------------------------------------------
@@ -357,8 +357,9 @@ def _det4(ext, r: int, t: int):
 def _gale_certified(grid: FriezeGrid) -> bool:
     """Certificate parts (a) and (c) on the grid: the Gale vectors of D_1 and
     U_1(i) = D_w(i+2) close up, and every D_k(i) equals
-    det(v_i, v_{i+1}, v_{i+k+2}) = w_i . v_{i+k+2}, with w_i = v_i x v_{i+1}
-    computed once per i and every index taken mod n. O(n w) products.
+    det(v_i, v_{i+1}, v_{i+k+2}) = w_i . v_{i+k+2} (_gale_minors, the rows
+    extend_rows builds), every index taken mod n: O(n w) products, compared
+    row by row up to the first row that differs.
 
     Part (c) at i = 1, 2, 3 is checked on v_3..v_{n-1} as they are built:
     w_1 = e_3, w_2 = e_1 and w_3 = U_1(1) e_1 + e_2, so every coordinate of
@@ -377,17 +378,7 @@ def _gale_certified(grid: FriezeGrid) -> bool:
         vs.append(v)
     if vs[n:] != vs[:3]:
         return False
-    vs = vs[:n]
-    w0, w1, w2 = zip(*[(y1 * z2 - y2 * z1, y2 * z0 - y0 * z2, y0 * z1 - y1 * z0)
-                       for (y0, y1, y2), (z0, z1, z2) in zip(vs, vs[1:] + vs[:1])])
-    # the coordinates of v_1..v_n twice over, so that i + k + 2 needs no
-    # reduction mod n
-    c0, c1, c2 = (c * 2 for c in zip(*vs))
-    for s, row in enumerate(rows, 3):
-        if list(row) != [p * x + q * y + r * z for p, q, r, x, y, z in
-                         zip(w0, w1, w2, c0[s:], c1[s:], c2[s:])]:
-            return False
-    return True
+    return all(list(row) == minors for row, minors in zip(rows, _gale_minors(vs[:n])))
 
 
 def _diamond_failures(grid: FriezeGrid):

@@ -53,7 +53,6 @@ RULE_CONDITIONS = {
 class StarGraph:
     x: int
     ground: GroundSet
-    vertices: frozenset
     edges: frozenset  # of ascending 2-tuples
     triangulation_points: tuple  # ordered by <_x
     leaves: dict = field(compare=False)  # leaf -> its sole neighbour
@@ -89,7 +88,7 @@ def star_graph_from_edges(x: int, ground: GroundSet, edges) -> StarGraph:
     edges = frozenset((a, b) for a, nb in adjacency.items() for b in nb if a < b)
     tp, leaves_at = _classify(x, ground.n, adjacency)
     leaves = {leaf: p for p, ls in leaves_at.items() for leaf in ls}
-    return StarGraph(x, ground, frozenset(adjacency), edges, tuple(tp), leaves, adjacency)
+    return StarGraph(x, ground, edges, tuple(tp), leaves, adjacency)
 
 
 def _classify(x: int, n: int, adjacency: dict):

@@ -214,16 +214,16 @@ def test_criterion_6_dual_recursion_identity(grids):
         for vf, grid in grids[n]:
             q = QuiddityRows(n, grid.rows[0],
                              tuple(grid.entry(grid.width, i + 2) for i in range(1, n + 1)))
-            upper = {1: [q.high(i) for i in range(1, n + 1)]}
+            upper = {1: list(q.delta_high)}
 
             def u(k, i):
                 return Fraction(1) if k == 0 else upper[k][(i - 1) % n]
 
             for k in range(2, grid.width + 1):
                 if k == 2:
-                    upper[k] = [u(1, i + 1) * u(1, i) - q.low(i) for i in range(1, n + 1)]
+                    upper[k] = [u(1, i + 1) * u(1, i) - q.delta_low[i - 1] for i in range(1, n + 1)]
                 else:
-                    upper[k] = [u(1, i + k - 1) * u(k - 1, i) - q.low(i + k - 2) * u(k - 2, i)
+                    upper[k] = [u(1, i + k - 1) * u(k - 1, i) - q.delta_low[(i + k - 3) % n] * u(k - 2, i)
                                 + u(k - 3, i) for i in range(1, n + 1)]
             for k in range(1, grid.width + 1):
                 m = n - 3 - k

@@ -190,6 +190,30 @@ def test_gen_refuses_n_above_max_before_building(run, monkeypatch):
     assert f"n <= {MAX_N}, got 1000000000" in err
 
 
+def test_gen_refuses_steps_above_max_before_building(run, monkeypatch):
+    import sl3frieze.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("a family was built")
+
+    monkeypatch.setattr(cli, "canonical_family", never)
+    monkeypatch.setattr(cli, "seeded_walk", never)
+    _, err = run("gen", "--n", "24", "--steps", str(cli.MAX_STEPS + 1), expect=2)
+    assert err == f"error: --steps must be <= {cli.MAX_STEPS}, got {cli.MAX_STEPS + 1}\n"
+    _, err = run("gen", "--n", "24", "--steps", "100000000", expect=2)
+    assert err == f"error: --steps must be <= {cli.MAX_STEPS}, got 100000000\n"
+
+
+def test_gen_accepts_steps_at_max(run, monkeypatch, tmp_path):
+    # the bound itself is accepted; the walk is stubbed, so nothing long runs
+    import sl3frieze.cli as cli
+
+    walked = []
+    monkeypatch.setattr(cli, "seeded_walk", lambda fam, steps, seed: walked.append(steps) or iter(()))
+    run("gen", "--n", "8", "--steps", str(cli.MAX_STEPS), "--out", tmp_path / "family.json")
+    assert walked == [cli.MAX_STEPS]
+
+
 @pytest.mark.parametrize("command, payload", [
     ("validate", {"n": MAX_N + 1, "triangles": [[1, 2, 3]]}),
     ("gen --star-graph-file", {"x": 1, "n": MAX_N + 1, "edges": [[2, 3]]}),

@@ -170,10 +170,11 @@ def test_quiddity_bookkeeping_positions():
     vals = oracle_values(vf, [t for pair in targets.values() for t in pair])
     for i in g.points():
         t_low, t_high = targets[i]
-        assert q.low(i) == vals[t_low]
-        assert q.high(i) == vals[t_high]
-        assert q.low(i).denominator == 1 and q.low(i) > 0
-        assert q.high(i).denominator == 1 and q.high(i) > 0
+        low, high = q.delta_low[i - 1], q.delta_high[i - 1]
+        assert low == vals[t_low]
+        assert high == vals[t_high]
+        assert low.denominator == 1 and low > 0
+        assert high.denominator == 1 and high > 0
 
 
 def test_quiddity_requires_all_ones():
@@ -212,7 +213,7 @@ def _reference_almost_continuous_at(vf: ValuedFamily, x: int):
             raise InternalConsistencyError(f"border triangle {t} unexpectedly missing from family")
         return vf.values[t]
 
-    adj = {v: set(_scan_neighbours(g, v)) for v in g.vertices}
+    adj = {v: set(_scan_neighbours(g, v)) for v in g.adjacency}
     tp = list(g.triangulation_points)
     labels = {}
     for i, p in enumerate(tp):
@@ -380,9 +381,9 @@ def test_second_row_spot_values_from_fixture():
     q = intro_quiddity()
     grid = extend_rows(q)
     # D_2(1) = D_1(1) D_1(2) - U_1(2) and D_2(8) = D_1(8) D_1(1) - U_1(1)
-    assert q.low(1) == 4 and q.low(2) == 3 and q.high(2) == 6
+    assert q.delta_low[0] == 4 and q.delta_low[1] == 3 and q.delta_high[1] == 6
     assert grid.entry(2, 1) == 4 * 3 - 6 == 6
-    assert q.low(8) == 1 and q.high(1) == 2
+    assert q.delta_low[7] == 1 and q.delta_high[0] == 2
     assert grid.entry(2, 8) == 1 * 4 - 2 == 2
 
 
@@ -396,8 +397,8 @@ def _reference_recursions(q: QuiddityRows):
     extend_rows: (low, upper) with low[k][i-1] = D_k(i), upper[k][i-1] = U_k(i)."""
     n = q.n
     w = n - 4
-    low = {1: [q.low(i) for i in range(1, n + 1)]}
-    upper = {1: [q.high(i) for i in range(1, n + 1)]}
+    low = {1: list(q.delta_low)}
+    upper = {1: list(q.delta_high)}
 
     def d(k, i):
         return Fraction(1) if k == 0 else low[k][(i - 1) % n]
@@ -407,12 +408,12 @@ def _reference_recursions(q: QuiddityRows):
 
     for k in range(2, w + 1):
         if k == 2:
-            low[k] = [d(1, i) * d(1, i + 1) - q.high(i + 1) for i in range(1, n + 1)]
-            upper[k] = [u(1, i + 1) * u(1, i) - q.low(i) for i in range(1, n + 1)]
+            low[k] = [d(1, i) * d(1, i + 1) - u(1, i + 1) for i in range(1, n + 1)]
+            upper[k] = [u(1, i + 1) * u(1, i) - d(1, i) for i in range(1, n + 1)]
         else:
-            low[k] = [d(1, i) * d(k - 1, i + 1) - q.high(i + 1) * d(k - 2, i + 2) + d(k - 3, i + 3)
+            low[k] = [d(1, i) * d(k - 1, i + 1) - u(1, i + 1) * d(k - 2, i + 2) + d(k - 3, i + 3)
                       for i in range(1, n + 1)]
-            upper[k] = [u(1, i + k - 1) * u(k - 1, i) - q.low(i + k - 2) * u(k - 2, i) + u(k - 3, i)
+            upper[k] = [u(1, i + k - 1) * u(k - 1, i) - d(1, i + k - 2) * u(k - 2, i) + u(k - 3, i)
                         for i in range(1, n + 1)]
     return low, upper
 
@@ -505,11 +506,19 @@ def test_extend_rows_matches_entrywise_reference():
 
 
 def test_quiddity_rows_and_extend_rows_match_references_at_scale():
+    # valid rows, and the same rows with one delta_low entry moved by +1,
+    # which must name the same first disagreement as the recursions
     for n in (128, 256):
         vf = unit_specialization(random_maximal_family(GroundSet(n), 200, n))
         q = quiddity_rows(vf)
         assert q == _reference_quiddity_rows(vf)
         assert extend_rows(q) == _reference_extend(q)
+        low = list(q.delta_low)
+        low[n // 3] += 1
+        bad = QuiddityRows(n, tuple(low), q.delta_high)
+        expected = _outcome(_reference_extend, bad)
+        assert isinstance(expected, str)
+        assert _outcome(extend_rows, bad) == expected, n
 
 
 def test_quiddity_rows_past_max_n_are_refused():
@@ -527,7 +536,7 @@ def test_second_row_clause_is_the_general_recursion_at_its_boundary():
     grid = extend_rows(q)
     assert len(set(plucker_triple(n, -1, 5))) < 3
     for i in range(1, n + 1):
-        general = q.low(i) * grid.entry(1, i + 1) - q.high(i + 1) * Fraction(1) + Fraction(0)
+        general = q.delta_low[i - 1] * grid.entry(1, i + 1) - q.delta_high[i % n] * Fraction(1) + Fraction(0)
         assert grid.entry(2, i) == general
 
 

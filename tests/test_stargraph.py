@@ -71,7 +71,7 @@ def test_build_star_graph_canonical_n6():
         assert e in g.edges
     assert g.triangulation_points[0] == 2
     assert g.triangulation_points[-1] == 6
-    assert {3, 5} <= g.vertices  # x+2 and x-2
+    assert {3, 5} <= set(g.adjacency)  # x+2 and x-2
 
 
 def test_build_star_graph_endpoints_all_x(small_corpus):
@@ -82,8 +82,8 @@ def test_build_star_graph_endpoints_all_x(small_corpus):
                 sg = build_star_graph(fam, x)
                 assert sg.triangulation_points[0] == g.wrap(x + 1)
                 assert sg.triangulation_points[-1] == g.wrap(x - 1)
-                assert g.wrap(x + 2) in sg.vertices
-                assert g.wrap(x - 2) in sg.vertices
+                assert g.wrap(x + 2) in sg.adjacency
+                assert g.wrap(x - 2) in sg.adjacency
 
 
 def _scanned(g):
@@ -92,11 +92,11 @@ def _scanned(g):
     n = g.ground.n
     by_x = lambda p: (p - g.x) % n
     per_vertex = {}
-    for v in g.vertices:
+    for v in g.adjacency:
         nb = sorted((b if a == v else a for a, b in g.edges if v in (a, b)), key=by_x)
         per_vertex[v] = (len(nb), nb)
     leaves = {v: nb[0] for v, (d, nb) in per_vertex.items() if d == 1}
-    leaves_at = {v: sorted((l for l, att in leaves.items() if att == v), key=by_x) for v in g.vertices}
+    leaves_at = {v: sorted((l for l, att in leaves.items() if att == v), key=by_x) for v in g.adjacency}
     tp = tuple(sorted((v for v, (d, _) in per_vertex.items() if d >= 2), key=by_x))
     return per_vertex, leaves, leaves_at, tp
 
@@ -105,8 +105,8 @@ def _classified(g):
     """The same, read off the graph's neighbour map and classification."""
     n = g.ground.n
     by_x = lambda p: (p - g.x) % n
-    per_vertex = {v: (len(g.adjacency[v]), sorted(g.adjacency[v], key=by_x)) for v in g.vertices}
-    leaves_at = {v: sorted((l for l in g.adjacency[v] if l in g.leaves), key=by_x) for v in g.vertices}
+    per_vertex = {v: (len(g.adjacency[v]), sorted(g.adjacency[v], key=by_x)) for v in g.adjacency}
+    leaves_at = {v: sorted((l for l in g.adjacency[v] if l in g.leaves), key=by_x) for v in g.adjacency}
     return per_vertex, g.leaves, leaves_at, g.triangulation_points
 
 
