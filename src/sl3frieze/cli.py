@@ -317,7 +317,8 @@ def cmd_gen(ns) -> int:
     trace_lines = []
     for move, _ in seeded_walk(vf.family, ns.steps, ns.seed):
         vf = mutate(vf, move)
-        trace_lines.append(format_trace_line(move, vf.values[move.added]))
+        if ns.trace_out:
+            trace_lines.append(format_trace_line(move, vf.values[move.added]))
     # the family first: a trace must not outlive a family that was never written
     _write_out(dump_family(vf.family), ns.out)
     if ns.trace_out:

@@ -5,11 +5,12 @@ Whether a tuple of distinct points is cyclically ordered does not depend on n,
 so ``is_cyclic`` takes no ground set. For a point x, a <_x b iff (x, a, b) is
 cyclically ordered: a total order on [n] \\ {x} that ``position_from`` ranks and
 ``sorted_from`` sorts by.
+
+``Record``, the base of every value class in the package, lives here because
+this is the bottom layer.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import InvalidInputError
 
@@ -22,13 +23,63 @@ MIN_GROUND = 6
 MAX_N = 512
 
 
-@dataclass(frozen=True)
-class GroundSet:
+class Record:
+    """Base of the package's immutable value classes.
+
+    A subclass names its fields in ``__slots__`` and sets them in its
+    ``__init__`` with ``object.__setattr__``; after that, assigning or deleting
+    an attribute raises AttributeError. Two records are equal when they are of
+    the same class and their compared fields are equal, and a record's hash is
+    the hash of the tuple of those fields. The compared fields (``_compared``)
+    and the fields ``repr`` shows (``_shown``) default to every field, in
+    ``__slots__`` order; ``repr`` reads ``Name(field=value!r, ...)``. A record
+    pickles and copies as its class called on its fields in ``__slots__``
+    order, so ``__init__`` takes them in that order.
+
+    Writing the methods out keeps the import cheap: generating them, as the
+    standard library's class decorator does, would load ``inspect`` and
+    compile code per class in every fresh interpreter, which costs a short
+    command-line run more than its work on a small input.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._compared = vars(cls).get("_compared", cls.__slots__)
+        cls._shown = vars(cls).get("_shown", cls.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields(self._compared) == other._fields(other._compared)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields(self._compared))
+
+    def __repr__(self):
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._shown)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields(self.__slots__)
+
+    def _fields(self, names) -> tuple:
+        return tuple(getattr(self, f) for f in names)
+
+
+class GroundSet(Record):
     """The cyclically arranged point set {1,..,n}, 6 <= n <= MAX_N."""
 
-    n: int
+    __slots__ = ("n",)
 
-    def __post_init__(self):
+    def __init__(self, n: int):
+        object.__setattr__(self, "n", n)
         if not isinstance(self.n, int) or self.n < MIN_GROUND:
             raise InvalidInputError(f"ground set needs n >= {MIN_GROUND}, got {self.n!r}")
         if self.n > MAX_N:

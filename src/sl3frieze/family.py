@@ -15,10 +15,9 @@ set: ``star_index``, the star graph of every point at once, which
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import combinations
 
-from .cyclic import GroundSet
+from .cyclic import GroundSet, Record
 from .errors import InvalidInputError, MalformedFileError
 from .separation import crossing_index
 
@@ -43,17 +42,19 @@ def all_triangles(ground: GroundSet):
     return combinations(ground.points(), 3)
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(Record):
     """A set of triangles over a ground set.
 
     ``validated`` records that weak separation was checked; operations
     whose guarantees need it refuse unvalidated input.
     """
 
-    ground: GroundSet
-    triangles: frozenset
-    validated: bool = False
+    __slots__ = ("ground", "triangles", "validated")
+
+    def __init__(self, ground: GroundSet, triangles: frozenset, validated: bool = False):
+        object.__setattr__(self, "ground", ground)
+        object.__setattr__(self, "triangles", triangles)
+        object.__setattr__(self, "validated", validated)
 
     def __len__(self):
         return len(self.triangles)

@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from bisect import insort
 
-from .cyclic import MAX_N
+from .cyclic import MAX_N, Record
 from .errors import (
     InconsistentRowsError,
     InternalConsistencyError,
@@ -39,16 +38,16 @@ FRIEZE_SCHEMA_VERSION = 1
 # a frieze entry in a file: a JSON integer, or a string as format_rational writes it
 _ENTRY_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
-@dataclass(frozen=True)
-class QuiddityRows:
+class QuiddityRows(Record):
     """The two directly computed rows: delta_low[i-1] = v({i,i+1,i+3}) and
     delta_high[i-1] = v({i,i+2,i+3}). Entries are ints or Fractions."""
 
-    n: int
-    delta_low: tuple
-    delta_high: tuple
+    __slots__ = ("n", "delta_low", "delta_high")
 
-    def __post_init__(self):
+    def __init__(self, n: int, delta_low: tuple, delta_high: tuple):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "delta_low", delta_low)
+        object.__setattr__(self, "delta_high", delta_high)
         if self.n > MAX_N:
             raise InvalidInputError(f"frieze period needs n <= {MAX_N}, got {self.n}")
         if len(self.delta_low) != self.n or len(self.delta_high) != self.n:
@@ -58,15 +57,15 @@ class QuiddityRows:
             raise InvalidInputError("quiddity entries must be nonzero")
 
 
-@dataclass(frozen=True)
-class FriezeGrid:
+class FriezeGrid(Record):
     """Fundamental region of a frieze: rows[k-1][i-1] = D_k(i), horizontal
     period n, width w = n - 4 >= 1."""
 
-    n: int
-    rows: tuple  # of n-tuples of int or Fraction
+    __slots__ = ("n", "rows")
 
-    def __post_init__(self):
+    def __init__(self, n: int, rows: tuple):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "rows", rows)  # of n-tuples of int or Fraction
         if len(self.rows) < 1 or self.n != len(self.rows) + 4:
             raise InvalidInputError(
                 f"period must exceed width by 4: n={self.n}, width={len(self.rows)}")
@@ -310,16 +309,20 @@ def extend_rows(q: QuiddityRows) -> FriezeGrid:
 
 # -- diamond validation -----------------------------------------------------------
 
-@dataclass
-class FriezeReport:
-    n: int
-    width: int
-    is_sl3: bool
-    is_tame: bool
-    integral: bool
-    positive: bool
-    sl3_failures: list  # (row, period index, determinant)
-    tame_failures: list
+class FriezeReport(Record):
+    __slots__ = ("n", "width", "is_sl3", "is_tame", "integral", "positive", "sl3_failures", "tame_failures")
+    __hash__ = None  # it holds lists
+
+    def __init__(self, n: int, width: int, is_sl3: bool, is_tame: bool, integral: bool, positive: bool,
+                 sl3_failures: list, tame_failures: list):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "is_sl3", is_sl3)
+        object.__setattr__(self, "is_tame", is_tame)
+        object.__setattr__(self, "integral", integral)
+        object.__setattr__(self, "positive", positive)
+        object.__setattr__(self, "sl3_failures", sl3_failures)  # (row, period index, determinant)
+        object.__setattr__(self, "tame_failures", tame_failures)
 
     @property
     def ok(self) -> bool:

@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclic import GroundSet, is_cyclic
+from .cyclic import GroundSet, Record, is_cyclic
 from .errors import (
     BudgetExceededError,
     InternalConsistencyError,
@@ -54,20 +53,20 @@ def _check_entries(values, what: str) -> None:
         raise InvalidInputError(f"{what} entry {bad!r} is not an int or a Fraction")
 
 
-@dataclass(frozen=True)
-class MutationMove:
-    z: int
-    a: int
-    b: int
-    c: int
-    d: int
+class MutationMove(Record):
+    __slots__ = ("z", "a", "b", "c", "d")
 
-    def __post_init__(self):
-        pts = (self.z, self.a, self.b, self.c, self.d)
+    def __init__(self, z: int, a: int, b: int, c: int, d: int):
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
+        pts = (z, a, b, c, d)
         if len(set(pts)) != 5:
             raise InvalidInputError(f"move points must be pairwise distinct: {pts}")
-        if not is_cyclic((self.a, self.b, self.c, self.d)):
-            raise InvalidInputError(f"(a,b,c,d)={(self.a, self.b, self.c, self.d)} is not cyclically ordered")
+        if not is_cyclic((a, b, c, d)):
+            raise InvalidInputError(f"(a,b,c,d)={(a, b, c, d)} is not cyclically ordered")
 
     @property
     def removed(self) -> Triangle:
@@ -91,19 +90,18 @@ class MutationMove:
         return (self.z, self.a, self.b, self.c, self.d)
 
 
-@dataclass(frozen=True)
-class ValuedFamily:
+class ValuedFamily(Record):
     """A maximal family together with a nonzero value per triangle, each an
     int or a Fraction. Construction is the one gate of a family on its way to
     ``frieze``: every triangle is three distinct points of 1..n, checked
     before weak separation reads them, every continuous triangle is present,
     and the family is maximal."""
 
-    family: Family
-    values: dict  # Triangle -> int or Fraction
+    __slots__ = ("family", "values")
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", dict(self.values))  # detach from caller
+    def __init__(self, family: Family, values: dict):
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "values", dict(values))  # Triangle -> int or Fraction, detached from caller
         if set(self.values) != self.family.triangles:
             raise InvalidInputError("values must be given for exactly the family's triangles")
         _check_entries(self.values.values(), "value")
@@ -191,7 +189,7 @@ def mutate(vf: ValuedFamily, move: MutationMove) -> ValuedFamily:
     values2 = _exchange(vf.values, move.key())
     if values2[added] == 0:
         raise InvalidInputError(f"value of {added} must be nonzero")
-    result = object.__new__(ValuedFamily)  # skips __post_init__'s whole-family checks
+    result = object.__new__(ValuedFamily)  # skips __init__'s whole-family checks
     object.__setattr__(result, "family", vf.family.with_exchange(move.removed, added))
     object.__setattr__(result, "values", values2)
     return result

@@ -15,9 +15,7 @@ because ``mutation`` queries it too) and contracts it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .cyclic import GroundSet, position_from, sorted_from
+from .cyclic import GroundSet, Record, position_from, sorted_from
 from .errors import (
     ConditionViolationError,
     InternalConsistencyError,
@@ -49,20 +47,28 @@ RULE_CONDITIONS = {
 }
 
 
-@dataclass(frozen=True)
-class StarGraph:
-    x: int
-    ground: GroundSet
-    edges: frozenset  # of ascending 2-tuples
-    triangulation_points: tuple  # ordered by <_x
-    leaves: dict = field(compare=False)  # leaf -> its sole neighbour
-    adjacency: dict = field(compare=False, repr=False)  # vertex -> set of its neighbours
+class StarGraph(Record):
+    __slots__ = ("x", "ground", "edges", "triangulation_points", "leaves", "adjacency")
+    _compared = __slots__[:4]  # leaves and adjacency follow from the edges
+    _shown = __slots__[:5]
+
+    def __init__(self, x: int, ground: GroundSet, edges: frozenset, triangulation_points: tuple,
+                 leaves: dict, adjacency: dict):
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "ground", ground)
+        object.__setattr__(self, "edges", edges)  # of ascending 2-tuples
+        object.__setattr__(self, "triangulation_points", triangulation_points)  # ordered by <_x
+        object.__setattr__(self, "leaves", leaves)  # leaf -> its sole neighbour
+        object.__setattr__(self, "adjacency", adjacency)  # vertex -> set of its neighbours
 
 
-@dataclass
-class StructureReport:
-    ok: bool
-    violations: list  # of (rule_id, witness string)
+class StructureReport(Record):
+    __slots__ = ("ok", "violations")
+    __hash__ = None  # it holds lists
+
+    def __init__(self, ok: bool, violations: list):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "violations", violations)  # of (rule_id, witness string)
 
 
 def star_subfamily(fam: Family, x: int) -> Family:

@@ -328,6 +328,49 @@ def test_gen_loads_only_the_walk_layers(tmp_path):
     assert modules == GEN_MODULES
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "--n", "8", "--steps", "3", "--seed", "2", "--out", "{tmp}/g.json", "--trace-out", "{tmp}/t.txt"],
+    ["validate", "{fam}"],
+    ["mutate", "{fam}", "--replay", "{trace}", "--out", "{tmp}/m.json"],
+    ["frieze", "{fam}", "--format", "json"],
+    ["check-frieze", "{frieze}"],
+    ["analyze", "{fam}", "--x", "1"],
+    ["oracle", "{fam}", "--triangle", "1,4,7"],
+], ids=lambda argv: argv[0])
+def test_commands_load_neither_dataclasses_nor_inspect(fam8, tmp_path, argv):
+    # a bare interpreter loads neither, so any load is the package's
+    trace = tmp_path / "trace.txt"
+    trace.write_text("1:(2,3,4,5) removed={1,2,4} added={1,3,5} value=2\n")
+    frieze = tmp_path / "frieze.json"
+    frieze.write_text(dump_frieze(intro_frieze()))
+    argv = [a.format(tmp=tmp_path, fam=fam8, trace=trace, frieze=frieze) for a in argv]
+    lines, _ = run_fresh(
+        "import contextlib, io, sys\n"
+        "from sl3frieze.cli import main\n"
+        f"with contextlib.redirect_stdout(io.StringIO()):\n    code = main({argv!r})\n"
+        "print(code, 'dataclasses' in sys.modules, 'inspect' in sys.modules)")
+    assert lines == ["0 False False"]
+
+
+def test_gen_formats_trace_lines_only_with_trace_out(run, tmp_path, monkeypatch):
+    import sl3frieze.cli as cli
+
+    traced, trace = tmp_path / "traced.json", tmp_path / "trace.txt"
+    run("gen", "--n", "8", "--steps", "3", "--seed", "2", "--out", traced, "--trace-out", trace)
+    assert trace.read_text() == (
+        "1:(2,3,4,5) removed={1,2,4} added={1,3,5} value=2\n"
+        "1:(2,3,5,6) removed={1,2,5} added={1,3,6} value=3\n"
+        "1:(2,3,6,7) removed={1,2,6} added={1,3,7} value=4\n")
+
+    def never(*args, **kwargs):
+        raise AssertionError("a trace line was formatted")
+
+    monkeypatch.setattr(cli, "format_trace_line", never)
+    untraced = tmp_path / "untraced.json"
+    run("gen", "--n", "8", "--steps", "3", "--seed", "2", "--out", untraced)
+    assert untraced.read_bytes() == traced.read_bytes()
+
+
 def test_validate_loads_neither_frieze_nor_stargraph(fam8):
     lines, modules = run_fresh(f"from sl3frieze.cli import main\nprint(main(['validate', {str(fam8)!r}]))")
     assert lines == ["maximal weakly separated (16 = 3*8-8)", "0"]
