@@ -29,8 +29,7 @@ _SUBMODULE = {
     **dict.fromkeys(("crossing", "crossing_definition"), "separation"),
     **dict.fromkeys((
         "StarGraph", "StructureReport", "border_triangles", "build_star_graph",
-        "realize_star_graph", "star_graph_from_edges", "star_subfamily",
-        "verify_structure_theorem",
+        "realize_star_graph", "star_graph_from_edges", "verify_structure_theorem",
     ), "stargraph"),
 }
 

@@ -315,7 +315,7 @@ def cmd_gen(ns) -> int:
         raise InvalidInputError(f"--steps must be <= {MAX_STEPS}, got {ns.steps}")
     vf = unit_specialization(canonical_family(ns.n))
     trace_lines = []
-    for move, _ in seeded_walk(vf.family, ns.steps, ns.seed):
+    for move in seeded_walk(vf.family, ns.steps, ns.seed):
         vf = mutate(vf, move)
         if ns.trace_out:
             trace_lines.append(format_trace_line(move, vf.values[move.added]))
@@ -406,9 +406,6 @@ def main(argv=None) -> int:
     except InvalidMoveError as e:
         print(f"invalid move: {e}", file=sys.stderr)
         return 1
-    except MalformedFileError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except InvalidInputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

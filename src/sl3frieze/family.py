@@ -46,7 +46,8 @@ class Family(Record):
     """A set of triangles over a ground set.
 
     ``validated`` records that weak separation was checked; operations
-    whose guarantees need it refuse unvalidated input.
+    whose guarantees need it (``is_maximal_family``, ``greedy_complete``)
+    run the check themselves on unvalidated input.
     """
 
     __slots__ = ("ground", "triangles", "validated")
@@ -242,11 +243,13 @@ def family_from_dict(data, validate: bool = True) -> Family:
             raise MalformedFileError(f"triangle not sorted ascending: {raw!r}")
         triangles.append(tuple(raw))
     try:
-        return make_family(ground, triangles, validate=validate)
+        fam = make_family(ground, triangles, validate=False)
     except InvalidInputError as e:
-        if validate:
-            raise
         raise MalformedFileError(str(e)) from e
+    if validate:
+        _require_weakly_separated(fam)
+        fam = Family(ground, fam.triangles, validated=True)
+    return fam
 
 
 def dump_family(fam: Family) -> str:

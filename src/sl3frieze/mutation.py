@@ -9,7 +9,8 @@ the three-term relation
 
 forces the value of the new triangle. Moves are enumerated from the star
 index of a family (``family.star_index``, so this module does not load
-``stargraph``), and ``seeded_walk`` draws them uniformly. The oracle at the
+``stargraph``), and ``seeded_walk`` draws them uniformly; it yields the moves,
+and each caller applies them to its own family. The oracle at the
 bottom of the module evaluates arbitrary Pluecker coordinates by breadth-first
 search over moves; the label contraction, which takes the border values of
 the star graph at x to the frieze rows without a search, lives in ``frieze``.
@@ -231,8 +232,8 @@ def family_moves(fam: Family) -> list:
 
 
 def seeded_walk(fam: Family, steps: int, seed: int):
-    """Yield (move, family after it) for `steps` moves, each drawn uniformly
-    from the moves of the current family; deterministic per seed.
+    """Yield `steps` MutationMoves from fam, each drawn uniformly from the
+    moves of the family the earlier moves lead to; deterministic per seed.
 
     The star index and the moves at every point are kept across steps. A
     move changes only triangles through its five points, so only their stars
@@ -244,13 +245,11 @@ def seeded_walk(fam: Family, steps: int, seed: int):
     moves_at = {z: _moves_at(z, star) for z, star in index.items()}
     for _ in range(steps):
         move = MutationMove(*rng.choice([m for z in sorted(moves_at) for m in moves_at[z]]))
-        removed, added = move.removed, move.added
-        fam = fam.with_exchange(removed, added)
-        unlink_triangle(index, removed)
-        link_triangle(index, added)
+        unlink_triangle(index, move.removed)
+        link_triangle(index, move.added)
         for z in move.key():
             moves_at[z] = _moves_at(z, index[z])
-        yield move, fam
+        yield move
 
 
 def random_maximal_family(ground: GroundSet, steps: int, seed: int) -> Family:
@@ -259,8 +258,8 @@ def random_maximal_family(ground: GroundSet, steps: int, seed: int) -> Family:
     if steps < 0:
         raise InvalidInputError("steps must be >= 0")
     fam = canonical_family(ground.n)
-    for _, fam in seeded_walk(fam, steps, seed):
-        pass
+    for move in seeded_walk(fam, steps, seed):
+        fam = fam.with_exchange(move.removed, move.added)
     return fam
 
 
@@ -286,20 +285,8 @@ def oracle_values(vf: ValuedFamily, targets, budget: int = DEFAULT_ORACLE_BUDGET
             raise InvalidInputError(f"bad target triangle {t!r}")
         wanted.add(tt)
 
-    found = {}
-
-    def scan(vals):
-        for t in wanted:
-            if t in vals:
-                if t in found:
-                    if found[t] != vals[t]:
-                        raise InternalConsistencyError(
-                            f"path-dependent value for {t}: {found[t]} vs {vals[t]}")
-                else:
-                    found[t] = vals[t]
-
     start = dict(vf.values)
-    scan(start)
+    found = {t: start[t] for t in wanted if t in start}
     if len(found) == len(wanted):
         return found
 
@@ -324,9 +311,18 @@ def oracle_values(vf: ValuedFamily, targets, budget: int = DEFAULT_ORACLE_BUDGET
                             f"path-dependent family values after move {m}")
                     continue
                 visited[key] = child
-                scan(child)
-                if len(found) == len(wanted):
-                    return found
+                # A child agrees with its parent everywhere but on the triangle
+                # its move adds, and the parent's values already agree with
+                # found, so that triangle is the one value left to compare.
+                added = tuple(sorted((m[0], m[2], m[4])))
+                if added in wanted:
+                    if added not in found:
+                        found[added] = child[added]
+                        if len(found) == len(wanted):
+                            return found
+                    elif found[added] != child[added]:
+                        raise InternalConsistencyError(
+                            f"path-dependent value for {added}: {found[added]} vs {child[added]}")
                 next_queue.append(child)
         queue = next_queue
     missing = sorted(wanted - set(found))

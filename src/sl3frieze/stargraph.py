@@ -6,11 +6,12 @@ families the vertices of degree >= 2 (triangulation points) induce a polygon
 triangulation, everything else is a leaf hanging off a triangulation point, and
 the graph can be realized back into a maximal family.
 
+``build_star_graph`` classifies the neighbour map that ``family.star_index``
+gives x (the index lives in ``family`` because ``mutation`` queries it too).
 ``border_sequences`` is the one layout of a star: its triangulation points in
 <_x order, each with its leaves and its border sequence. Border triangles and
 realization read it off a ``StarGraph``; ``frieze.quiddity_rows`` reads it off
-each neighbour map of one ``family.star_index`` (which lives in ``family``
-because ``mutation`` queries it too) and contracts it.
+each neighbour map of one star index and contracts it.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .errors import (
     InvalidInputError,
     MalformedFileError,
 )
-from .family import Family, greedy_complete, is_maximal_family, make_family
+from .family import Family, greedy_complete, is_maximal_family, make_family, star_index
 
 STAR_GRAPH_SCHEMA_VERSION = 1
 
@@ -71,14 +72,6 @@ class StructureReport(Record):
         object.__setattr__(self, "violations", violations)  # of (rule_id, witness string)
 
 
-def star_subfamily(fam: Family, x: int) -> Family:
-    """The triangles of the family containing x."""
-    if not fam.ground.contains(x):
-        raise InvalidInputError(f"point {x!r} outside 1..{fam.ground.n}")
-    ts = frozenset(t for t in fam.triangles if x in t)
-    return Family(fam.ground, ts, validated=fam.validated)
-
-
 def star_graph_from_edges(x: int, ground: GroundSet, edges) -> StarGraph:
     """Classify an explicit edge list; tolerant of graphs that violate the
     structure theorem (verification is a separate step)."""
@@ -91,6 +84,11 @@ def star_graph_from_edges(x: int, ground: GroundSet, edges) -> StarGraph:
             raise InvalidInputError(f"bad star-graph edge {e!r}")
         adjacency.setdefault(a, set()).add(b)
         adjacency.setdefault(b, set()).add(a)
+    return _star_graph(x, ground, adjacency)
+
+
+def _star_graph(x: int, ground: GroundSet, adjacency: dict) -> StarGraph:
+    """The star graph at x with the given neighbour map, classified."""
     edges = frozenset((a, b) for a, nb in adjacency.items() for b in nb if a < b)
     tp, leaves_at = _classify(x, ground.n, adjacency)
     leaves = {leaf: p for p, ls in leaves_at.items() for leaf in ls}
@@ -120,12 +118,13 @@ def _require_endpoints(x: int, n: int, tp) -> None:
 
 
 def build_star_graph(fam: Family, x: int) -> StarGraph:
-    """Star graph of a maximal weakly separated family at x."""
+    """Star graph of a maximal weakly separated family at x, on the neighbour
+    map that ``star_index`` gives x from the triangles through x."""
     if not is_maximal_family(fam):
         raise InvalidInputError("family is not maximal; star-graph classification needs maximality")
-    sub = star_subfamily(fam, x)
-    edges = [tuple(p for p in t if p != x) for t in sub.sorted_triangles()]
-    g = star_graph_from_edges(x, fam.ground, edges)
+    if not fam.ground.contains(x):
+        raise InvalidInputError(f"point {x!r} outside 1..{fam.ground.n}")
+    g = _star_graph(x, fam.ground, star_index(t for t in fam.triangles if x in t).get(x, {}))
     _require_endpoints(x, fam.ground.n, g.triangulation_points)
     return g
 
@@ -196,12 +195,7 @@ def verify_structure_theorem(g: StarGraph) -> StructureReport:
             violations.append(("leaf.attachment", f"leaf {leaf} hangs off {att}, not a triangulation point"))
             continue
         i = tp.index(att)
-        if i == 0:
-            lo, hi = tp[0], tp[1] if r > 1 else tp[0]
-        elif i == r - 1:
-            lo, hi = tp[r - 2], tp[r - 1]
-        else:
-            lo, hi = tp[i - 1], tp[i + 1]
+        lo, hi = tp[max(i - 1, 0)], tp[min(i + 1, r - 1)]
         pos = position_from(x, leaf, n)
         if not (position_from(x, lo, n) < pos < position_from(x, hi, n)):
             violations.append(("leaf.location",

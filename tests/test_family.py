@@ -13,9 +13,12 @@ Claims covered:
       n = 6..14) and with the mask test (walk families, n = 128..512)
     - the addable triangles are those that cross no member, by the
       definitional search
-    - the JSON format round-trips and rejects unknown keys / unsorted triples
+    - the JSON format round-trips and rejects unknown keys / unsorted triples;
+      a malformed file raises MalformedFileError whether or not the load
+      checks weak separation
 """
 
+import json
 import random
 from itertools import combinations
 
@@ -268,3 +271,20 @@ def test_family_json_rejects_duplicates_and_small_n():
         family_from_dict({"n": 5, "triangles": []})
     with pytest.raises(MalformedFileError):
         load_family("{not json")
+
+
+def test_family_file_errors_keep_their_type_whatever_validate_is():
+    # a malformed file is a MalformedFileError with or without the separation
+    # check; a crossing pair is the plain InvalidInputError of the check
+    for triples, message in (([[1, 2, 3], [1, 2, 3]], "duplicate triangles in family"),
+                             ([[1, 1, 2]], r"triangle points must be distinct: \(1, 1, 2\)")):
+        text = json.dumps({"n": 6, "triangles": triples})
+        for validate in (True, False):
+            with pytest.raises(MalformedFileError, match=f"^{message}$"):
+                load_family(text, validate=validate)
+    crossing = json.dumps({"n": 6, "triangles": [[1, 3, 5], [2, 4, 6]]})
+    message = r"^family is not weakly separated: \(1, 3, 5\) crosses \(2, 4, 6\)$"
+    with pytest.raises(InvalidInputError, match=message) as info:
+        load_family(crossing)
+    assert not isinstance(info.value, MalformedFileError)
+    assert not load_family(crossing, validate=False).validated

@@ -26,7 +26,7 @@ Claims covered:
 import random
 import re
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,6 +35,7 @@ from sl3frieze import canonical_family
 from sl3frieze.cyclic import GroundSet, is_cyclic
 from sl3frieze.errors import (
     BudgetExceededError,
+    InternalConsistencyError,
     InvalidInputError,
     InvalidMoveError,
     ZeroPivotError,
@@ -63,6 +64,7 @@ from sl3frieze.mutation import (
     unit_specialization,
 )
 from sl3frieze.stargraph import build_star_graph, realize_star_graph, star_graph_from_edges
+import sl3frieze.mutation as mutation_module
 
 G8 = GroundSet(8)
 
@@ -72,6 +74,13 @@ LEAFY_EDGES = [(2, 5), (5, 8), (2, 8), (2, 3), (4, 5), (5, 6), (7, 8)]
 
 def leafy_family():
     return realize_star_graph(star_graph_from_edges(1, G8, LEAFY_EDGES))
+
+
+def walk_families(fam, steps, seed):
+    """The family after each move of the seeded walk from fam."""
+    for move in seeded_walk(fam, steps, seed):
+        fam = fam.with_exchange(move.removed, move.added)
+        yield fam
 
 
 def checked_mutate(vf, move):
@@ -269,7 +278,7 @@ def test_remove_leaf_refuses_frozen_leaves():
     # {x-2,x-1,x}, which no move removes, here or after any walk step
     frozen = set(continuous_triangles(8))
     start = leafy_family()
-    for fam in [start] + [fam for _, fam in seeded_walk(start, 30, seed=8)]:
+    for fam in [start, *walk_families(start, 30, seed=8)]:
         moves = family_moves(fam)
         assert moves and not any(m.removed in frozen for m in moves)
 
@@ -345,6 +354,29 @@ def test_oracle_rejects_negative_budget():
     vf = unit_specialization(canonical_family(8))
     with pytest.raises(InvalidInputError, match="^oracle budget must be >= 0, got -1$"):
         oracle_value(vf, (1, 2, 3), budget=-1)
+
+
+@pytest.mark.parametrize("rigged, message", [
+    ((2, 4, 6), "path-dependent value for (2, 4, 6): 100 vs 101"),
+    ((1, 3, 5), "path-dependent family values after move (1, 3, 4, 5, 2)"),
+])
+def test_oracle_names_path_dependence(monkeypatch, rigged, message):
+    # a rigged exchange gives one triangle a new value, 100, 101, ..., each
+    # time a move adds it: the search must name the first disagreement, on a
+    # target's value or on a family reached twice, whichever it meets first
+    counter = count(100)
+    exchange = mutation_module._exchange
+
+    def rigged_exchange(values, m):
+        child = exchange(values, m)
+        z, _, b, _, d = m
+        if tuple(sorted((z, b, d))) == rigged:
+            child[rigged] = next(counter)
+        return child
+
+    monkeypatch.setattr(mutation_module, "_exchange", rigged_exchange)
+    with pytest.raises(InternalConsistencyError, match=f"^{re.escape(message)}$"):
+        oracle_values(unit_specialization(canonical_family(7)), combinations(range(1, 8), 3))
 
 
 def test_oracle_rejects_bad_targets():
@@ -440,7 +472,7 @@ def test_moves_match_reference_on_walk_families():
     for n in range(6, 33):
         fam = canonical_family(n)
         assert _moves_of_triangles(fam.triangles) == _reference_moves(fam.triangles)
-        for _, fam in seeded_walk(fam, 8, seed=n):
+        for fam in walk_families(fam, 8, seed=n):
             assert _moves_of_triangles(fam.triangles) == _reference_moves(fam.triangles), n
 
 
@@ -450,12 +482,13 @@ def _reference_walk(fam, steps, seed):
     for _ in range(steps):
         move = MutationMove(*rng.choice(_reference_moves(fam.triangles)))
         fam = fam.with_exchange(move.removed, move.added)
-        yield move, fam
+        yield move
 
 
 def test_walk_matches_reference_walk():
     # the walk keeps its star index and per-point move lists across steps;
-    # it must draw the same moves and reach the same families
+    # it must draw the same moves, so that from the same start it reaches
+    # the same families
     for n in range(6, 33):
         for seed in range(1, 6):
             fam = canonical_family(n)
@@ -489,7 +522,7 @@ def test_unit_walk_values_are_ints_equal_to_the_fraction_walk():
     for n in range(6, 13):
         fam = canonical_family(n)
         ints, fracs = unit_specialization(fam), fraction_specialization(fam)
-        for move, _ in seeded_walk(fam, 40, seed=n):
+        for move in seeded_walk(fam, 40, seed=n):
             ints, fracs = mutate(ints, move), mutate(fracs, move)
             assert all(type(v) is int for v in ints.values.values()), (n, move)
             assert all(type(v) is Fraction for v in fracs.values.values()), (n, move)

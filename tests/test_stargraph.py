@@ -18,6 +18,7 @@ Claims covered:
 """
 
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -41,7 +42,6 @@ from sl3frieze.stargraph import (
     star_graph_from_dict,
     star_graph_from_edges,
     star_graph_to_dict,
-    star_subfamily,
     verify_structure_theorem,
 )
 
@@ -51,17 +51,11 @@ G8 = GroundSet(8)
 ADMISSIBLE_EDGES = [(2, 5), (5, 8), (2, 8), (2, 3), (4, 5), (5, 6), (7, 8)]
 
 
-def test_star_subfamily_filters_membership():
-    fam = frozen_triangles(GroundSet(6))
-    sub = star_subfamily(fam, 1)
-    assert sub.sorted_triangles() == [(1, 2, 3), (1, 2, 6), (1, 5, 6)]
-
-
 def test_star_subfamily_of_maximal_has_at_least_three(small_corpus):
     for n, fams in small_corpus.items():
         for fam in fams[:3]:
             for x in fam.ground.points():
-                assert len(star_subfamily(fam, x)) >= 3
+                assert sum(x in t for t in fam.triangles) >= 3
 
 
 def test_build_star_graph_canonical_n6():
@@ -165,6 +159,15 @@ def test_build_star_graph_rejects_non_maximal():
         build_star_graph(frozen_triangles(G8), 1)
 
 
+def test_build_star_graph_rejects_points_outside_the_ground_set():
+    # maximality is checked before the point
+    with pytest.raises(InvalidInputError, match="^family is not maximal; star-graph classification needs maximality$"):
+        build_star_graph(frozen_triangles(G8), 9)
+    for x in (0, 9, True, "1"):
+        with pytest.raises(InvalidInputError, match=re.escape(f"point {x!r} outside 1..8")):
+            build_star_graph(canonical_family(8), x)
+
+
 def test_build_star_graph_guards_endpoints_with_the_structure_rule():
     # all C(5,3) = 3n-8 triangles avoiding x=1, marked validated: maximal by
     # count, but the star graph at 1 is empty
@@ -249,7 +252,7 @@ def star_open_interval(fam: Family, A, B, x: int) -> list:
     """Triangles of the family strictly between A and B in the nesting order."""
     n = fam.ground.n
     out = []
-    for C in star_subfamily(fam, x).sorted_triangles():
+    for C in sorted(t for t in fam.triangles if x in t):
         if C in (A, B):
             continue
         if star_precedes(A, C, x, n) and star_precedes(C, B, x, n):
@@ -259,7 +262,7 @@ def star_open_interval(fam: Family, A, B, x: int) -> list:
 
 def _nesting_pairs(fam, x):
     n = fam.ground.n
-    sub = star_subfamily(fam, x).sorted_triangles()
+    sub = sorted(t for t in fam.triangles if x in t)
     for A in sub:
         for B in sub:
             if A != B and star_precedes(A, B, x, n):
