@@ -6,10 +6,9 @@ weak-separation check (one crossing-index query per triangle) has been run on
 construction.
 
 Beside the ``crossing_index`` queries lives the other index over a triangle
-set: ``star_index``, the star graph of every point at once, which
-``link_triangle`` and ``unlink_triangle`` keep current across an exchange.
-``mutation`` enumerates moves from it and ``frieze`` contracts its stars, so
-``mutation`` does not load ``stargraph``.
+set: ``star_index``, the star graph of every point at once as neighbour sets,
+which ``frieze`` contracts and ``stargraph`` classifies. ``mutation`` does not
+read it: it enumerates moves on neighbour bitmasks of its own.
 """
 
 from __future__ import annotations
@@ -133,31 +132,12 @@ def star_index(triangles) -> dict:
     """{x: {a: set of b}}: for every point x, the neighbour map of its star
     graph, one edge {a,b} per triangle {x,a,b}; one pass over the triangles."""
     index = {}
-    for t in triangles:
-        link_triangle(index, t)
+    for p, q, r in triangles:
+        for x, a, b in ((p, q, r), (q, p, r), (r, p, q)):
+            star = index.setdefault(x, {})
+            star.setdefault(a, set()).add(b)
+            star.setdefault(b, set()).add(a)
     return index
-
-
-def link_triangle(index: dict, t) -> None:
-    """Add the triangle's edge to the star of each of its three points."""
-    p, q, r = t
-    for x, a, b in ((p, q, r), (q, p, r), (r, p, q)):
-        star = index.setdefault(x, {})
-        star.setdefault(a, set()).add(b)
-        star.setdefault(b, set()).add(a)
-
-
-def unlink_triangle(index: dict, t) -> None:
-    """Remove the triangle's edge from the star of each of its three points;
-    a vertex left without neighbours leaves the star."""
-    p, q, r = t
-    for x, a, b in ((p, q, r), (q, p, r), (r, p, q)):
-        star = index[x]
-        for u, v in ((a, b), (b, a)):
-            nb = star[u]
-            nb.discard(v)
-            if not nb:
-                del star[u]
 
 
 def _require_weakly_separated(fam: Family) -> None:

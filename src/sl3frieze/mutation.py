@@ -7,13 +7,18 @@ the three-term relation
 
     v(zac) * v(zbd) = v(zab) * v(zcd) + v(zad) * v(zbc)
 
-forces the value of the new triangle. Moves are enumerated from the star
-index of a family (``family.star_index``, so this module does not load
-``stargraph``), and ``seeded_walk`` draws them uniformly; it yields the moves,
-and each caller applies them to its own family. The oracle at the
-bottom of the module evaluates arbitrary Pluecker coordinates by breadth-first
-search over moves; the label contraction, which takes the border values of
-the star graph at x to the frieze rows without a search, lives in ``frieze``.
+forces the value of the new triangle. One kernel, ``_moves``, enumerates
+moves on neighbour bitmasks: bit b of nb[z][a] is set iff {z,a,b} is in the
+family, so the candidates b and d of a triangle {z,a,c} are the bits of
+nb[z][a] & nb[z][c]. ``family_moves`` and the breadth-first oracle build the
+masks of a whole family; ``seeded_walk`` keeps them, and the triangles
+through each point, current across its steps, and draws moves uniformly; it
+yields the moves, and each caller applies them to its own family. This
+module loads neither ``stargraph`` nor the star index. The oracle at the
+bottom of the module evaluates arbitrary Pluecker coordinates by
+breadth-first search over moves; the label contraction, which takes the
+border values of the star graph at x to the frieze rows without a search,
+lives in ``frieze``.
 """
 
 from __future__ import annotations
@@ -30,16 +35,7 @@ from .errors import (
     InvalidMoveError,
     ZeroPivotError,
 )
-from .family import (
-    Family,
-    Triangle,
-    canonical_family,
-    continuous_triangles,
-    is_maximal_family,
-    link_triangle,
-    star_index,
-    unlink_triangle,
-)
+from .family import Family, Triangle, canonical_family, continuous_triangles, is_maximal_family
 
 DEFAULT_ORACLE_BUDGET = 100_000
 
@@ -71,16 +67,16 @@ class MutationMove(Record):
 
     @property
     def removed(self) -> Triangle:
-        return tuple(sorted((self.z, self.a, self.c)))
+        return _ascending(self.z, self.a, self.c)
 
     @property
     def added(self) -> Triangle:
-        return tuple(sorted((self.z, self.b, self.d)))
+        return _ascending(self.z, self.b, self.d)
 
     def required(self) -> tuple:
         """The five triangles that must be present: zab, zbc, zcd, zda, zac."""
         z, a, b, c, d = self.z, self.a, self.b, self.c, self.d
-        return tuple(tuple(sorted(t)) for t in ((z, a, b), (z, b, c), (z, c, d), (z, d, a), (z, a, c)))
+        return tuple(_ascending(*t) for t in ((z, a, b), (z, b, c), (z, c, d), (z, d, a), (z, a, c)))
 
     def inverse(self) -> "MutationMove":
         """The move undoing this one: rotating the quadruple swaps the roles of
@@ -156,18 +152,26 @@ def exchange_value(v_zac: int | Fraction, v_zab: int | Fraction, v_zcd: int | Fr
         raise ZeroPivotError("cannot exchange across a zero value") from None
 
 
+def _ascending(p: int, q: int, r: int) -> Triangle:
+    """The triangle {p,q,r} as an ascending tuple, by three compare-and-swaps."""
+    if p > q:
+        p, q = q, p
+    if q > r:
+        q, r = r, q
+        if p > q:
+            p, q = q, p
+    return p, q, r
+
+
 def _exchange(values: dict, m: tuple) -> dict:
-    """The values after the move m = (z,a,b,c,d): {z,a,c} leaves and {z,b,d}
-    enters with its exchanged value."""
+    """The values after the move m = (z,a,b,c,d), in any cyclic rotation of
+    (a,b,c,d): {z,a,c} leaves and {z,b,d} enters with its exchanged value."""
     z, a, b, c, d = m
-    zac = tuple(sorted((z, a, c)))
-    zbd = tuple(sorted((z, b, d)))
-    zab = tuple(sorted((z, a, b)))
-    zcd = tuple(sorted((z, c, d)))
-    zda = tuple(sorted((z, d, a)))
-    zbc = tuple(sorted((z, b, c)))
+    zac = _ascending(z, a, c)
     new = dict(values)
-    new[zbd] = exchange_value(values[zac], values[zab], values[zcd], values[zda], values[zbc])
+    new[_ascending(z, b, d)] = exchange_value(values[zac], values[_ascending(z, a, b)],
+                                              values[_ascending(z, c, d)], values[_ascending(z, d, a)],
+                                              values[_ascending(z, b, c)])
     del new[zac]
     return new
 
@@ -196,59 +200,119 @@ def mutate(vf: ValuedFamily, move: MutationMove) -> ValuedFamily:
     return result
 
 
-def _moves_at(z: int, star: dict) -> list:
-    """The moves at z, as (z,a,b,c,d) tuples sorted lexicographically, from
-    the neighbour map of the star graph at z: for each edge {a,c}, a < c, any
-    common neighbours b of a and c with a < b < c and d outside [a,c] give a
-    move."""
+def _bits(mask: int) -> list:
+    """The positions of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _pivoted(t) -> tuple:
+    """The three ways (z, a, c), a < c, to read an ascending triangle as the
+    triangle {z,a,c} a move at z removes."""
+    p, q, r = t
+    return (p, q, r), (q, p, r), (r, p, q)
+
+
+def _toggle(nb: list, t) -> None:
+    """Flip the bits of triangle t in the neighbour masks nb, where bit b of
+    nb[z][a] is set iff {z,a,b} is a triangle: t enters when absent and
+    leaves when present, since no other triangle sets those bits."""
+    p, q, r = t
+    bp, bq, br = 1 << p, 1 << q, 1 << r
+    row = nb[p]
+    row[q] ^= br
+    row[r] ^= bq
+    row = nb[q]
+    row[p] ^= br
+    row[r] ^= bp
+    row = nb[r]
+    row[p] ^= bq
+    row[q] ^= bp
+
+
+def _masks(triangles, n: int) -> list:
+    """The neighbour masks nb[z][a] (see _toggle) of a triangle set over 1..n."""
+    nb = [[0] * (n + 1) for _ in range(n + 1)]
+    for t in triangles:
+        _toggle(nb, t)
+    return nb
+
+
+def _moves(nb: list, pivoted) -> list:
+    """The move kernel: the moves (z,a,b,c,d), unsorted, that remove a
+    pivoted triangle (z,a,c), a < c, of the family with neighbour masks nb.
+    The common neighbours of a and c in the star at z are the bits of
+    nb[z][a] & nb[z][c]; each one strictly between a and c is a b, each other
+    one a d, and every pair (b, d) is a move."""
     moves = []
-    for a in star:
-        star_a = star[a]
-        for c in star_a:
-            if c < a:
-                continue
-            shared = star_a & star[c]
-            if len(shared) < 2:  # a move needs one b inside [a,c] and one d outside
-                continue
-            inner = [b for b in shared if a < b < c]
-            outer = [d for d in shared if not a < d < c]
-            for b in inner:
-                for d in outer:
-                    moves.append((z, a, b, c, d))
+    for z, a, c in pivoted:
+        row = nb[z]
+        shared = row[a] & row[c]
+        inner = shared & ((1 << c) - (2 << a))
+        if not inner or inner == shared:  # a move needs one b inside [a,c] and one d outside
+            continue
+        outer = shared ^ inner
+        if inner & (inner - 1) or outer & (outer - 1):
+            moves += [(z, a, b, c, d) for b in _bits(inner) for d in _bits(outer)]
+        else:  # the common case: one b and one d
+            moves.append((z, a, inner.bit_length() - 1, c, outer.bit_length() - 1))
+    return moves
+
+
+def _moves_of_triangles(triangles, n: int) -> list:
+    """All applicable moves of a triangle set over 1..n, as (z,a,b,c,d) tuples
+    sorted lexicographically."""
+    moves = _moves(_masks(triangles, n), [pv for t in triangles for pv in _pivoted(t)])
     moves.sort()
     return moves
 
 
-def _moves_of_triangles(triangles) -> list:
-    """All applicable moves of a triangle set, as (z,a,b,c,d) tuples sorted
-    lexicographically: the moves at each point z, in z order."""
-    index = star_index(triangles)
-    return [m for z in sorted(index) for m in _moves_at(z, index[z])]
-
-
 def family_moves(fam: Family) -> list:
     """All valid moves of a family, lexicographically ordered by (z,a,b,c,d)."""
-    return [MutationMove(*m) for m in _moves_of_triangles(fam.triangles)]
+    return [MutationMove(*m) for m in _moves_of_triangles(fam.triangles, fam.ground.n)]
+
+
+def _walk_state(triangles, n: int) -> tuple:
+    """The state the walk keeps current: the neighbour masks of the
+    triangles and, per point z, the set of pivoted triangles (z, a, c)."""
+    around = [set() for _ in range(n + 1)]
+    for t in triangles:
+        for pv in _pivoted(t):
+            around[pv[0]].add(pv)
+    return _masks(triangles, n), around
+
+
+def _flip(nb: list, around: list, t) -> None:
+    """Toggle triangle t in the walk state (nb, around): add it when absent,
+    remove it when present."""
+    _toggle(nb, t)
+    for pv in _pivoted(t):
+        around[pv[0]] ^= {pv}
 
 
 def seeded_walk(fam: Family, steps: int, seed: int):
     """Yield `steps` MutationMoves from fam, each drawn uniformly from the
     moves of the family the earlier moves lead to; deterministic per seed.
 
-    The star index and the moves at every point are kept across steps. A
-    move changes only triangles through its five points, so only their stars
-    and move lists are updated; the lists, joined in z order, are the
-    lexicographic list family_moves gives.
+    The neighbour masks, the pivoted triangles at every point and the moves
+    at every point are kept across steps. A move changes only triangles
+    through its five points, so only their move lists are enumerated again;
+    the lists, joined in z order, are the lexicographic list family_moves
+    gives.
     """
     rng = random.Random(seed)
-    index = star_index(fam.triangles)
-    moves_at = {z: _moves_at(z, star) for z, star in index.items()}
+    nb, around = _walk_state(fam.triangles, fam.ground.n)
+    moves_at = [sorted(_moves(nb, pivoted)) for pivoted in around]
     for _ in range(steps):
-        move = MutationMove(*rng.choice([m for z in sorted(moves_at) for m in moves_at[z]]))
-        unlink_triangle(index, move.removed)
-        link_triangle(index, move.added)
+        move = MutationMove(*rng.choice([m for ms in moves_at for m in ms]))
+        _flip(nb, around, move.removed)
+        _flip(nb, around, move.added)
         for z in move.key():
-            moves_at[z] = _moves_at(z, index[z])
+            moves_at[z] = sorted(_moves(nb, around[z]))
         yield move
 
 
@@ -257,6 +321,8 @@ def random_maximal_family(ground: GroundSet, steps: int, seed: int) -> Family:
     uniformly chosen moves; deterministic per seed."""
     if steps < 0:
         raise InvalidInputError("steps must be >= 0")
+    if not isinstance(ground, GroundSet):
+        raise InvalidInputError(f"ground must be a GroundSet, got {ground!r}")
     fam = canonical_family(ground.n)
     for move in seeded_walk(fam, steps, seed):
         fam = fam.with_exchange(move.removed, move.added)
@@ -278,6 +344,7 @@ def oracle_values(vf: ValuedFamily, targets, budget: int = DEFAULT_ORACLE_BUDGET
     if budget < 0:
         raise InvalidInputError(f"oracle budget must be >= 0, got {budget}")
     ground = vf.family.ground
+    n = ground.n
     wanted = set()
     for t in targets:
         tt = tuple(sorted(t))
@@ -301,7 +368,7 @@ def oracle_values(vf: ValuedFamily, targets, budget: int = DEFAULT_ORACLE_BUDGET
                 missing = sorted(wanted - set(found))
                 raise BudgetExceededError(budget, expanded - 1,
                                           f"targets not reached: {missing}")
-            for m in _moves_of_triangles(vals):
+            for m in _moves_of_triangles(vals, n):
                 child = _exchange(vals, m)
                 key = frozenset(child)
                 seen = visited.get(key)
@@ -314,7 +381,7 @@ def oracle_values(vf: ValuedFamily, targets, budget: int = DEFAULT_ORACLE_BUDGET
                 # A child agrees with its parent everywhere but on the triangle
                 # its move adds, and the parent's values already agree with
                 # found, so that triangle is the one value left to compare.
-                added = tuple(sorted((m[0], m[2], m[4])))
+                added = _ascending(m[0], m[2], m[4])
                 if added in wanted:
                     if added not in found:
                         found[added] = child[added]

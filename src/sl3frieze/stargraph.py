@@ -7,7 +7,8 @@ triangulation, everything else is a leaf hanging off a triangulation point, and
 the graph can be realized back into a maximal family.
 
 ``build_star_graph`` classifies the neighbour map that ``family.star_index``
-gives x (the index lives in ``family`` because ``mutation`` queries it too).
+gives x (the index lives in ``family``, beside the crossing index, and
+``frieze`` contracts its stars too).
 ``border_sequences`` is the one layout of a star: its triangulation points in
 <_x order, each with its leaves and its border sequence. Border triangles and
 realization read it off a ``StarGraph``; ``frieze.quiddity_rows`` reads it off
@@ -150,6 +151,22 @@ def _chords_cross(e1, e2) -> bool:
     return c_in != d_in
 
 
+def _noncrossing(chords) -> bool:
+    """Whether no two chords, as ascending pairs, cross: read as intervals
+    sorted by left end and then by right end descending, they must nest or
+    touch. One pass keeps the right ends of the open intervals on a stack;
+    a chord crosses iff it starts inside the innermost open interval and ends
+    past it."""
+    ends = []
+    for a, b in sorted(chords, key=lambda e: (e[0], -e[1])):
+        while ends and ends[-1] <= a:
+            ends.pop()
+        if ends and b > ends[-1]:
+            return False
+        ends.append(b)
+    return True
+
+
 def verify_structure_theorem(g: StarGraph) -> StructureReport:
     """Check all realizability conditions (i)-(v) on a star graph, reporting
     violations instead of raising.
@@ -179,10 +196,11 @@ def verify_structure_theorem(g: StarGraph) -> StructureReport:
             if e not in g.edges:
                 violations.append(("polygon.boundary", f"missing edge {e}"))
         te = sorted(t_edges)
-        for i, e1 in enumerate(te):
-            for e2 in te[i + 1:]:
-                if _chords_cross(e1, e2):
-                    violations.append(("polygon.noncrossing", f"edges {e1} and {e2} cross"))
+        if not _noncrossing(te):  # name every crossing pair, in lex order
+            for i, e1 in enumerate(te):
+                for e2 in te[i + 1:]:
+                    if _chords_cross(e1, e2):
+                        violations.append(("polygon.noncrossing", f"edges {e1} and {e2} cross"))
         if len(t_edges) != 2 * r - 3:
             # Euler: inner faces = E - V + 1; all triangular iff E = 2V - 3.
             violations.append(("polygon.faces",

@@ -18,15 +18,19 @@ Claims covered:
     - a trace value loads as an int when it is integral and as a Fraction
       otherwise
     - valued families must contain every continuous triangle
-    - move enumeration by neighbour-set intersection lists the same moves, in
-      the same order, as a scan over every vertex of the star graph, and the
-      walk that updates only the stars a move touches draws the same moves
+    - move enumeration on neighbour bitmasks lists the same moves, in the same
+      order, as a scan over every vertex of the star graph, up to n = 512; the
+      walk's masks and per-point triangles, updated across a move, equal the
+      ones built from scratch, and the walk that re-enumerates only the points
+      a move touches draws the same moves
+    - the oracle's values and budget messages are pinned on walk families at
+      n = 8, so the order moves are enumerated in cannot drift
 """
 
 import random
 import re
 from fractions import Fraction
-from itertools import combinations, count
+from itertools import combinations, count, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -51,7 +55,10 @@ from sl3frieze.family import (
 from sl3frieze.mutation import (
     MutationMove,
     ValuedFamily,
+    _ascending,
+    _flip,
     _moves_of_triangles,
+    _walk_state,
     exchange_value,
     family_moves,
     format_trace_line,
@@ -349,6 +356,53 @@ def test_oracle_budget_exhaustion():
         oracle_values(vf, [target], budget=0)
 
 
+# The grid row k = 1 of n = 8, the triangles {i, i+1, i+3}; per walk seed,
+# the messages at budgets 0, 1, 5 and 50 (missing targets and expanded count
+# both follow the order the moves are enumerated in) and the values found at
+# the default budget, under the unit values and under the signed Fraction
+# values (-1)^j (j+1)/(j+2) of the j-th sorted triangle.
+ORACLE_ROW = [(1, 2, 4), (2, 3, 5), (3, 4, 6), (4, 5, 7), (5, 6, 8), (1, 6, 7), (2, 7, 8), (1, 3, 8)]
+ORACLE_PINS = {
+    0: ({0: [(1, 3, 8), (2, 3, 5), (2, 7, 8), (3, 4, 6), (4, 5, 7), (5, 6, 8)],
+         1: [(1, 3, 8), (2, 7, 8), (3, 4, 6), (5, 6, 8)],
+         5: [(1, 3, 8), (2, 7, 8), (3, 4, 6), (5, 6, 8)],
+         50: [(2, 7, 8)]},
+        [1, 2, 5, 2, 4, 1, 5, 5],
+        ["-2/3", "-141/416", "229931/90720", "197/6615", "-3202585/1723392", "9/10", "-455045/445536",
+         "-505/199584"]),
+    1: ({0: [(1, 2, 4), (2, 3, 5), (2, 7, 8), (3, 4, 6), (4, 5, 7), (5, 6, 8)],
+         1: [(2, 3, 5), (2, 7, 8), (4, 5, 7), (5, 6, 8)],
+         5: [(2, 3, 5), (2, 7, 8), (5, 6, 8)],
+         50: [(2, 3, 5), (2, 7, 8)]},
+        [2, 5, 2, 3, 3, 1, 12, 1],
+        ["5/64", "-64843/14976", "3249/1820", "16946/18711", "191661/213248", "-8/9", "-1185895/6432426",
+         "-4/5"]),
+    2: ({0: [(1, 2, 4), (1, 3, 8), (1, 6, 7), (2, 7, 8), (3, 4, 6), (5, 6, 8)],
+         1: [(1, 3, 8), (2, 7, 8), (3, 4, 6), (5, 6, 8)],
+         5: [(1, 3, 8), (2, 7, 8), (3, 4, 6)],
+         50: [(3, 4, 6)]},
+        [2, 1, 13, 1, 3, 2, 4, 3],
+        ["410/2673", "9/10", "-12431878657/4188834000", "13/14", "7881/8450", "-6532/3825", "2467/1408",
+         "-28123/28000"]),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(ORACLE_PINS))
+def test_oracle_pins_values_and_budget_messages(seed):
+    missing, unit_values, signed_values = ORACLE_PINS[seed]
+    fam = random_maximal_family(G8, 20, seed)
+    signed = ValuedFamily(fam, {t: Fraction((-1) ** j * (j + 1), j + 2)
+                                for j, t in enumerate(fam.sorted_triangles())})
+    for vf, values in ((unit_specialization(fam), unit_values), (signed, [Fraction(v) for v in signed_values])):
+        for budget, targets in missing.items():
+            with pytest.raises(BudgetExceededError) as e:
+                oracle_values(vf, ORACLE_ROW, budget)
+            assert str(e.value) == f"targets not reached: {targets} (budget={budget}, expanded={budget})"
+        found = oracle_values(vf, ORACLE_ROW)
+        assert [found[t] for t in ORACLE_ROW] == values
+        assert all(type(found[t]) is type(v) for t, v in zip(ORACLE_ROW, values))
+
+
 def test_oracle_rejects_negative_budget():
     # refused before any lookup, even for a target the family holds
     vf = unit_specialization(canonical_family(8))
@@ -471,9 +525,38 @@ def _reference_moves(triangles) -> list:
 def test_moves_match_reference_on_walk_families():
     for n in range(6, 33):
         fam = canonical_family(n)
-        assert _moves_of_triangles(fam.triangles) == _reference_moves(fam.triangles)
+        assert _moves_of_triangles(fam.triangles, n) == _reference_moves(fam.triangles)
         for fam in walk_families(fam, 8, seed=n):
-            assert _moves_of_triangles(fam.triangles) == _reference_moves(fam.triangles), n
+            assert _moves_of_triangles(fam.triangles, n) == _reference_moves(fam.triangles), n
+
+
+def test_moves_match_reference_at_scale():
+    for n in (128, 512):
+        ground = GroundSet(n)
+        for fam in (canonical_family(n), random_maximal_family(ground, 200, seed=n)):
+            assert _moves_of_triangles(fam.triangles, n) == _reference_moves(fam.triangles), n
+
+
+def test_walk_state_follows_every_move():
+    # the masks and the pivoted triangles per point that the walk keeps, after
+    # a move and after its inverse, equal the ones built from scratch
+    for fam in (canonical_family(9), random_maximal_family(GroundSet(9), 30, seed=4)):
+        n = fam.ground.n
+        state = _walk_state(fam.triangles, n)
+        for move in family_moves(fam):
+            nb, around = state
+            _flip(nb, around, move.removed)
+            _flip(nb, around, move.added)
+            assert state == _walk_state(fam.triangles - {move.removed} | {move.added}, n), move
+            _flip(nb, around, move.added)
+            _flip(nb, around, move.removed)
+            assert state == _walk_state(fam.triangles, n), move
+
+
+def test_ascending_sorts_every_order():
+    for t in ((1, 2, 3), (2, 5, 9), (3, 7, 8)):
+        for p in permutations(t):
+            assert _ascending(*p) == t
 
 
 def _reference_walk(fam, steps, seed):
@@ -493,6 +576,14 @@ def test_walk_matches_reference_walk():
         for seed in range(1, 6):
             fam = canonical_family(n)
             assert list(seeded_walk(fam, 20, seed)) == list(_reference_walk(fam, 20, seed)), (n, seed)
+
+
+def test_random_maximal_family_refuses_a_ground_that_is_not_a_ground_set():
+    for ground in (None, 8):
+        with pytest.raises(InvalidInputError, match=f"^ground must be a GroundSet, got {ground!r}$"):
+            random_maximal_family(ground, 3, 1)
+    with pytest.raises(InvalidInputError, match="^steps must be >= 0$"):  # steps are checked first
+        random_maximal_family(None, -1, 1)
 
 
 def test_random_walk_stays_maximal():

@@ -12,6 +12,9 @@ Claims covered:
       nested pairs force an intermediate point splitting them
     - realizable candidate graphs round-trip through a maximal family, and the
       admissibility conditions are reported by name
+    - the non-crossing check in one pass over nested intervals decides what
+      the scan of every chord pair decides, and a crossing is reported pair
+      by pair as that scan finds them
     - the structure check covers all of conditions (i)-(v): it passes exactly
       the graphs that realization accepts, and its first violation names the
       condition that realization reports
@@ -31,10 +34,12 @@ from sl3frieze.errors import (
     MalformedFileError,
 )
 from sl3frieze import canonical_family
-from sl3frieze.family import Family, frozen_triangles, link_triangle, star_index, unlink_triangle
-from sl3frieze.mutation import family_moves, random_maximal_family
+from sl3frieze.family import Family, frozen_triangles
+from sl3frieze.mutation import random_maximal_family
 from sl3frieze.stargraph import (
     RULE_CONDITIONS,
+    _chords_cross,
+    _noncrossing,
     border_sequences,
     border_triangles,
     build_star_graph,
@@ -141,19 +146,6 @@ def test_classification_matches_edge_scans(small_corpus):
     assert laid_out > len(graphs) - 300  # every corpus star, and some random ones
 
 
-def test_star_index_link_and_unlink_follow_an_exchange():
-    fam = canonical_family(9)
-    index = star_index(fam.triangles)
-    for move in family_moves(fam):
-        after = star_index(fam.triangles - {move.removed} | {move.added})
-        unlink_triangle(index, move.removed)
-        link_triangle(index, move.added)
-        assert index == after
-        unlink_triangle(index, move.added)
-        link_triangle(index, move.removed)
-        assert index == star_index(fam.triangles)
-
-
 def test_build_star_graph_rejects_non_maximal():
     with pytest.raises(InvalidInputError):
         build_star_graph(frozen_triangles(G8), 1)
@@ -200,6 +192,27 @@ def test_structure_detects_crossing_chords():
     rep = verify_structure_theorem(star_graph_from_edges(1, G8, edges))
     assert not rep.ok
     assert any(rule == "polygon.noncrossing" for rule, _ in rep.violations)
+
+
+def test_noncrossing_pass_agrees_with_the_pairwise_scan():
+    # the one-pass check decides what the scan of every pair decides, and the
+    # report names every crossing pair in lex order, as the scan finds them
+    rng = random.Random(5)
+    crossing = 0
+    for _ in range(2000):
+        n = rng.randrange(6, 13)
+        ground = GroundSet(n)
+        pool = list(combinations(range(2, n + 1), 2))
+        chords = sorted(rng.sample(pool, rng.randrange(1, min(2 * n, len(pool)))))
+        pairs = [(e1, e2) for e1, e2 in combinations(chords, 2) if _chords_cross(e1, e2)]
+        assert _noncrossing(chords) == (not pairs), chords
+        rep = verify_structure_theorem(star_graph_from_edges(1, ground, chords))
+        named = [w for rule, w in rep.violations if rule == "polygon.noncrossing"]
+        tp = set(star_graph_from_edges(1, ground, chords).triangulation_points)
+        te = [e for e in chords if e[0] in tp and e[1] in tp]
+        assert named == [f"edges {e1} and {e2} cross" for e1, e2 in combinations(te, 2) if _chords_cross(e1, e2)]
+        crossing += bool(named)
+    assert crossing > 500
 
 
 def test_structure_detects_missing_boundary_edge():
