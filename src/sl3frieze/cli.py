@@ -170,7 +170,7 @@ def cmd_analyze(ns) -> int:
 
 
 def cmd_frieze(ns) -> int:
-    from .frieze import extend_rows, frieze_to_dict, quiddity_rows, render_frieze, validate_frieze
+    from .frieze import dump_frieze, extend_rows, quiddity_rows, render_frieze, validate_frieze
 
     fam, err = _load_checked_family(ns.family)
     if err:
@@ -186,9 +186,7 @@ def cmd_frieze(ns) -> int:
         "period": report.n,
     }
     if ns.format == "json":
-        payload = frieze_to_dict(grid)
-        payload["validation"] = summary
-        _emit_json(payload)
+        sys.stdout.write(dump_frieze(grid, validation=summary))
     else:
         sys.stdout.write(render_frieze(grid))
         print(f"SL3: {'ok' if report.is_sl3 else 'FAIL'}; tame: {'ok' if report.is_tame else 'FAIL'}; "

@@ -214,21 +214,35 @@ def family_from_dict(data, validate: bool = True) -> Family:
     triples = data["triangles"]
     if not isinstance(triples, list):
         raise MalformedFileError('"triangles" must be a list of 3-point lists')
+    n = ground.n
     triangles = []
+    checked = False  # whether an entry took the full checks below
     for raw in triples:
+        # one strict test accepts a triangle as the writer emits it
+        if type(raw) is list and len(raw) == 3:
+            a, b, c = raw
+            if type(a) is int and type(b) is int and type(c) is int and 0 < a < b < c <= n:
+                triangles.append((a, b, c))
+                continue
         if (not isinstance(raw, list) or len(raw) != 3
                 or any(not ground.contains(p) for p in raw)):
             raise MalformedFileError(f"bad triangle entry: {raw!r}")
         if raw != sorted(raw):
             raise MalformedFileError(f"triangle not sorted ascending: {raw!r}")
         triangles.append(tuple(raw))
-    try:
-        fam = make_family(ground, triangles, validate=False)
-    except InvalidInputError as e:
-        raise MalformedFileError(str(e)) from e
+        checked = True
+    ts = frozenset(triangles)
+    if checked or len(ts) != len(triangles):
+        # make_family names the first triangle with a repeated point, or else
+        # the duplicate
+        try:
+            ts = make_family(ground, triangles, validate=False).triangles
+        except InvalidInputError as e:
+            raise MalformedFileError(str(e)) from e
+    fam = Family(ground, ts)
     if validate:
         _require_weakly_separated(fam)
-        fam = Family(ground, fam.triangles, validated=True)
+        fam = Family(ground, ts, validated=True)
     return fam
 
 

@@ -234,11 +234,28 @@ def _toggle(nb: list, t) -> None:
     row[q] ^= bp
 
 
-def _masks(triangles, n: int) -> list:
-    """The neighbour masks nb[z][a] (see _toggle) of a triangle set over 1..n."""
-    nb = [[0] * (n + 1) for _ in range(n + 1)]
+def _require_points(triangles, n: int) -> None:
+    """Raise InvalidInputError naming the first point of the triangles that is
+    not in 1..n."""
+    ground = GroundSet(n)
     for t in triangles:
-        _toggle(nb, t)
+        for p in t:
+            if not ground.contains(p):
+                raise InvalidInputError(f"triangle point {p!r} outside 1..{n}") from None
+
+
+def _masks(triangles, n: int) -> list:
+    """The neighbour masks nb[z][a] (see _toggle) of a triangle set over 1..n.
+    A point outside 1..n is an InvalidInputError naming it, at no cost to a
+    valid set: a point past n fails the indexing, a negative one or one that
+    is not an int the shift, and a 0 the row nb[0], which is None."""
+    nb = [None] + [[0] * (n + 1) for _ in range(n)]
+    try:
+        for t in triangles:
+            _toggle(nb, t)
+    except (IndexError, TypeError, ValueError):
+        _require_points(triangles, n)
+        raise
     return nb
 
 
@@ -279,11 +296,12 @@ def family_moves(fam: Family) -> list:
 def _walk_state(triangles, n: int) -> tuple:
     """The state the walk keeps current: the neighbour masks of the
     triangles and, per point z, the set of pivoted triangles (z, a, c)."""
+    nb = _masks(triangles, n)  # checks the points, which index around too
     around = [set() for _ in range(n + 1)]
     for t in triangles:
         for pv in _pivoted(t):
             around[pv[0]].add(pv)
-    return _masks(triangles, n), around
+    return nb, around
 
 
 def _flip(nb: list, around: list, t) -> None:

@@ -11,7 +11,9 @@ Claims covered:
       3 for budget
     - check-frieze writes every failing determinant in full, also past the
       4,300-digit limit
-    - identical inputs and flags give byte-identical output
+    - identical inputs and flags give byte-identical output, and
+      frieze --format json is the standard library's indent=2 encoding of the
+      rows and the validation summary, byte for byte
     - gen writes its trace only after the family, so a family that cannot be
       written leaves no trace file
     - each command loads only its own layers: gen and validate load neither
@@ -29,8 +31,8 @@ from sl3frieze import canonical_family
 from sl3frieze.cli import main
 from sl3frieze.family import dump_family, load_family, make_family
 from sl3frieze.cyclic import MAX_N, GroundSet
-from sl3frieze.frieze import dump_frieze, load_frieze, validate_frieze
-from sl3frieze.mutation import random_maximal_family
+from sl3frieze.frieze import dump_frieze, extend_rows, format_rational, load_frieze, quiddity_rows, validate_frieze
+from sl3frieze.mutation import random_maximal_family, unit_specialization
 
 
 @pytest.fixture()
@@ -110,6 +112,24 @@ def test_frieze_json_round_trips_through_check(run, fam8, tmp_path):
     frieze_path.write_text(out)
     out2, _ = run("check-frieze", frieze_path)
     assert "valid tame SL3-frieze" in out2
+
+
+@pytest.mark.parametrize("n, steps", [(6, 0), (8, 20), (32, 60)])
+def test_frieze_json_is_the_json_encoder_byte_for_byte(run, tmp_path, n, steps):
+    fam = random_maximal_family(GroundSet(n), steps, 1)
+    path = tmp_path / "family.json"
+    path.write_text(dump_family(fam))
+    grid = extend_rows(quiddity_rows(unit_specialization(fam)))
+    report = validate_frieze(grid)
+    payload = {
+        "schema_version": 1,
+        "n": n,
+        "rows": [[format_rational(v) for v in row] for row in grid.rows],
+        "validation": {"sl3": report.is_sl3, "tame": report.is_tame, "integral": report.integral,
+                       "positive": report.positive, "width": report.width, "period": report.n},
+    }
+    out, _ = run("frieze", path, "--format", "json")
+    assert out == json.dumps(payload, indent=2) + "\n"
 
 
 def test_check_frieze_accepts_fixture(run, tmp_path):

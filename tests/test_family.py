@@ -16,6 +16,9 @@ Claims covered:
     - the JSON format round-trips and rejects unknown keys / unsorted triples;
       a malformed file raises MalformedFileError whether or not the load
       checks weak separation
+    - every bad triangle entry keeps its message (not a list, a wrong
+      length, a bool, a float, 0 or n + 1, unsorted, a repeated point, a
+      duplicate triangle), and of two bad entries the same one is named
 """
 
 import json
@@ -288,3 +291,54 @@ def test_family_file_errors_keep_their_type_whatever_validate_is():
         load_family(crossing)
     assert not isinstance(info.value, MalformedFileError)
     assert not load_family(crossing, validate=False).validated
+
+
+@pytest.mark.parametrize("entries, message", [
+    ([5], "bad triangle entry: 5"),
+    ([(1, 2, 3)], "bad triangle entry: (1, 2, 3)"),
+    ([[1, 2]], "bad triangle entry: [1, 2]"),
+    ([[1, 2, 3, 4]], "bad triangle entry: [1, 2, 3, 4]"),
+    ([[True, 2, 3]], "bad triangle entry: [True, 2, 3]"),
+    ([[1, 2, 3.0]], "bad triangle entry: [1, 2, 3.0]"),
+    ([[1, "2", 3]], "bad triangle entry: [1, '2', 3]"),
+    ([[0, 2, 3]], "bad triangle entry: [0, 2, 3]"),
+    ([[1, 2, 9]], "bad triangle entry: [1, 2, 9]"),
+    ([[3, 2, 1]], "triangle not sorted ascending: [3, 2, 1]"),
+    ([[1, 3, 2]], "triangle not sorted ascending: [1, 3, 2]"),
+    ([[1, 1, 2]], "triangle points must be distinct: (1, 1, 2)"),
+    ([[1, 2, 2]], "triangle points must be distinct: (1, 2, 2)"),
+    ([[2, 3, 4]], "duplicate triangles in family"),
+    # the shape and order checks run over every entry before the repeated
+    # points, and those before the duplicates
+    ([[1, 1, 2], [3, 2, 1]], "triangle not sorted ascending: [3, 2, 1]"),
+    ([[1, 1, 2], [1, 2, 9]], "bad triangle entry: [1, 2, 9]"),
+    ([[2, 3, 4], [1, 2, 2]], "triangle points must be distinct: (1, 2, 2)"),
+    ([[1, 2, 2], [1, 1, 2]], "triangle points must be distinct: (1, 2, 2)"),
+])
+@pytest.mark.parametrize("validate", [True, False])
+def test_family_reader_keeps_each_bad_entry_message(entries, message, validate):
+    data = {"n": 8, "triangles": [[1, 2, 3], [2, 3, 4], *entries, [4, 5, 6]]}
+    with pytest.raises(MalformedFileError) as info:
+        family_from_dict(data, validate=validate)
+    assert str(info.value) == message
+    if not any(type(e) is tuple for e in entries):
+        with pytest.raises(MalformedFileError) as info:
+            load_family(json.dumps(data), validate=validate)
+        assert str(info.value) == message
+
+
+def test_family_reader_accepts_int_subclasses_as_the_checks_do():
+    # an int subclass other than bool is a point, as GroundSet.contains has it
+    class Point(int):
+        pass
+
+    fam = family_from_dict({"n": 8, "triangles": [[Point(1), Point(2), Point(3)], [2, 3, 4]]})
+    assert fam.triangles == {(1, 2, 3), (2, 3, 4)} and fam.validated
+
+
+def test_family_reader_round_trips_walk_families():
+    for n in (6, 32, 512):
+        fam = random_maximal_family(GroundSet(n), 200, 1)
+        for validate in (True, False):
+            again = load_family(dump_family(fam), validate=validate)
+            assert again == Family(fam.ground, fam.triangles, validated=validate)

@@ -33,9 +33,18 @@ Claims covered:
       same on a grid and on its entries wrapped in Fraction
     - rendering and both file formats round-trip; numbers are written with
       every digit, also past the 4,300-digit limit of str(int)
+    - the frieze writer is byte for byte json.dumps(payload, indent=2) + "\n",
+      with and without a validation block, and the text layout is byte for
+      byte the two-pass layout, on int, Fraction and negative grids, entries
+      just past 4,300 digits and walk friezes at n = 6, 32 and 512
+    - the frieze reader keeps each bad entry's exception and message, and a
+      written grid loads back with int entries as ints and Fraction entries
+      as Fractions
 """
 
+import json
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -55,6 +64,7 @@ from sl3frieze.errors import (
 )
 from sl3frieze.family import Family, continuous_triangles, frozen_triangles, make_family
 from sl3frieze.frieze import (
+    FRIEZE_SCHEMA_VERSION,
     FriezeGrid,
     QuiddityRows,
     almost_continuous_at,
@@ -986,3 +996,113 @@ def test_format_rational():
         num, _, den = format_rational(v).partition("/")
         assert Fraction(parse_decimal(num), parse_decimal(den) if den else 1) == v
         assert not num.lstrip("-").startswith("0") and not den.startswith("0")
+
+
+# -- the writer and the reader against their references --------------------------
+
+def reference_dump(grid: FriezeGrid, validation=None) -> str:
+    """The frieze file as the standard library's encoder lays it out: the
+    reference dump_frieze must match byte for byte."""
+    payload = {
+        "schema_version": FRIEZE_SCHEMA_VERSION,
+        "n": grid.n,
+        "rows": [[format_rational(v) for v in row] for row in grid.rows],
+    }
+    if validation is not None:
+        payload["validation"] = validation
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def reference_render(grid: FriezeGrid) -> str:
+    """The staircase layout with every entry formatted twice, once for the
+    cell width and once for the body: the reference render_frieze must match
+    byte for byte."""
+    zeros, ones = (0,) * grid.n, (1,) * grid.n
+    rows = [zeros, zeros, ones, *grid.rows, ones, zeros, zeros]
+    cell = max(len(format_rational(v)) for row in rows for v in row)
+    lines = []
+    for r, row in enumerate(rows):
+        body = (" " * cell).join(format_rational(v).ljust(cell) for v in row)
+        lines.append((" " * (cell * r) + body).rstrip())
+    return "\n".join(lines) + "\n"
+
+
+def walk_frieze(n: int, steps: int, seed: int) -> FriezeGrid:
+    return extend_rows(quiddity_rows(unit_specialization(random_maximal_family(GroundSet(n), steps, seed))))
+
+
+def writer_grids():
+    """Grids for the writer tests: int, Fraction (integral and not), negative
+    and long entries, and walk friezes at n = 6, 32 and 512."""
+    rng = random.Random(19)
+    long = 10 ** 4300  # 4,301 digits, one past the limit of str(int)
+    yield intro_frieze()  # Fraction entries, all integral
+    yield FriezeGrid(8, INTRO_ROWS)  # the same as ints
+    yield FriezeGrid(5, ((Fraction(3, 2), 1, Fraction(-2), Fraction(-1, 3), -5),))
+    for _ in range(3):
+        yield FriezeGrid(7, tuple(tuple(Fraction(rng.randint(-99, 99), rng.randint(1, 9)) for _ in range(7))
+                                  for _ in range(3)))
+        yield FriezeGrid(7, tuple(tuple(rng.randint(-10 ** 30, 10 ** 30) for _ in range(7)) for _ in range(3)))
+    yield FriezeGrid(5, ((long, -long, 10 ** 4299, 1, -1),))  # one row past the limit, one entry at it
+    yield FriezeGrid(5, ((Fraction(long + 1, 3), Fraction(-7, long + 3), 2, 3, 4),))
+    yield FriezeGrid(6, ((1, 2, 3, 4, 5, 6), (-long - 1, 1, 1, 1, 1, 1)))  # only the second row is long
+    for n in (6, 32, 512):
+        yield walk_frieze(n, 200, 1)
+
+
+def test_dump_frieze_is_the_json_encoder_byte_for_byte():
+    for grid in writer_grids():
+        text = dump_frieze(grid)
+        assert text == reference_dump(grid), grid.n
+        validation = {"sl3": True, "tame": False, "integral": True, "positive": False, "width": grid.width,
+                      "period": grid.n}
+        assert dump_frieze(grid, validation=validation) == reference_dump(grid, validation)
+
+
+def test_render_frieze_is_the_two_pass_layout_byte_for_byte():
+    for grid in writer_grids():
+        assert render_frieze(grid) == reference_render(grid), grid.n
+
+
+# the ValueError of int() and Fraction() on a 4,301-digit string
+LIMIT = ("Exceeds the limit (4300 digits) for integer string conversion: value has 4301 digits; "
+         "use sys.set_int_max_str_digits() to increase the limit")
+
+
+def test_written_grids_load_back_with_their_entry_types():
+    long = 10 ** 4300
+    for grid in writer_grids():
+        text = dump_frieze(grid)
+        if any(max(abs(v.numerator), v.denominator) >= long for row in grid.rows for v in row):
+            # written in full, but refused on reading, as any number past the limit is
+            with pytest.raises(MalformedFileError, match=re.escape(LIMIT)):
+                load_frieze(text)
+            continue
+        again = load_frieze(text)
+        assert again == grid
+        for row, again_row in zip(grid.rows, again.rows):
+            for v, w in zip(row, again_row):
+                # an integral Fraction is written as "p" and loads as an int
+                assert type(w) is (int if v.denominator == 1 else Fraction), (v, w)
+
+
+@pytest.mark.parametrize("entry, suffix", [
+    ("1e3", ""), ("2.5", ""), (" 1", ""), ("1 ", ""), ("+1", ""), ("1_000", ""), ("\u0661", ""),
+    ("", ""), ("-", ""), ("1/", ""), ("1/-2", ""), ("0x1", ""), (1.5, ""), (True, ""), (None, ""),
+    ("1/0", ": Fraction(1, 0)"),
+    ("1" * 4301, ": " + LIMIT), ("-" + "1" * 4301, ": " + LIMIT), ("1" * 4301 + "/3", ": " + LIMIT),
+])
+def test_frieze_reader_keeps_each_bad_entry_message(entry, suffix):
+    with pytest.raises(MalformedFileError) as info:
+        frieze_from_dict({"n": 5, "rows": [["1", "2", entry, "3", "4"]]})
+    assert str(info.value) == f"bad frieze entry {entry!r}{suffix}"
+    text = json.dumps({"n": 5, "rows": [[1, "2", entry, "3", "4"]]})
+    with pytest.raises(MalformedFileError) as info:
+        load_frieze(text)
+    assert str(info.value) == f"bad frieze entry {entry!r}{suffix}"
+
+
+def test_frieze_reader_entry_forms():
+    grid = frieze_from_dict({"n": 5, "rows": [["007", "-0", "-12", "10/4", "4300" + "0" * 4296]]})
+    assert [(type(v), v) for v in grid.rows[0]] == [
+        (int, 7), (int, 0), (int, -12), (Fraction, Fraction(5, 2)), (int, 4300 * 10 ** 4296)]

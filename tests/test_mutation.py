@@ -25,6 +25,8 @@ Claims covered:
       a move touches draws the same moves
     - the oracle's values and budget messages are pinned on walk families at
       n = 8, so the order moves are enumerated in cannot drift
+    - family_moves and the walk refuse a hand-built family with a point
+      outside 1..n (past n, negative, 0) with an InvalidInputError naming it
 """
 
 import random
@@ -584,6 +586,20 @@ def test_random_maximal_family_refuses_a_ground_that_is_not_a_ground_set():
             random_maximal_family(ground, 3, 1)
     with pytest.raises(InvalidInputError, match="^steps must be >= 0$"):  # steps are checked first
         random_maximal_family(None, -1, 1)
+
+
+@pytest.mark.parametrize("bad, point", [((1, 2, 9), "9"), ((-1, 2, 3), "-1"), ((0, 2, 3), "0"),
+                                        ((False, 2, 3), "False"), ((1, 2, 3.5), "3.5")])
+def test_moves_of_a_family_with_a_point_outside_the_ground_set_are_refused(bad, point):
+    # Family itself checks no points; the move kernel names the first it cannot place
+    fam = Family(G8, canonical_family(8).triangles | {bad})
+    message = f"^triangle point {point} outside 1..8$"
+    with pytest.raises(InvalidInputError, match=message):
+        family_moves(fam)
+    with pytest.raises(InvalidInputError, match=message):
+        next(seeded_walk(fam, 3, 1))
+    with pytest.raises(InvalidInputError, match=message):
+        list(seeded_walk(fam, 0, 1))
 
 
 def test_random_walk_stays_maximal():
