@@ -90,7 +90,7 @@ def _load_checked_family(path: str):
     if not ok:
         print(f"not weakly separated: {pair[0]} crosses {pair[1]}", file=sys.stderr)
         return None, 1
-    fam = Family(fam.ground, fam.triangles, validated=True)
+    fam = Family._unchecked(fam.ground, fam.triangles, True)  # the reader checked its triangles
     if not is_maximal_family(fam):
         print(f"family is not maximal: {len(fam)} triangles, expected {maximal_size(fam.ground)}",
               file=sys.stderr)

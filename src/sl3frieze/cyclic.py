@@ -69,6 +69,15 @@ class Record:
     def __reduce__(self):
         return type(self), self._fields(self.__slots__)
 
+    @classmethod
+    def _unchecked(cls, *fields):
+        """The record with these fields, in ``__slots__`` order, built
+        without ``__init__`` and its checks, for fields known to pass them."""
+        self = object.__new__(cls)
+        for name, value in zip(cls.__slots__, fields):
+            object.__setattr__(self, name, value)
+        return self
+
     def _fields(self, names) -> tuple:
         return tuple(getattr(self, f) for f in names)
 

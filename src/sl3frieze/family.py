@@ -3,7 +3,12 @@
 A triangle is stored as a strictly ascending 3-tuple of points. A family keeps
 its ground set, a frozenset of triangles and a ``validated`` flag meaning the
 weak-separation check (one crossing-index query per triangle) has been run on
-construction.
+construction. ``Family`` holds the triangle invariant: construction refuses
+any triangle that is not an ascending triple of points of 1..n, so nothing
+downstream checks one again. ``with_exchange`` tests only the triangle it
+adds; the reader and ``make_family``, which check each entry themselves, and
+the families built here from valid triangles skip the test
+(``Record._unchecked``).
 
 Beside the ``crossing_index`` queries lives the other index over a triangle
 set: ``star_index``, the star graph of every point at once as neighbour sets,
@@ -41,8 +46,31 @@ def all_triangles(ground: GroundSet):
     return combinations(ground.points(), 3)
 
 
+def _check_triangles(triangles, ground: GroundSet) -> None:
+    """Raise InvalidInputError, naming the point or the triangle, unless each
+    triangle is an ascending triple of points of 1..n. The strict test is the
+    family reader's; a triangle that fails it is looked at again to name the
+    fault, and passes if its points are an int subclass other than bool."""
+    n = ground.n
+    for t in triangles:
+        if type(t) is tuple and len(t) == 3:
+            a, b, c = t
+            if type(a) is int and type(b) is int and type(c) is int and 0 < a < b < c <= n:
+                continue
+        if not isinstance(t, tuple) or len(t) != 3:
+            raise InvalidInputError(f"triangle {t!r} needs three distinct points")
+        for p in t:
+            if not ground.contains(p):
+                raise InvalidInputError(f"triangle point {p!r} outside 1..{n}")
+        if len(set(t)) != 3:
+            raise InvalidInputError(f"triangle {t!r} needs three distinct points")
+        if not t[0] < t[1] < t[2]:
+            raise InvalidInputError(f"triangle {t!r} not sorted ascending")
+
+
 class Family(Record):
-    """A set of triangles over a ground set.
+    """A set of triangles over a ground set, each an ascending triple of
+    points of 1..n; construction refuses any other with InvalidInputError.
 
     ``validated`` records that weak separation was checked; operations
     whose guarantees need it (``is_maximal_family``, ``greedy_complete``)
@@ -52,6 +80,7 @@ class Family(Record):
     __slots__ = ("ground", "triangles", "validated")
 
     def __init__(self, ground: GroundSet, triangles: frozenset, validated: bool = False):
+        _check_triangles(triangles, ground)
         object.__setattr__(self, "ground", ground)
         object.__setattr__(self, "triangles", triangles)
         object.__setattr__(self, "validated", validated)
@@ -67,24 +96,23 @@ class Family(Record):
 
     def with_exchange(self, removed: Triangle, added: Triangle) -> "Family":
         """Replace one triangle by another; validation status is preserved by
-        callers that know the exchange is separation-safe."""
+        callers that know the exchange is separation-safe. Only the added
+        triangle is tested: the others passed when the family was built."""
+        _check_triangles((added,), self.ground)
         if removed not in self.triangles or added in self.triangles:
             raise InvalidInputError("exchange does not apply to this family")
-        return Family(self.ground, self.triangles - {removed} | {added}, self.validated)
+        return Family._unchecked(self.ground, self.triangles - {removed} | {added}, self.validated)
 
 
-def make_family(ground: GroundSet, triangles, validate: bool = True) -> Family:
-    """Build a family from point triples; with validate=True the result is
-    checked to be weakly separated (raising otherwise) and marked validated."""
+def make_family(ground: GroundSet, triangles) -> Family:
+    """Build a family from point triples, each sorted and checked by
+    make_triangle; the result is checked to be weakly separated (raising
+    otherwise) and marked validated."""
     tris = [make_triangle(*t, ground=ground) for t in triangles]
     ts = frozenset(tris)
     if len(ts) != len(tris):
         raise InvalidInputError("duplicate triangles in family")
-    fam = Family(ground, ts, validated=False)
-    if validate:
-        _require_weakly_separated(fam)
-        fam = Family(ground, ts, validated=True)
-    return fam
+    return _validated(Family._unchecked(ground, ts, False))
 
 
 def continuous_triangles(n: int) -> list:
@@ -95,7 +123,7 @@ def continuous_triangles(n: int) -> list:
 def frozen_triangles(ground: GroundSet) -> Family:
     """The n continuous triangles {i, i+1, i+2}; they cross nothing, so they lie
     in every maximal family."""
-    return Family(ground, frozenset(continuous_triangles(ground.n)), validated=True)
+    return Family._unchecked(ground, frozenset(continuous_triangles(ground.n)), True)
 
 
 def canonical_family(n: int) -> Family:
@@ -103,7 +131,7 @@ def canonical_family(n: int) -> Family:
     {1,j,j+1} for 3 <= j <= n-2. It equals the greedy completion of the frozen
     triangles and is the deterministic base point of all generators."""
     ts = continuous_triangles(n) + [(1, 2, j) for j in range(4, n)] + [(1, j, j + 1) for j in range(3, n - 1)]
-    return Family(GroundSet(n), frozenset(ts), validated=True)
+    return Family._unchecked(GroundSet(n), frozenset(ts), True)
 
 
 def is_weakly_separated_family(fam: Family):
@@ -140,10 +168,13 @@ def star_index(triangles) -> dict:
     return index
 
 
-def _require_weakly_separated(fam: Family) -> None:
+def _validated(fam: Family) -> Family:
+    """fam marked validated, once weak separation holds; InvalidInputError
+    naming the first crossing pair otherwise."""
     ok, pair = is_weakly_separated_family(fam)
     if not ok:
         raise InvalidInputError(f"family is not weakly separated: {pair[0]} crosses {pair[1]}")
+    return Family._unchecked(fam.ground, fam.triangles, True)
 
 
 def maximal_size(ground: GroundSet) -> int:
@@ -160,7 +191,7 @@ def is_maximal_family(fam: Family) -> bool:
     """Maximality via the cardinality 3n-8: a weakly separated family of that
     size admits no addable triangle."""
     if not fam.validated:
-        _require_weakly_separated(fam)
+        fam = _validated(fam)
     return len(fam) == maximal_size(fam.ground)
 
 
@@ -173,7 +204,7 @@ def greedy_complete(fam: Family) -> Family:
     them gives, per chosen triangle, the candidates it rules out; the live
     candidates are a bitmask, so the next choice is its lowest bit."""
     if not fam.validated:
-        _require_weakly_separated(fam)
+        fam = _validated(fam)
     current = set(fam.triangles)
     candidates = addable_triangles(fam)
     crossers = crossing_index(candidates, fam.ground.n)
@@ -183,7 +214,7 @@ def greedy_complete(fam: Family) -> Family:
         chosen = candidates[lowest.bit_length() - 1]
         current.add(chosen)
         live &= ~(lowest | crossers(chosen))
-    return Family(fam.ground, frozenset(current), validated=True)
+    return Family._unchecked(fam.ground, frozenset(current), True)
 
 
 # -- JSON format --------------------------------------------------------------
@@ -216,9 +247,10 @@ def family_from_dict(data, validate: bool = True) -> Family:
         raise MalformedFileError('"triangles" must be a list of 3-point lists')
     n = ground.n
     triangles = []
-    checked = False  # whether an entry took the full checks below
+    repeated = None  # the first entry with a repeated point
     for raw in triples:
-        # one strict test accepts a triangle as the writer emits it
+        # one strict test accepts a triangle as the writer emits it: Family's
+        # triangle test, which the family is therefore built without
         if type(raw) is list and len(raw) == 3:
             a, b, c = raw
             if type(a) is int and type(b) is int and type(c) is int and 0 < a < b < c <= n:
@@ -229,21 +261,19 @@ def family_from_dict(data, validate: bool = True) -> Family:
             raise MalformedFileError(f"bad triangle entry: {raw!r}")
         if raw != sorted(raw):
             raise MalformedFileError(f"triangle not sorted ascending: {raw!r}")
-        triangles.append(tuple(raw))
-        checked = True
+        t = tuple(raw)
+        if repeated is None and len(set(t)) != 3:
+            repeated = t
+        triangles.append(t)
+    # every entry is an ascending triple of points; a repeated point is named
+    # before a duplicate triangle
+    if repeated is not None:
+        raise MalformedFileError(f"triangle points must be distinct: {repeated}")
     ts = frozenset(triangles)
-    if checked or len(ts) != len(triangles):
-        # make_family names the first triangle with a repeated point, or else
-        # the duplicate
-        try:
-            ts = make_family(ground, triangles, validate=False).triangles
-        except InvalidInputError as e:
-            raise MalformedFileError(str(e)) from e
-    fam = Family(ground, ts)
-    if validate:
-        _require_weakly_separated(fam)
-        fam = Family(ground, ts, validated=True)
-    return fam
+    if len(ts) != len(triangles):
+        raise MalformedFileError("duplicate triangles in family")
+    fam = Family._unchecked(ground, ts, False)
+    return _validated(fam) if validate else fam
 
 
 def dump_family(fam: Family) -> str:

@@ -196,7 +196,8 @@ def quiddity_rows(vf: ValuedFamily) -> QuiddityRows:
     of {i,i+1,i+3} lands at delta_low[i], the value of {i,i+2,i+3} at
     delta_high[i]. Every star comes straight off one star_index of the
     family, and the labels are counted, and kept, as plain ints. The family
-    is as ValuedFamily checked it: maximal, of triangles over 1..n."""
+    is maximal, as ValuedFamily checked it, and its triangles are ascending
+    triples of points of 1..n, as Family holds them."""
     if any(v != 1 for v in vf.values.values()):
         raise PreconditionError("quiddity rows need the all-ones specialization")
     fam = vf.family

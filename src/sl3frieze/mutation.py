@@ -10,7 +10,10 @@ the three-term relation
 forces the value of the new triangle. One kernel, ``_moves``, enumerates
 moves on neighbour bitmasks: bit b of nb[z][a] is set iff {z,a,b} is in the
 family, so the candidates b and d of a triangle {z,a,c} are the bits of
-nb[z][a] & nb[z][c]. ``family_moves`` and the breadth-first oracle build the
+nb[z][a] & nb[z][c], and a weakly separated family has at most one of each.
+The masks index by point, and ``Family`` guarantees that every triangle is
+an ascending triple of points of 1..n, so nothing here checks that again.
+``family_moves`` and the breadth-first oracle build the
 masks of a whole family; ``seeded_walk`` keeps them, and the triangles
 through each point, current across its steps, and draws moves uniformly; it
 yields the moves, and each caller applies them to its own family. This
@@ -89,10 +92,9 @@ class MutationMove(Record):
 
 class ValuedFamily(Record):
     """A maximal family together with a nonzero value per triangle, each an
-    int or a Fraction. Construction is the one gate of a family on its way to
-    ``frieze``: every triangle is three distinct points of 1..n, checked
-    before weak separation reads them, every continuous triangle is present,
-    and the family is maximal."""
+    int or a Fraction. Construction checks the values, that every continuous
+    triangle is present and that the family is maximal; its triangles are
+    ascending triples of points of 1..n, as ``Family`` holds them."""
 
     __slots__ = ("family", "values")
 
@@ -105,15 +107,8 @@ class ValuedFamily(Record):
         for t, v in self.values.items():
             if v == 0:
                 raise InvalidInputError(f"value of {t} must be nonzero")
-        ground = self.family.ground
-        if not all(t in self.family.triangles for t in continuous_triangles(ground.n)):
+        if not all(t in self.family.triangles for t in continuous_triangles(self.family.ground.n)):
             raise InvalidInputError("family must contain all continuous triangles")
-        for t in self.family.triangles:
-            if len(t) != 3 or len(set(t)) != 3:
-                raise InvalidInputError(f"triangle {t!r} needs three distinct points")
-        for p in set().union(*self.family.triangles):
-            if not ground.contains(p):
-                raise InvalidInputError(f"point {p!r} outside 1..{ground.n}")
         if not is_maximal_family(self.family):
             raise InvalidInputError("valued families must be maximal")
 
@@ -194,20 +189,7 @@ def mutate(vf: ValuedFamily, move: MutationMove) -> ValuedFamily:
     values2 = _exchange(vf.values, move.key())
     if values2[added] == 0:
         raise InvalidInputError(f"value of {added} must be nonzero")
-    result = object.__new__(ValuedFamily)  # skips __init__'s whole-family checks
-    object.__setattr__(result, "family", vf.family.with_exchange(move.removed, added))
-    object.__setattr__(result, "values", values2)
-    return result
-
-
-def _bits(mask: int) -> list:
-    """The positions of the set bits of mask, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+    return ValuedFamily._unchecked(vf.family.with_exchange(move.removed, added), values2)
 
 
 def _pivoted(t) -> tuple:
@@ -234,28 +216,12 @@ def _toggle(nb: list, t) -> None:
     row[q] ^= bp
 
 
-def _require_points(triangles, n: int) -> None:
-    """Raise InvalidInputError naming the first point of the triangles that is
-    not in 1..n."""
-    ground = GroundSet(n)
-    for t in triangles:
-        for p in t:
-            if not ground.contains(p):
-                raise InvalidInputError(f"triangle point {p!r} outside 1..{n}") from None
-
-
 def _masks(triangles, n: int) -> list:
-    """The neighbour masks nb[z][a] (see _toggle) of a triangle set over 1..n.
-    A point outside 1..n is an InvalidInputError naming it, at no cost to a
-    valid set: a point past n fails the indexing, a negative one or one that
-    is not an int the shift, and a 0 the row nb[0], which is None."""
-    nb = [None] + [[0] * (n + 1) for _ in range(n)]
-    try:
-        for t in triangles:
-            _toggle(nb, t)
-    except (IndexError, TypeError, ValueError):
-        _require_points(triangles, n)
-        raise
+    """The neighbour masks nb[z][a] (see _toggle) of the triangles of a
+    family over 1..n, which Family has checked to be points of 1..n."""
+    nb = [[0] * (n + 1) for _ in range(n + 1)]
+    for t in triangles:
+        _toggle(nb, t)
     return nb
 
 
@@ -263,8 +229,11 @@ def _moves(nb: list, pivoted) -> list:
     """The move kernel: the moves (z,a,b,c,d), unsorted, that remove a
     pivoted triangle (z,a,c), a < c, of the family with neighbour masks nb.
     The common neighbours of a and c in the star at z are the bits of
-    nb[z][a] & nb[z][c]; each one strictly between a and c is a b, each other
-    one a d, and every pair (b, d) is a move."""
+    nb[z][a] & nb[z][c]; the one strictly between a and c is b, the one
+    outside is d. A weakly separated family has at most one of each: two b's,
+    a < b1 < b2 < c, would put {z,a,b2} and {z,b1,c} in the family, and those
+    two cross (two d's likewise). So more than one is an InvalidInputError
+    naming {z,a,c}."""
     moves = []
     for z, a, c in pivoted:
         row = nb[z]
@@ -274,9 +243,9 @@ def _moves(nb: list, pivoted) -> list:
             continue
         outer = shared ^ inner
         if inner & (inner - 1) or outer & (outer - 1):
-            moves += [(z, a, b, c, d) for b in _bits(inner) for d in _bits(outer)]
-        else:  # the common case: one b and one d
-            moves.append((z, a, inner.bit_length() - 1, c, outer.bit_length() - 1))
+            raise InvalidInputError(f"triangle {_ascending(z, a, c)} has more than one move: "
+                                    "the family is not weakly separated")
+        moves.append((z, a, inner.bit_length() - 1, c, outer.bit_length() - 1))
     return moves
 
 
@@ -296,7 +265,7 @@ def family_moves(fam: Family) -> list:
 def _walk_state(triangles, n: int) -> tuple:
     """The state the walk keeps current: the neighbour masks of the
     triangles and, per point z, the set of pivoted triangles (z, a, c)."""
-    nb = _masks(triangles, n)  # checks the points, which index around too
+    nb = _masks(triangles, n)
     around = [set() for _ in range(n + 1)]
     for t in triangles:
         for pv in _pivoted(t):
@@ -365,10 +334,10 @@ def oracle_values(vf: ValuedFamily, targets, budget: int = DEFAULT_ORACLE_BUDGET
     n = ground.n
     wanted = set()
     for t in targets:
-        tt = tuple(sorted(t))
-        if len(set(tt)) != 3 or any(not ground.contains(p) for p in tt):
+        if (not isinstance(t, (tuple, list)) or len(t) != 3
+                or not all(map(ground.contains, t)) or len(set(t)) != 3):
             raise InvalidInputError(f"bad target triangle {t!r}")
-        wanted.add(tt)
+        wanted.add(tuple(sorted(t)))
 
     start = dict(vf.values)
     found = {t: start[t] for t in wanted if t in start}
@@ -417,19 +386,19 @@ def oracle_values(vf: ValuedFamily, targets, budget: int = DEFAULT_ORACLE_BUDGET
 def oracle_value(vf: ValuedFamily, target, budget: int = DEFAULT_ORACLE_BUDGET) -> int | Fraction:
     """Value of a single Pluecker coordinate, an int or a Fraction; see
     oracle_values."""
-    tt = tuple(sorted(target))
-    return oracle_values(vf, [tt], budget=budget)[tt]
+    (value,) = oracle_values(vf, [target], budget=budget).values()
+    return value
 
 
 # -- trace format ----------------------------------------------------------------
 #
 # One line per move:  z:(a,b,c,d) removed={z,a,c} added={z,b,d} value=p/q
 
-_TRACE_RE = re.compile(
-    r"^(\d+):\((\d+),(\d+),(\d+),(\d+)\)"
-    r" removed=\{(\d+),(\d+),(\d+)\}"
-    r" added=\{(\d+),(\d+),(\d+)\}"
-    r" value=(-?\d+(?:/\d+)?)$")
+_TRACE_RE = re.compile(  # [0-9], not \d, which matches any Unicode digit
+    r"^([0-9]+):\(([0-9]+),([0-9]+),([0-9]+),([0-9]+)\)"
+    r" removed=\{([0-9]+),([0-9]+),([0-9]+)\}"
+    r" added=\{([0-9]+),([0-9]+),([0-9]+)\}"
+    r" value=(-?[0-9]+(?:/[0-9]+)?)$")
 
 
 def format_trace_line(move: MutationMove, value: int | Fraction) -> str:

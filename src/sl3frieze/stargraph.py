@@ -80,7 +80,10 @@ def star_graph_from_edges(x: int, ground: GroundSet, edges) -> StarGraph:
         raise InvalidInputError(f"point {x!r} outside 1..{ground.n}")
     adjacency = {}
     for e in edges:
-        a, b = e
+        try:
+            a, b = e
+        except (TypeError, ValueError):  # not a pair
+            raise InvalidInputError(f"bad star-graph edge {e!r}") from None
         if a == b or not ground.contains(a) or not ground.contains(b) or x in (a, b):
             raise InvalidInputError(f"bad star-graph edge {e!r}")
         adjacency.setdefault(a, set()).add(b)
@@ -327,7 +330,7 @@ def realize_star_graph(g: StarGraph) -> Family:
     star_triangles = [tuple(sorted((x, a, b))) for a, b in g.edges]
     base = star_triangles + _border_candidates(g)
     try:
-        fam = make_family(g.ground, sorted(set(base)), validate=True)
+        fam = make_family(g.ground, sorted(set(base)))
     except InvalidInputError as e:
         raise InternalConsistencyError(f"realization base family not weakly separated: {e}") from e
     full = greedy_complete(fam)

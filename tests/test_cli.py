@@ -29,7 +29,7 @@ import pytest
 from conftest import INTRO_ROWS, intro_frieze, parse_decimal, run_fresh
 from sl3frieze import canonical_family
 from sl3frieze.cli import main
-from sl3frieze.family import dump_family, load_family, make_family
+from sl3frieze.family import Family, dump_family, load_family
 from sl3frieze.cyclic import MAX_N, GroundSet
 from sl3frieze.frieze import dump_frieze, extend_rows, format_rational, load_frieze, quiddity_rows, validate_frieze
 from sl3frieze.mutation import random_maximal_family, unit_specialization
@@ -58,7 +58,7 @@ def test_validate_maximal_family(run, fam8):
 
 
 def test_validate_reports_crossing_pair(run, tmp_path):
-    fam = make_family(GroundSet(6), [(1, 2, 3), (1, 3, 5), (2, 4, 6)], validate=False)
+    fam = Family(GroundSet(6), frozenset({(1, 2, 3), (1, 3, 5), (2, 4, 6)}))
     path = tmp_path / "crossing.json"
     path.write_text(dump_family(fam))
     out, _ = run("validate", path, expect=1)
@@ -66,7 +66,7 @@ def test_validate_reports_crossing_pair(run, tmp_path):
 
 
 def test_validate_reports_non_maximal(run, tmp_path):
-    fam = make_family(GroundSet(6), [(1, 2, 3)], validate=False)
+    fam = Family(GroundSet(6), frozenset({(1, 2, 3)}))
     path = tmp_path / "small.json"
     path.write_text(dump_family(fam))
     out, _ = run("validate", path, expect=1)
@@ -93,7 +93,7 @@ def test_analyze_range_check(run, fam8):
 
 
 def test_analyze_rejects_non_maximal(run, tmp_path):
-    fam = make_family(GroundSet(6), [(1, 2, 3)], validate=False)
+    fam = Family(GroundSet(6), frozenset({(1, 2, 3)}))
     path = tmp_path / "small.json"
     path.write_text(dump_family(fam))
     run("analyze", path, "--x", "1", expect=1)
@@ -511,8 +511,11 @@ def test_trace_replay_rejects_tampered_value(run, tmp_path, fam8):
 
 def test_trace_replay_rejects_malformed_line(run, tmp_path, fam8):
     trace = tmp_path / "trace.txt"
-    trace.write_text("not a trace line\n")
-    run("mutate", fam8, "--replay", trace, expect=2)
+    # the second line's numbers are Arabic-Indic digits, which are not 0-9
+    for text in ("not a trace line\n", "1:(\u0662,3,4,5) removed={1,2,4} added={1,3,5} value=\u0663\n"):
+        trace.write_text(text, encoding="utf-8")
+        _, err = run("mutate", fam8, "--replay", trace, expect=2)
+        assert "malformed trace line" in err
 
 
 def test_trace_replay_rejects_zero_denominator(run, tmp_path):

@@ -19,6 +19,9 @@ Claims covered:
     - every bad triangle entry keeps its message (not a list, a wrong
       length, a bool, a float, 0 or n + 1, unsorted, a repeated point, a
       duplicate triangle), and of two bad entries the same one is named
+    - Family itself, and with_exchange for the triangle it adds, refuses a
+      triangle that is not an ascending triple of points of 1..n, naming the
+      point or the triangle, and accepts the int subclasses the reader does
 """
 
 import json
@@ -52,6 +55,7 @@ from sl3frieze.separation import crossing_definition, masks_cross, triangle_mask
 
 G6 = GroundSet(6)
 G8 = GroundSet(8)
+G8_CANONICAL = canonical_family(8)
 
 
 def test_make_triangle_sorts_and_validates():
@@ -81,8 +85,7 @@ def test_frozen_triangles_pairwise_weakly_separated():
 
 
 def test_weak_separation_reports_first_offending_pair():
-    fam = make_family(G6, list(frozen_triangles(G6).triangles) + [(1, 3, 5), (2, 4, 6)],
-                      validate=False)
+    fam = Family(G6, frozen_triangles(G6).triangles | {(1, 3, 5), (2, 4, 6)})
     ok, pair = is_weakly_separated_family(fam)
     assert not ok
     assert pair == ((1, 3, 5), (2, 4, 6))
@@ -216,13 +219,13 @@ def test_crossing_index_matches_the_mask_pair_scan_at_scale(n):
 
 
 def test_greedy_complete_rejects_crossing_input():
-    bad = make_family(G6, [(1, 3, 5), (2, 4, 6)], validate=False)
+    bad = Family(G6, frozenset({(1, 3, 5), (2, 4, 6)}))
     with pytest.raises(InvalidInputError):
         greedy_complete(bad)
 
 
 def test_is_maximal_rejects_crossing_input():
-    bad = make_family(G6, [(1, 3, 5), (2, 4, 6)], validate=False)
+    bad = Family(G6, frozenset({(1, 3, 5), (2, 4, 6)}))
     with pytest.raises(InvalidInputError):
         is_maximal_family(bad)
 
@@ -334,6 +337,32 @@ def test_family_reader_accepts_int_subclasses_as_the_checks_do():
 
     fam = family_from_dict({"n": 8, "triangles": [[Point(1), Point(2), Point(3)], [2, 3, 4]]})
     assert fam.triangles == {(1, 2, 3), (2, 3, 4)} and fam.validated
+    assert Family(G8, frozenset({(Point(1), Point(2), Point(3)), (2, 3, 4)})).triangles == fam.triangles
+    assert (1, 3, 5) in G8_CANONICAL.with_exchange((1, 2, 4), (Point(1), Point(3), Point(5)))
+
+
+@pytest.mark.parametrize("bad, message", [
+    ((1, 2, 99), r"^triangle point 99 outside 1\.\.8$"),
+    ((0, 1, 2), r"^triangle point 0 outside 1\.\.8$"),
+    ((1, 2), r"^triangle \(1, 2\) needs three distinct points$"),
+    ((1, 2, 3, 4), r"^triangle \(1, 2, 3, 4\) needs three distinct points$"),
+    ((1, 1, 2), r"^triangle \(1, 1, 2\) needs three distinct points$"),
+    ((4, 2, 1), r"^triangle \(4, 2, 1\) not sorted ascending$"),
+    ((1, 3, 2), r"^triangle \(1, 3, 2\) not sorted ascending$"),
+    (frozenset({1, 2, 3}), r"^triangle frozenset\(\{1, 2, 3\}\) needs three distinct points$"),
+], ids=["point-above-n", "point-zero", "two-points", "four-points", "repeated-point", "descending", "unsorted",
+        "not-a-tuple"])
+def test_family_refuses_bad_triangles(bad, message):
+    # the canonical family with {1,2,4} swapped for a bad triangle: Family
+    # refuses it, validated or not, so weak separation, maximality, the move
+    # kernel and the contraction never read it; with_exchange refuses it too.
+    # More points outside 1..n are in tests/test_mutation.py.
+    tris = G8_CANONICAL.triangles - {(1, 2, 4)} | {bad}
+    for validated in (False, True):
+        with pytest.raises(InvalidInputError, match=message):
+            Family(G8, tris, validated)
+    with pytest.raises(InvalidInputError, match=message):
+        G8_CANONICAL.with_exchange((1, 2, 4), bad)
 
 
 def test_family_reader_round_trips_walk_families():

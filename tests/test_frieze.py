@@ -6,7 +6,8 @@ Claims covered:
     - the contraction straight off the star index gives the same quiddity
       rows, values and errors as the per-x contraction over edge scans it
       replaced, also on 200-step walks at n = 128 and 256, and checks
-      maximality, triangle points and the star endpoints
+      maximality and the star endpoints; a bad triangle is refused before,
+      by Family
     - the row recursions reproduce the known width-4 fixture exactly, and the
       two recursions fill one array (relabeling included)
     - extend_rows decides consistency by closure of the Gale vectors; on
@@ -321,20 +322,20 @@ def _unchecked_unit(fam: Family) -> ValuedFamily:
     """The unit specialization of fam without ValuedFamily's own checks, which
     refuse a family that is not maximal or lacks a continuous triangle before
     quiddity_rows could see it."""
-    vf = object.__new__(ValuedFamily)
-    object.__setattr__(vf, "family", fam)
-    object.__setattr__(vf, "values", dict.fromkeys(fam.triangles, 1))
-    return vf
+    return ValuedFamily._unchecked(fam, dict.fromkeys(fam.triangles, 1))
 
 
 def test_quiddity_rows_check_maximality_points_and_endpoints():
     with pytest.raises(InvalidInputError, match="valued families must be maximal"):
         unit_specialization(frozen_triangles(GroundSet(8)))
+    # a bad triangle never reaches the contraction: Family refuses it, so
+    # (4, 2, 1) in place of (1, 2, 4) is not taken for a family missing its
+    # border triangle (1, 2, 4)
     tris = canonical_family(8).triangles
-    for bad, message in (((1, 2, 9), "point 9 outside 1..8"), ((1, 1, 2), r"triangle \(1, 1, 2\) needs")):
-        forged = Family(GroundSet(8), tris - {(1, 2, 4)} | {bad}, validated=True)
+    for bad, message in (((1, 2, 9), "point 9 outside 1..8"), ((1, 1, 2), r"triangle \(1, 1, 2\) needs"),
+                         ((4, 2, 1), r"triangle \(4, 2, 1\) not sorted")):
         with pytest.raises(InvalidInputError, match=message):
-            quiddity_rows(unit_specialization(forged))
+            Family(GroundSet(8), tris - {(1, 2, 4)} | {bad}, validated=True)
     # the endpoints guard runs at every x
     avoiding_1 = Family(GroundSet(6), frozenset(combinations(range(2, 7), 3)), validated=True)
     with pytest.raises(InternalConsistencyError, match=r"x=1, n=6: triangulation points must run from 2 to 6"):

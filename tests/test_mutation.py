@@ -25,8 +25,13 @@ Claims covered:
       a move touches draws the same moves
     - the oracle's values and budget messages are pinned on walk families at
       n = 8, so the order moves are enumerated in cannot drift
-    - family_moves and the walk refuse a hand-built family with a point
-      outside 1..n (past n, negative, 0) with an InvalidInputError naming it
+    - a family with a point outside 1..n (past n, negative, 0, a bool, a
+      float) never reaches family_moves or the walk: Family refuses it with
+      the InvalidInputError the move kernel gave, naming the point
+    - a triangle with two moves, which no weakly separated family has, is an
+      InvalidInputError naming it
+    - the oracle refuses a target that is not three distinct points of 1..n,
+      and a trace line accepts only the digits 0-9
 """
 
 import random
@@ -236,23 +241,9 @@ def test_valued_family_rejects_zero_and_partial_values():
 def test_valued_family_requires_continuous_triangles():
     # ten triangles, as many as a maximal family at n=6, without {1,2,3}
     tris = sorted(canonical_family(6).triangles - {(1, 2, 3)}) + [(1, 3, 5)]
-    fam = make_family(GroundSet(6), tris, validate=False)
+    fam = Family(GroundSet(6), frozenset(tris))
     with pytest.raises(InvalidInputError, match="^family must contain all continuous triangles$"):
         ValuedFamily(fam, {t: 1 for t in tris})
-
-
-@pytest.mark.parametrize("bad, message", [
-    ((1, 2, 99), r"^point 99 outside 1\.\.8$"),
-    ((1, 2), r"^triangle \(1, 2\) needs three distinct points$"),
-    ((0, 1, 2), r"^point 0 outside 1\.\.8$"),
-    ((1, 1, 2), r"^triangle \(1, 1, 2\) needs three distinct points$"),
-], ids=["point-above-n", "two-points", "point-zero", "repeated-point"])
-def test_valued_family_refuses_bad_triangles_before_weak_separation(bad, message):
-    # a hand-built family that is neither validated nor well formed: the
-    # shape and range checks come before the crossing index reads its points
-    fam = Family(GroundSet(8), canonical_family(8).triangles - {(1, 2, 4)} | {bad}, validated=False)
-    with pytest.raises(InvalidInputError, match=message):
-        unit_specialization(fam)
 
 
 # Leaf removal at x: the leaf q2 of the triangulation point p, flanked by q1
@@ -441,6 +432,12 @@ def test_oracle_rejects_bad_targets():
         oracle_values(vf, [(1, 1, 2)])
     with pytest.raises(InvalidInputError):
         oracle_values(vf, [(0, 1, 2)])
+    # checked before they are sorted, so neither is a bare TypeError
+    for bad in (5, (1, "a", 3)):
+        with pytest.raises(InvalidInputError, match=f"^bad target triangle {re.escape(repr(bad))}$"):
+            oracle_values(vf, [bad])
+    with pytest.raises(InvalidInputError, match="^bad target triangle 5$"):
+        oracle_value(vf, 5)
 
 
 def test_trace_line_round_trip():
@@ -458,6 +455,9 @@ def test_trace_line_round_trip():
         parse_trace_line("1:(2,4,6,8) removed={1,2,4} added={1,4,8} value=2")
     with pytest.raises(InvalidInputError, match="zero denominator"):
         parse_trace_line("1:(2,4,6,8) removed={1,2,6} added={1,4,8} value=1/0")
+    # only 0-9 are digits: an Arabic-Indic two and three are not 2 and 3
+    with pytest.raises(InvalidInputError, match="^malformed trace line"):
+        parse_trace_line("1:(\u0662,3,4,5) removed={1,2,4} added={1,3,5} value=\u0663")
     # past Python's 4,300-digit int string-conversion limit
     with pytest.raises(InvalidInputError, match="bad number"):
         parse_trace_line("1:(2,4,6,8) removed={1,2,6} added={1,4,8} value=" + "1" * 5000)
@@ -589,17 +589,29 @@ def test_random_maximal_family_refuses_a_ground_that_is_not_a_ground_set():
 
 
 @pytest.mark.parametrize("bad, point", [((1, 2, 9), "9"), ((-1, 2, 3), "-1"), ((0, 2, 3), "0"),
-                                        ((False, 2, 3), "False"), ((1, 2, 3.5), "3.5")])
+                                        ((False, 2, 3), "False"), ((1, 2, 3.5), "3.5"),
+                                        ((1, 2, True), "True")])
 def test_moves_of_a_family_with_a_point_outside_the_ground_set_are_refused(bad, point):
-    # Family itself checks no points; the move kernel names the first it cannot place
-    fam = Family(G8, canonical_family(8).triangles | {bad})
+    # the family never reaches family_moves or the walk: Family refuses it,
+    # naming the point as the move kernel did, and so does with_exchange
     message = f"^triangle point {point} outside 1..8$"
+    with pytest.raises(InvalidInputError, match=message):
+        Family(G8, canonical_family(8).triangles | {bad})
+    with pytest.raises(InvalidInputError, match=message):
+        canonical_family(8).with_exchange((1, 2, 4), bad)
+
+
+def test_a_triangle_with_two_moves_is_refused():
+    # {1,2,5} has two b's, 3 and 4, so {1,2,4} and {1,3,5} are both in the
+    # family, and they cross; the move kernel names {1,2,5}
+    fam = Family(GroundSet(6), frozenset({(1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 2, 6),
+                                          (1, 3, 5), (1, 4, 5), (1, 5, 6)}))
+    assert not is_weakly_separated_family(fam)[0]
+    message = r"^triangle \(1, 2, 5\) has more than one move: the family is not weakly separated$"
     with pytest.raises(InvalidInputError, match=message):
         family_moves(fam)
     with pytest.raises(InvalidInputError, match=message):
-        next(seeded_walk(fam, 3, 1))
-    with pytest.raises(InvalidInputError, match=message):
-        list(seeded_walk(fam, 0, 1))
+        next(seeded_walk(fam, 1, 1))
 
 
 def test_random_walk_stays_maximal():

@@ -8,6 +8,8 @@ Claims covered:
     - the classification read off the neighbour map, and the border
       sequences laid out from it, agree with scans over every edge
     - border triangles read off the graph always already lie in the family
+    - an explicit edge that is not a pair of points of 1..n other than x is
+      refused as a bad star-graph edge
     - the nesting-order facts hold: empty interval forces a shared pair, and
       nested pairs force an intermediate point splitting them
     - realizable candidate graphs round-trip through a maximal family, and the
@@ -158,6 +160,14 @@ def test_build_star_graph_rejects_points_outside_the_ground_set():
     for x in (0, 9, True, "1"):
         with pytest.raises(InvalidInputError, match=re.escape(f"point {x!r} outside 1..8")):
             build_star_graph(canonical_family(8), x)
+
+
+@pytest.mark.parametrize("edge", [(2, 3, 4), (2,), 5, (2, 2), (1, 3), (2, 9), (True, 3)],
+                         ids=["three-points", "one-point", "not-a-pair", "loop", "through-x", "point-past-n",
+                              "bool-point"])
+def test_star_graph_from_edges_refuses_bad_edges(edge):
+    with pytest.raises(InvalidInputError, match=f"^bad star-graph edge {re.escape(repr(edge))}$"):
+        star_graph_from_edges(1, G8, [(2, 3), edge])
 
 
 def test_build_star_graph_guards_endpoints_with_the_structure_rule():
