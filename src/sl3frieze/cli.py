@@ -50,9 +50,8 @@ from .mutation import (
 
 SCHEMA_VERSION = 1
 
-# gen --steps bound: a walk step costs about 1.5 ms at n = MAX_N, so the
-# longest walk runs about 2.5 minutes there, and the trace lines it keeps in
-# memory (about 100 bytes a step) stay near 10 MB
+# gen --steps bound: it bounds the walk's time at n = MAX_N (README), and the
+# trace lines it keeps in memory (about 100 bytes a step) stay near 10 MB
 MAX_STEPS = 100_000
 
 

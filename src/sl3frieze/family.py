@@ -2,18 +2,15 @@
 
 A triangle is stored as a strictly ascending 3-tuple of points. A family keeps
 its ground set, a frozenset of triangles and a ``validated`` flag meaning the
-weak-separation check (one crossing-index query per triangle) has been run on
-construction. ``Family`` holds the triangle invariant: construction refuses
-any triangle that is not an ascending triple of points of 1..n, so nothing
-downstream checks one again. ``with_exchange`` tests only the triangle it
-adds; the reader and ``make_family``, which check each entry themselves, and
-the families built here from valid triangles skip the test
-(``Record._unchecked``).
+weak-separation check has been run. ``Family`` holds the invariant:
+construction refuses a ground that is not a ``GroundSet`` and any triangle
+that is not an ascending triple of points of 1..n, so nothing downstream
+checks one again. ``with_exchange`` tests only the triangle it adds; the
+reader, ``make_family`` and the families built here from valid triangles skip
+the test (``Record._unchecked``).
 
-Beside the ``crossing_index`` queries lives the other index over a triangle
-set: ``star_index``, the star graph of every point at once as neighbour sets,
-which ``frieze`` contracts and ``stargraph`` classifies. ``mutation`` does not
-read it: it enumerates moves on neighbour bitmasks of its own.
+Beside ``crossing_index``, ``star_index`` holds the star graph of every point
+as neighbour bitmasks, for ``frieze`` and ``stargraph``.
 """
 
 from __future__ import annotations
@@ -47,10 +44,10 @@ def all_triangles(ground: GroundSet):
 
 
 def _check_triangles(triangles, ground: GroundSet) -> None:
-    """Raise InvalidInputError, naming the point or the triangle, unless each
-    triangle is an ascending triple of points of 1..n. The strict test is the
-    family reader's; a triangle that fails it is looked at again to name the
-    fault, and passes if its points are an int subclass other than bool."""
+    """InvalidInputError, naming the point or the triangle, unless each
+    triangle is an ascending triple of points of 1..n. A triangle that fails
+    the reader's strict test is looked at again to name the fault; int
+    subclasses other than bool pass."""
     n = ground.n
     for t in triangles:
         if type(t) is tuple and len(t) == 3:
@@ -69,17 +66,16 @@ def _check_triangles(triangles, ground: GroundSet) -> None:
 
 
 class Family(Record):
-    """A set of triangles over a ground set, each an ascending triple of
-    points of 1..n; construction refuses any other with InvalidInputError.
-
-    ``validated`` records that weak separation was checked; operations
-    whose guarantees need it (``is_maximal_family``, ``greedy_complete``)
-    run the check themselves on unvalidated input.
-    """
+    """A set of ascending triangles over a ground set, refused otherwise (see
+    the module docstring). ``validated`` records that weak separation was
+    checked; ``is_maximal_family`` and ``greedy_complete`` run the check on
+    unvalidated input."""
 
     __slots__ = ("ground", "triangles", "validated")
 
     def __init__(self, ground: GroundSet, triangles: frozenset, validated: bool = False):
+        if not isinstance(ground, GroundSet):
+            raise InvalidInputError(f"ground must be a GroundSet, got {ground!r}")
         _check_triangles(triangles, ground)
         object.__setattr__(self, "ground", ground)
         object.__setattr__(self, "triangles", triangles)
@@ -99,15 +95,18 @@ class Family(Record):
         callers that know the exchange is separation-safe. Only the added
         triangle is tested: the others passed when the family was built."""
         _check_triangles((added,), self.ground)
-        if removed not in self.triangles or added in self.triangles:
+        try:
+            applies = removed in self.triangles and added not in self.triangles
+        except TypeError:  # unhashable
+            raise InvalidInputError(f"removed triangle {removed!r} is not a triangle") from None
+        if not applies:
             raise InvalidInputError("exchange does not apply to this family")
         return Family._unchecked(self.ground, self.triangles - {removed} | {added}, self.validated)
 
 
 def make_family(ground: GroundSet, triangles) -> Family:
-    """Build a family from point triples, each sorted and checked by
-    make_triangle; the result is checked to be weakly separated (raising
-    otherwise) and marked validated."""
+    """The validated family of point triples, each sorted and checked by
+    make_triangle; InvalidInputError unless weakly separated."""
     tris = [make_triangle(*t, ground=ground) for t in triangles]
     ts = frozenset(tris)
     if len(ts) != len(tris):
@@ -157,14 +156,20 @@ def is_weakly_separated_family(fam: Family):
 
 
 def star_index(triangles) -> dict:
-    """{x: {a: set of b}}: for every point x, the neighbour map of its star
-    graph, one edge {a,b} per triangle {x,a,b}; one pass over the triangles."""
+    """{x: {a: mask}}, bit b of index[x][a] set iff {x,a,b} is a triangle (as
+    mutation._toggle sets it): the star graph at every x, in one pass."""
     index = {}
     for p, q, r in triangles:
-        for x, a, b in ((p, q, r), (q, p, r), (r, p, q)):
-            star = index.setdefault(x, {})
-            star.setdefault(a, set()).add(b)
-            star.setdefault(b, set()).add(a)
+        bp, bq, br = 1 << p, 1 << q, 1 << r
+        star = index.setdefault(p, {})
+        star[q] = star.get(q, 0) | br
+        star[r] = star.get(r, 0) | bq
+        star = index.setdefault(q, {})
+        star[p] = star.get(p, 0) | br
+        star[r] = star.get(r, 0) | bp
+        star = index.setdefault(r, {})
+        star[p] = star.get(p, 0) | bq
+        star[q] = star.get(q, 0) | bp
     return index
 
 
@@ -197,8 +202,7 @@ def is_maximal_family(fam: Family) -> bool:
 
 def greedy_complete(fam: Family) -> Family:
     """Extend to a maximal weakly separated family, repeatedly adding the
-    lexicographically smallest compatible triangle; star-graph realization
-    completes its base family this way.
+    lexicographically smallest compatible triangle.
 
     The addable triangles are in lex order, and one ``crossing_index`` over
     them gives, per chosen triangle, the candidates it rules out; the live
@@ -249,8 +253,7 @@ def family_from_dict(data, validate: bool = True) -> Family:
     triangles = []
     repeated = None  # the first entry with a repeated point
     for raw in triples:
-        # one strict test accepts a triangle as the writer emits it: Family's
-        # triangle test, which the family is therefore built without
+        # Family's strict triangle test, so the family is built unchecked
         if type(raw) is list and len(raw) == 3:
             a, b, c = raw
             if type(a) is int and type(b) is int and type(c) is int and 0 < a < b < c <= n:

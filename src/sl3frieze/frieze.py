@@ -10,19 +10,17 @@ end: U_k(i) = D_{n-3-k}(i+k+1). Every entry is a Gale minor,
 D_k(i) = det(v_i, v_{i+1}, v_{i+k+2}); extend_rows builds the grid that way,
 and validate_frieze checks it that way.
 
-The contraction takes each star's layout from ``stargraph.border_sequences``
-and its family as ``ValuedFamily`` checked it; it re-derives neither.
+The contraction runs on one ``family.star_index`` of the family, the star
+graph of every point as neighbour bitmasks: ``stargraph.border_sequences``
+lays out each star, and one bit of the index answers each border triangle.
+It re-derives nothing that ``ValuedFamily`` checked.
 
 One writer, ``dump_frieze``, gives both the frieze file and the output of
 ``frieze --format json`` (with its validation block): the bytes of
 json.dumps(payload, indent=2), laid out as strings, one join per row, instead
 of through the pure-Python encoder that indent=2 selects. ``load_frieze``
 turns an entry without "/" into an int, with no Fraction per entry, and
-``render_frieze`` formats each entry once. For the frieze of a 200-step walk
-family at n = 512 (in process, best of 5, a shared 2-core VM): dump_frieze
-38 ms, where the encoder takes 100 ms; load_frieze 146 ms, where a Fraction
-per entry takes 639 ms; render_frieze 64 ms, where formatting each entry
-twice takes 104 ms.
+``render_frieze`` formats each entry once. README gives their timings.
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from bisect import insort
 
 from .cyclic import MAX_N, Record
 from .errors import (
@@ -42,7 +39,7 @@ from .errors import (
 )
 from .family import star_index
 from .mutation import ValuedFamily, _check_entries
-from .stargraph import border_sequences, build_star_graph
+from .stargraph import _require_star, border_sequences
 
 FRIEZE_SCHEMA_VERSION = 1
 
@@ -97,85 +94,92 @@ class FriezeGrid(Record):
 
 # -- Algorithm: almost continuous values at x ----------------------------------
 
-def _contract(x: int, n: int, adjacency: dict, values: dict):
+def _contract(x: int, n: int, star: dict, index: dict, values: dict | None = None):
     """(label at x-1, label at x+1) after contracting the star graph at x,
-    given by its neighbour map (left unchanged), where `values` maps every
-    triangle of the family to its value.
+    given by its neighbour masks `star` (left unchanged). `index` is the
+    family's star_index, and `values` maps every triangle of the family to its
+    value, or is None when every value is 1.
 
-    On a working copy of the map: initialize each interior triangulation
-    point's label with the sum of the values over its border sequence
-    (stargraph.border_sequences) and remove its leaves; x+1 (x-1) gets a label
-    only when x+2 (x-2) is a leaf, which stays pinned, since the edges
-    {x+1,x+2} and {x-2,x-1} are frozen. Then repeatedly contract the first
-    degree-2 point in <_x order, adding labels, until only the three frozen
-    edges remain. Labels are summed in the values' own type; triangulation
-    points not running from x+1 to x-1, a missing border triangle, a missing
-    label or a stuck contraction is an InternalConsistencyError.
+    On a copy of the masks: initialize each interior triangulation point p's
+    label with the sum of the values over its border sequence
+    (stargraph.border_sequences), each border triangle {p,a,b} found by one
+    bit of index[p][a], and remove its leaves; x+1 (x-1) gets a label only
+    when x+2 (x-2) is a leaf, which stays pinned, since the edges {x+1,x+2}
+    and {x-2,x-1} are frozen. Then repeatedly contract the first degree-2
+    point in <_x order, adding labels, until only the three frozen edges
+    remain. Degrees only fall, and a contraction changes only its point's
+    neighbours, so one forward scan over the interior triangulation points
+    finds each next point, stepping back only to a neighbour that has just
+    reached degree 2. Labels are counted as ints when every value is 1, and
+    summed in the values' own type otherwise; triangulation points not
+    running from x+1 to x-1, a missing border triangle, a missing label or a
+    stuck contraction is an InternalConsistencyError.
     """
     xp, xm = x % n + 1, (x - 2) % n + 1
     xp2, xm2 = xp % n + 1, (xm - 2) % n + 1
 
-    layout = border_sequences(x, n, adjacency)
-    adj = {v: set(nb) for v, nb in adjacency.items()}
+    layout = border_sequences(x, n, star)
+    adj = dict(star)
     labels = {}
     for p, leaves, seq in layout:
         pinned = xp2 if p == xp else xm2 if p == xm else None
-        if pinned is not None and len(adjacency.get(pinned, ())) != 1:
+        if pinned is not None and star.get(pinned, 0).bit_count() != 1:
             continue
-        label = 0
-        for a, b in zip(seq, seq[1:]):
-            t = tuple(sorted((p, a, b)))
-            if t not in values:
-                raise InternalConsistencyError(f"border triangle {t} unexpectedly missing from family")
-            label += values[t]
-        labels[p] = label
+        row = index[p]
+        a = seq[0]
+        for b in seq[1:]:
+            if not row.get(a, 0) >> b & 1:
+                raise InternalConsistencyError(
+                    f"border triangle {tuple(sorted((p, a, b)))} unexpectedly missing from family")
+            a = b
+        if values is None:
+            labels[p] = len(seq) - 1
+        else:
+            labels[p] = sum(values[tuple(sorted((p, a, b)))] for a, b in zip(seq, seq[1:]))
         for leaf in leaves:
             if leaf != pinned:
-                adj[p].discard(leaf)
+                adj[p] ^= 1 << leaf
                 del adj[leaf]
 
-    # the points that are or become contractible, sorted so that the first in
-    # <_x order is last; degrees only fall, so an entry whose degree is no
-    # longer 2 is stale
-    ready = [p for p, _, _ in reversed(layout[1:-1]) if len(adj[p]) == 2]
-    edge_count = sum(len(nb) for nb in adj.values()) // 2
-
-    def bump(point, delta):
-        if point not in labels:
-            raise InternalConsistencyError(f"missing label at {point} during contraction at x={x}")
-        labels[point] += delta
-
+    inner = [p for p, _, _ in layout[1:-1]]
+    i = 0  # no interior point before inner[i] has degree 2
+    edge_count = sum(map(int.bit_count, adj.values())) // 2
     while edge_count > 3:
-        while ready and len(adj.get(ready[-1], ())) != 2:
-            ready.pop()
-        if not ready:
+        while i < len(inner) and adj.get(inner[i], 0).bit_count() != 2:
+            i += 1
+        if i == len(inner):
             raise InternalConsistencyError(
                 f"no contractible degree-2 point left with {edge_count} edges at x={x}")
-        p = ready.pop()
-        if p in (xp2, xm2):
+        p = inner[i]
+        label = labels.pop(p)
+        if p == xp2 or p == xm2:
             # The frozen edge to x+1 (resp. x-1) stays; p becomes that point's
             # pinned leaf and hands its label over.
             anchor = xp if p == xp2 else xm
-            (other,) = adj[p] - {anchor}
-            labels[anchor] = labels[p]
-            bump(other, labels[p])
-            del labels[p]
-            adj[p].discard(other)
-            adj[other].discard(p)
+            if not adj[p] >> anchor & 1:  # only a family without {x,x+1,x+2} (or {x-2,x-1,x})
+                raise InternalConsistencyError(
+                    f"frozen edge {tuple(sorted((anchor, p)))} missing during contraction at x={x}")
+            other = (adj[p] ^ 1 << anchor).bit_length() - 1
+            labels[anchor] = label
+            adj[p] ^= 1 << other
+            adj[other] ^= 1 << p
             edge_count -= 1
             touched = (other,)
         else:
-            u, v = touched = tuple(adj[p])
-            bump(u, labels[p])
-            bump(v, labels[p])
-            del labels[p]
-            adj[u].discard(p)
-            adj[v].discard(p)
-            del adj[p]
+            mask = adj.pop(p)
+            u, v = touched = ((mask & -mask).bit_length() - 1, mask.bit_length() - 1)
+            adj[u] ^= 1 << p
+            adj[v] ^= 1 << p
             edge_count -= 2
         for q in touched:
-            if len(adj[q]) == 2 and q != xp and q != xm:
-                insort(ready, q, key=lambda v: -((v - x) % n))
+            if q not in labels:
+                raise InternalConsistencyError(f"missing label at {q} during contraction at x={x}")
+            labels[q] += label
+            # a neighbour before inner[i] that now has degree 2 comes next;
+            # having degree 2, it is an interior triangulation point
+            if q != xp and q != xm and (q - x) % n < (inner[i] - x) % n and adj[q].bit_count() == 2:
+                while inner[i] != q:
+                    i -= 1
 
     if xm not in labels or xp not in labels:
         raise InternalConsistencyError(f"contraction finished without labels at x+-1 (x={x})")
@@ -184,31 +188,34 @@ def _contract(x: int, n: int, adjacency: dict, values: dict):
 
 def almost_continuous_at(vf: ValuedFamily, x: int):
     """(v({x-2,x-1,x+1}), v({x-1,x+1,x+2})) for a family whose triangles
-    through x all have value 1, by contracting the star graph at x."""
-    for t in vf.family.triangles:
+    through x all have value 1, by contracting the star graph at x, with the
+    values of the family's other triangles summed as given."""
+    fam = vf.family
+    for t in fam.triangles:
         if x in t and vf.values[t] != 1:
             raise PreconditionError(f"triangles through x={x} must all have value 1, {t} has {vf.values[t]}")
-    return _contract(x, vf.family.ground.n, build_star_graph(vf.family, x).adjacency, vf.values)
+    _require_star(fam, x)
+    index = star_index(fam.triangles)
+    return _contract(x, fam.ground.n, index.get(x, {}), index, vf.values)
 
 
 def quiddity_rows(vf: ValuedFamily) -> QuiddityRows:
     """Run the contraction at every x of a family specialized to 1; the value
     of {i,i+1,i+3} lands at delta_low[i], the value of {i,i+2,i+3} at
     delta_high[i]. Every star comes straight off one star_index of the
-    family, and the labels are counted, and kept, as plain ints. The family
-    is maximal, as ValuedFamily checked it, and its triangles are ascending
-    triples of points of 1..n, as Family holds them."""
+    family, which also answers each border triangle by one bit, and the
+    labels are counted, and kept, as plain ints. The family is maximal, as
+    ValuedFamily checked it, and its triangles are ascending triples of
+    points of 1..n, as Family holds them."""
     if any(v != 1 for v in vf.values.values()):
         raise PreconditionError("quiddity rows need the all-ones specialization")
     fam = vf.family
     n = fam.ground.n
-    ones = dict.fromkeys(fam.triangles, 1)
     index = star_index(fam.triangles)
     low, high = [0] * n, [0] * n
     for x in fam.ground.points():
-        # wrap(x - 2) and wrap(x - 1), as 0-based positions; a contracted star
-        # leaves the index, so its memory is freed as the loop goes on
-        low[(x - 3) % n], high[(x - 2) % n] = _contract(x, n, index.pop(x, {}), ones)
+        # wrap(x - 2) and wrap(x - 1), as 0-based positions
+        low[(x - 3) % n], high[(x - 2) % n] = _contract(x, n, index.get(x, {}), index)
     return QuiddityRows(n, tuple(low), tuple(high))
 
 

@@ -6,16 +6,19 @@ families the vertices of degree >= 2 (triangulation points) induce a polygon
 triangulation, everything else is a leaf hanging off a triangulation point, and
 the graph can be realized back into a maximal family.
 
-``build_star_graph`` classifies the neighbour map that ``family.star_index``
-gives x (the index lives in ``family``, beside the crossing index, and
-``frieze`` contracts its stars too).
-``border_sequences`` is the one layout of a star: its triangulation points in
-<_x order, each with its leaves and its border sequence. Border triangles and
-realization read it off a ``StarGraph``; ``frieze.quiddity_rows`` reads it off
-each neighbour map of one star index and contracts it.
+``border_sequences`` is the one layout of a star, computed on its neighbour
+masks as ``family.star_index`` gives them (bit b of mask[a] is set iff {a,b} is
+an edge): its triangulation points in <_x order, each with its leaves and its
+border sequence. ``frieze`` contracts each star of one index on that layout.
+A ``StarGraph`` keeps its neighbours as sets; masks and sets meet only in
+``_star_graph``, which builds the sets from the masks it classifies, and
+``_star_masks``, which turns a ``StarGraph``'s sets back into masks for its
+layout.
 """
 
 from __future__ import annotations
+
+from bisect import bisect
 
 from .cyclic import GroundSet, Record, position_from, sorted_from
 from .errors import (
@@ -78,7 +81,7 @@ def star_graph_from_edges(x: int, ground: GroundSet, edges) -> StarGraph:
     structure theorem (verification is a separate step)."""
     if not ground.contains(x):
         raise InvalidInputError(f"point {x!r} outside 1..{ground.n}")
-    adjacency = {}
+    star = {}
     for e in edges:
         try:
             a, b = e
@@ -86,31 +89,47 @@ def star_graph_from_edges(x: int, ground: GroundSet, edges) -> StarGraph:
             raise InvalidInputError(f"bad star-graph edge {e!r}") from None
         if a == b or not ground.contains(a) or not ground.contains(b) or x in (a, b):
             raise InvalidInputError(f"bad star-graph edge {e!r}")
-        adjacency.setdefault(a, set()).add(b)
-        adjacency.setdefault(b, set()).add(a)
-    return _star_graph(x, ground, adjacency)
+        star[a] = star.get(a, 0) | 1 << b
+        star[b] = star.get(b, 0) | 1 << a
+    return _star_graph(x, ground, star)
 
 
-def _star_graph(x: int, ground: GroundSet, adjacency: dict) -> StarGraph:
-    """The star graph at x with the given neighbour map, classified."""
-    edges = frozenset((a, b) for a, nb in adjacency.items() for b in nb if a < b)
-    tp, leaves_at = _classify(x, ground.n, adjacency)
+def _star_graph(x: int, ground: GroundSet, star: dict) -> StarGraph:
+    """The star graph at x with the given neighbour masks, classified."""
+    adjacency, edges = {}, []
+    for a, mask in star.items():
+        nb = adjacency[a] = set()
+        while mask:
+            low = mask & -mask
+            b = low.bit_length() - 1
+            nb.add(b)
+            if a < b:
+                edges.append((a, b))
+            mask ^= low
+    tp, leaves_at = _classify(x, star)
     leaves = {leaf: p for p, ls in leaves_at.items() for leaf in ls}
-    return StarGraph(x, ground, edges, tuple(tp), leaves, adjacency)
+    return StarGraph(x, ground, frozenset(edges), tuple(tp), leaves, adjacency)
 
 
-def _classify(x: int, n: int, adjacency: dict):
-    """The triangulation points (degree >= 2) of a star's neighbour map in <_x
-    order, and {vertex: the leaves attached to it, in <_x order}; one pass
-    over the vertices sorted by <_x."""
+def _star_masks(adjacency: dict) -> dict:
+    """The neighbour masks of a neighbour map of sets."""
+    return {a: sum(map((1).__lshift__, nb)) for a, nb in adjacency.items()}
+
+
+def _classify(x: int, star: dict):
+    """The triangulation points (degree >= 2) of a star's neighbour masks in
+    <_x order, and {vertex: the leaves attached to it, in <_x order}. The
+    <_x order is the ascending order rotated to start past x; a leaf's mask
+    has one bit, its attachment."""
+    order = sorted(star)
+    cut = bisect(order, x)
     tp, leaves_at = [], {}
-    for v in sorted_from(x, adjacency, n):
-        nb = adjacency[v]
-        if len(nb) >= 2:
+    for v in order[cut:] + order[:cut]:
+        mask = star[v]
+        if mask & (mask - 1):
             tp.append(v)
         else:
-            (attachment,) = nb
-            leaves_at.setdefault(attachment, []).append(v)
+            leaves_at.setdefault(mask.bit_length() - 1, []).append(v)
     return tp, leaves_at
 
 
@@ -121,13 +140,19 @@ def _require_endpoints(x: int, n: int, tp) -> None:
         raise InternalConsistencyError(f"maximal family at x={x}, n={n}: {witness}")
 
 
-def build_star_graph(fam: Family, x: int) -> StarGraph:
-    """Star graph of a maximal weakly separated family at x, on the neighbour
-    map that ``star_index`` gives x from the triangles through x."""
+def _require_star(fam: Family, x: int) -> None:
+    """InvalidInputError unless fam is maximal and x is a point of its ground
+    set: what a star of fam at x needs before it is laid out."""
     if not is_maximal_family(fam):
         raise InvalidInputError("family is not maximal; star-graph classification needs maximality")
     if not fam.ground.contains(x):
         raise InvalidInputError(f"point {x!r} outside 1..{fam.ground.n}")
+
+
+def build_star_graph(fam: Family, x: int) -> StarGraph:
+    """Star graph of a maximal weakly separated family at x, on the neighbour
+    masks that ``star_index`` gives x from the triangles through x."""
+    _require_star(fam, x)
     g = _star_graph(x, fam.ground, star_index(t for t in fam.triangles if x in t).get(x, {}))
     _require_endpoints(x, fam.ground.n, g.triangulation_points)
     return g
@@ -236,16 +261,17 @@ def verify_structure_theorem(g: StarGraph) -> StructureReport:
     return StructureReport(ok=not violations, violations=violations)
 
 
-def border_sequences(x: int, n: int, adjacency: dict) -> list:
-    """The layout of the star at x, given by its neighbour map: for each
-    triangulation point p in <_x order, (p, its leaves in <_x order, its
+def border_sequences(x: int, n: int, star: dict) -> list:
+    """The layout of the star at x, given by its neighbour masks (bit b of
+    star[a] set iff {a,b} is an edge, a point's degree its popcount): for
+    each triangulation point p in <_x order, (p, its leaves in <_x order, its
     border sequence). The border sequence runs from the previous
     triangulation point through the leaves to the next one; the first and
     last points have no wrap-around end, so the sequence of x+1 starts at its
     leaves and that of x-1 ends at them. Each consecutive pair (a, b) of a
     border sequence gives the border triangle {p, a, b}. Triangulation points
     that do not run from x+1 to x-1 are an InternalConsistencyError."""
-    tp, leaves_at = _classify(x, n, adjacency)
+    tp, leaves_at = _classify(x, star)
     _require_endpoints(x, n, tuple(tp))
     out = []
     for i, p in enumerate(tp):
@@ -258,7 +284,7 @@ def border_sequences(x: int, n: int, adjacency: dict) -> list:
 def _border_candidates(g: StarGraph) -> list:
     """The border triangles {p, a, b} of the graph, read off its border
     sequences."""
-    return [tuple(sorted((p, a, b))) for p, _, seq in border_sequences(g.x, g.ground.n, g.adjacency)
+    return [tuple(sorted((p, a, b))) for p, _, seq in border_sequences(g.x, g.ground.n, _star_masks(g.adjacency))
             for a, b in zip(seq, seq[1:])]
 
 

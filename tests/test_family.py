@@ -26,6 +26,7 @@ Claims covered:
 
 import json
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -363,6 +364,23 @@ def test_family_refuses_bad_triangles(bad, message):
             Family(G8, tris, validated)
     with pytest.raises(InvalidInputError, match=message):
         G8_CANONICAL.with_exchange((1, 2, 4), bad)
+
+
+def test_family_refuses_a_ground_that_is_not_a_ground_set():
+    # the message random_maximal_family gives; the triangles are not looked at
+    for ground in (None, 8, "8"):
+        for tris in (frozenset(), frozenset({(1, 2, 3)})):
+            with pytest.raises(InvalidInputError, match=f"^ground must be a GroundSet, got {ground!r}$"):
+                Family(ground, tris)
+
+
+@pytest.mark.parametrize("removed", [[1, 2, 4], {(1, 2): 4}], ids=["list", "dict"])
+def test_with_exchange_refuses_an_unhashable_removed_triangle(removed):
+    with pytest.raises(InvalidInputError, match=rf"^removed triangle {re.escape(repr(removed))} is not a triangle$"):
+        G8_CANONICAL.with_exchange(removed, (1, 3, 5))
+    # a hashable triangle that is not in the family keeps its message
+    with pytest.raises(InvalidInputError, match="^exchange does not apply to this family$"):
+        G8_CANONICAL.with_exchange((2, 4, 6), (1, 3, 5))
 
 
 def test_family_reader_round_trips_walk_families():

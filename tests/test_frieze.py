@@ -821,6 +821,35 @@ def test_gale_minors_equal_oracle_values():
         assert all(minors[t] == 1 for t in vf.family.triangles)
 
 
+@pytest.mark.parametrize("n, steps", [(64, 200), (128, 200), (512, 200), (512, 0)],
+                         ids=["walk-64", "walk-128", "walk-512", "canonical-512"])
+def test_gale_vectors_of_quiddity_rows_give_one_on_every_triangle_at_scale(n, steps):
+    # certificate part (b) where the per-x reference is too slow: the Gale
+    # vectors of the contracted rows close up, and det(v_a, v_b, v_c) = 1 for
+    # every triangle {a, b, c} of the family. 0 steps is the canonical family,
+    # whose star at 1 has about 2n edges.
+    fam = random_maximal_family(GroundSet(n), steps, 5)
+    q = quiddity_rows(unit_specialization(fam))
+    vs = list(gale_vectors(q.delta_low, q.delta_high))
+    assert vs[n:] == vs[:3]
+    assert len(fam) == 3 * n - 8
+    bad = [(a, b, c) for a, b, c in fam.sorted_triangles() if _reference_det([vs[a - 1], vs[b - 1], vs[c - 1]]) != 1]
+    assert not bad
+
+
+def test_contraction_names_a_missing_frozen_edge():
+    # a family without the continuous triangle {1,2,3} gets past no
+    # ValuedFamily; built unchecked, the contraction at 1 names the missing
+    # edge {2,3} of its star instead of failing to unpack it
+    tris = [(1, 2, 6), (1, 2, 7), (1, 3, 4), (1, 3, 5), (1, 4, 5), (1, 5, 6), (1, 6, 7), (2, 3, 4), (3, 4, 5),
+            (4, 5, 6), (5, 6, 7)]
+    fam = Family(GroundSet(7), frozenset(tris), validated=True)
+    with pytest.raises(InvalidInputError, match="^family must contain all continuous triangles$"):
+        unit_specialization(fam)
+    with pytest.raises(InternalConsistencyError, match=r"^frozen edge \(2, 3\) missing during contraction at x=1$"):
+        quiddity_rows(_unchecked_unit(fam))
+
+
 @pytest.mark.parametrize("entry", [10 ** 4299 + 7, Fraction(10 ** 4299 + 7, 3)], ids=["int", "Fraction"])
 def test_certificate_stops_before_coordinates_outgrow_the_grid(entry, monkeypatch):
     # 4,300-digit entries, the most an entry string may carry, in D_1 and D_w

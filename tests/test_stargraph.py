@@ -42,6 +42,7 @@ from sl3frieze.stargraph import (
     RULE_CONDITIONS,
     _chords_cross,
     _noncrossing,
+    _star_masks,
     border_sequences,
     border_triangles,
     build_star_graph,
@@ -140,11 +141,11 @@ def test_classification_matches_edge_scans(small_corpus):
         tp = _scanned(g)[3]
         x, n = g.x, g.ground.n
         if tp and tp[0] == x % n + 1 and tp[-1] == (x - 2) % n + 1:
-            assert border_sequences(x, n, g.adjacency) == _scanned_border_sequences(g)
+            assert border_sequences(x, n, _star_masks(g.adjacency)) == _scanned_border_sequences(g)
             laid_out += 1
         else:
             with pytest.raises(InternalConsistencyError, match=f"x={x}, n={n}: triangulation points must run"):
-                border_sequences(x, n, g.adjacency)
+                border_sequences(x, n, _star_masks(g.adjacency))
     assert laid_out > len(graphs) - 300  # every corpus star, and some random ones
 
 
