@@ -138,7 +138,7 @@ def cmd_analyze(ns) -> int:
         raise InvalidInputError(f"--x must lie in 1..{fam.ground.n}, got {ns.x}")
     g = build_star_graph(fam, ns.x)
     report = verify_structure_theorem(g)
-    borders = _border_triangles(fam, g)
+    borders = _border_triangles(fam, g.x, g.masks)
     if ns.format == "json":
         _emit_json({
             "schema_version": SCHEMA_VERSION,

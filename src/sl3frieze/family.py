@@ -10,7 +10,7 @@ reader, ``make_family`` and the families built here from valid triangles skip
 the test (``Record._unchecked``).
 
 Beside ``crossing_index``, ``star_index`` holds the star graph of every point
-as neighbour bitmasks, for ``frieze`` and ``stargraph``.
+as neighbour bitmasks, for ``frieze``; ``stargraph`` builds its own star.
 """
 
 from __future__ import annotations

@@ -305,15 +305,18 @@ def seeded_walk(fam: Family, steps: int, seed: int):
 
 def random_maximal_family(ground: GroundSet, steps: int, seed: int) -> Family:
     """A maximal family obtained from the canonical family by `steps`
-    uniformly chosen moves; deterministic per seed."""
+    uniformly chosen moves; deterministic per seed. The moves apply to one
+    set, and the family is built once: every move of seeded_walk applies and
+    keeps the family weakly separated."""
     if steps < 0:
         raise InvalidInputError("steps must be >= 0")
     if not isinstance(ground, GroundSet):
         raise InvalidInputError(f"ground must be a GroundSet, got {ground!r}")
     fam = canonical_family(ground.n)
+    triangles = set(fam.triangles)
     for move in seeded_walk(fam, steps, seed):
-        fam = fam.with_exchange(move.removed, move.added)
-    return fam
+        triangles ^= {move.removed, move.added}
+    return Family._unchecked(fam.ground, frozenset(triangles), True)
 
 
 # -- breadth-first oracle -------------------------------------------------------

@@ -6,14 +6,13 @@ families the vertices of degree >= 2 (triangulation points) induce a polygon
 triangulation, everything else is a leaf hanging off a triangulation point, and
 the graph can be realized back into a maximal family.
 
-``border_sequences`` is the one layout of a star, computed on its neighbour
-masks as ``family.star_index`` gives them (bit b of mask[a] is set iff {a,b} is
-an edge): its triangulation points in <_x order, each with its leaves and its
-border sequence. ``frieze`` contracts each star of one index on that layout.
-A ``StarGraph`` keeps its neighbours as sets; masks and sets meet only in
-``_star_graph``, which builds the sets from the masks it classifies, and
-``_star_masks``, which turns a ``StarGraph``'s sets back into masks for its
-layout.
+A star is held as x's own neighbour masks: bit b of mask[a] is set iff {a,b}
+is an edge. ``build_star_graph`` fills them in one pass over the triangles
+through x, and a ``StarGraph`` keeps them. ``border_sequences`` is the one
+layout of a star, on those masks: its triangulation points in <_x order, each
+with its leaves and its border sequence. ``border_triangles`` and realization
+lay out the masks directly, and ``frieze`` contracts each star of one
+``family.star_index`` on the same layout.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from .errors import (
     InvalidInputError,
     MalformedFileError,
 )
-from .family import Family, greedy_complete, is_maximal_family, make_family, star_index
+from .family import Family, _validated, greedy_complete, is_maximal_family
 
 STAR_GRAPH_SCHEMA_VERSION = 1
 
@@ -53,18 +52,18 @@ RULE_CONDITIONS = {
 
 
 class StarGraph(Record):
-    __slots__ = ("x", "ground", "edges", "triangulation_points", "leaves", "adjacency")
-    _compared = __slots__[:4]  # leaves and adjacency follow from the edges
+    __slots__ = ("x", "ground", "edges", "triangulation_points", "leaves", "masks")
+    _compared = __slots__[:4]  # leaves and masks follow from the edges
     _shown = __slots__[:5]
 
     def __init__(self, x: int, ground: GroundSet, edges: frozenset, triangulation_points: tuple,
-                 leaves: dict, adjacency: dict):
+                 leaves: dict, masks: dict):
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "ground", ground)
         object.__setattr__(self, "edges", edges)  # of ascending 2-tuples
         object.__setattr__(self, "triangulation_points", triangulation_points)  # ordered by <_x
         object.__setattr__(self, "leaves", leaves)  # leaf -> its sole neighbour
-        object.__setattr__(self, "adjacency", adjacency)  # vertex -> set of its neighbours
+        object.__setattr__(self, "masks", masks)  # vertex -> its neighbour mask
 
 
 class StructureReport(Record):
@@ -96,24 +95,32 @@ def star_graph_from_edges(x: int, ground: GroundSet, edges) -> StarGraph:
 
 def _star_graph(x: int, ground: GroundSet, star: dict) -> StarGraph:
     """The star graph at x with the given neighbour masks, classified."""
-    adjacency, edges = {}, []
+    edges = []
     for a, mask in star.items():
-        nb = adjacency[a] = set()
+        mask &= -2 << a  # the neighbours past a, so each edge is read once
         while mask:
             low = mask & -mask
-            b = low.bit_length() - 1
-            nb.add(b)
-            if a < b:
-                edges.append((a, b))
+            edges.append((a, low.bit_length() - 1))
             mask ^= low
     tp, leaves_at = _classify(x, star)
     leaves = {leaf: p for p, ls in leaves_at.items() for leaf in ls}
-    return StarGraph(x, ground, frozenset(edges), tuple(tp), leaves, adjacency)
+    return StarGraph(x, ground, frozenset(edges), tuple(tp), leaves, star)
 
 
-def _star_masks(adjacency: dict) -> dict:
-    """The neighbour masks of a neighbour map of sets."""
-    return {a: sum(map((1).__lshift__, nb)) for a, nb in adjacency.items()}
+def _star_at(triangles, x: int) -> dict:
+    """x's neighbour masks, bit b of star[a] set iff {x,a,b} is one of the
+    triangles: the star at x, filled in one pass."""
+    star = {}
+    for p, q, r in triangles:  # (p, r) becomes the pair left when x is dropped
+        if p == x:
+            p = q
+        elif r == x:
+            r = q
+        elif q != x:
+            continue
+        star[p] = star.get(p, 0) | 1 << r
+        star[r] = star.get(r, 0) | 1 << p
+    return star
 
 
 def _classify(x: int, star: dict):
@@ -150,10 +157,10 @@ def _require_star(fam: Family, x: int) -> None:
 
 
 def build_star_graph(fam: Family, x: int) -> StarGraph:
-    """Star graph of a maximal weakly separated family at x, on the neighbour
-    masks that ``star_index`` gives x from the triangles through x."""
+    """Star graph of a maximal weakly separated family at x, on x's neighbour
+    masks."""
     _require_star(fam, x)
-    g = _star_graph(x, fam.ground, star_index(t for t in fam.triangles if x in t).get(x, {}))
+    g = _star_graph(x, fam.ground, _star_at(fam.triangles, x))
     _require_endpoints(x, fam.ground.n, g.triangulation_points)
     return g
 
@@ -172,11 +179,7 @@ def _chords_cross(e1, e2) -> bool:
     interleave; chords sharing an endpoint never cross."""
     a, b = e1
     c, d = e2
-    if len({a, b, c, d}) < 4:
-        return False
-    c_in = (a < c < b)
-    d_in = (a < d < b)
-    return c_in != d_in
+    return len({a, b, c, d}) == 4 and (a < c < b) != (a < d < b)
 
 
 def _noncrossing(chords) -> bool:
@@ -210,7 +213,6 @@ def verify_structure_theorem(g: StarGraph) -> StructureReport:
     tp = g.triangulation_points
     tset = set(tp)
     r = len(tp)
-    xp, xm = wrap(x + 1), wrap(x - 1)
 
     witness = _endpoints_violation(x, n, tp)
     if witness:
@@ -218,21 +220,19 @@ def verify_structure_theorem(g: StarGraph) -> StructureReport:
     if r < 2:
         violations.append(("polygon.faces", f"only {r} triangulation points"))
     else:
-        t_edges = [e for e in g.edges if e[0] in tset and e[1] in tset]
+        te = sorted(e for e in g.edges if e[0] in tset and e[1] in tset)
         boundary = {tuple(sorted((tp[i], tp[(i + 1) % r]))) for i in range(r)}
         for e in sorted(boundary):
             if e not in g.edges:
                 violations.append(("polygon.boundary", f"missing edge {e}"))
-        te = sorted(t_edges)
         if not _noncrossing(te):  # name every crossing pair, in lex order
             for i, e1 in enumerate(te):
                 for e2 in te[i + 1:]:
                     if _chords_cross(e1, e2):
                         violations.append(("polygon.noncrossing", f"edges {e1} and {e2} cross"))
-        if len(t_edges) != 2 * r - 3:
+        if len(te) != 2 * r - 3:
             # Euler: inner faces = E - V + 1; all triangular iff E = 2V - 3.
-            violations.append(("polygon.faces",
-                               f"{len(t_edges)} edges on {r} points, expected {2 * r - 3}"))
+            violations.append(("polygon.faces", f"{len(te)} edges on {r} points, expected {2 * r - 3}"))
 
     # every vertex outside the triangulation points has degree 1: a leaf
     for leaf in sorted(g.leaves):
@@ -254,7 +254,7 @@ def verify_structure_theorem(g: StarGraph) -> StructureReport:
         if position_from(x, t2, n) < position_from(x, t1, n):
             violations.append(("leaf.order", f"leaves {l1} (at {t1}) and {l2} (at {t2}) out of order"))
 
-    for e in (tuple(sorted((xp, wrap(x + 2)))), tuple(sorted((wrap(x - 2), xm)))):
+    for e in (tuple(sorted((wrap(x + 1), wrap(x + 2)))), tuple(sorted((wrap(x - 2), wrap(x - 1))))):
         if e not in g.edges:
             violations.append(("frozen.edges", f"frozen edge {e} missing"))
 
@@ -281,25 +281,26 @@ def border_sequences(x: int, n: int, star: dict) -> list:
     return out
 
 
-def _border_candidates(g: StarGraph) -> list:
-    """The border triangles {p, a, b} of the graph, read off its border
+def _border_candidates(x: int, n: int, star: dict) -> list:
+    """The border triangles {p, a, b} of the star at x, read off its border
     sequences."""
-    return [tuple(sorted((p, a, b))) for p, _, seq in border_sequences(g.x, g.ground.n, _star_masks(g.adjacency))
-            for a, b in zip(seq, seq[1:])]
+    return [tuple(sorted((p, a, b))) for p, _, seq in border_sequences(x, n, star) for a, b in zip(seq, seq[1:])]
 
 
 def border_triangles(fam: Family, x: int) -> list:
     """Border triangles of the family at x; each is guaranteed to already lie
-    in the family, so a miss signals an upstream bug."""
-    return _border_triangles(fam, build_star_graph(fam, x))
+    in the family, so a miss signals an upstream bug. The star is laid out as
+    x's masks, with no StarGraph built."""
+    _require_star(fam, x)
+    return _border_triangles(fam, x, _star_at(fam.triangles, x))
 
 
-def _border_triangles(fam: Family, g: StarGraph) -> list:
-    """border_triangles for a caller that holds the star graph of fam at g.x."""
-    tris = _border_candidates(g)
+def _border_triangles(fam: Family, x: int, star: dict) -> list:
+    """border_triangles for a caller that holds x's neighbour masks in fam."""
+    tris = _border_candidates(x, fam.ground.n, star)
     for t in tris:
         if t not in fam.triangles:
-            raise InternalConsistencyError(f"border triangle {t} missing from family at x={g.x}")
+            raise InternalConsistencyError(f"border triangle {t} missing from family at x={x}")
     return tris
 
 
@@ -353,14 +354,12 @@ def realize_star_graph(g: StarGraph) -> Family:
         rule, witness = report.violations[0]
         raise ConditionViolationError(RULE_CONDITIONS[rule], witness)
     x = g.x
-    star_triangles = [tuple(sorted((x, a, b))) for a, b in g.edges]
-    base = star_triangles + _border_candidates(g)
-    try:
-        fam = make_family(g.ground, sorted(set(base)))
+    base = [tuple(sorted((x, a, b))) for a, b in g.edges] + _border_candidates(x, g.ground.n, g.masks)
+    try:  # ascending triples of points, so Family's own test suffices
+        fam = _validated(Family(g.ground, frozenset(base)))
     except InvalidInputError as e:
         raise InternalConsistencyError(f"realization base family not weakly separated: {e}") from e
     full = greedy_complete(fam)
-    rebuilt = build_star_graph(full, x)
-    if rebuilt.edges != g.edges:
+    if _star_at(full.triangles, x) != g.masks:
         raise InternalConsistencyError("realized family does not reproduce the candidate star graph")
     return full

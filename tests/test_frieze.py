@@ -223,7 +223,7 @@ def _reference_almost_continuous_at(vf: ValuedFamily, x: int):
             raise InternalConsistencyError(f"border triangle {t} unexpectedly missing from family")
         return vf.values[t]
 
-    adj = {v: set(_scan_neighbours(g, v)) for v in g.adjacency}
+    adj = {v: set(_scan_neighbours(g, v)) for v in g.masks}
     tp = list(g.triangulation_points)
     labels = {}
     for i, p in enumerate(tp):

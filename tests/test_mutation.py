@@ -25,6 +25,8 @@ Claims covered:
       a move touches draws the same moves
     - the oracle's values and budget messages are pinned on walk families at
       n = 8, so the order moves are enumerated in cannot drift
+    - random_maximal_family gives the pinned family of each seed at n = 8, 10
+      and 24, the one a step-by-step with_exchange walk reaches
     - a family with a point outside 1..n (past n, negative, 0, a bool, a
       float) never reaches family_moves or the walk: Family refuses it with
       the InvalidInputError the move kernel gave, naming the point
@@ -34,6 +36,7 @@ Claims covered:
       and a trace line accepts only the digits 0-9
 """
 
+import hashlib
 import random
 import re
 from fractions import Fraction
@@ -55,6 +58,7 @@ from sl3frieze.family import (
     Family,
     addable_triangles,
     continuous_triangles,
+    dump_family,
     is_maximal_family,
     is_weakly_separated_family,
     make_family,
@@ -289,7 +293,7 @@ def test_contract_degree2_sums_and_preserves_unitarity():
     vf = mutate(vf, MutationMove(5, 1, 4, 6, 8))
     vf = mutate(vf, MutationMove(5, 1, 2, 4, 8))
     g = build_star_graph(vf.family, 1)
-    assert len(g.adjacency[5]) == 2
+    assert g.masks[5].bit_count() == 2
     # border values next to 5 now read v({2,3,5})=1 and v({2,5,8})=3
     left = checked_mutate(vf, MutationMove(2, 1, 3, 5, 8))
     assert unitary_at(left, 1)
@@ -305,7 +309,7 @@ def test_contract_degree2_unit_borders_merge_to_two():
     # border values of its right contraction are 1
     vf = unit_specialization(canonical_family(6))
     g = build_star_graph(vf.family, 1)
-    assert len(g.adjacency[3]) == 2
+    assert g.masks[3].bit_count() == 2
     out = checked_mutate(vf, MutationMove(4, 3, 5, 1, 2))
     assert out.values[(2, 4, 5)] == 2
     assert not addable_triangles(out.family)
@@ -586,6 +590,32 @@ def test_random_maximal_family_refuses_a_ground_that_is_not_a_ground_set():
             random_maximal_family(ground, 3, 1)
     with pytest.raises(InvalidInputError, match="^steps must be >= 0$"):  # steps are checked first
         random_maximal_family(None, -1, 1)
+
+
+# sha256 of dump_family(random_maximal_family(GroundSet(n), 3n, seed)), first
+# 16 hex digits, as the walk gave them when each step built a new Family
+WALK_FAMILY_DIGESTS = {
+    (8, 0): "a2dd5dcc09aa6755", (8, 1): "b6c1e945f1e24c17", (8, 7): "97aa426732cedf2d",
+    (8, 2024): "a369cd9ab374ac4e", (10, 0): "b26bcb968cdb0ca5", (10, 1): "6e25c44c6a913133",
+    (10, 7): "a3596653a5f750cc", (10, 2024): "6e2e935a2d707ce7", (24, 0): "977cf959b754aebd",
+    (24, 1): "8f524e9a5ec30b40", (24, 7): "424b157941137dde", (24, 2024): "e6ef95b3c6fa157f",
+}
+
+
+def test_random_maximal_family_is_pinned_per_seed():
+    for (n, seed), digest in WALK_FAMILY_DIGESTS.items():
+        fam = random_maximal_family(GroundSet(n), 3 * n, seed)
+        assert fam.validated and len(fam) == 3 * n - 8
+        assert hashlib.sha256(dump_family(fam).encode()).hexdigest()[:16] == digest, (n, seed)
+    assert random_maximal_family(G8, 40, 3).sorted_triangles() == [
+        (1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 2, 8), (1, 4, 5), (1, 5, 6), (1, 5, 8), (1, 6, 7), (1, 6, 8),
+        (1, 7, 8), (2, 3, 4), (2, 4, 5), (3, 4, 5), (4, 5, 6), (5, 6, 7), (6, 7, 8)]
+    # the same family as exchanging move by move, each step a checked Family
+    for n, seed in ((8, 5), (10, 6), (24, 7)):
+        fam = canonical_family(n)
+        for move in seeded_walk(fam, 3 * n, seed):
+            fam = fam.with_exchange(move.removed, move.added)
+        assert random_maximal_family(GroundSet(n), 3 * n, seed) == fam
 
 
 @pytest.mark.parametrize("bad, point", [((1, 2, 9), "9"), ((-1, 2, 3), "-1"), ((0, 2, 3), "0"),

@@ -7,7 +7,7 @@ Claims covered:
     - hash is the hash of the tuple of compared fields; ValuedFamily,
       FriezeReport and StructureReport hold a dict or lists and are unhashable
     - StarGraph compares and hashes x, ground, edges and triangulation points
-      only, and its repr omits the adjacency map
+      only, and its repr omits the neighbour masks
     - setting or deleting any field raises AttributeError
     - pickle and copy give an equal value of the same class
 """
@@ -71,7 +71,7 @@ FIELDS = {
     QuiddityRows: ("n", "delta_low", "delta_high"),
     FriezeGrid: ("n", "rows"),
     FriezeReport: ("n", "width", "is_sl3", "is_tame", "integral", "positive", "sl3_failures", "tame_failures"),
-    StarGraph: ("x", "ground", "edges", "triangulation_points", "leaves", "adjacency"),
+    StarGraph: ("x", "ground", "edges", "triangulation_points", "leaves", "masks"),
     StructureReport: ("ok", "violations"),
 }
 
@@ -134,10 +134,10 @@ def test_pickle_and_copy_keep_the_value(values, cls):
         assert tuple(getattr(y, f) for f in FIELDS[cls]) == tuple(getattr(x, f) for f in FIELDS[cls])
 
 
-def test_star_graphs_differing_only_in_leaves_or_adjacency_are_equal(values):
+def test_star_graphs_differing_only_in_leaves_or_masks_are_equal(values):
     g = values[StarGraph]
-    for leaves, adjacency in (({7: 2}, g.adjacency), (g.leaves, {}), ({7: 2}, {2: {3}})):
-        h = StarGraph(g.x, g.ground, g.edges, g.triangulation_points, leaves, adjacency)
+    for leaves, masks in (({7: 2}, g.masks), (g.leaves, {}), ({7: 2}, {2: 1 << 3})):
+        h = StarGraph(g.x, g.ground, g.edges, g.triangulation_points, leaves, masks)
         assert h == g and hash(h) == hash(g)
-    assert StarGraph(2, g.ground, g.edges, g.triangulation_points, g.leaves, g.adjacency) != g
-    assert "adjacency" not in repr(g)
+    assert StarGraph(2, g.ground, g.edges, g.triangulation_points, g.leaves, g.masks) != g
+    assert "masks" not in repr(g)

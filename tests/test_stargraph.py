@@ -5,9 +5,11 @@ Claims covered:
       triangulation plus leaves, with x+1 first and x-1 last; a family only
       marked maximal that breaks this is an internal error naming the rule's
       witness
-    - the classification read off the neighbour map, and the border
+    - the classification read off the neighbour masks, and the border
       sequences laid out from it, agree with scans over every edge
-    - border triangles read off the graph always already lie in the family
+    - border triangles read off the graph always already lie in the family;
+      laid out straight from x's masks, they are the graph's border
+      triangles, and refuse a family or point as build_star_graph does
     - an explicit edge that is not a pair of points of 1..n other than x is
       refused as a bad star-graph edge
     - the nesting-order facts hold: empty interval forces a shared pair, and
@@ -40,9 +42,9 @@ from sl3frieze.family import Family, frozen_triangles
 from sl3frieze.mutation import random_maximal_family
 from sl3frieze.stargraph import (
     RULE_CONDITIONS,
+    _border_triangles,
     _chords_cross,
     _noncrossing,
-    _star_masks,
     border_sequences,
     border_triangles,
     build_star_graph,
@@ -73,7 +75,7 @@ def test_build_star_graph_canonical_n6():
         assert e in g.edges
     assert g.triangulation_points[0] == 2
     assert g.triangulation_points[-1] == 6
-    assert {3, 5} <= set(g.adjacency)  # x+2 and x-2
+    assert {3, 5} <= set(g.masks)  # x+2 and x-2
 
 
 def test_build_star_graph_endpoints_all_x(small_corpus):
@@ -84,8 +86,8 @@ def test_build_star_graph_endpoints_all_x(small_corpus):
                 sg = build_star_graph(fam, x)
                 assert sg.triangulation_points[0] == g.wrap(x + 1)
                 assert sg.triangulation_points[-1] == g.wrap(x - 1)
-                assert g.wrap(x + 2) in sg.adjacency
-                assert g.wrap(x - 2) in sg.adjacency
+                assert g.wrap(x + 2) in sg.masks
+                assert g.wrap(x - 2) in sg.masks
 
 
 def _scanned(g):
@@ -94,21 +96,23 @@ def _scanned(g):
     n = g.ground.n
     by_x = lambda p: (p - g.x) % n
     per_vertex = {}
-    for v in g.adjacency:
+    for v in g.masks:
         nb = sorted((b if a == v else a for a, b in g.edges if v in (a, b)), key=by_x)
         per_vertex[v] = (len(nb), nb)
     leaves = {v: nb[0] for v, (d, nb) in per_vertex.items() if d == 1}
-    leaves_at = {v: sorted((l for l, att in leaves.items() if att == v), key=by_x) for v in g.adjacency}
+    leaves_at = {v: sorted((l for l, att in leaves.items() if att == v), key=by_x) for v in g.masks}
     tp = tuple(sorted((v for v, (d, _) in per_vertex.items() if d >= 2), key=by_x))
     return per_vertex, leaves, leaves_at, tp
 
 
 def _classified(g):
-    """The same, read off the graph's neighbour map and classification."""
+    """The same, read off the graph's neighbour masks and classification: a
+    degree is a popcount, the neighbours are the set bits."""
     n = g.ground.n
     by_x = lambda p: (p - g.x) % n
-    per_vertex = {v: (len(g.adjacency[v]), sorted(g.adjacency[v], key=by_x)) for v in g.adjacency}
-    leaves_at = {v: sorted((l for l in g.adjacency[v] if l in g.leaves), key=by_x) for v in g.adjacency}
+    nbs = {v: [b for b in range(n + 1) if mask >> b & 1] for v, mask in g.masks.items()}
+    per_vertex = {v: (g.masks[v].bit_count(), sorted(nbs[v], key=by_x)) for v in g.masks}
+    leaves_at = {v: sorted((l for l in nbs[v] if l in g.leaves), key=by_x) for v in g.masks}
     return per_vertex, g.leaves, leaves_at, g.triangulation_points
 
 
@@ -137,15 +141,15 @@ def test_classification_matches_edge_scans(small_corpus):
     laid_out = 0
     for g in graphs:
         assert _classified(g) == _scanned(g)
-        assert g.x not in g.adjacency
+        assert g.x not in g.masks
         tp = _scanned(g)[3]
         x, n = g.x, g.ground.n
         if tp and tp[0] == x % n + 1 and tp[-1] == (x - 2) % n + 1:
-            assert border_sequences(x, n, _star_masks(g.adjacency)) == _scanned_border_sequences(g)
+            assert border_sequences(x, n, g.masks) == _scanned_border_sequences(g)
             laid_out += 1
         else:
             with pytest.raises(InternalConsistencyError, match=f"x={x}, n={n}: triangulation points must run"):
-                border_sequences(x, n, _star_masks(g.adjacency))
+                border_sequences(x, n, g.masks)
     assert laid_out > len(graphs) - 300  # every corpus star, and some random ones
 
 
@@ -257,6 +261,42 @@ def test_border_triangles_without_leaves_are_consecutive_triples():
     tp = g.triangulation_points
     expected = [tuple(sorted((tp[i - 1], tp[i], tp[i + 1]))) for i in range(1, len(tp) - 1)]
     assert border_triangles(fam, 1) == expected
+
+
+def _star_families(small_corpus):
+    """Every small_corpus family, and walk families at n = 12, 16 and 32."""
+    walks = [random_maximal_family(GroundSet(n), 4 * n, seed) for n in (12, 16, 32) for seed in (1, 2)]
+    return [fam for fams in small_corpus.values() for fam in fams] + walks
+
+
+def test_border_triangles_on_masks_equal_those_of_the_graph(small_corpus):
+    # border_triangles lays out x's masks with no StarGraph; it gives what
+    # the graph's own masks and its edge scans give, and every star realizes
+    # back to itself
+    for fam in _star_families(small_corpus):
+        for x in fam.ground.points():
+            g = build_star_graph(fam, x)
+            borders = border_triangles(fam, x)
+            assert borders == _border_triangles(fam, x, g.masks)
+            assert borders == [tuple(sorted((p, a, b))) for p, _, seq in _scanned_border_sequences(g)
+                               for a, b in zip(seq, seq[1:])]
+            realized = build_star_graph(realize_star_graph(g), x)
+            assert realized.edges == g.edges and realized.masks == g.masks
+
+
+def test_border_triangles_refuses_what_build_star_graph_refuses():
+    # a non-maximal family, a point outside 1..n, and the endpoint guard
+    g6 = GroundSet(6)
+    guarded = Family(g6, frozenset(combinations(range(2, 7), 3)), validated=True)
+    cases = [(frozen_triangles(G8), 1, InvalidInputError), (canonical_family(8), 9, InvalidInputError),
+             (canonical_family(8), 0, InvalidInputError), (guarded, 1, InternalConsistencyError)]
+    for fam, x, error in cases:
+        raised = []
+        for f in (build_star_graph, border_triangles):
+            with pytest.raises(error) as exc:
+                f(fam, x)
+            raised.append((type(exc.value), str(exc.value)))
+        assert raised[0] == raised[1], (x, raised)
 
 
 # -- the nesting order on triangles through x ------------------------------------
