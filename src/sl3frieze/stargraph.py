@@ -6,20 +6,22 @@ families the vertices of degree >= 2 (triangulation points) induce a polygon
 triangulation, everything else is a leaf hanging off a triangulation point, and
 the graph can be realized back into a maximal family.
 
-A star is held as x's own neighbour masks: bit b of mask[a] is set iff {a,b}
-is an edge. ``build_star_graph`` fills them in one pass over the triangles
-through x, and a ``StarGraph`` keeps them. ``border_sequences`` is the one
-layout of a star, on those masks: its triangulation points in <_x order, each
-with its leaves and its border sequence. ``border_triangles`` and realization
-lay out the masks directly, and ``frieze`` contracts each star of one
-``family.star_index`` on the same layout.
+A star is defined by x's own neighbour masks: bit b of mask[a] is set iff
+{a,b} is an edge. ``build_star_graph`` fills them in one pass over the
+triangles through x, and a ``StarGraph`` is built from them alone: its edges,
+triangulation points and leaves are read off the masks, so no two of them can
+disagree. The structure check reads the same masks and classification.
+``border_sequences`` is the one layout of a star, on those masks: its
+triangulation points in <_x order, each with its leaves and its border
+sequence. ``border_triangles`` and realization lay out the masks directly, and
+``frieze`` contracts each star of one ``family.star_index`` on the same layout.
 """
 
 from __future__ import annotations
 
 from bisect import bisect
 
-from .cyclic import GroundSet, Record, position_from, sorted_from
+from .cyclic import GroundSet, Record
 from .errors import (
     ConditionViolationError,
     InternalConsistencyError,
@@ -52,18 +54,32 @@ RULE_CONDITIONS = {
 
 
 class StarGraph(Record):
+    """The star graph at x, defined by x's neighbour masks (vertex -> its
+    neighbour mask, bit b of masks[a] set iff {a,b} is an edge; symmetric,
+    with no bit or key for x). The other fields are read off the masks when
+    the graph is built: ``edges``, a frozenset of ascending pairs;
+    ``triangulation_points``, the vertices of degree >= 2 in <_x order; and
+    ``leaves``, {leaf: its sole neighbour}. Two graphs are equal when x, the
+    ground set, the edges and the triangulation points are; repr also shows
+    the leaves. A graph pickles and copies as StarGraph(x, ground, masks)."""
+
     __slots__ = ("x", "ground", "edges", "triangulation_points", "leaves", "masks")
     _compared = __slots__[:4]  # leaves and masks follow from the edges
     _shown = __slots__[:5]
 
-    def __init__(self, x: int, ground: GroundSet, edges: frozenset, triangulation_points: tuple,
-                 leaves: dict, masks: dict):
+    def __init__(self, x: int, ground: GroundSet, masks: dict):
+        # each edge read once, at its lower end
+        edges = frozenset((a, b) for a, mask in masks.items() for b in _bits(mask & -2 << a))
+        tp, leaves_at = _classify(x, masks)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "ground", ground)
-        object.__setattr__(self, "edges", edges)  # of ascending 2-tuples
-        object.__setattr__(self, "triangulation_points", triangulation_points)  # ordered by <_x
-        object.__setattr__(self, "leaves", leaves)  # leaf -> its sole neighbour
-        object.__setattr__(self, "masks", masks)  # vertex -> its neighbour mask
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "triangulation_points", tuple(tp))
+        object.__setattr__(self, "leaves", {leaf: p for p, ls in leaves_at.items() for leaf in ls})
+        object.__setattr__(self, "masks", dict(masks))  # a copy: the other fields were read off these
+
+    def __reduce__(self):
+        return StarGraph, (self.x, self.ground, self.masks)
 
 
 class StructureReport(Record):
@@ -90,21 +106,15 @@ def star_graph_from_edges(x: int, ground: GroundSet, edges) -> StarGraph:
             raise InvalidInputError(f"bad star-graph edge {e!r}")
         star[a] = star.get(a, 0) | 1 << b
         star[b] = star.get(b, 0) | 1 << a
-    return _star_graph(x, ground, star)
+    return StarGraph(x, ground, star)
 
 
-def _star_graph(x: int, ground: GroundSet, star: dict) -> StarGraph:
-    """The star graph at x with the given neighbour masks, classified."""
-    edges = []
-    for a, mask in star.items():
-        mask &= -2 << a  # the neighbours past a, so each edge is read once
-        while mask:
-            low = mask & -mask
-            edges.append((a, low.bit_length() - 1))
-            mask ^= low
-    tp, leaves_at = _classify(x, star)
-    leaves = {leaf: p for p, ls in leaves_at.items() for leaf in ls}
-    return StarGraph(x, ground, frozenset(edges), tuple(tp), leaves, star)
+def _bits(mask: int):
+    """The set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _star_at(triangles, x: int) -> dict:
@@ -160,7 +170,7 @@ def build_star_graph(fam: Family, x: int) -> StarGraph:
     """Star graph of a maximal weakly separated family at x, on x's neighbour
     masks."""
     _require_star(fam, x)
-    g = _star_graph(x, fam.ground, _star_at(fam.triangles, x))
+    g = StarGraph(x, fam.ground, _star_at(fam.triangles, x))
     _require_endpoints(x, fam.ground.n, g.triangulation_points)
     return g
 
@@ -208,10 +218,9 @@ def verify_structure_theorem(g: StarGraph) -> StructureReport:
     realize_star_graph accepts the graph.
     """
     violations = []
-    x, n = g.x, g.ground.n
+    x, n, masks, leaves, tp = g.x, g.ground.n, g.masks, g.leaves, g.triangulation_points
     wrap = g.ground.wrap
-    tp = g.triangulation_points
-    tset = set(tp)
+    rank = {p: i for i, p in enumerate(tp)}  # of the triangulation points, in <_x order
     r = len(tp)
 
     witness = _endpoints_violation(x, n, tp)
@@ -220,11 +229,17 @@ def verify_structure_theorem(g: StarGraph) -> StructureReport:
     if r < 2:
         violations.append(("polygon.faces", f"only {r} triangulation points"))
     else:
-        te = sorted(e for e in g.edges if e[0] in tset and e[1] in tset)
-        boundary = {tuple(sorted((tp[i], tp[(i + 1) % r]))) for i in range(r)}
-        for e in sorted(boundary):
-            if e not in g.edges:
-                violations.append(("polygon.boundary", f"missing edge {e}"))
+        # Ascending, the points keep their cyclic neighbours: the boundary
+        # edges past a are {a, next point}, and {first, last} at the first.
+        # Both loops read pairs in lex order.
+        asc = sorted(tp)
+        inside = sum(1 << p for p in asc)
+        te = []  # the triangulation edges
+        for i, a in enumerate(asc):
+            boundary = (1 << asc[i + 1] if i + 1 < r else 0) | (1 << asc[-1] if i == 0 else 0)
+            for b in _bits(boundary & ~masks[a]):
+                violations.append(("polygon.boundary", f"missing edge {(a, b)}"))
+            te += [(a, b) for b in _bits(masks[a] & inside & -2 << a)]
         if not _noncrossing(te):  # name every crossing pair, in lex order
             for i, e1 in enumerate(te):
                 for e2 in te[i + 1:]:
@@ -235,28 +250,30 @@ def verify_structure_theorem(g: StarGraph) -> StructureReport:
             violations.append(("polygon.faces", f"{len(te)} edges on {r} points, expected {2 * r - 3}"))
 
     # every vertex outside the triangulation points has degree 1: a leaf
-    for leaf in sorted(g.leaves):
-        att = g.leaves[leaf]
-        if att not in tset:
+    ls = sorted(leaves)
+    for leaf in ls:
+        att = leaves[leaf]
+        i = rank.get(att)
+        if i is None:
             violations.append(("leaf.attachment", f"leaf {leaf} hangs off {att}, not a triangulation point"))
             continue
-        i = tp.index(att)
         lo, hi = tp[max(i - 1, 0)], tp[min(i + 1, r - 1)]
-        pos = position_from(x, leaf, n)
-        if not (position_from(x, lo, n) < pos < position_from(x, hi, n)):
+        if not ((lo - x) % n < (leaf - x) % n < (hi - x) % n):  # positions in <_x order
             violations.append(("leaf.location",
                                f"leaf {leaf} at {att} outside interval ({lo},{hi})"))
 
-    # Sorted by <_x, the leaves must attach at positions that never decrease.
-    leaves = sorted_from(x, g.leaves, n)
-    for l1, l2 in zip(leaves, leaves[1:]):
-        t1, t2 = g.leaves[l1], g.leaves[l2]
-        if position_from(x, t2, n) < position_from(x, t1, n):
+    # Sorted by <_x (ascending, rotated to start past x), the leaves must
+    # attach at positions that never decrease.
+    cut = bisect(ls, x)
+    ls = ls[cut:] + ls[:cut]
+    for l1, l2 in zip(ls, ls[1:]):
+        t1, t2 = leaves[l1], leaves[l2]
+        if (t2 - x) % n < (t1 - x) % n:
             violations.append(("leaf.order", f"leaves {l1} (at {t1}) and {l2} (at {t2}) out of order"))
 
-    for e in (tuple(sorted((wrap(x + 1), wrap(x + 2)))), tuple(sorted((wrap(x - 2), wrap(x - 1))))):
-        if e not in g.edges:
-            violations.append(("frozen.edges", f"frozen edge {e} missing"))
+    for a, b in (sorted((wrap(x + 1), wrap(x + 2))), sorted((wrap(x - 2), wrap(x - 1)))):
+        if not masks.get(a, 0) >> b & 1:
+            violations.append(("frozen.edges", f"frozen edge {(a, b)} missing"))
 
     return StructureReport(ok=not violations, violations=violations)
 

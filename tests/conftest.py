@@ -5,7 +5,8 @@ diamond conventions. It is not unitary: exhaustive enumeration of all 2136
 maximal weakly separated triangle families over [8] (flip search and clique
 search agree on the count) shows none of them specializes to these rows, in
 any of the 16 dihedral relabelings. Family-pipeline tests therefore use the
-canonical families instead.
+canonical families instead. ``maximal_families`` is the flip search: it
+enumerates every maximal family at small n.
 
 Test modules import the helpers with ``from conftest import ...``.
 """
@@ -14,6 +15,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from pathlib import Path
 
@@ -23,8 +25,9 @@ import sl3frieze
 
 from sl3frieze.cyclic import GroundSet
 from sl3frieze.errors import InvalidInputError
+from sl3frieze.family import canonical_family
 from sl3frieze.frieze import FriezeGrid
-from sl3frieze.mutation import random_maximal_family
+from sl3frieze.mutation import family_moves, random_maximal_family
 from sl3frieze.separation import masks_cross, triangle_mask
 
 INTRO_ROWS = (
@@ -90,6 +93,23 @@ def mask_pair_scan(fam):
         if masks_cross(masks[i], masks[j]):
             return False, (ts[i], ts[j])
     return True, None
+
+
+@cache
+def maximal_families(n: int) -> tuple:
+    """Every maximal weakly separated family over [n], in breadth-first order
+    by exchange moves from the canonical family. Moves connect any two
+    maximal families (Oh, Postnikov and Speyer, "Weak separation and plabic
+    graphs", 2015), so the search reaches all of them."""
+    queue = [canonical_family(n)]
+    seen = {queue[0].triangles}
+    for fam in queue:
+        for move in family_moves(fam):
+            nxt = fam.with_exchange(move.removed, move.added)
+            if nxt.triangles not in seen:
+                seen.add(nxt.triangles)
+                queue.append(nxt)
+    return tuple(queue)
 
 
 @pytest.fixture(scope="session")

@@ -18,13 +18,21 @@ Claims covered:
       written leaves no trace file
     - each command loads only its own layers: gen and validate load neither
       frieze nor stargraph
+    - fuzzed star-graph files (perturbed stars of walk families at n <= 10,
+      random edge lists, and arbitrary JSON) load to a star graph or a
+      MalformedFileError, and gen --star-graph-file ends without a traceback
+      in exit 0 (the realized family has the file's star), 1 (the structure
+      check fails) or 2 (the file is refused)
 """
 
+import contextlib
+import io
 import json
 import os
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import INTRO_ROWS, intro_frieze, parse_decimal, run_fresh
 from sl3frieze import canonical_family
@@ -32,7 +40,9 @@ from sl3frieze.cli import main
 from sl3frieze.family import Family, dump_family, load_family
 from sl3frieze.cyclic import MAX_N, GroundSet
 from sl3frieze.frieze import dump_frieze, extend_rows, format_rational, load_frieze, quiddity_rows, validate_frieze
+from sl3frieze.errors import MalformedFileError
 from sl3frieze.mutation import random_maximal_family, unit_specialization
+from sl3frieze.stargraph import build_star_graph, star_graph_from_dict, verify_structure_theorem
 
 
 @pytest.fixture()
@@ -549,6 +559,72 @@ def test_gen_rejects_unrealizable_star_graph(run, tmp_path):
         {"x": 1, "n": 8, "edges": [[2, 5], [5, 8], [2, 3], [7, 8]]}))
     _, err = run("gen", "--star-graph-file", sg_path, expect=1)
     assert "condition (i)" in err
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=12)
+
+
+@st.composite
+def star_graph_documents(draw):
+    """A star-graph file's JSON value: the star of a walk family at n <= 10
+    with up to three edge edits, a random edge list, the file's keys with
+    arbitrary values, or any JSON value."""
+    kind = draw(st.integers(0, 3))
+    if kind == 0:
+        n = draw(st.integers(6, 10))
+        fam = random_maximal_family(GroundSet(n), draw(st.integers(0, 40)), draw(st.integers(0, 999)))
+        x = draw(st.integers(1, n))
+        edges = sorted(map(list, build_star_graph(fam, x).edges))
+        for _ in range(draw(st.integers(0, 3))):
+            if edges and draw(st.booleans()):
+                edges.pop(draw(st.integers(0, len(edges) - 1)))
+            else:
+                edges.append(draw(st.lists(st.integers(0, n + 1), min_size=2, max_size=2)))
+        return {"x": x, "n": n, "edges": edges}
+    if kind == 1:
+        n = draw(st.integers(4, 11))
+        pairs = st.lists(st.integers(-1, n + 1), min_size=1, max_size=3)
+        return {"x": draw(st.integers(0, n + 1)), "n": n, "edges": draw(st.lists(pairs, max_size=2 * n))}
+    if kind == 2:
+        keys = st.sampled_from(["x", "n", "edges", "schema_version", "extra"])
+        return draw(st.dictionaries(keys, JSON_VALUES, max_size=5))
+    return draw(JSON_VALUES)
+
+
+@settings(max_examples=200, deadline=None)
+@given(star_graph_documents())
+def test_star_graph_from_dict_loads_or_refuses(doc):
+    try:
+        g = star_graph_from_dict(doc)
+    except MalformedFileError:
+        return
+    assert g.edges == {tuple(sorted(e)) for e in doc["edges"]}
+    assert star_graph_from_dict(json.loads(json.dumps(doc))) == g
+
+
+@settings(max_examples=100, deadline=None)
+@given(star_graph_documents())
+def test_gen_star_graph_file_fuzz(tmp_path_factory, doc):
+    d = tmp_path_factory.getbasetemp()
+    path, out = d / "fuzz_star_graph.json", d / "fuzz_family.json"
+    path.write_text(json.dumps(doc))
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(["gen", "--star-graph-file", str(path), "--out", str(out)])
+    assert "Traceback" not in stderr.getvalue() and not stdout.getvalue()
+    try:
+        g = star_graph_from_dict(json.loads(path.read_text()))
+    except (MalformedFileError, ValueError):
+        assert code == 2, stderr.getvalue()
+        return
+    if not verify_structure_theorem(g).ok:
+        assert code == 1 and stderr.getvalue().startswith("star graph not realizable: "), stderr.getvalue()
+        return
+    assert code == 0, stderr.getvalue()
+    assert build_star_graph(load_family(out.read_text()), g.x) == g
 
 
 def test_json_outputs_carry_schema_version(run, fam8):

@@ -7,7 +7,8 @@ Claims covered:
     - hash is the hash of the tuple of compared fields; ValuedFamily,
       FriezeReport and StructureReport hold a dict or lists and are unhashable
     - StarGraph compares and hashes x, ground, edges and triangulation points
-      only, and its repr omits the neighbour masks
+      only, and its repr omits the neighbour masks; it is built from the masks
+      alone, so two equal star graphs check and realize alike
     - setting or deleting any field raises AttributeError
     - pickle and copy give an equal value of the same class
 """
@@ -18,10 +19,18 @@ import pickle
 import pytest
 
 from sl3frieze.cyclic import GroundSet
+from sl3frieze.errors import FriezeError
 from sl3frieze.family import Family, canonical_family
 from sl3frieze.frieze import FriezeGrid, FriezeReport, QuiddityRows, extend_rows, quiddity_rows, validate_frieze
 from sl3frieze.mutation import MutationMove, ValuedFamily, unit_specialization
-from sl3frieze.stargraph import StarGraph, StructureReport, build_star_graph, verify_structure_theorem
+from sl3frieze.stargraph import (
+    StarGraph,
+    StructureReport,
+    build_star_graph,
+    realize_star_graph,
+    star_graph_from_edges,
+    verify_structure_theorem,
+)
 
 
 def instances() -> dict:
@@ -134,10 +143,38 @@ def test_pickle_and_copy_keep_the_value(values, cls):
         assert tuple(getattr(y, f) for f in FIELDS[cls]) == tuple(getattr(x, f) for f in FIELDS[cls])
 
 
-def test_star_graphs_differing_only_in_leaves_or_masks_are_equal(values):
-    g = values[StarGraph]
-    for leaves, masks in (({7: 2}, g.masks), (g.leaves, {}), ({7: 2}, {2: 1 << 3})):
-        h = StarGraph(g.x, g.ground, g.edges, g.triangulation_points, leaves, masks)
-        assert h == g and hash(h) == hash(g)
-    assert StarGraph(2, g.ground, g.edges, g.triangulation_points, g.leaves, g.masks) != g
+def _outcome(f, *args):
+    """f(*args), or the type and message of what it raised."""
+    try:
+        return f(*args)
+    except FriezeError as e:
+        return type(e), str(e)
+
+
+def test_equal_star_graphs_check_and_realize_alike(values):
+    # a StarGraph is built from its masks alone: the edges and triangulation
+    # points of one graph cannot be paired with other masks, and equal graphs
+    # give equal reports and realize alike, or fail alike
+    g = build_star_graph(canonical_family(8), 3)
+    with pytest.raises(TypeError):
+        StarGraph(g.x, g.ground, g.edges, g.triangulation_points, g.leaves, {})
+    g8 = GroundSet(8)
+    graphs = [g, values[StarGraph], star_graph_from_edges(1, g8, [(2, 8), (2, 3), (7, 8), (5, 6)]),
+              star_graph_from_edges(1, g8, [(2, 5), (5, 8), (2, 8), (2, 6), (2, 3), (7, 8)])]
+    for f in graphs:
+        twins = [StarGraph(f.x, f.ground, dict(reversed(f.masks.items()))),
+                 star_graph_from_edges(f.x, f.ground, sorted(f.edges, reverse=True)),
+                 pickle.loads(pickle.dumps(f))]
+        for h in twins:
+            assert h == f and hash(h) == hash(f)
+            assert (h.masks, h.leaves) == (f.masks, f.leaves)
+            assert verify_structure_theorem(h) == verify_structure_theorem(f)
+            assert _outcome(realize_star_graph, h) == _outcome(realize_star_graph, f)
+    outcomes = [_outcome(realize_star_graph, f) for f in graphs]
+    assert [type(o) for o in outcomes] == [Family, Family, tuple, tuple]  # two realize, two fail
+    assert StarGraph(2, g.ground, g.masks) != g
     assert "masks" not in repr(g)
+    masks = dict(g.masks)
+    h = StarGraph(g.x, g.ground, masks)
+    masks.clear()  # the graph keeps its own copy
+    assert h.masks == g.masks and h.leaves == g.leaves

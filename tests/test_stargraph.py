@@ -22,6 +22,10 @@ Claims covered:
     - the structure check covers all of conditions (i)-(v): it passes exactly
       the graphs that realization accepts, and its first violation names the
       condition that realization reports
+    - the structure check, read off the masks, gives the report of the check
+      that scans the edge set (rule ids, witnesses and their order) on every
+      star of every maximal family at n = 6, 7 and 8, on perturbed stars, on
+      random chord sets and on hand-made unrealizable graphs
 """
 
 import random
@@ -30,7 +34,8 @@ from itertools import combinations
 
 import pytest
 
-from sl3frieze.cyclic import GroundSet, position_from
+from conftest import maximal_families
+from sl3frieze.cyclic import GroundSet, position_from, sorted_from
 from sl3frieze.errors import (
     ConditionViolationError,
     InternalConsistencyError,
@@ -42,8 +47,10 @@ from sl3frieze.family import Family, frozen_triangles
 from sl3frieze.mutation import random_maximal_family
 from sl3frieze.stargraph import (
     RULE_CONDITIONS,
+    StructureReport,
     _border_triangles,
     _chords_cross,
+    _endpoints_violation,
     _noncrossing,
     border_sequences,
     border_triangles,
@@ -209,16 +216,21 @@ def test_structure_detects_crossing_chords():
     assert any(rule == "polygon.noncrossing" for rule, _ in rep.violations)
 
 
+def _random_chord_sets(count, seed):
+    """(ground, chords) pairs: random sets of chords between points 2..n,
+    sorted, at random n in 6..12."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randrange(6, 13)
+        pool = list(combinations(range(2, n + 1), 2))
+        yield GroundSet(n), sorted(rng.sample(pool, rng.randrange(1, min(2 * n, len(pool)))))
+
+
 def test_noncrossing_pass_agrees_with_the_pairwise_scan():
     # the one-pass check decides what the scan of every pair decides, and the
     # report names every crossing pair in lex order, as the scan finds them
-    rng = random.Random(5)
     crossing = 0
-    for _ in range(2000):
-        n = rng.randrange(6, 13)
-        ground = GroundSet(n)
-        pool = list(combinations(range(2, n + 1), 2))
-        chords = sorted(rng.sample(pool, rng.randrange(1, min(2 * n, len(pool)))))
+    for ground, chords in _random_chord_sets(2000, seed=5):
         pairs = [(e1, e2) for e1, e2 in combinations(chords, 2) if _chords_cross(e1, e2)]
         assert _noncrossing(chords) == (not pairs), chords
         rep = verify_structure_theorem(star_graph_from_edges(1, ground, chords))
@@ -474,3 +486,72 @@ def test_structure_check_decides_realizability():
             assert rep.ok, (g.x, sorted(g.edges), rep.violations)
             seen.add("ok")
     assert seen == {"ok", "i", "iii", "iv", "v"}
+
+
+def _edge_scan_report(g):
+    """The structure check read off the edge set, with sorted edge lists, a
+    set of boundary pairs and a search of the triangulation points for each
+    leaf: the reference for verify_structure_theorem, which reads the masks."""
+    violations = []
+    x, n = g.x, g.ground.n
+    wrap = g.ground.wrap
+    tp = g.triangulation_points
+    tset = set(tp)
+    r = len(tp)
+
+    witness = _endpoints_violation(x, n, tp)
+    if witness:
+        violations.append(("polygon.endpoints", witness))
+    if r < 2:
+        violations.append(("polygon.faces", f"only {r} triangulation points"))
+    else:
+        te = sorted(e for e in g.edges if e[0] in tset and e[1] in tset)
+        boundary = {tuple(sorted((tp[i], tp[(i + 1) % r]))) for i in range(r)}
+        for e in sorted(boundary):
+            if e not in g.edges:
+                violations.append(("polygon.boundary", f"missing edge {e}"))
+        for i, e1 in enumerate(te):  # every crossing pair, in lex order
+            for e2 in te[i + 1:]:
+                if _chords_cross(e1, e2):
+                    violations.append(("polygon.noncrossing", f"edges {e1} and {e2} cross"))
+        if len(te) != 2 * r - 3:
+            violations.append(("polygon.faces", f"{len(te)} edges on {r} points, expected {2 * r - 3}"))
+
+    for leaf in sorted(g.leaves):
+        att = g.leaves[leaf]
+        if att not in tset:
+            violations.append(("leaf.attachment", f"leaf {leaf} hangs off {att}, not a triangulation point"))
+            continue
+        i = tp.index(att)
+        lo, hi = tp[max(i - 1, 0)], tp[min(i + 1, r - 1)]
+        pos = position_from(x, leaf, n)
+        if not (position_from(x, lo, n) < pos < position_from(x, hi, n)):
+            violations.append(("leaf.location", f"leaf {leaf} at {att} outside interval ({lo},{hi})"))
+
+    leaves = sorted_from(x, g.leaves, n)
+    for l1, l2 in zip(leaves, leaves[1:]):
+        t1, t2 = g.leaves[l1], g.leaves[l2]
+        if position_from(x, t2, n) < position_from(x, t1, n):
+            violations.append(("leaf.order", f"leaves {l1} (at {t1}) and {l2} (at {t2}) out of order"))
+
+    for e in (tuple(sorted((wrap(x + 1), wrap(x + 2)))), tuple(sorted((wrap(x - 2), wrap(x - 1))))):
+        if e not in g.edges:
+            violations.append(("frozen.edges", f"frozen edge {e} missing"))
+
+    return StructureReport(ok=not violations, violations=violations)
+
+
+def test_structure_check_on_masks_equals_the_edge_scan():
+    stars = [build_star_graph(fam, x) for n in (6, 7, 8) for fam in maximal_families(n)
+             for x in fam.ground.points()]
+    perturbed = [*_perturbed_star_graphs(400, seed=3), *_perturbed_star_graphs(400, seed=4)]
+    chords = [star_graph_from_edges(1, ground, cs) for ground, cs in _random_chord_sets(2000, seed=5)]
+    hand = [star_graph_from_edges(x, GroundSet(7), edges) for x, edges, _ in UNREALIZABLE_N7]
+    hand += [star_graph_from_edges(1, G8, []), star_graph_from_edges(1, G8, [(2, 8), (2, 3), (7, 8), (5, 6)])]
+    rules = set()
+    for g in stars + perturbed + chords + hand:
+        rep = verify_structure_theorem(g)
+        assert rep == _edge_scan_report(g), (g.x, g.ground.n, sorted(g.edges))
+        rules.update(rule for rule, _ in rep.violations)
+    assert len(stars) == 8 * 2136 + 7 * 259 + 6 * 34
+    assert rules == set(RULE_CONDITIONS)  # every rule fires somewhere
