@@ -19,7 +19,7 @@ _SUBMODULE = {
     ), "family"),
     **dict.fromkeys((
         "FriezeGrid", "QuiddityRows", "almost_continuous_at",
-        "extend_rows", "quiddity_rows", "render_frieze", "validate_frieze",
+        "extend_rows", "minor_values", "quiddity_rows", "render_frieze", "validate_frieze",
     ), "frieze"),
     **dict.fromkeys((
         "MutationMove", "ValuedFamily", "exchange_value",

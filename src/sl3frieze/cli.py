@@ -3,9 +3,9 @@
 Commands: validate, analyze, frieze, check-frieze, oracle, mutate, gen.
 Exit codes: 0 success, 1 semantically invalid input (crossing pair, missing
 maximality, failed diamonds, unrealizable star graph, bad replay), 2 usage or
-file-format error (a ground size above MAX_N, gen --steps above MAX_STEPS, a
-negative oracle budget, an output that cannot be written and a stdout closed
-by its reader included), 3 internal error or exhausted search budget.
+file-format error (a ground size above MAX_N, gen --steps above MAX_STEPS, an
+output that cannot be written and a stdout closed by its reader included), 3
+internal error.
 
 The module loads only the layers every command needs (family and mutation);
 each command that needs ``stargraph`` or ``frieze`` imports it itself, so
@@ -21,7 +21,6 @@ import sys
 
 from .cyclic import GroundSet
 from .errors import (
-    BudgetExceededError,
     ConditionViolationError,
     FriezeError,
     InvalidInputError,
@@ -39,10 +38,8 @@ from .family import (
     maximal_size,
 )
 from .mutation import (
-    DEFAULT_ORACLE_BUDGET,
     format_trace_line,
     mutate,
-    oracle_value,
     parse_trace_line,
     seeded_walk,
     unit_specialization,
@@ -244,20 +241,13 @@ def _parse_triangle_arg(spec: str, ground: GroundSet):
 
 
 def cmd_oracle(ns) -> int:
-    from .frieze import format_rational
+    from .frieze import format_rational, minor_values
 
     fam, err = _load_checked_family(ns.family)
     if err:
         return err
     target = _parse_triangle_arg(ns.triangle, fam.ground)
-    budget = ns.budget
-    if budget is None:
-        raw = os.environ.get("FRIEZE_ORACLE_BUDGET")
-        try:
-            budget = int(raw) if raw else DEFAULT_ORACLE_BUDGET
-        except ValueError as e:
-            raise InvalidInputError(f"bad FRIEZE_ORACLE_BUDGET {raw!r}") from e
-    value = oracle_value(unit_specialization(fam), target, budget=budget)
+    value = minor_values(unit_specialization(fam), [target])[target]
     if ns.format == "json":
         _emit_json({
             "schema_version": SCHEMA_VERSION,
@@ -360,8 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="value of one Pluecker coordinate under the all-ones specialization")
     p.add_argument("family")
     p.add_argument("--triangle", required=True, help='e.g. "1,3,5"')
-    p.add_argument("--budget", type=int, default=None,
-                   help="search budget (default from FRIEZE_ORACLE_BUDGET or built-in)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_oracle)
 
@@ -406,9 +394,6 @@ def main(argv=None) -> int:
     except InvalidInputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except BudgetExceededError as e:
-        print(f"oracle budget exhausted: {e}", file=sys.stderr)
-        return 3
     except FriezeError as e:
         print(f"internal error: {e}", file=sys.stderr)
         return 3

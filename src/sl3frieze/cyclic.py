@@ -3,8 +3,8 @@
 Points are 1-based throughout; modular arithmetic always lands back in 1..n.
 Whether a tuple of distinct points is cyclically ordered does not depend on n,
 so ``is_cyclic`` takes no ground set. For a point x, a <_x b iff (x, a, b) is
-cyclically ordered: a total order on [n] \\ {x} that ``position_from`` ranks and
-``sorted_from`` sorts by.
+cyclically ordered: a total order on [n] \\ {x}, in which p's rank is
+(p - x) mod n.
 
 ``Record``, the base of every value class in the package, lives here because
 this is the bottom layer.
@@ -120,14 +120,3 @@ def is_cyclic(points) -> bool:
                 return False
         prev = p
     return descents == 1
-
-
-def position_from(x: int, p: int, n: int) -> int:
-    """Rank of p in the <_x order: 1 for x+1 up to n-1 for x-1 (0 for p=x)."""
-    return (p - x) % n
-
-
-def sorted_from(x: int, points, n: int) -> list:
-    """Sort points by the <_x order."""
-    return sorted(points, key=lambda p: (p - x) % n)
-

@@ -5,9 +5,9 @@ its ground set, a frozenset of triangles and a ``validated`` flag meaning the
 weak-separation check has been run. ``Family`` holds the invariant:
 construction refuses a ground that is not a ``GroundSet`` and any triangle
 that is not an ascending triple of points of 1..n, so nothing downstream
-checks one again. ``with_exchange`` tests only the triangle it adds; the
-reader, ``make_family`` and the families built here from valid triangles skip
-the test (``Record._unchecked``).
+checks one again. ``with_exchange`` tests only the triangle it adds, and
+its result is not marked validated; the reader, ``make_family`` and the
+families built here from valid triangles skip the test (``Record._unchecked``).
 
 Beside ``crossing_index``, ``star_index`` holds the star graph of every point
 as neighbour bitmasks, for ``frieze``; ``stargraph`` builds its own star.
@@ -91,9 +91,11 @@ class Family(Record):
         return sorted(self.triangles)
 
     def with_exchange(self, removed: Triangle, added: Triangle) -> "Family":
-        """Replace one triangle by another; validation status is preserved by
-        callers that know the exchange is separation-safe. Only the added
-        triangle is tested: the others passed when the family was built."""
+        """Replace one triangle by another. Only the added triangle is
+        tested, as Family tests it: the others passed when the family was
+        built. The result is not marked validated, since an arbitrary exchange
+        can make two triangles cross; ``mutate`` builds the family of a move,
+        which keeps weak separation, itself."""
         _check_triangles((added,), self.ground)
         try:
             applies = removed in self.triangles and added not in self.triangles
@@ -101,7 +103,7 @@ class Family(Record):
             raise InvalidInputError(f"removed triangle {removed!r} is not a triangle") from None
         if not applies:
             raise InvalidInputError("exchange does not apply to this family")
-        return Family._unchecked(self.ground, self.triangles - {removed} | {added}, self.validated)
+        return Family._unchecked(self.ground, self.triangles - {removed} | {added}, False)
 
 
 def make_family(ground: GroundSet, triangles) -> Family:

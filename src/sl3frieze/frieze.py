@@ -8,7 +8,8 @@ right, and three border rows (1, 0, 0) frame the grid above and below.
 U_k(i), the value of {i, i+k+1, i+k+2}, names the same array from the other
 end: U_k(i) = D_{n-3-k}(i+k+1). Every entry is a Gale minor,
 D_k(i) = det(v_i, v_{i+1}, v_{i+k+2}); extend_rows builds the grid that way,
-and validate_frieze checks it that way.
+and validate_frieze checks it that way. minor_values gives the value of any
+triangle, in the grid or not, as the same kind of minor.
 
 The contraction runs on one ``family.star_index`` of the family, the star
 graph of every point as neighbour bitmasks: ``stargraph.border_sequences``
@@ -38,7 +39,7 @@ from .errors import (
     PreconditionError,
 )
 from .family import star_index
-from .mutation import ValuedFamily, _check_entries
+from .mutation import ValuedFamily, _check_entries, _target_triangles
 from .stargraph import _require_star, border_sequences
 
 FRIEZE_SCHEMA_VERSION = 1
@@ -324,6 +325,49 @@ def extend_rows(q: QuiddityRows) -> FriezeGrid:
                         f"row recursions disagree at U_{k}({i + 1}): {upper} vs {lower}")
         raise InternalConsistencyError("Gale vectors do not close, yet the row recursions agree")
     return FriezeGrid(n, tuple(map(tuple, _gale_minors(vs[:n]))))
+
+
+def _minor(vs, t):
+    """det(v_a, v_b, v_c) for the triangle t = (a, b, c), vs[j] = v_j."""
+    (u0, u1, u2), (v0, v1, v2), (w0, w1, w2) = (vs[p] for p in t)
+    return u0 * (v1 * w2 - v2 * w1) - u1 * (v0 * w2 - v2 * w0) + u2 * (v0 * w1 - v1 * w0)
+
+
+def minor_values(vf: ValuedFamily, targets) -> dict:
+    """Values of the given triangles under the unit specialization, as
+    mutation.oracle_values gives them, at any n: {a,b,c} -> det(v_a, v_b, v_c),
+    a < b < c, of the Gale vectors of quiddity_rows(vf). Targets are checked
+    as oracle_values checks them. The cost is the contraction, plus O(n)
+    and O(1) per target.
+
+    First comes certificate part (b): every triangle of the family has
+    minor 1. The first that does not, in lex order, is an
+    InternalConsistencyError naming it: the contraction gave wrong rows.
+
+    Why (b) pins every minor. q(i, j) = det(v_z, v_i, v_j) is the 2 x 2
+    minor of the images of v_i and v_j in R^3 / <v_z>, so
+    q(a,c) q(b,d) = q(a,b) q(c,d) + q(a,d) q(b,c). For a < b < c < d (a
+    rotation of a move's quadruple, which leaves its relation unchanged)
+    q(i, j) is the ascending minor with the sign -1 exactly when z lies
+    between i and j, and wherever z lies the three products carry one sign.
+    So the ascending minors obey the exchange of every move. Along moves
+    from the family, each minor then equals the value the exchange gives,
+    by induction, as long as the pivots v(zac) are nonzero; from the unit
+    specialization every value is a positive integer. Moves connect all
+    maximal weakly separated families (Oh, Postnikov and Speyer, "Weak
+    separation and plabic graphs", 2015), and every triangle lies in one,
+    so each minor is the value of its triangle. The closure of the vectors,
+    part (a), is not needed for this.
+    """
+    wanted = _target_triangles(vf.family.ground, targets)
+    q = quiddity_rows(vf)
+    vs = (None, *gale_vectors(q.delta_low, q.delta_high))  # vs[j] = v_j
+    for t in sorted(vf.family.triangles):
+        det = _minor(vs, t)
+        if det != 1:
+            raise InternalConsistencyError(
+                f"certificate part (b) fails: family triangle {t} has minor {det}, not 1")
+    return {t: _minor(vs, t) for t in wanted}
 
 
 # -- diamond validation -----------------------------------------------------------

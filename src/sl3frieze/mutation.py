@@ -173,9 +173,10 @@ def _exchange(values: dict, m: tuple) -> dict:
 
 def mutate(vf: ValuedFamily, move: MutationMove) -> ValuedFamily:
     """Apply one move, propagating the exchanged value. Of the result only the
-    new value is checked: an exchange keeps the family maximal weakly
-    separated with every continuous triangle, and exchange_value checks the
-    types, but signed values can exchange to zero."""
+    new value is checked: a move keeps the family maximal weakly separated
+    with every continuous triangle, so the family keeps its validated mark,
+    and exchange_value checks the types, but signed values can exchange to
+    zero."""
     ground = vf.family.ground
     for p in (move.z, move.a, move.b, move.c, move.d):
         if not ground.contains(p):
@@ -189,7 +190,9 @@ def mutate(vf: ValuedFamily, move: MutationMove) -> ValuedFamily:
     values2 = _exchange(vf.values, move.key())
     if values2[added] == 0:
         raise InvalidInputError(f"value of {added} must be nonzero")
-    return ValuedFamily._unchecked(vf.family.with_exchange(move.removed, added), values2)
+    fam = vf.family  # the added triangle is an ascending triple of its points
+    moved = Family._unchecked(fam.ground, fam.triangles - {move.removed} | {added}, True)
+    return ValuedFamily._unchecked(moved, values2)
 
 
 def _pivoted(t) -> tuple:
@@ -321,9 +324,24 @@ def random_maximal_family(ground: GroundSet, steps: int, seed: int) -> Family:
 
 # -- breadth-first oracle -------------------------------------------------------
 
+def _target_triangles(ground: GroundSet, targets) -> set:
+    """The targets of a value oracle as ascending triangles; InvalidInputError
+    naming the first that is not a tuple or list of three distinct points of
+    1..n."""
+    wanted = set()
+    for t in targets:
+        if (not isinstance(t, (tuple, list)) or len(t) != 3
+                or not all(map(ground.contains, t)) or len(set(t)) != 3):
+            raise InvalidInputError(f"bad target triangle {t!r}")
+        wanted.add(tuple(sorted(t)))
+    return wanted
+
+
 def oracle_values(vf: ValuedFamily, targets, budget: int = DEFAULT_ORACLE_BUDGET) -> dict:
     """Values of the given triangles under the specialization pinned by vf.
 
+    The definition-level reference, feasible at small n only: under the unit
+    specialization ``frieze.minor_values`` gives the same values at any n.
     Breadth-first search over moves, propagating values exchange by exchange
     until every target has been seen in some reached family. Path independence
     is asserted: a family reached twice must carry the same values, and a
@@ -333,14 +351,8 @@ def oracle_values(vf: ValuedFamily, targets, budget: int = DEFAULT_ORACLE_BUDGET
     """
     if budget < 0:
         raise InvalidInputError(f"oracle budget must be >= 0, got {budget}")
-    ground = vf.family.ground
-    n = ground.n
-    wanted = set()
-    for t in targets:
-        if (not isinstance(t, (tuple, list)) or len(t) != 3
-                or not all(map(ground.contains, t)) or len(set(t)) != 3):
-            raise InvalidInputError(f"bad target triangle {t!r}")
-        wanted.add(tuple(sorted(t)))
+    n = vf.family.ground.n
+    wanted = _target_triangles(vf.family.ground, targets)
 
     start = dict(vf.values)
     found = {t: start[t] for t in wanted if t in start}

@@ -193,13 +193,13 @@ def _chords_cross(e1, e2) -> bool:
 
 
 def _noncrossing(chords) -> bool:
-    """Whether no two chords, as ascending pairs, cross: read as intervals
-    sorted by left end and then by right end descending, they must nest or
-    touch. One pass keeps the right ends of the open intervals on a stack;
-    a chord crosses iff it starts inside the innermost open interval and ends
-    past it."""
+    """Whether no two chords, ascending pairs (a, b) given in (a, -b) order,
+    cross: read as intervals ordered by left end and then by right end
+    descending, they must nest or touch. One pass keeps the right ends of the
+    open intervals on a stack; a chord crosses iff it starts inside the
+    innermost open interval and ends past it."""
     ends = []
-    for a, b in sorted(chords, key=lambda e: (e[0], -e[1])):
+    for a, b in chords:
         while ends and ends[-1] <= a:
             ends.pop()
         if ends and b > ends[-1]:
@@ -231,7 +231,8 @@ def verify_structure_theorem(g: StarGraph) -> StructureReport:
     else:
         # Ascending, the points keep their cyclic neighbours: the boundary
         # edges past a are {a, next point}, and {first, last} at the first.
-        # Both loops read pairs in lex order.
+        # Missing edges are named in lex order; the triangulation edges are
+        # collected in (a, -b) order, each point's chords reversed.
         asc = sorted(tp)
         inside = sum(1 << p for p in asc)
         te = []  # the triangulation edges
@@ -239,8 +240,9 @@ def verify_structure_theorem(g: StarGraph) -> StructureReport:
             boundary = (1 << asc[i + 1] if i + 1 < r else 0) | (1 << asc[-1] if i == 0 else 0)
             for b in _bits(boundary & ~masks[a]):
                 violations.append(("polygon.boundary", f"missing edge {(a, b)}"))
-            te += [(a, b) for b in _bits(masks[a] & inside & -2 << a)]
+            te += reversed([(a, b) for b in _bits(masks[a] & inside & -2 << a)])
         if not _noncrossing(te):  # name every crossing pair, in lex order
+            te.sort()
             for i, e1 in enumerate(te):
                 for e2 in te[i + 1:]:
                     if _chords_cross(e1, e2):

@@ -25,7 +25,7 @@ import sl3frieze
 
 from sl3frieze.cyclic import GroundSet
 from sl3frieze.errors import InvalidInputError
-from sl3frieze.family import canonical_family
+from sl3frieze.family import Family, canonical_family
 from sl3frieze.frieze import FriezeGrid
 from sl3frieze.mutation import family_moves, random_maximal_family
 from sl3frieze.separation import masks_cross, triangle_mask
@@ -57,6 +57,16 @@ def build_plucker_frieze_map(n: int) -> dict:
     w = n - 4
     return {(k, i): plucker_triple(n, k, i)
             for k in range(-2, w + 4) for i in range(1, n + 1)}
+
+
+def position_from(x: int, p: int, n: int) -> int:
+    """Rank of p in the <_x order: 1 for x+1 up to n-1 for x-1 (0 for p=x)."""
+    return (p - x) % n
+
+
+def sorted_from(x: int, points, n: int) -> list:
+    """Sort points by the <_x order."""
+    return sorted(points, key=lambda p: (p - x) % n)
 
 
 def parse_decimal(text: str) -> int:
@@ -105,10 +115,12 @@ def maximal_families(n: int) -> tuple:
     seen = {queue[0].triangles}
     for fam in queue:
         for move in family_moves(fam):
-            nxt = fam.with_exchange(move.removed, move.added)
-            if nxt.triangles not in seen:
-                seen.add(nxt.triangles)
-                queue.append(nxt)
+            triangles = fam.triangles - {move.removed} | {move.added}
+            if triangles not in seen:
+                seen.add(triangles)
+                # marked validated, as a move keeps weak separation; the
+                # exhaustive check asserts it again
+                queue.append(Family(fam.ground, triangles, validated=True))
     return tuple(queue)
 
 

@@ -8,7 +8,10 @@ Claims covered:
       written form, files that are not UTF-8 and JSON nested too deep to
       parse, all refused before anything is built; an output path that
       cannot be written; a stdout closed by its reader, with no traceback),
-      3 for budget
+      3 for an internal error (a contraction mutant that oracle's check of
+      the family's minors names)
+    - oracle answers at n = 24 and 512, a grid triple with its frieze entry,
+      and has no search budget to set
     - check-frieze writes every failing determinant in full, also past the
       4,300-digit limit
     - identical inputs and flags give byte-identical output, and
@@ -185,22 +188,49 @@ def test_oracle_rejects_repeated_index(run, fam8):
     assert "distinct" in err
 
 
-def test_oracle_budget_env(run, fam8, monkeypatch):
-    monkeypatch.setenv("FRIEZE_ORACLE_BUDGET", "0")
-    _, err = run("oracle", fam8, "--triangle", "1,4,7", expect=3)
-    assert "budget" in err.lower()
-
-
-def test_oracle_rejects_negative_budget_flag(run, fam8):
-    # even a target the family holds, which needs no search, is refused
-    _, err = run("oracle", fam8, "--triangle", "1,2,3", "--budget", "-1", expect=2)
-    assert err == "error: oracle budget must be >= 0, got -1\n"
-
-
-def test_oracle_rejects_negative_budget_env(run, fam8, monkeypatch):
+def test_oracle_has_no_search_budget(run, fam8, monkeypatch, capsys):
+    # the value is a Gale minor, found with no search: --budget is an
+    # unknown option (a usage error), and FRIEZE_ORACLE_BUDGET is not read
+    with pytest.raises(SystemExit) as e:
+        main(["oracle", str(fam8), "--triangle", "1,4,7", "--budget", "10"])
+    assert e.value.code == 2
+    assert "unrecognized arguments: --budget 10" in capsys.readouterr().err
     monkeypatch.setenv("FRIEZE_ORACLE_BUDGET", "-1")
-    _, err = run("oracle", fam8, "--triangle", "1,4,7", expect=2)
-    assert err == "error: oracle budget must be >= 0, got -1\n"
+    out, _ = run("oracle", fam8, "--triangle", "1,4,7")
+    assert out == "v({1,4,7}) = 3\n"  # the BFS oracle's value
+
+
+@pytest.mark.parametrize("n", [24, 512])
+def test_oracle_answers_at_scale(run, tmp_path, n):
+    # the family of gen --n 24 (or 512) --steps 200 --seed 1: the oracle
+    # answers with exit 0, a grid triple with its frieze entry
+    path = tmp_path / "family.json"
+    run("gen", "--n", n, "--steps", 200, "--seed", 1, "--out", path)
+    grid = extend_rows(quiddity_rows(unit_specialization(load_family(path.read_text()))))
+    for k, i in ((1, 1), (n // 2, 3), (n - 4, n)):
+        a, b, c = sorted(((i - 1) % n + 1, i % n + 1, (i + k + 1) % n + 1))
+        out, _ = run("oracle", path, "--triangle", f"{a},{b},{c}")
+        assert out == f"v({{{a},{b},{c}}}) = {grid.entry(k, i)}\n"
+    # and a triple spread around the polygon, outside the grid
+    out, _ = run("oracle", path, "--triangle", f"1,{n // 3},{2 * n // 3}", "--format", "json")
+    assert int(json.loads(out)["value"]) > 0
+
+
+def test_oracle_names_the_triangle_a_wrong_contraction_breaks(run, fam8, monkeypatch):
+    # a contraction mutant: D_1(1), the value of {1,2,4}, one too large. The
+    # oracle checks that every family triangle has minor 1 (certificate part
+    # (b)) and names the first that does not, with exit 3
+    import sl3frieze.frieze as frieze
+
+    contract = frieze.quiddity_rows
+
+    def off_by_one(vf):
+        q = contract(vf)
+        return frieze.QuiddityRows(q.n, (q.delta_low[0] + 1, *q.delta_low[1:]), q.delta_high)
+
+    monkeypatch.setattr(frieze, "quiddity_rows", off_by_one)
+    _, err = run("oracle", fam8, "--triangle", "1,4,7", expect=3)
+    assert err == "internal error: certificate part (b) fails: family triangle (1, 2, 4) has minor 2, not 1\n"
 
 
 def test_gen_rejects_small_n(run):

@@ -6,13 +6,14 @@ Claims covered:
     - the points strictly between a and b are the p with (a,p,b) cyclically
       ordered; they and the points between b and a partition the rest of [n]
     - a <_x b iff (x,a,b) is cyclically ordered; <_x totally orders [n]\\{x},
-      and sorted_from and position_from realize it
+      and the reference helpers sorted_from and position_from realize it
 """
 
 import pytest
 from hypothesis import given, strategies as st
 
-from sl3frieze.cyclic import MAX_N, GroundSet, is_cyclic, position_from, sorted_from
+from conftest import position_from, sorted_from
+from sl3frieze.cyclic import MAX_N, GroundSet, is_cyclic
 from sl3frieze.errors import InvalidInputError
 
 G6 = GroundSet(6)

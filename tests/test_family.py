@@ -22,6 +22,9 @@ Claims covered:
     - Family itself, and with_exchange for the triangle it adds, refuses a
       triangle that is not an ascending triple of points of 1..n, naming the
       point or the triangle, and accepts the int subclasses the reader does
+    - with_exchange leaves its result unvalidated, so an exchange that makes
+      two triangles cross is named by the separation check; mutate keeps the
+      mark, since a move keeps weak separation
 """
 
 import json
@@ -51,7 +54,7 @@ from sl3frieze.family import (
     make_triangle,
     maximal_size,
 )
-from sl3frieze.mutation import random_maximal_family
+from sl3frieze.mutation import family_moves, mutate, random_maximal_family, unit_specialization
 from sl3frieze.separation import crossing_definition, masks_cross, triangle_mask
 
 G6 = GroundSet(6)
@@ -381,6 +384,26 @@ def test_with_exchange_refuses_an_unhashable_removed_triangle(removed):
     # a hashable triangle that is not in the family keeps its message
     with pytest.raises(InvalidInputError, match="^exchange does not apply to this family$"):
         G8_CANONICAL.with_exchange((2, 4, 6), (1, 3, 5))
+
+
+def test_with_exchange_leaves_its_result_unvalidated():
+    # an exchange that is not a move can make two triangles cross; the
+    # result is not marked validated, so maximality runs the separation
+    # check and names the pair, where the contraction used to meet the
+    # crossing as an internal error
+    fam = G8_CANONICAL.with_exchange((1, 2, 5), (2, 4, 7))
+    assert not fam.validated
+    with pytest.raises(InvalidInputError, match=r"^family is not weakly separated: \(1, 2, 6\) crosses \(2, 4, 7\)$"):
+        is_maximal_family(fam)
+    with pytest.raises(InvalidInputError, match="crosses"):
+        unit_specialization(fam)
+    # mutate applies a move, which keeps weak separation, and keeps the mark
+    vf = unit_specialization(G8_CANONICAL)
+    for move in family_moves(G8_CANONICAL):
+        moved = mutate(vf, move).family
+        assert moved.validated and is_weakly_separated_family(moved) == (True, None)
+        exchanged = G8_CANONICAL.with_exchange(move.removed, move.added)
+        assert exchanged.triangles == moved.triangles and not exchanged.validated
 
 
 def test_family_reader_round_trips_walk_families():

@@ -25,7 +25,11 @@ Claims covered:
       close included, which then get the condensation's report; it stops
       building the vectors at the first that disagrees with the grid, before
       their coordinates outgrow its entries; the minors equal the BFS oracle
-      on every triple at n = 7
+      on every triple of four families each at n = 6, 7 and 8
+    - minor_values gives those minors, refuses the targets oracle_values
+      refuses with the same messages, refuses values other than 1, and
+      names the first family triangle whose minor is not 1 (certificate
+      part (b)) under a contraction mutant
     - both kernels match entry-by-entry references on random rational input,
       and the unit frieze stays tame, integral and positive at n = 48 and 64
     - grid and quiddity entries must be exact: int or Fraction, never a bool;
@@ -75,6 +79,7 @@ from sl3frieze.frieze import (
     gale_vectors,
     load_frieze,
     dump_frieze,
+    minor_values,
     quiddity_rows,
     render_frieze,
     validate_frieze,
@@ -809,16 +814,58 @@ def test_minors_of_vectors_that_do_not_close_are_refused(monkeypatch):
 
 def test_gale_minors_equal_oracle_values():
     # certificate part (b) and beyond: the minor of every triple, in the grid
-    # or not, is the value the BFS oracle finds
-    triples = list(combinations(range(1, 8), 3))
-    for seed in (1, 2, 3):
-        vf = unit_specialization(random_maximal_family(GroundSet(7), 40, seed))
-        q = quiddity_rows(vf)
-        vs = list(gale_vectors(q.delta_low, q.delta_high))
-        assert vs[7:] == vs[:3]
-        minors = {(a, b, c): _reference_det([vs[a - 1], vs[b - 1], vs[c - 1]]) for a, b, c in triples}
-        assert minors == oracle_values(vf, triples)
-        assert all(minors[t] == 1 for t in vf.family.triangles)
+    # or not, is the value the BFS oracle finds, on the canonical family and
+    # three walk families at n = 6, 7 and 8 (444 triples); minor_values gives
+    # those minors, as ints
+    for n in (6, 7, 8):
+        triples = list(combinations(range(1, n + 1), 3))
+        for fam in [canonical_family(n)] + [random_maximal_family(GroundSet(n), 3 * n, s) for s in (1, 2, 3)]:
+            vf = unit_specialization(fam)
+            q = quiddity_rows(vf)
+            vs = list(gale_vectors(q.delta_low, q.delta_high))
+            assert vs[n:] == vs[:3]
+            minors = {(a, b, c): _reference_det([vs[a - 1], vs[b - 1], vs[c - 1]]) for a, b, c in triples}
+            values = minor_values(vf, triples)
+            assert minors == oracle_values(vf, triples) == values
+            assert all(minors[t] == 1 for t in vf.family.triangles)
+            assert all(type(v) is int for v in values.values())
+
+
+def test_minor_values_refuses_what_the_oracle_refuses():
+    # one target check for both oracles: the same exceptions and messages
+    vf = unit_specialization(canonical_family(8))
+    for bad in ((1, 1, 2), (0, 1, 2), (1, 2, 9), 5, (1, "a", 3), [1, 2]):
+        with pytest.raises(InvalidInputError, match=f"^bad target triangle {re.escape(repr(bad))}$"):
+            oracle_values(vf, [(1, 2, 3), bad])
+        with pytest.raises(InvalidInputError, match=f"^bad target triangle {re.escape(repr(bad))}$"):
+            minor_values(vf, [(1, 2, 3), bad])
+    # any order of the points, as a tuple or a list, names the same triangle
+    assert minor_values(vf, [[7, 1, 4], (4, 7, 1)]) == {(1, 4, 7): 3}
+    # the minors are the values of the unit specialization only
+    values = dict(vf.values)
+    values[(1, 2, 4)] = 2
+    with pytest.raises(PreconditionError, match="all-ones"):
+        minor_values(ValuedFamily(vf.family, values), [(1, 3, 5)])
+
+
+@pytest.mark.parametrize("position, witness", [(0, "(1, 2, 4) has minor 2"), (3, "(1, 2, 7) has minor 2")])
+def test_minor_values_names_a_family_triangle_whose_minor_is_not_one(monkeypatch, position, witness):
+    # a contraction mutant: one entry of delta_low, the values of {i,i+1,i+3},
+    # one too large. Certificate part (b) names the first family triangle, in
+    # lex order, whose minor is not 1
+    contract = frieze_module.quiddity_rows
+
+    def off_by_one(vf):
+        q = contract(vf)
+        low = list(q.delta_low)
+        low[position] += 1
+        return QuiddityRows(q.n, tuple(low), q.delta_high)
+
+    monkeypatch.setattr(frieze_module, "quiddity_rows", off_by_one)
+    vf = unit_specialization(canonical_family(8))
+    with pytest.raises(InternalConsistencyError,
+                       match=rf"^certificate part \(b\) fails: family triangle {re.escape(witness)}, not 1$"):
+        minor_values(vf, [(1, 3, 5)])
 
 
 @pytest.mark.parametrize("n, steps", [(64, 200), (128, 200), (512, 200), (512, 0)],
