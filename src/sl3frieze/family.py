@@ -69,9 +69,12 @@ class Family(Record):
     """A set of ascending triangles over a ground set, refused otherwise (see
     the module docstring). ``validated`` records that weak separation was
     checked; ``is_maximal_family`` and ``greedy_complete`` run the check on
-    unvalidated input."""
+    unvalidated input. The mark shows in the repr, but equality and the hash
+    read the ground and the triangles only, so one family built two ways is
+    one value."""
 
     __slots__ = ("ground", "triangles", "validated")
+    _compared = ("ground", "triangles")
 
     def __init__(self, ground: GroundSet, triangles: frozenset, validated: bool = False):
         if not isinstance(ground, GroundSet):

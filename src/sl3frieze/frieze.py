@@ -11,6 +11,12 @@ D_k(i) = det(v_i, v_{i+1}, v_{i+k+2}); extend_rows builds the grid that way,
 and validate_frieze checks it that way. minor_values gives the value of any
 triangle, in the grid or not, as the same kind of minor.
 
+_certified_rows ties the rows to the family: every family triangle has
+minor 1 (certificate part (b)). The frieze command builds its grid from rows
+that passed it and closed up in extend_rows (part (a)); such a grid is SL3
+and tame by validate_frieze's proof, so the command reads its summary off
+the grid without checking the diamonds again.
+
 The contraction runs on one ``family.star_index`` of the family, the star
 graph of every point as neighbour bitmasks: ``stargraph.border_sequences``
 lays out each star, and one bit of the index answers each border triangle.
@@ -333,6 +339,23 @@ def _minor(vs, t):
     return u0 * (v1 * w2 - v2 * w1) - u1 * (v0 * w2 - v2 * w0) + u2 * (v0 * w1 - v1 * w0)
 
 
+def _certified_rows(vf: ValuedFamily):
+    """(quiddity_rows(vf), vs) with vs[j] = v_j, j = 1..n+3, their Gale
+    vectors (vs[0] is None), after certificate part (b): every triangle of
+    the family has minor 1. The first that does not, in lex order, is an
+    InternalConsistencyError naming it: the contraction gave wrong rows, or
+    the rows of another cluster. Part (b) reads v_1..v_n only; the closure,
+    part (a), is extend_rows' check."""
+    q = quiddity_rows(vf)
+    vs = (None, *gale_vectors(q.delta_low, q.delta_high))
+    for t in sorted(vf.family.triangles):
+        det = _minor(vs, t)
+        if det != 1:
+            raise InternalConsistencyError(
+                f"certificate part (b) fails: family triangle {t} has minor {det}, not 1")
+    return q, vs
+
+
 def minor_values(vf: ValuedFamily, targets) -> dict:
     """Values of the given triangles under the unit specialization, as
     mutation.oracle_values gives them, at any n: {a,b,c} -> det(v_a, v_b, v_c),
@@ -340,9 +363,9 @@ def minor_values(vf: ValuedFamily, targets) -> dict:
     as oracle_values checks them. The cost is the contraction, plus O(n)
     and O(1) per target.
 
-    First comes certificate part (b): every triangle of the family has
-    minor 1. The first that does not, in lex order, is an
-    InternalConsistencyError naming it: the contraction gave wrong rows.
+    First comes certificate part (b) (_certified_rows): every triangle of
+    the family has minor 1, or an InternalConsistencyError names the first
+    that does not.
 
     Why (b) pins every minor. q(i, j) = det(v_z, v_i, v_j) is the 2 x 2
     minor of the images of v_i and v_j in R^3 / <v_z>, so
@@ -360,13 +383,7 @@ def minor_values(vf: ValuedFamily, targets) -> dict:
     part (a), is not needed for this.
     """
     wanted = _target_triangles(vf.family.ground, targets)
-    q = quiddity_rows(vf)
-    vs = (None, *gale_vectors(q.delta_low, q.delta_high))  # vs[j] = v_j
-    for t in sorted(vf.family.triangles):
-        det = _minor(vs, t)
-        if det != 1:
-            raise InternalConsistencyError(
-                f"certificate part (b) fails: family triangle {t} has minor {det}, not 1")
+    _, vs = _certified_rows(vf)
     return {t: _minor(vs, t) for t in wanted}
 
 

@@ -12,7 +12,8 @@
     6. the two row recursions name one array: U_k(i) = D_{n-3-k}(i+k+1),
        checked per entry on every computed grid
     7. mutate twice (move then inverse) returns the original valued family and
-       every intermediate is maximal, over 10^4 (family, move) pairs
+       every intermediate is maximal, with every value a Gale minor of the
+       original family, over 10^4 (family, move) pairs
     8. star-graph round trip: realize(build(F,x)) reproduces the graph for a
        100-case corpus
 
@@ -33,6 +34,7 @@ from sl3frieze.frieze import (
     QuiddityRows,
     almost_continuous_at,
     extend_rows,
+    minor_values,
     quiddity_rows,
     validate_frieze,
 )
@@ -249,13 +251,14 @@ def test_criterion_7_mutation_involution_and_closure(corpus):
         there = mutate(vf, move)
         assert is_weakly_separated_family(there.family) == (True, None), (fam.ground.n, move)
         assert is_maximal_family(there.family), (fam.ground.n, move)
+        assert there.values == minor_values(vf, there.family.triangles), (fam.ground.n, move)
         back = mutate(there, move.inverse())
         assert is_weakly_separated_family(back.family) == (True, None), (fam.ground.n, move)
         assert is_maximal_family(back.family), (fam.ground.n, move)
         assert back.family.triangles == vf.family.triangles
         assert back.values == vf.values
         pairs += 1
-    report(7, f"{pairs} involution checks with validated intermediates "
+    report(7, f"{pairs} involution checks with validated intermediates, their values minors "
               f"({time.time() - start:.1f}s)")
 
 

@@ -8,8 +8,9 @@ Claims covered:
       written form, files that are not UTF-8 and JSON nested too deep to
       parse, all refused before anything is built; an output path that
       cannot be written; a stdout closed by its reader, with no traceback),
-      3 for an internal error (a contraction mutant that oracle's check of
-      the family's minors names)
+      3 for an internal error (a contraction mutant that oracle's and
+      frieze's check of the family's minors names, rows of another cluster
+      that frieze refuses by the same check, and rows that do not close)
     - oracle answers at n = 24 and 512, a grid triple with its frieze entry,
       and has no search budget to set
     - check-frieze writes every failing determinant in full, also past the
@@ -231,6 +232,47 @@ def test_oracle_names_the_triangle_a_wrong_contraction_breaks(run, fam8, monkeyp
     monkeypatch.setattr(frieze, "quiddity_rows", off_by_one)
     _, err = run("oracle", fam8, "--triangle", "1,4,7", expect=3)
     assert err == "internal error: certificate part (b) fails: family triangle (1, 2, 4) has minor 2, not 1\n"
+
+
+@pytest.fixture()
+def walk8(tmp_path):
+    path = tmp_path / "walk8.json"
+    path.write_text(dump_family(random_maximal_family(GroundSet(8), 20, 1)))
+    return path
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_frieze_refuses_the_rows_of_another_cluster(run, walk8, monkeypatch, fmt):
+    # a contraction mutant that returns the rows of another n = 8 walk
+    # family: they close up and make a valid frieze, of the wrong cluster.
+    # frieze checks that every family triangle has minor 1 (certificate part
+    # (b)), names the first that does not, and prints nothing, with exit 3
+    import sl3frieze.frieze as frieze
+
+    other = frieze.quiddity_rows(unit_specialization(random_maximal_family(GroundSet(8), 20, 2)))
+    monkeypatch.setattr(frieze, "quiddity_rows", lambda vf: other)
+    out, err = run("frieze", walk8, "--format", fmt, expect=3)
+    assert out == ""
+    assert err == "internal error: certificate part (b) fails: family triangle (1, 3, 4) has minor 3, not 1\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_frieze_refuses_rows_that_do_not_close(run, walk8, monkeypatch, fmt):
+    # the last entry of U_1 one too large: v_{n+3} alone moves, so part (b),
+    # on v_1..v_n, still passes, and the closure that extend_rows checks
+    # (part (a)) names where the row recursions disagree, with exit 3
+    import sl3frieze.frieze as frieze
+
+    contract = frieze.quiddity_rows
+
+    def last_high_plus_one(vf):
+        q = contract(vf)
+        return frieze.QuiddityRows(q.n, q.delta_low, (*q.delta_high[:-1], q.delta_high[-1] + 1))
+
+    monkeypatch.setattr(frieze, "quiddity_rows", last_high_plus_one)
+    out, err = run("frieze", walk8, "--format", fmt, expect=3)
+    assert out == ""
+    assert err == "internal error: row recursions disagree at U_1(3): 6 vs 4\n"
 
 
 def test_gen_rejects_small_n(run):

@@ -25,6 +25,7 @@ Claims covered:
     - with_exchange leaves its result unvalidated, so an exchange that makes
       two triangles cross is named by the separation check; mutate keeps the
       mark, since a move keeps weak separation
+    - equality and the hash ignore the validated mark, which the repr shows
 """
 
 import json
@@ -412,3 +413,15 @@ def test_family_reader_round_trips_walk_families():
         for validate in (True, False):
             again = load_family(dump_family(fam), validate=validate)
             assert again == Family(fam.ground, fam.triangles, validated=validate)
+            assert again.validated == validate
+
+
+def test_family_equality_ignores_the_validated_mark():
+    # one family built two ways is one value: equal, with one hash and one
+    # place in a set; only the repr shows the mark
+    fam = canonical_family(8)
+    unmarked = Family(GroundSet(8), fam.triangles)
+    assert fam.validated and not unmarked.validated
+    assert fam == unmarked and hash(fam) == hash(unmarked)
+    assert len({fam, unmarked}) == 1
+    assert repr(fam) == repr(unmarked).replace("validated=False", "validated=True")

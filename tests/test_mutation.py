@@ -34,6 +34,9 @@ Claims covered:
       InvalidInputError naming it
     - the oracle refuses a target that is not three distinct points of 1..n,
       and a trace line accepts only the digits 0-9
+    - every value a walk adds, and every value of the family it ends at, is
+      a Gale minor of the family it started from, at n up to 512, and
+      mutate --replay accepts the walk's trace
 """
 
 import hashlib
@@ -46,6 +49,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sl3frieze import canonical_family
+from sl3frieze.cli import main
 from sl3frieze.cyclic import GroundSet, is_cyclic
 from sl3frieze.errors import (
     BudgetExceededError,
@@ -63,6 +67,7 @@ from sl3frieze.family import (
     is_weakly_separated_family,
     make_family,
 )
+from sl3frieze.frieze import minor_values
 from sl3frieze.mutation import (
     MutationMove,
     ValuedFamily,
@@ -610,13 +615,13 @@ def test_random_maximal_family_is_pinned_per_seed():
     assert random_maximal_family(G8, 40, 3).sorted_triangles() == [
         (1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 2, 8), (1, 4, 5), (1, 5, 6), (1, 5, 8), (1, 6, 7), (1, 6, 8),
         (1, 7, 8), (2, 3, 4), (2, 4, 5), (3, 4, 5), (4, 5, 6), (5, 6, 7), (6, 7, 8)]
-    # the same triangles as exchanging move by move, each step a checked
-    # Family (which with_exchange leaves unvalidated)
+    # the same family as exchanging move by move, each step a checked
+    # Family (which with_exchange leaves unvalidated, a mark equality ignores)
     for n, seed in ((8, 5), (10, 6), (24, 7)):
         fam = canonical_family(n)
         for move in seeded_walk(fam, 3 * n, seed):
             fam = fam.with_exchange(move.removed, move.added)
-        assert random_maximal_family(GroundSet(n), 3 * n, seed).triangles == fam.triangles
+        assert random_maximal_family(GroundSet(n), 3 * n, seed) == fam
 
 
 @pytest.mark.parametrize("bad, point", [((1, 2, 9), "9"), ((-1, 2, 3), "-1"), ((0, 2, 3), "0"),
@@ -686,3 +691,27 @@ def test_oracle_values_agree_on_int_and_fraction_specializations(small_corpus):
         fracs = oracle_values(fraction_specialization(fam), targets)
         assert ints == fracs
         assert all(type(v) is int for v in ints.values())
+
+
+@pytest.mark.parametrize("n, steps", [(8, 0), (16, 0), (64, 0), (512, 0), (32, 100)])
+def test_every_walk_value_is_a_minor_of_the_start_family(tmp_path, n, steps):
+    # a move changes the cluster, not the point of Gr(3, n): from the unit
+    # specialization of F_0 (the canonical family, or a walk family), a
+    # 300-step walk reaches only values det(v_a, v_b, v_c) of F_0's Gale
+    # vectors. mutate --replay re-runs the exchanges from a trace of the
+    # walk, so it must accept it and end at the same family
+    start = random_maximal_family(GroundSet(n), steps, 1)
+    vf = first = unit_specialization(start)
+    added, lines = [], []
+    for move in seeded_walk(start, 300, 5):
+        vf = mutate(vf, move)
+        added.append((move.added, vf.values[move.added]))
+        lines.append(format_trace_line(move, vf.values[move.added]) + "\n")
+    minors = minor_values(first, [t for t, _ in added] + list(vf.values))
+    assert len(added) == 300 and added == [(t, minors[t]) for t, _ in added]
+    assert vf.values == {t: minors[t] for t in vf.values}
+    family, trace, out = tmp_path / "family.json", tmp_path / "trace.txt", tmp_path / "out.json"
+    family.write_text(dump_family(start))
+    trace.write_text("".join(lines))
+    assert main(["mutate", str(family), "--replay", str(trace), "--out", str(out)]) == 0
+    assert out.read_text() == dump_family(vf.family)

@@ -6,6 +6,8 @@ Claims covered:
       NotImplemented
     - hash is the hash of the tuple of compared fields; ValuedFamily,
       FriezeReport and StructureReport hold a dict or lists and are unhashable
+    - Family compares and hashes its ground and triangles, not its validated
+      mark, which its repr shows
     - StarGraph compares and hashes x, ground, edges and triangulation points
       only, and its repr omits the neighbour masks; it is built from the masks
       alone, so two equal star graphs check and realize alike
@@ -84,7 +86,7 @@ FIELDS = {
     StructureReport: ("ok", "violations"),
 }
 
-COMPARED = {**FIELDS, StarGraph: ("x", "ground", "edges", "triangulation_points")}
+COMPARED = {**FIELDS, Family: ("ground", "triangles"), StarGraph: ("x", "ground", "edges", "triangulation_points")}
 
 UNHASHABLE = (ValuedFamily, FriezeReport, StructureReport)
 
