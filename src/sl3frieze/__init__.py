@@ -23,10 +23,10 @@ _SUBMODULE = {
     ), "frieze"),
     **dict.fromkeys((
         "MutationMove", "ValuedFamily", "exchange_value",
-        "family_moves", "mutate", "oracle_value", "oracle_values",
+        "family_moves", "mutate", "oracle_values",
         "random_maximal_family", "unit_specialization",
     ), "mutation"),
-    **dict.fromkeys(("crossing", "crossing_definition"), "separation"),
+    "crossing": "separation",
     **dict.fromkeys((
         "StarGraph", "StructureReport", "border_triangles", "build_star_graph",
         "realize_star_graph", "star_graph_from_edges", "verify_structure_theorem",

@@ -5,8 +5,9 @@ Exit codes: 0 success, 1 semantically invalid input (crossing pair, missing
 maximality, failed diamonds, unrealizable star graph, bad replay), 2 usage or
 file-format error (a ground size above MAX_N, gen --steps above MAX_STEPS, an
 output that cannot be written and a stdout closed by its reader included), 3
-internal error (in oracle and frieze, a family triangle whose Gale minor is
-not 1; in frieze, quiddity rows whose Gale vectors do not close).
+internal error (in analyze, a structure check that fails on a maximal family;
+in oracle and frieze, a family triangle whose Gale minor is not 1; in frieze,
+quiddity rows whose Gale vectors do not close).
 
 The module loads only the layers every command needs (family and mutation);
 each command that needs ``stargraph`` or ``frieze`` imports it itself, so

@@ -196,7 +196,9 @@ def _contract(x: int, n: int, star: dict, index: dict, values: dict | None = Non
 def almost_continuous_at(vf: ValuedFamily, x: int):
     """(v({x-2,x-1,x+1}), v({x-1,x+1,x+2})) for a family whose triangles
     through x all have value 1, by contracting the star graph at x, with the
-    values of the family's other triangles summed as given."""
+    values of the family's other triangles summed as given. No command calls
+    it; it stays as the paper's general contraction, of which quiddity_rows
+    is the all-ones case."""
     fam = vf.family
     for t in fam.triangles:
         if x in t and vf.values[t] != 1:

@@ -323,6 +323,11 @@ def random_maximal_family(ground: GroundSet, steps: int, seed: int) -> Family:
 
 
 # -- breadth-first oracle -------------------------------------------------------
+#
+# No command runs it, and the walk calls _moves, not family_moves. Both stay
+# here, as does FriezeGrid.entry, because the benchmark harness (perfbench/)
+# imports them; they can move to the tests once it reads the pipeline's own
+# API instead.
 
 def _target_triangles(ground: GroundSet, targets) -> set:
     """The targets of a value oracle as ascending triangles; InvalidInputError
@@ -396,13 +401,6 @@ def oracle_values(vf: ValuedFamily, targets, budget: int = DEFAULT_ORACLE_BUDGET
         queue = next_queue
     missing = sorted(wanted - set(found))
     raise BudgetExceededError(budget, expanded, f"search space exhausted, targets not reached: {missing}")
-
-
-def oracle_value(vf: ValuedFamily, target, budget: int = DEFAULT_ORACLE_BUDGET) -> int | Fraction:
-    """Value of a single Pluecker coordinate, an int or a Fraction; see
-    oracle_values."""
-    (value,) = oracle_values(vf, [target], budget=budget).values()
-    return value
 
 
 # -- trace format ----------------------------------------------------------------

@@ -1,76 +1,50 @@
-"""Crossing / weak separation of triangles.
+"""Crossing / weak separation of triangles: one formula, two encodings.
 
-Two routes are provided and kept independent on purpose:
+A triangle A = (a1 < a2 < a3) cuts [n] into three gaps: g1 = (a1, a2),
+g2 = (a2, a3) and g3 = [1, a1) u (a3, n]. A triangle B crosses A iff it is
+disjoint from A and meets two gaps, or it shares exactly one point a_i and
+meets both arcs that {a_j, a_k} = A \\ {a_i} cut the circle into (for a1 these
+are g2 and g1 u g3; for a2, g3 and g1 u g2; for a3, g1 and g2 u g3). Sharing
+two points never crosses. Two triangles are weakly separated iff they do not
+cross (Oh, Postnikov and Speyer, "Weak separation and plabic graphs", 2015).
 
-* ``crossing_definition`` searches for interleaved witnesses a,c in A\\B and
-  b,d in B\\A directly.
-* ``crossing`` evaluates the closed form for equal-size sets
-  (Leclerc-Zelevinsky; Oh-Postnikov-Speyer) on point bitmasks.
+``_crosses`` is that formula, on masks c_i (B holds a_i) and g_j (B meets
+g_j). The two encodings differ only in what a bit stands for:
 
-Single pairs go through ``crossing``, or through ``masks_cross`` on masks
-precomputed with ``triangle_mask``; whole families go through
-``crossing_index`` below. The definitional search stays around as the oracle
-the closed form is tested against. Two triangles are weakly separated iff
-they do not cross.
+* ``crossing`` tests one pair: each mask is a single bit, read off B's points.
+* ``crossing_index`` tests one triangle against a whole list: bit j of each
+  mask stands for the j-th triangle of the list. With one bitmask of list
+  positions per point and a sparse table of ORs over points, every gap is at
+  most two lookups, so all crossers of A cost O(1) big-int operations on
+  m-bit masks after an O(n log n) build, where m is the length of the list.
 
-To test one triangle against a whole list at once, ``crossing_index`` reads
-the closed form off the points instead of the pairs. A triangle
-A = (a1 < a2 < a3) cuts [n] into three gaps: g1 = (a1, a2), g2 = (a2, a3) and
-g3 = [1, a1) u (a3, n]. A triangle B crosses A iff it is disjoint from A and
-meets two gaps, or it shares exactly one point a_i and meets both arcs that
-{a_j, a_k} = A \\ {a_i} cut the circle into (for a1 these are g2 and g1 u g3;
-for a2, g3 and g1 u g2; for a3, g1 and g2 u g3). Sharing two points never
-crosses. With one bitmask of list positions per point and a sparse table of
-ORs over points, every gap is at most two lookups, so all crossers of A cost
-O(1) big-int operations on m-bit masks after an O(n log n) build, where m is
-the length of the list.
+The definitional search for interleaved witnesses, which the formula is tested
+against, lives with the tests, in ``tests/reference.py``.
 """
 
 from __future__ import annotations
 
-from .cyclic import is_cyclic
 
-
-def crossing_definition(A, B) -> bool:
-    """Interleaving-witness search: some a,c in A\\B and b,d in B\\A with
-    (a,b,c,d) cyclically ordered."""
-    only_a = [p for p in A if p not in B]
-    only_b = [p for p in B if p not in A]
-    if len(only_a) < 2 or len(only_b) < 2:
-        return False
-    for a in only_a:
-        for c in only_a:
-            if a == c:
-                continue
-            for b in only_b:
-                for d in only_b:
-                    if b != d and is_cyclic((a, b, c, d)):
-                        return True
-    return False
-
-
-def triangle_mask(t) -> int:
-    """The distinct points of t as a bitmask: bit p is set for each point p."""
-    return sum(1 << p for p in t)
-
-
-def masks_cross(m: int, k: int) -> bool:
-    """Crossing of two equal-size point sets given as bitmasks.
-
-    With a = A\\B and b = B\\A, the sets cross iff |a| >= 2, some point of b
-    lies between min a and max a, and some point of a lies between min b and
-    max b (linear order on 1..n)."""
-    a = m & ~k
-    if not a & (a - 1):
-        return False
-    b = k & ~m
-    return bool(b & ((1 << a.bit_length()) - (a & -a))
-                and a & ((1 << b.bit_length()) - (b & -b)))
+def _crosses(c1: int, c2: int, c3: int, g1: int, g2: int, g3: int) -> int:
+    """The gap formula: the bits whose triangle crosses A, from the masks of
+    the triangles holding a1, a2, a3 and of those meeting g1, g2, g3."""
+    return (~(c1 | c2 | c3) & (g1 & g2 | g3 & (g1 | g2))
+            | c1 & ~(c2 | c3) & g2 & (g1 | g3)
+            | c2 & ~(c1 | c3) & g3 & (g1 | g2)
+            | c3 & ~(c1 | c2) & g1 & (g2 | g3))
 
 
 def crossing(A, B) -> bool:
-    """Closed-form crossing test of two triangles; see masks_cross."""
-    return masks_cross(triangle_mask(A), triangle_mask(B))
+    """Whether triangles A and B cross, each given as three distinct points in
+    any order: the gap formula of sorted A, on one-bit masks of B's points.
+    The answer does not depend on the order of the arguments."""
+    a1, a2, a3 = sorted(A)
+    b1, b2, b3 = B
+    m = 1 << b1 | 1 << b2 | 1 << b3
+    return bool(_crosses(m >> a1 & 1, m >> a2 & 1, m >> a3 & 1,
+                         m & (1 << a2) - (2 << a1) != 0,
+                         m & (1 << a3) - (2 << a2) != 0,
+                         m & ~((2 << a3) - (1 << a1)) != 0))
 
 
 def crossing_index(triangles, n: int):
@@ -102,7 +76,6 @@ def crossing_index(triangles, n: int):
 
     def crossers(t) -> int:
         a1, a2, a3 = t
-        c1, c2, c3 = col[a1], col[a2], col[a3]
         g1 = g2 = 0
         if a2 - a1 > 1:  # points a1+1 .. a2-1, two table entries of 2^k points
             k = (a2 - a1 - 1).bit_length() - 1
@@ -110,10 +83,6 @@ def crossing_index(triangles, n: int):
         if a3 - a2 > 1:
             k = (a3 - a2 - 1).bit_length() - 1
             g2 = table[k][a2 + 1] | table[k][a3 - (1 << k)]
-        g3 = before[a1] | after[a3]
-        return (~(c1 | c2 | c3) & (g1 & g2 | g3 & (g1 | g2))
-                | c1 & ~(c2 | c3) & g2 & (g1 | g3)
-                | c2 & ~(c1 | c3) & g3 & (g1 | g2)
-                | c3 & ~(c1 | c2) & g1 & (g2 | g3))
+        return _crosses(col[a1], col[a2], col[a3], g1, g2, before[a1] | after[a3])
 
     return crossers

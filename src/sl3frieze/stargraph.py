@@ -29,6 +29,7 @@ from .errors import (
     MalformedFileError,
 )
 from .family import Family, _validated, greedy_complete, is_maximal_family
+from .separation import crossing
 
 STAR_GRAPH_SCHEMA_VERSION = 1
 
@@ -184,14 +185,6 @@ def _endpoints_violation(x: int, n: int, tp):
     return None
 
 
-def _chords_cross(e1, e2) -> bool:
-    """Two chords with endpoints on a circle cross iff their endpoint pairs
-    interleave; chords sharing an endpoint never cross."""
-    a, b = e1
-    c, d = e2
-    return len({a, b, c, d}) == 4 and (a < c < b) != (a < d < b)
-
-
 def _noncrossing(chords) -> bool:
     """Whether no two chords, ascending pairs (a, b) given in (a, -b) order,
     cross: read as intervals ordered by left end and then by right end
@@ -242,10 +235,11 @@ def verify_structure_theorem(g: StarGraph) -> StructureReport:
                 violations.append(("polygon.boundary", f"missing edge {(a, b)}"))
             te += reversed([(a, b) for b in _bits(masks[a] & inside & -2 << a)])
         if not _noncrossing(te):  # name every crossing pair, in lex order
+            # two triangles through x cross iff their chords interleave
             te.sort()
             for i, e1 in enumerate(te):
                 for e2 in te[i + 1:]:
-                    if _chords_cross(e1, e2):
+                    if crossing((x, *e1), (x, *e2)):
                         violations.append(("polygon.noncrossing", f"edges {e1} and {e2} cross"))
         if len(te) != 2 * r - 3:
             # Euler: inner faces = E - V + 1; all triangular iff E = 2V - 3.

@@ -28,7 +28,8 @@ from sl3frieze.errors import InvalidInputError
 from sl3frieze.family import Family, canonical_family
 from sl3frieze.frieze import FriezeGrid
 from sl3frieze.mutation import family_moves, random_maximal_family
-from sl3frieze.separation import masks_cross, triangle_mask
+
+from reference import masks_cross, triangle_mask
 
 INTRO_ROWS = (
     (4, 3, 2, 5, 1, 4, 5, 1),

@@ -1,7 +1,8 @@
 """Acceptance suite: one test per criterion, exact arithmetic throughout.
 
     1. the width-4 fixture validates (3x3 det 1, 4x4 det 0, period 8) in < 1 s
-    2. the two crossing implementations agree on every triangle pair, n = 6..10
+    2. crossing (the gap formula) agrees with the definitional search of
+       tests/reference.py on every triangle pair, n = 6..10
     3. structure verification and border-triangle membership hold for 200
        random maximal families per n in {6,7,8,9}, at every x, in < 2 min
     4. the contraction algorithm equals the mutation oracle on both outputs,
@@ -28,6 +29,7 @@ from itertools import combinations
 import pytest
 
 from conftest import intro_frieze, plucker_triple
+from reference import crossing_definition
 from sl3frieze.cyclic import GroundSet
 from sl3frieze.family import is_maximal_family, is_weakly_separated_family
 from sl3frieze.frieze import (
@@ -45,7 +47,7 @@ from sl3frieze.mutation import (
     random_maximal_family,
     unit_specialization,
 )
-from sl3frieze.separation import crossing, crossing_definition
+from sl3frieze.separation import crossing
 from sl3frieze.stargraph import (
     border_triangles,
     build_star_graph,

@@ -10,7 +10,9 @@ Claims covered:
       cannot be written; a stdout closed by its reader, with no traceback),
       3 for an internal error (a contraction mutant that oracle's and
       frieze's check of the family's minors names, rows of another cluster
-      that frieze refuses by the same check, and rows that do not close)
+      that frieze refuses by the same check, rows that do not close, and a
+      structure check that fails on a maximal family in analyze, which names
+      the rule, its witness and its hint)
     - oracle answers at n = 24 and 512, a grid triple with its frieze entry,
       and has no search budget to set
     - check-frieze writes every failing determinant in full, also past the
@@ -111,6 +113,21 @@ def test_analyze_rejects_non_maximal(run, tmp_path):
     path = tmp_path / "small.json"
     path.write_text(dump_family(fam))
     run("analyze", path, "--x", "1", expect=1)
+
+
+def test_analyze_exits_3_when_the_structure_check_fails_on_a_maximal_family(run, fam8, monkeypatch):
+    # the family is maximal, so a failing structure check is the program's
+    # fault: analyze prints the layout, then each violation with its rule and
+    # hint, and exits 3
+    import sl3frieze.stargraph as stargraph
+
+    violation = ("polygon.noncrossing", "edges (4, 6) and (5, 8) cross")
+    monkeypatch.setattr(stargraph, "verify_structure_theorem",
+                        lambda g: stargraph.StructureReport(False, [violation]))
+    out, _ = run("analyze", fam8, "--x", "3", expect=3)
+    assert out.splitlines()[-1] == ("structure violation [polygon.noncrossing]: edges (4, 6) and (5, 8) cross"
+                                    " (chords between triangulation points must not cross)")
+    assert "structure: ok" not in out
 
 
 def test_frieze_text_self_validates(run, fam8):

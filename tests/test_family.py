@@ -10,7 +10,8 @@ Claims covered:
       frozen triangles
     - the weak-separation check reports the same first crossing pair as a lex
       scan of the pairs with the definitional crossing search (random sets,
-      n = 6..14) and with the mask test (walk families, n = 128..512)
+      n = 6..14) and with the min/max mask test (walk families,
+      n = 128..512), both from tests/reference.py
     - the addable triangles are those that cross no member, by the
       definitional search
     - the JSON format round-trips and rejects unknown keys / unsorted triples;
@@ -37,6 +38,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import mask_pair_scan
+from reference import crossing_definition, masks_cross, triangle_mask
 from sl3frieze.cyclic import GroundSet
 from sl3frieze.errors import InvalidInputError, MalformedFileError
 from sl3frieze.family import (
@@ -56,7 +58,6 @@ from sl3frieze.family import (
     maximal_size,
 )
 from sl3frieze.mutation import family_moves, mutate, random_maximal_family, unit_specialization
-from sl3frieze.separation import crossing_definition, masks_cross, triangle_mask
 
 G6 = GroundSet(6)
 G8 = GroundSet(8)

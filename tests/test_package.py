@@ -7,10 +7,19 @@ Claims covered:
     - the surface is lazy: `import sl3frieze` loads no submodule, a name loads
       only its own submodule's imports and is then cached on the package, and
       an unknown name raises AttributeError
+    - every sl3frieze name the benchmark harness imports (perfbench/*.py,
+      the Python source in its strings included) and every function its
+      tracer wraps (tracing.LAYERS) resolves; the harness is only read
 """
+
+import ast
+import importlib
+from pathlib import Path
 
 from conftest import run_fresh
 import sl3frieze
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def test_star_import_binds_all_exported_names():
@@ -60,3 +69,41 @@ def test_star_import_in_a_fresh_interpreter_binds_all_exported_names():
         "import sl3frieze\n"
         "print(sorted(namespace) == sorted(sl3frieze.__all__))")
     assert lines == ["True"]
+
+
+def _sl3frieze_imports(tree):
+    """(module, name) for each name imported from sl3frieze in tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "sl3frieze":
+            yield from ((node.module, alias.name) for alias in node.names)
+
+
+def _resolves(module, name) -> bool:
+    """Whether `from module import name` succeeds: an attribute of the
+    module, or a submodule of it."""
+    try:
+        if not hasattr(importlib.import_module(module), name):
+            importlib.import_module(f"{module}.{name}")
+    except ImportError:
+        return False
+    return True
+
+
+def test_every_name_the_benchmark_harness_uses_resolves():
+    imports, layers = set(), None
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imports.update(_sl3frieze_imports(tree))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and "sl3frieze" in node.value:
+                try:  # source run in a child interpreter, such as the generate op's shim
+                    imports.update(_sl3frieze_imports(ast.parse(node.value)))
+                except SyntaxError:
+                    pass
+            if (path.name == "tracing.py" and isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "LAYERS" for t in node.targets)):
+                layers = ast.literal_eval(node.value)
+    assert ("sl3frieze.separation", "crossing") in imports and ("sl3frieze.cli", "main") in imports
+    assert layers, "perfbench/tracing.py defines no LAYERS"
+    imports.update((f"sl3frieze.{mod}", fn) for mod, fns in layers.items() for fn in fns)
+    assert sorted(pair for pair in imports if not _resolves(*pair)) == []

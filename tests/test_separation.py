@@ -1,11 +1,15 @@
-"""Crossing / weak separation: the definitional search and the closed form.
+"""Crossing / weak separation: the library's gap formula against the
+definition-level references of ``tests/reference.py``.
 
 Claims covered:
     - interleaved triangles cross, disjoint-arc triangles do not
     - sharing two points forces weak separation
-    - the two implementations agree pairwise (exhaustive sweeps live in the
-      acceptance suite; a smaller sweep plus sampled checks live here)
-    - crossing is symmetric
+    - ``crossing`` agrees pairwise with the definitional search (exhaustive
+      sweeps live in the acceptance suite; a smaller sweep plus sampled checks
+      live here)
+    - crossing is symmetric, and takes each triangle as a tuple or a list of
+      its points in any order, for n = 6..40
+    - two triangles through x cross iff their chords without x interleave
     - the crossing index's gap formula names exactly the crossers of a
       triangle, exhaustively over all triangles for n = 6..9
 """
@@ -14,7 +18,8 @@ from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
-from sl3frieze.separation import crossing, crossing_definition, crossing_index
+from reference import chords_cross, crossing_definition
+from sl3frieze.separation import crossing, crossing_index
 
 
 def test_interleaved_triangles_cross():
@@ -72,3 +77,25 @@ def test_crossing_symmetry(n, data):
     assert crossing_definition(A, B) == crossing_definition(B, A)
     assert crossing(A, B) == crossing(B, A)
 
+
+
+@settings(max_examples=300)
+@given(st.integers(6, 40), st.data())
+def test_crossing_ignores_the_order_and_the_container_of_the_points(n, data):
+    triangle = st.lists(st.integers(1, n), min_size=3, max_size=3, unique=True)
+    A, B = data.draw(triangle), data.draw(triangle)
+    expected = crossing_definition(A, B)
+    assert expected == crossing_definition(sorted(A), sorted(B))
+    for a in (A, tuple(A), A[::-1]):
+        for b in (B, tuple(B), B[::-1]):
+            assert crossing(a, b) == crossing(b, a) == expected, (a, b)
+
+
+@settings(max_examples=300)
+@given(st.integers(6, 40), st.data())
+def test_triangles_through_a_point_cross_iff_their_chords_do(n, data):
+    x = data.draw(st.integers(1, n))
+    chord = st.lists(st.sampled_from([p for p in range(1, n + 1) if p != x]), min_size=2, max_size=2,
+                     unique=True).map(sorted).map(tuple)
+    e1, e2 = data.draw(chord), data.draw(chord)
+    assert crossing((x, *e1), (x, *e2)) == chords_cross(e1, e2), (x, e1, e2)

@@ -35,6 +35,7 @@ from itertools import combinations
 import pytest
 
 from conftest import maximal_families, position_from, sorted_from
+from reference import chords_cross
 from sl3frieze.cyclic import GroundSet
 from sl3frieze.errors import (
     ConditionViolationError,
@@ -49,7 +50,6 @@ from sl3frieze.stargraph import (
     RULE_CONDITIONS,
     StructureReport,
     _border_triangles,
-    _chords_cross,
     _endpoints_violation,
     _noncrossing,
     border_sequences,
@@ -231,13 +231,13 @@ def test_noncrossing_pass_agrees_with_the_pairwise_scan():
     # report names every crossing pair in lex order, as the scan finds them
     crossing = 0
     for ground, chords in _random_chord_sets(2000, seed=5):
-        pairs = [(e1, e2) for e1, e2 in combinations(chords, 2) if _chords_cross(e1, e2)]
+        pairs = [(e1, e2) for e1, e2 in combinations(chords, 2) if chords_cross(e1, e2)]
         assert _noncrossing(sorted(chords, key=lambda e: (e[0], -e[1]))) == (not pairs), chords
         rep = verify_structure_theorem(star_graph_from_edges(1, ground, chords))
         named = [w for rule, w in rep.violations if rule == "polygon.noncrossing"]
         tp = set(star_graph_from_edges(1, ground, chords).triangulation_points)
         te = [e for e in chords if e[0] in tp and e[1] in tp]
-        assert named == [f"edges {e1} and {e2} cross" for e1, e2 in combinations(te, 2) if _chords_cross(e1, e2)]
+        assert named == [f"edges {e1} and {e2} cross" for e1, e2 in combinations(te, 2) if chords_cross(e1, e2)]
         crossing += bool(named)
     assert crossing > 500
 
@@ -512,7 +512,7 @@ def _edge_scan_report(g):
                 violations.append(("polygon.boundary", f"missing edge {e}"))
         for i, e1 in enumerate(te):  # every crossing pair, in lex order
             for e2 in te[i + 1:]:
-                if _chords_cross(e1, e2):
+                if chords_cross(e1, e2):
                     violations.append(("polygon.noncrossing", f"edges {e1} and {e2} cross"))
         if len(te) != 2 * r - 3:
             violations.append(("polygon.faces", f"{len(te)} edges on {r} points, expected {2 * r - 3}"))
