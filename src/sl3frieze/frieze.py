@@ -18,9 +18,10 @@ and tame by validate_frieze's proof, so the command reads its summary off
 the grid without checking the diamonds again.
 
 The contraction runs on one ``family.star_index`` of the family, the star
-graph of every point as neighbour bitmasks: ``stargraph.border_sequences``
-lays out each star, and one bit of the index answers each border triangle.
-It re-derives nothing that ``ValuedFamily`` checked.
+graph of every point as neighbour bitmasks: ``stargraph._classify`` gives each
+star's triangulation points and leaves, the contraction walks each point's
+border sequence in place, and one bit of the index answers each border
+triangle. It re-derives nothing that ``ValuedFamily`` checked.
 
 One writer, ``dump_frieze``, gives both the frieze file and the output of
 ``frieze --format json`` (with its validation block): the bytes of
@@ -46,7 +47,7 @@ from .errors import (
 )
 from .family import star_index
 from .mutation import ValuedFamily, _check_entries, _target_triangles
-from .stargraph import _require_star, border_sequences
+from .stargraph import _classify, _require_endpoints, _require_star
 
 FRIEZE_SCHEMA_VERSION = 1
 
@@ -101,54 +102,70 @@ class FriezeGrid(Record):
 
 # -- Algorithm: almost continuous values at x ----------------------------------
 
+def _missing_border(p: int, a: int, b: int):
+    """Raise the error for a border triangle {p,a,b} missing from the family."""
+    raise InternalConsistencyError(f"border triangle {tuple(sorted((p, a, b)))} unexpectedly missing from family")
+
+
 def _contract(x: int, n: int, star: dict, index: dict, values: dict | None = None):
     """(label at x-1, label at x+1) after contracting the star graph at x,
     given by its neighbour masks `star` (left unchanged). `index` is the
     family's star_index, and `values` maps every triangle of the family to its
     value, or is None when every value is 1.
 
-    On a copy of the masks: initialize each interior triangulation point p's
-    label with the sum of the values over its border sequence
-    (stargraph.border_sequences), each border triangle {p,a,b} found by one
-    bit of index[p][a], and remove its leaves; x+1 (x-1) gets a label only
-    when x+2 (x-2) is a leaf, which stays pinned, since the edges {x+1,x+2}
-    and {x-2,x-1} are frozen. Then repeatedly contract the first degree-2
-    point in <_x order, adding labels, until only the three frozen edges
-    remain. Degrees only fall, and a contraction changes only its point's
-    neighbours, so one forward scan over the interior triangulation points
-    finds each next point, stepping back only to a neighbour that has just
-    reached degree 2. Labels are counted as ints when every value is 1, and
-    summed in the values' own type otherwise; triangulation points not
-    running from x+1 to x-1, a missing border triangle, a missing label or a
-    stuck contraction is an InternalConsistencyError.
+    On a copy of the masks: initialize each triangulation point p's label
+    with the sum of the values over its border sequence, the previous point,
+    p's leaves and the next point in <_x order (stargraph._classify), walked
+    in place; each border triangle {p,a,b} is found by one bit of
+    index[p][a], and p's leaves are removed with one write to its mask. x+1
+    (x-1) has no previous (next) point, and gets a label only when x+2 (x-2)
+    is a leaf, which stays pinned, since the edges {x+1,x+2} and {x-2,x-1}
+    are frozen. Then repeatedly contract the first degree-2 point in <_x
+    order, adding labels, until only the three frozen edges remain. Degrees
+    only fall, and a contraction changes only its point's neighbours, so one
+    forward scan over the interior triangulation points finds each next
+    point, stepping back only to a neighbour that has just reached degree 2.
+    Labels are counted as ints when every value is 1, and summed in the
+    values' own type otherwise; triangulation points not running from x+1
+    to x-1, a missing border triangle, a missing label or a stuck
+    contraction is an InternalConsistencyError.
     """
     xp, xm = x % n + 1, (x - 2) % n + 1
     xp2, xm2 = xp % n + 1, (xm - 2) % n + 1
 
-    layout = border_sequences(x, n, star)
+    tp, leaves_at = _classify(x, star)
+    if not tp or tp[0] != xp or tp[-1] != xm:
+        _require_endpoints(x, n, tuple(tp))  # raises, naming the points
+    last = len(tp) - 1
     adj = dict(star)
     labels = {}
-    for p, leaves, seq in layout:
-        pinned = xp2 if p == xp else xm2 if p == xm else None
+    for i, p in enumerate(tp):
+        pinned = xp2 if i == 0 else xm2 if i == last else None
         if pinned is not None and star.get(pinned, 0).bit_count() != 1:
             continue
+        # the border sequence: the previous point (none at x+1), the leaves,
+        # the next point (none at x-1); a is the element before b
         row = index[p]
-        a = seq[0]
-        for b in seq[1:]:
-            if not row.get(a, 0) >> b & 1:
-                raise InternalConsistencyError(
-                    f"border triangle {tuple(sorted((p, a, b)))} unexpectedly missing from family")
+        a = tp[i - 1] if i else None
+        label, drop = 0, 0
+        for b in leaves_at.get(p, ()):
+            if a is not None:
+                if not row.get(a, 0) >> b & 1:
+                    _missing_border(p, a, b)
+                label += 1 if values is None else values[tuple(sorted((p, a, b)))]
+            if b != pinned:
+                drop |= 1 << b
+                del adj[b]
             a = b
-        if values is None:
-            labels[p] = len(seq) - 1
-        else:
-            labels[p] = sum(values[tuple(sorted((p, a, b)))] for a, b in zip(seq, seq[1:]))
-        for leaf in leaves:
-            if leaf != pinned:
-                adj[p] ^= 1 << leaf
-                del adj[leaf]
+        if i < last and a is not None:
+            b = tp[i + 1]
+            if not row.get(a, 0) >> b & 1:
+                _missing_border(p, a, b)
+            label += 1 if values is None else values[tuple(sorted((p, a, b)))]
+        labels[p] = label
+        adj[p] ^= drop
 
-    inner = [p for p, _, _ in layout[1:-1]]
+    inner = tp[1:-1]
     i = 0  # no interior point before inner[i] has degree 2
     edge_count = sum(map(int.bit_count, adj.values())) // 2
     while edge_count > 3:
@@ -200,10 +217,10 @@ def almost_continuous_at(vf: ValuedFamily, x: int):
     it; it stays as the paper's general contraction, of which quiddity_rows
     is the all-ones case."""
     fam = vf.family
+    _require_star(fam, x)  # first, so that True or 1.0 is not read as point 1
     for t in fam.triangles:
         if x in t and vf.values[t] != 1:
             raise PreconditionError(f"triangles through x={x} must all have value 1, {t} has {vf.values[t]}")
-    _require_star(fam, x)
     index = star_index(fam.triangles)
     return _contract(x, fam.ground.n, index.get(x, {}), index, vf.values)
 

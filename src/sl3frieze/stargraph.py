@@ -11,10 +11,11 @@ A star is defined by x's own neighbour masks: bit b of mask[a] is set iff
 triangles through x, and a ``StarGraph`` is built from them alone: its edges,
 triangulation points and leaves are read off the masks, so no two of them can
 disagree. The structure check reads the same masks and classification.
-``border_sequences`` is the one layout of a star, on those masks: its
-triangulation points in <_x order, each with its leaves and its border
-sequence. ``border_triangles`` and realization lay out the masks directly, and
-``frieze`` contracts each star of one ``family.star_index`` on the same layout.
+``_classify`` is the one place that groups a star's leaves: its triangulation
+points in <_x order, and each point's leaves by attachment. ``frieze``
+contracts each star of one ``family.star_index`` on that classification,
+walking each point's border sequence in place. ``border_sequences`` lays the
+sequences out as lists, for ``border_triangles`` and realization.
 """
 
 from __future__ import annotations

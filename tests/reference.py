@@ -1,5 +1,4 @@
-"""Definition-level references that the library's crossing test is checked
-against.
+"""Definition-level references that the library is checked against.
 
 ``sl3frieze.separation`` decides crossing by one gap formula. The tests compare
 it with the independent routes kept here:
@@ -12,10 +11,22 @@ it with the independent routes kept here:
 * ``chords_cross`` decides whether two chords of a circle cross, by endpoint
   interleaving; two triangles through x cross iff their chords without x do.
 
+``sl3frieze.frieze`` contracts each star straight off one star index of the
+family. ``_reference_almost_continuous_at`` is the per-x contraction it is
+compared with: it builds the star graph and reads neighbours and leaves by
+scanning every edge (``_scan_neighbours``, ``_scan_leaves_at``), and
+``_reference_quiddity_rows`` runs it at every x.
+
 Test modules import them with ``from reference import ...``.
 """
 
+from fractions import Fraction
+
 from sl3frieze.cyclic import is_cyclic
+from sl3frieze.errors import InternalConsistencyError, PreconditionError
+from sl3frieze.frieze import QuiddityRows
+from sl3frieze.mutation import ValuedFamily
+from sl3frieze.stargraph import build_star_graph
 
 
 def crossing_definition(A, B) -> bool:
@@ -61,3 +72,100 @@ def chords_cross(e1, e2) -> bool:
     a, b = e1
     c, d = e2
     return len({a, b, c, d}) == 4 and (a < c < b) != (a < d < b)
+
+
+def _scan_neighbours(g, v):
+    return sorted(b if a == v else a for a, b in g.edges if v in (a, b))
+
+
+def _scan_leaves_at(g, p):
+    n = g.ground.n
+    return sorted((l for l, att in g.leaves.items() if att == p), key=lambda l: (l - g.x) % n)
+
+
+def _reference_almost_continuous_at(vf: ValuedFamily, x: int):
+    """The per-x contraction that quiddity_rows ran before the single-pass
+    star index: it reads the star graph's neighbours and leaves by scanning
+    every edge, and sums the labels as Fractions."""
+    ground = vf.family.ground
+    wrap = ground.wrap
+    for t in vf.family.triangles:
+        if x in t and vf.values[t] != 1:
+            raise PreconditionError(f"triangles through x={x} must all have value 1, {t} has {vf.values[t]}")
+    g = build_star_graph(vf.family, x)
+    xp, xm = wrap(x + 1), wrap(x - 1)
+    xp2, xm2 = wrap(x + 2), wrap(x - 2)
+
+    def star_value(a, b, c):
+        t = tuple(sorted((a, b, c)))
+        if t not in vf.values:
+            raise InternalConsistencyError(f"border triangle {t} unexpectedly missing from family")
+        return vf.values[t]
+
+    adj = {v: set(_scan_neighbours(g, v)) for v in g.masks}
+    tp = list(g.triangulation_points)
+    labels = {}
+    for i, p in enumerate(tp):
+        seq = [tp[i - 1]] + _scan_leaves_at(g, p) + [tp[(i + 1) % len(tp)]]
+        pinned = None
+        if i == 0:
+            if xp2 not in g.leaves:
+                continue
+            seq, pinned = seq[1:], xp2
+        elif i == len(tp) - 1:
+            if xm2 not in g.leaves:
+                continue
+            seq, pinned = seq[:-1], xm2
+        labels[p] = sum((star_value(p, a, b) for a, b in zip(seq, seq[1:])), start=Fraction(0))
+        for leaf in _scan_leaves_at(g, p):
+            if leaf != pinned:
+                adj[p].discard(leaf)
+                del adj[leaf]
+
+    current = [p for p in tp if p in adj and len(adj[p]) >= 2]
+    edge_count = sum(len(nb) for nb in adj.values()) // 2
+
+    def bump(point, delta):
+        if point not in labels:
+            raise InternalConsistencyError(f"missing label at {point} during contraction at x={x}")
+        labels[point] += delta
+
+    while edge_count > 3:
+        p = next((q for q in current if q not in (xp, xm) and len(adj[q]) == 2), None)
+        if p is None:
+            raise InternalConsistencyError(
+                f"no contractible degree-2 point left with {edge_count} edges at x={x}")
+        if p in (xp2, xm2):
+            anchor = xp if p == xp2 else xm
+            (other,) = adj[p] - {anchor}
+            labels[anchor] = labels[p]
+            bump(other, labels[p])
+            del labels[p]
+            adj[p].discard(other)
+            adj[other].discard(p)
+            edge_count -= 1
+        else:
+            u, v = adj[p]
+            bump(u, labels[p])
+            bump(v, labels[p])
+            del labels[p]
+            adj[u].discard(p)
+            adj[v].discard(p)
+            del adj[p]
+            edge_count -= 2
+        current.remove(p)
+
+    if xm not in labels or xp not in labels:
+        raise InternalConsistencyError(f"contraction finished without labels at x+-1 (x={x})")
+    return labels[xm], labels[xp]
+
+
+def _reference_quiddity_rows(vf: ValuedFamily) -> QuiddityRows:
+    if any(v != 1 for v in vf.values.values()):
+        raise PreconditionError("quiddity rows need the all-ones specialization")
+    n = vf.family.ground.n
+    wrap = vf.family.ground.wrap
+    low, high = {}, {}
+    for x in vf.family.ground.points():
+        low[wrap(x - 2)], high[wrap(x - 1)] = _reference_almost_continuous_at(vf, x)
+    return QuiddityRows(n, tuple(low[i] for i in range(1, n + 1)), tuple(high[i] for i in range(1, n + 1)))

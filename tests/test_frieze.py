@@ -5,9 +5,11 @@ Claims covered:
       (small samples here, the big sweeps live in the acceptance suite)
     - the contraction straight off the star index gives the same quiddity
       rows, values and errors as the per-x contraction over edge scans it
-      replaced, also on 200-step walks at n = 128 and 256, and checks
-      maximality and the star endpoints; a bad triangle is refused before,
-      by Family
+      replaced (tests/reference.py), also on 200-step walks at n = 128 and
+      256 and on every one-triangle forgery of the canonical family at
+      n = 8, 9 and 10, counted and with non-unit Fraction values off x, and
+      checks maximality and the star endpoints; a bad triangle is refused
+      before, by Family, and a non-point x before any value is read
     - the row recursions reproduce the known width-4 fixture exactly, and the
       two recursions fill one array (relabeling included)
     - extend_rows decides consistency by closure of the Gale vectors; on
@@ -57,6 +59,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import INTRO_ROWS, build_plucker_frieze_map, intro_frieze, parse_decimal, plucker_triple
+from reference import _reference_almost_continuous_at, _reference_quiddity_rows
 from sl3frieze import canonical_family
 from sl3frieze.cyclic import MAX_N, GroundSet
 from sl3frieze.errors import (
@@ -200,103 +203,6 @@ def test_quiddity_requires_all_ones():
         quiddity_rows(ValuedFamily(fam, values))
 
 
-def _scan_neighbours(g, v):
-    return sorted(b if a == v else a for a, b in g.edges if v in (a, b))
-
-
-def _scan_leaves_at(g, p):
-    n = g.ground.n
-    return sorted((l for l, att in g.leaves.items() if att == p), key=lambda l: (l - g.x) % n)
-
-
-def _reference_almost_continuous_at(vf: ValuedFamily, x: int):
-    """The per-x contraction that quiddity_rows ran before the single-pass
-    star index: it reads the star graph's neighbours and leaves by scanning
-    every edge, and sums the labels as Fractions."""
-    ground = vf.family.ground
-    wrap = ground.wrap
-    for t in vf.family.triangles:
-        if x in t and vf.values[t] != 1:
-            raise PreconditionError(f"triangles through x={x} must all have value 1, {t} has {vf.values[t]}")
-    g = build_star_graph(vf.family, x)
-    xp, xm = wrap(x + 1), wrap(x - 1)
-    xp2, xm2 = wrap(x + 2), wrap(x - 2)
-
-    def star_value(a, b, c):
-        t = tuple(sorted((a, b, c)))
-        if t not in vf.values:
-            raise InternalConsistencyError(f"border triangle {t} unexpectedly missing from family")
-        return vf.values[t]
-
-    adj = {v: set(_scan_neighbours(g, v)) for v in g.masks}
-    tp = list(g.triangulation_points)
-    labels = {}
-    for i, p in enumerate(tp):
-        seq = [tp[i - 1]] + _scan_leaves_at(g, p) + [tp[(i + 1) % len(tp)]]
-        pinned = None
-        if i == 0:
-            if xp2 not in g.leaves:
-                continue
-            seq, pinned = seq[1:], xp2
-        elif i == len(tp) - 1:
-            if xm2 not in g.leaves:
-                continue
-            seq, pinned = seq[:-1], xm2
-        labels[p] = sum((star_value(p, a, b) for a, b in zip(seq, seq[1:])), start=Fraction(0))
-        for leaf in _scan_leaves_at(g, p):
-            if leaf != pinned:
-                adj[p].discard(leaf)
-                del adj[leaf]
-
-    current = [p for p in tp if p in adj and len(adj[p]) >= 2]
-    edge_count = sum(len(nb) for nb in adj.values()) // 2
-
-    def bump(point, delta):
-        if point not in labels:
-            raise InternalConsistencyError(f"missing label at {point} during contraction at x={x}")
-        labels[point] += delta
-
-    while edge_count > 3:
-        p = next((q for q in current if q not in (xp, xm) and len(adj[q]) == 2), None)
-        if p is None:
-            raise InternalConsistencyError(
-                f"no contractible degree-2 point left with {edge_count} edges at x={x}")
-        if p in (xp2, xm2):
-            anchor = xp if p == xp2 else xm
-            (other,) = adj[p] - {anchor}
-            labels[anchor] = labels[p]
-            bump(other, labels[p])
-            del labels[p]
-            adj[p].discard(other)
-            adj[other].discard(p)
-            edge_count -= 1
-        else:
-            u, v = adj[p]
-            bump(u, labels[p])
-            bump(v, labels[p])
-            del labels[p]
-            adj[u].discard(p)
-            adj[v].discard(p)
-            del adj[p]
-            edge_count -= 2
-        current.remove(p)
-
-    if xm not in labels or xp not in labels:
-        raise InternalConsistencyError(f"contraction finished without labels at x+-1 (x={x})")
-    return labels[xm], labels[xp]
-
-
-def _reference_quiddity_rows(vf: ValuedFamily) -> QuiddityRows:
-    if any(v != 1 for v in vf.values.values()):
-        raise PreconditionError("quiddity rows need the all-ones specialization")
-    n = vf.family.ground.n
-    wrap = vf.family.ground.wrap
-    low, high = {}, {}
-    for x in vf.family.ground.points():
-        low[wrap(x - 2)], high[wrap(x - 1)] = _reference_almost_continuous_at(vf, x)
-    return QuiddityRows(n, tuple(low[i] for i in range(1, n + 1)), tuple(high[i] for i in range(1, n + 1)))
-
-
 def _result(fn, *args):
     """The value, or the exception's type and message."""
     try:
@@ -356,18 +262,60 @@ def test_quiddity_rows_errors_match_per_x_reference():
     assert _result(quiddity_rows, vf)[0] is PreconditionError
     # families only marked maximal: every swap of one triangle of the
     # canonical family fails, or not, at the same x with the same message
-    base = canonical_family(8).triangles
-    kinds = set()
-    for removed in sorted(base - set(continuous_triangles(8))):
-        for added in combinations(range(1, 9), 3):
-            if added in base:
-                continue
-            forged = unit_specialization(Family(GroundSet(8), base - {removed} | {added}, validated=True))
+    for n in (8, 9, 10):
+        kinds = set()
+        for swap, fam in _one_triangle_forgeries(n):
+            forged = unit_specialization(fam)
             got = _result(quiddity_rows, forged)
-            assert got == _result(_reference_quiddity_rows, forged), (removed, added)
+            assert got == _result(_reference_quiddity_rows, forged), swap
             if isinstance(got, tuple):
                 kinds.add(got[1].split(" ")[0])
-    assert kinds == {"border", "missing", "no", "contraction"}  # every contraction check fired
+        assert kinds == {"border", "missing", "no", "contraction"}, n  # every contraction check fired
+
+
+def _one_triangle_forgeries(n: int):
+    """(removed, added) and the family for every swap of one non-continuous
+    triangle of the canonical family over 1..n for a triple outside it, only
+    marked weakly separated: 320, 650 and 1,176 families at n = 8, 9, 10."""
+    base = canonical_family(n).triangles
+    for removed in sorted(base - set(continuous_triangles(n))):
+        for added in combinations(range(1, n + 1), 3):
+            if added not in base:
+                yield (removed, added), Family(GroundSet(n), base - {removed} | {added}, validated=True)
+
+
+def test_almost_continuous_errors_match_per_x_reference():
+    # the summed labels: every x of every one-triangle forgery, with value 1
+    # through x and a non-unit Fraction, sum(t) / (min(t) + 1), off it
+    kinds = set()
+    for n in (8, 9, 10):
+        for swap, fam in _one_triangle_forgeries(n):
+            off = {t: Fraction(sum(t), t[0] + 1) for t in fam.triangles}
+            for x in range(1, n + 1):
+                vf = ValuedFamily(fam, {t: Fraction(1) if x in t else v for t, v in off.items()})
+                got = _result(almost_continuous_at, vf, x)
+                assert got == _result(_reference_almost_continuous_at, vf, x), (swap, x)
+                if isinstance(got[0], type):
+                    kinds.add(got[1].split(" ")[0])
+                else:
+                    assert _exact(got, ints=False)
+    assert kinds == {"border", "missing", "no", "contraction"}
+
+
+def test_almost_continuous_checks_the_point_before_the_values():
+    # a value 2 through point 1 must not be read as a value through True or
+    # 1.0: a non-point is refused as build_star_graph refuses it
+    fam = random_maximal_family(GroundSet(8), 30, 1)
+    values = dict.fromkeys(fam.triangles, 1)
+    values[min(fam.triangles)] = 2  # (1, 2, 3), a continuous triangle
+    vf = ValuedFamily(fam, values)
+    for x in (True, 1.0, 0, 9):
+        with pytest.raises(InvalidInputError, match=re.escape(f"point {x!r} outside 1..8")):
+            almost_continuous_at(vf, x)
+        with pytest.raises(InvalidInputError, match=re.escape(f"point {x!r} outside 1..8")):
+            build_star_graph(fam, x)
+    with pytest.raises(PreconditionError, match=r"x=1 must all have value 1, \(1, 2, 3\) has 2"):
+        almost_continuous_at(vf, 1)
 
 
 @st.composite
