@@ -168,18 +168,18 @@ def cmd_analyze(ns) -> int:
 
 
 def cmd_frieze(ns) -> int:
-    from .frieze import _certified_rows, dump_frieze, extend_rows, render_frieze
+    from .frieze import _certified_rows, _integral_and_positive, dump_frieze, extend_rows, render_frieze
 
     fam, err = _load_checked_family(ns.family)
     if err:
         return err
     # certificate parts (b), against the family, and (a), the closure that
-    # extend_rows checks; the grid is then the minors of closed Gale vectors,
-    # SL3 and tame by validate_frieze's proof
+    # extend_rows checks; the grid is then the lower row recursion of closed
+    # Gale vectors, which is their minors, SL3 and tame by validate_frieze's
+    # proof
     rows, _ = _certified_rows(unit_specialization(fam))
     grid = extend_rows(rows)
-    integral = all(e.denominator == 1 for row in grid.rows for e in row)
-    positive = min(map(min, grid.rows)) > 0
+    integral, positive = _integral_and_positive(grid.rows)
     if ns.format == "json":
         summary = {"sl3": True, "tame": True, "integral": integral, "positive": positive,
                    "width": grid.width, "period": grid.n}

@@ -7,9 +7,11 @@ w = n - 4. Row 1 is printed first; each later row shifts half a cell to the
 right, and three border rows (1, 0, 0) frame the grid above and below.
 U_k(i), the value of {i, i+k+1, i+k+2}, names the same array from the other
 end: U_k(i) = D_{n-3-k}(i+k+1). Every entry is a Gale minor,
-D_k(i) = det(v_i, v_{i+1}, v_{i+k+2}); extend_rows builds the grid that way,
-and validate_frieze checks it that way. minor_values gives the value of any
-triangle, in the grid or not, as the same kind of minor.
+D_k(i) = det(v_i, v_{i+1}, v_{i+k+2}), which the paper's lower row recursion
+gives from D_1 and U_1 with two products per entry once the Gale vectors
+close up. One generator, _lower_rows, yields those rows: extend_rows builds
+the grid from it, and validate_frieze compares the grid with it. minor_values
+gives the value of any triangle, in the grid or not, as a minor.
 
 _certified_rows ties the rows to the family: every family triangle has
 minor 1 (certificate part (b)). The frieze command builds its grid from rows
@@ -54,16 +56,25 @@ FRIEZE_SCHEMA_VERSION = 1
 # a frieze entry in a file: a JSON integer, or a string as format_rational writes it
 _ENTRY_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
+
+def _tuple(seq, what: str) -> tuple:
+    """seq as a tuple; anything but a tuple or a list is an InvalidInputError."""
+    if not isinstance(seq, (tuple, list)):
+        raise InvalidInputError(f"{what} must be a tuple or a list, got {type(seq).__name__}")
+    return tuple(seq)
+
+
 class QuiddityRows(Record):
     """The two directly computed rows: delta_low[i-1] = v({i,i+1,i+3}) and
-    delta_high[i-1] = v({i,i+2,i+3}). Entries are ints or Fractions."""
+    delta_high[i-1] = v({i,i+2,i+3}). Entries are ints or Fractions; each row
+    is a tuple or a list, stored as a tuple."""
 
     __slots__ = ("n", "delta_low", "delta_high")
 
     def __init__(self, n: int, delta_low: tuple, delta_high: tuple):
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "delta_low", delta_low)
-        object.__setattr__(self, "delta_high", delta_high)
+        object.__setattr__(self, "delta_low", _tuple(delta_low, "a quiddity row"))
+        object.__setattr__(self, "delta_high", _tuple(delta_high, "a quiddity row"))
         if self.n > MAX_N:
             raise InvalidInputError(f"frieze period needs n <= {MAX_N}, got {self.n}")
         if len(self.delta_low) != self.n or len(self.delta_high) != self.n:
@@ -75,13 +86,14 @@ class QuiddityRows(Record):
 
 class FriezeGrid(Record):
     """Fundamental region of a frieze: rows[k-1][i-1] = D_k(i), horizontal
-    period n, width w = n - 4 >= 1."""
+    period n, width w = n - 4 >= 1. The rows, and each row, are tuples or
+    lists, stored as tuples."""
 
     __slots__ = ("n", "rows")
 
     def __init__(self, n: int, rows: tuple):
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rows", rows)  # of n-tuples of int or Fraction
+        object.__setattr__(self, "rows", tuple(_tuple(r, "a frieze row") for r in _tuple(rows, "frieze rows")))
         if len(self.rows) < 1 or self.n != len(self.rows) + 4:
             raise InvalidInputError(
                 f"period must exceed width by 4: n={self.n}, width={len(self.rows)}")
@@ -253,8 +265,8 @@ def gale_vectors(low, high):
     v_{i+3} = D_1(i) v_{i+2} - U_1(i) v_{i+1} + v_i. Every step keeps
     det(v_j, v_{j+1}, v_{j+2}) = 1; the vectors close up (certificate part
     (a)) when v_{n+1..n+3} = v_{1..3}. Each step multiplies by an entry, so
-    a caller that checks the vectors as they come can stop before their
-    coordinates outgrow the rows. Entries keep the type the arithmetic
+    the coordinates grow with j; _gale_certified builds the vectors of a
+    grid only after its rows matched. Entries keep the type the arithmetic
     gives."""
     x, y, z = (1, 0, 0), (0, 1, 0), (0, 0, 1)
     yield from (x, y, z)
@@ -269,20 +281,32 @@ def _wedges(vs):
             for (y0, y1, y2), (z0, z1, z2) in zip(vs, vs[1:])]
 
 
-def _gale_minors(vs):
-    """Yield the rows D_k(i) = det(v_i, v_{i+1}, v_{i+k+2}) = w_i . v_{i+k+2},
-    k = 1..n-4, each a list over i = 1..n, of closed Gale vectors
-    vs = [v_1..v_n] (indices mod n). w_i is computed once per i, so each
-    entry costs three products; a caller that compares row by row can stop
-    at the first row that differs."""
-    n = len(vs)
-    w0, w1, w2 = zip(*_wedges(vs + vs[:1]))
-    # the coordinates of v_1..v_n twice over, so that i + k + 2 needs no
-    # reduction mod n
-    c0, c1, c2 = (c * 2 for c in zip(*vs))
-    for s in range(3, n - 1):
-        yield [p * x + q * y + r * z for p, q, r, x, y, z in
-               zip(w0, w1, w2, c0[s:], c1[s:], c2[s:])]
+def _lower_rows(low, high):
+    """Yield the rows D_1..D_w, w = n - 4, each a list over i = 1..n, of the
+    paper's lower row recursion from D_1 = low and U_1 = high:
+
+        D_k(i) = D_1(i+k-1) D_{k-1}(i) - U_1(i+k-1) D_{k-2}(i) + D_{k-3}(i)
+
+    with D_0 = 1 and D_{-1} = D_{-2} = 0: two products per entry. The
+    coefficients of row k are the doubled rows sliced at k - 1, so no row
+    is rotated. Each row reads D_1, U_1 and the three rows before it only.
+
+    These rows are the minors w_i . v_{i+k+2}, w_i = v_i x v_{i+1}, of the
+    Gale vectors of low and high (gale_vectors, continued to every j):
+    dotting v_{i+k+2} = D_1(i+k-1) v_{i+k+1} - U_1(i+k-1) v_{i+k} + v_{i+k-1}
+    with w_i gives the recursion, and w_i . v_{i+2} = 1,
+    w_i . v_{i+1} = w_i . v_i = 0 give its start. When the vectors close up
+    (certificate part (a)), v_{j+n} = v_j, so each row is the row of minors
+    det(v_i, v_{i+1}, v_{i+k+2}) with every index taken mod n. This is the
+    three-term difference equation of the Gale transform (Morier-Genoud,
+    Ovsienko, Schwartz and Tabachnikov, "Linear difference equations, frieze
+    patterns and the combinatorial Gale transform", 2014)."""
+    n = len(low)
+    low, high = low * 2, high * 2
+    d3, d2, d1 = [0] * n, [0] * n, [1] * n  # D_{k-3}, D_{k-2}, D_{k-1}
+    for s in range(n - 4):
+        d3, d2, d1 = d2, d1, [a * x - b * y + z for a, b, x, y, z in zip(low[s:], high[s:], d1, d2, d3)]
+        yield d1
 
 
 def extend_rows(q: QuiddityRows) -> FriezeGrid:
@@ -291,13 +315,14 @@ def extend_rows(q: QuiddityRows) -> FriezeGrid:
     With a_i = D_1(i), b_i = U_1(i), v_1, v_2, v_3 = e_1, e_2, e_3 and
     v_{i+3} = a_i v_{i+2} - b_i v_{i+1} + v_i (gale_vectors), the rows are
     consistent iff the vectors close up, v_{n+1..n+3} = v_{1..3} (certificate
-    part (a)): an O(n) check. The grid is then their minors,
-    D_k(i) = det(v_i, v_{i+1}, v_{i+k+2}) = w_i . v_{i+k+2} with
-    w_i = v_i x v_{i+1} (_gale_minors): the same array that the paper's
-    lower row recursion builds from D_1 and U_1, and that the upper one,
-    building U_2..U_w from U_1 and D_1, names as U_k(i) = D_{n-3-k}(i+k+1).
-    Only when the vectors do not close is the first (k, i) where the two
-    recursions disagree looked up, so that InconsistentRowsError names it.
+    part (a)): an O(n) check. The grid is then the paper's lower row
+    recursion, built from D_1 and U_1 with two products per entry
+    (_lower_rows, the rows validate_frieze checks the grid against): the
+    minors D_k(i) = det(v_i, v_{i+1}, v_{i+k+2}) = w_i . v_{i+k+2} with
+    w_i = v_i x v_{i+1}, the array that the upper recursion, building
+    U_2..U_w from U_1 and D_1, names as U_k(i) = D_{n-3-k}(i+k+1). Only when
+    the vectors do not close is the first (k, i) where the two recursions
+    disagree looked up, so that InconsistentRowsError names it.
 
     Proof that agreement and closure are the same. Extend v_j to all j. Every
     step keeps det(v_j, v_{j+1}, v_{j+2}) = 1, and shifting j by n maps
@@ -343,13 +368,13 @@ def extend_rows(q: QuiddityRows) -> FriezeGrid:
         ws = _wedges(vs)
         for k in range(1, n - 3):
             for i in range(n):
-                wk = ws[i + k + 1]
-                upper, lower = (sum(a * b for a, b in zip(wk, v)) for v in (vs[i], vs[i + n]))
+                upper, lower = (sum(a * b for a, b in zip(ws[i + k + 1], v)) for v in (vs[i], vs[i + n]))
                 if upper != lower:
                     raise InconsistentRowsError(
                         f"row recursions disagree at U_{k}({i + 1}): {upper} vs {lower}")
         raise InternalConsistencyError("Gale vectors do not close, yet the row recursions agree")
-    return FriezeGrid(n, tuple(map(tuple, _gale_minors(vs[:n]))))
+    # QuiddityRows checked n and the entry types, and +, - and x keep them
+    return FriezeGrid._unchecked(n, tuple(map(tuple, _lower_rows(q.delta_low, q.delta_high))))
 
 
 def _minor(vs, t):
@@ -457,30 +482,25 @@ def _det4(ext, r: int, t: int):
 
 
 def _gale_certified(grid: FriezeGrid) -> bool:
-    """Certificate parts (a) and (c) on the grid: the Gale vectors of D_1 and
-    U_1(i) = D_w(i+2) close up, and every D_k(i) equals
-    det(v_i, v_{i+1}, v_{i+k+2}) = w_i . v_{i+k+2} (_gale_minors, the rows
-    extend_rows builds), every index taken mod n: O(n w) products, compared
-    row by row up to the first row that differs.
+    """Certificate parts (c) and (a) on the grid: every row equals the row
+    _lower_rows gives from the grid's own D_1 and U_1(i) = D_w(i+2), compared
+    row by row up to the first that differs, and then the Gale vectors of
+    those two rows close up. O(n w) products, two per entry. By _lower_rows'
+    docstring the generated rows are the minors det(v_i, v_{i+1}, v_{i+k+2}),
+    every index taken mod n, whenever the vectors close, and the grid's rows
+    are those minors then; so this accepts exactly the grids whose entries
+    are the minors of closed vectors.
 
-    Part (c) at i = 1, 2, 3 is checked on v_3..v_{n-1} as they are built:
-    w_1 = e_3, w_2 = e_1 and w_3 = U_1(1) e_1 + e_2, so every coordinate of
-    such a v_m is an entry of the bordered array, or one minus U_1(1) times
-    another. The first vector that disagrees ends the build, so no
-    coordinate grows much past the digits of the grid's largest entries."""
-    n, rows = grid.n, grid.rows
-    last = rows[-1]
-    b1 = last[2]  # U_1(1) = D_w(3)
-    # columns i = 1, 2, 3 of the bordered array, D_k(i) at position k + 2
-    col1, col2, col3 = ([0, 0, 1, *(row[i] for row in rows), 1, 0, 0] for i in range(3))
-    vs = []
-    for m, v in enumerate(gale_vectors(rows[0], last[2:] + last[:2]), 1):
-        if 3 <= m < n and v != (col2[m - 2], col3[m - 3] - b1 * col2[m - 2], col1[m - 1]):
-            return False
-        vs.append(v)
-    if vs[n:] != vs[:3]:
+    Each generated row is computed from D_1, U_1 and three grid rows that
+    matched, so no number grows much past the digits of the grid's entries.
+    The vectors are built only once every row has matched, when each of their
+    coordinates is a generated entry or a few recursion steps past one."""
+    rows = grid.rows
+    low, high = rows[0], rows[-1][2:] + rows[-1][:2]
+    if any(list(row) != expected for row, expected in zip(rows, _lower_rows(low, high))):
         return False
-    return all(list(row) == minors for row, minors in zip(rows, _gale_minors(vs[:n])))
+    vs = list(gale_vectors(low, high))
+    return vs[grid.n:] == vs[:3]
 
 
 def _diamond_failures(grid: FriezeGrid):
@@ -531,6 +551,14 @@ def _diamond_failures(grid: FriezeGrid):
     return sl3_failures, tame_failures
 
 
+def _integral_and_positive(rows):
+    """(integral, positive) of a grid's rows: every entry has denominator 1,
+    and every entry is positive. Each row's entry types are read once, and
+    denominators only in rows that hold a Fraction."""
+    integral = all(e.denominator == 1 for row in rows if Fraction in set(map(type, row)) for e in row)
+    return integral, min(map(min, rows)) > 0
+
+
 def validate_frieze(grid: FriezeGrid) -> FriezeReport:
     """Check determinant 1 on every 3x3 diamond and determinant 0 on every 4x4
     diamond of the bordered array over one period; diamonds crossing the
@@ -539,11 +567,13 @@ def validate_frieze(grid: FriezeGrid) -> FriezeReport:
     The k x k diamond at bordered row r, period index t has entry [i][j] at
     row r+i-j, period index t+j; e(r, t) is an entry of the bordered array.
 
-    First the Gale certificate, parts (a) and (c): the vectors v_j of
-    gale_vectors(D_1, U_1), U_1(i) = D_w(i+2), close up, and every entry is
-    D_k(i) = w_i . v_{i+k+2} with w_i = v_i x v_{i+1}. That accepts the grid
-    in O(n w) products, for this reason. By (a), v_{j+n} = v_j, every step of
-    the recursion holds at every j, and det(v_j, v_{j+1}, v_{j+2}) = 1; so the
+    First the Gale certificate, parts (c) and (a) (_gale_certified): every
+    row is the row the lower recursion gives from the grid's D_1 and
+    U_1(i) = D_w(i+2), and the vectors v_j of gale_vectors(D_1, U_1) close
+    up. Then every entry is D_k(i) = w_i . v_{i+k+2} with w_i = v_i x v_{i+1},
+    indices mod n (_lower_rows). That accepts the grid in O(n w) products,
+    for this reason. By (a), v_{j+n} = v_j, every step of the recursion
+    holds at every j, and det(v_j, v_{j+1}, v_{j+2}) = 1; so the
     border rows are the same minors too (D_0 = D_{w+1} = 1 as consecutive
     triples, D_{-1} = D_{-2} = D_{w+2} = D_{w+3} = 0 as repeated vectors), and
     e(r, t) = w_{t+1} . v_{t+r+1} on the whole bordered array. The k x k
@@ -574,13 +604,14 @@ def validate_frieze(grid: FriezeGrid) -> FriezeReport:
     Fraction. integral and positive are read off the entries.
     """
     sl3_failures, tame_failures = ([], []) if _gale_certified(grid) else _diamond_failures(grid)
+    integral, positive = _integral_and_positive(grid.rows)
     return FriezeReport(
         n=grid.n,
         width=grid.width,
         is_sl3=not sl3_failures,
         is_tame=not tame_failures,
-        integral=all(e.denominator == 1 for row in grid.rows for e in row),
-        positive=min(map(min, grid.rows)) > 0,
+        integral=integral,
+        positive=positive,
         sl3_failures=sl3_failures,
         tame_failures=tame_failures,
     )

@@ -17,6 +17,11 @@ compared with: it builds the star graph and reads neighbours and leaves by
 scanning every edge (``_scan_neighbours``, ``_scan_leaves_at``), and
 ``_reference_quiddity_rows`` runs it at every x.
 
+``sl3frieze.frieze`` builds the grid by the lower row recursion.
+``_gale_minors`` is the determinant reference it is compared with: every
+entry as the Gale minor w_i . v_{i+k+2} of the closed vectors, three products
+per entry, as the library computed the grid before.
+
 Test modules import them with ``from reference import ...``.
 """
 
@@ -24,7 +29,7 @@ from fractions import Fraction
 
 from sl3frieze.cyclic import is_cyclic
 from sl3frieze.errors import InternalConsistencyError, PreconditionError
-from sl3frieze.frieze import QuiddityRows
+from sl3frieze.frieze import QuiddityRows, _wedges
 from sl3frieze.mutation import ValuedFamily
 from sl3frieze.stargraph import build_star_graph
 
@@ -169,3 +174,19 @@ def _reference_quiddity_rows(vf: ValuedFamily) -> QuiddityRows:
     for x in vf.family.ground.points():
         low[wrap(x - 2)], high[wrap(x - 1)] = _reference_almost_continuous_at(vf, x)
     return QuiddityRows(n, tuple(low[i] for i in range(1, n + 1)), tuple(high[i] for i in range(1, n + 1)))
+
+
+def _gale_minors(vs):
+    """Yield the rows D_k(i) = det(v_i, v_{i+1}, v_{i+k+2}) = w_i . v_{i+k+2},
+    k = 1..n-4, each a list over i = 1..n, of closed Gale vectors
+    vs = [v_1..v_n] (indices mod n). w_i is computed once per i, so each
+    entry costs three products; a caller that compares row by row can stop
+    at the first row that differs."""
+    n = len(vs)
+    w0, w1, w2 = zip(*_wedges(vs + vs[:1]))
+    # the coordinates of v_1..v_n twice over, so that i + k + 2 needs no
+    # reduction mod n
+    c0, c1, c2 = (c * 2 for c in zip(*vs))
+    for s in range(3, n - 1):
+        yield [p * x + q * y + r * z for p, q, r, x, y, z in
+               zip(w0, w1, w2, c0[s:], c1[s:], c2[s:])]

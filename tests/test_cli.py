@@ -29,6 +29,12 @@ Claims covered:
       MalformedFileError, and gen --star-graph-file ends without a traceback
       in exit 0 (the realized family has the file's star), 1 (the structure
       check fails) or 2 (the file is refused)
+    - fuzzed frieze files (walk friezes at n <= 10 with entries as strings
+      or ints and edited entries, rows of the wrong length, missing or extra
+      rows; the file's keys with arbitrary values; any JSON value; and n
+      past MAX_N, up to 10^40, with tiny rows) end in check-frieze without a
+      traceback, in exit 0, 1 or 2 as the reader and validate_frieze decide,
+      and every n past MAX_N is refused with exit 2
 """
 
 import contextlib
@@ -714,6 +720,85 @@ def test_gen_star_graph_file_fuzz(tmp_path_factory, doc):
         return
     assert code == 0, stderr.getvalue()
     assert build_star_graph(load_family(out.read_text()), g.x) == g
+
+
+FRIEZE_ENTRIES = st.integers(-3, 40) | st.sampled_from(["1", "-2", "3/2", "-1/3", "0", "1/0", "2.0", "x", "", "1e3"])
+
+
+@st.composite
+def huge_frieze_documents(draw):
+    """An n past MAX_N, up to 10^40, with rows of one entry: as many rows as
+    the period asks for when n is just past MAX_N, else one to three."""
+    n = draw(st.integers(MAX_N + 1, MAX_N + 3) | st.integers(MAX_N + 4, 10 ** 40))
+    count = n - 4 if n <= MAX_N + 3 else draw(st.integers(1, 3))
+    return {"n": n, "rows": [[draw(st.sampled_from([1, "1"]))]] * count}
+
+
+@st.composite
+def frieze_documents(draw):
+    """A frieze file's JSON value: the frieze of a walk family at n <= 10,
+    entries as strings or ints, with up to three edits (an entry replaced,
+    a row cut or lengthened, a row dropped or added); the file's keys with
+    arbitrary values; an n past MAX_N with few and tiny rows; or any JSON
+    value."""
+    kind = draw(st.integers(0, 3))
+    if kind == 0:
+        n = draw(st.integers(6, 10))
+        fam = random_maximal_family(GroundSet(n), draw(st.integers(0, 40)), draw(st.integers(0, 999)))
+        as_ints = draw(st.booleans())
+        rows = [[e if as_ints else str(e) for e in row]
+                for row in extend_rows(quiddity_rows(unit_specialization(fam))).rows]
+        for _ in range(draw(st.integers(0, 3))):
+            row = rows[draw(st.integers(0, len(rows) - 1))] if rows else None
+            edit = draw(st.integers(0, 5))  # an entry edit half the time
+            if edit <= 2 and row:
+                row[draw(st.integers(0, len(row) - 1))] = draw(FRIEZE_ENTRIES)
+            elif edit == 3 and row:
+                del row[draw(st.integers(0, len(row) - 1)):]
+            elif edit == 4 and row is not None:
+                row.extend(draw(st.lists(FRIEZE_ENTRIES, min_size=1, max_size=2)))
+            elif rows and draw(st.booleans()):
+                rows.pop()
+            else:
+                rows.append(draw(st.lists(FRIEZE_ENTRIES, max_size=n + 1)))
+        return {"schema_version": 1, "n": n, "rows": rows}
+    if kind == 1:
+        keys = st.sampled_from(["n", "rows", "schema_version", "validation", "extra"])
+        return draw(st.dictionaries(keys, JSON_VALUES, max_size=5))
+    if kind == 2:
+        return draw(huge_frieze_documents())
+    return draw(JSON_VALUES)
+
+
+def _check_frieze(tmp_path_factory, doc, fmt):
+    path = tmp_path_factory.getbasetemp() / "fuzz_frieze.json"
+    path.write_text(json.dumps(doc))
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(["check-frieze", str(path), "--format", fmt])
+    assert "Traceback" not in stderr.getvalue()
+    return code, path, stderr.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(frieze_documents(), st.sampled_from(["text", "json"]))
+def test_check_frieze_fuzz(tmp_path_factory, doc, fmt):
+    # every file ends in exit 0 (valid), 1 (a failing diamond) or 2 (refused),
+    # as the reader and validate_frieze decide it, with no traceback
+    code, path, err = _check_frieze(tmp_path_factory, doc, fmt)
+    try:
+        grid = load_frieze(path.read_text())
+    except MalformedFileError:
+        assert code == 2, err
+        return
+    assert code == (0 if validate_frieze(grid).ok else 1), err
+
+
+@settings(max_examples=50, deadline=None)
+@given(huge_frieze_documents(), st.sampled_from(["text", "json"]))
+def test_check_frieze_refuses_periods_past_max_n(tmp_path_factory, doc, fmt):
+    code, _, err = _check_frieze(tmp_path_factory, doc, fmt)
+    assert code == 2 and err.startswith("error: "), err
 
 
 def test_json_outputs_carry_schema_version(run, fam8):

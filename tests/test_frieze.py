@@ -16,18 +16,26 @@ Claims covered:
       valid rows, on rows with one or two entries moved and on random
       rational rows, n = 6..32, it gives the entrywise reference's grid or its
       first disagreement, message included
+    - the lower row recursion that extend_rows runs gives the Gale minors of
+      the closed vectors (the determinant reference in tests/reference.py)
+      and both entrywise recursions, on walk families at n = 6..64 and on
+      the Fraction rows of the display example, and the record it builds
+      unchecked equals the checked one
     - quiddity rows over more than MAX_N points are refused on construction
     - diamond validation passes on the fixture, fails on perturbations, and
       matches an independent determinant recomputation, failure lists included
     - the condensed validator falls back to full expansion exactly where it
       must: zero centre entries, zero centre minors, failing corner diamonds
-    - the Gale certificate (closure and every entry a minor) accepts walk
-      friezes and the fixture without running the condensation, and refuses
-      every grid the condensation fails, the minors of vectors that do not
-      close included, which then get the condensation's report; it stops
-      building the vectors at the first that disagrees with the grid, before
-      their coordinates outgrow its entries; the minors equal the BFS oracle
-      on every triple of four families each at n = 6, 7 and 8
+    - the Gale certificate (every row the lower recursion's, then the
+      closure) accepts walk friezes and the fixture without running the
+      condensation, and refuses every grid the condensation fails, which then
+      gets the condensation's report: one-entry changes of walk friezes (int
+      and Fraction grids, hypothesis), the minors of vectors that do not
+      close (refused by the row check at row 2), and n = 6 grids that pass
+      the row check and are refused by the closure alone; it stops at the
+      first row that differs, before any number it computes outgrows the
+      grid's entries, and then builds no vector; the minors equal the BFS
+      oracle on every triple of four families each at n = 6, 7 and 8
     - minor_values gives those minors, refuses the targets oracle_values
       refuses with the same messages, refuses values other than 1, and
       names the first family triangle whose minor is not 1 (certificate
@@ -49,6 +57,7 @@ Claims covered:
       as Fractions
 """
 
+import functools
 import json
 import random
 import re
@@ -59,7 +68,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import INTRO_ROWS, build_plucker_frieze_map, intro_frieze, parse_decimal, plucker_triple
-from reference import _reference_almost_continuous_at, _reference_quiddity_rows
+from reference import _gale_minors, _reference_almost_continuous_at, _reference_quiddity_rows
 from sl3frieze import canonical_family
 from sl3frieze.cyclic import MAX_N, GroundSet
 from sl3frieze.errors import (
@@ -468,6 +477,25 @@ def test_extend_rows_matches_entrywise_reference():
     assert errors == 27 * 3 * 5  # every perturbed and random case is caught
 
 
+def test_extend_rows_gives_the_minors_and_the_recursions():
+    # the lower row recursion that extend_rows runs gives, row for row, the
+    # Gale minors of the closed vectors (three products per entry) and both
+    # entrywise recursions, on walk families at n = 6..64 (int rows, kept as
+    # ints) and on the Fraction rows of the display example; the record built
+    # without its checks equals the one the checked constructor builds
+    cases = [(quiddity_rows(unit_specialization(random_maximal_family(GroundSet(n), 2 * n, n))), int)
+             for n in range(6, 65)]
+    for q, entry_type in cases + [(intro_quiddity(), Fraction)]:
+        n = q.n
+        grid = extend_rows(q)
+        vs = list(gale_vectors(q.delta_low, q.delta_high))
+        assert grid.rows == tuple(map(tuple, _gale_minors(vs[:n]))), n
+        low, _ = _reference_recursions(q)
+        assert grid.rows == tuple(tuple(low[k]) for k in range(1, n - 3)), n
+        assert FriezeGrid(n, grid.rows) == grid
+        assert {type(e) for row in grid.rows for e in row} == {entry_type}, n
+
+
 def test_quiddity_rows_and_extend_rows_match_references_at_scale():
     # valid rows, and the same rows with one delta_low entry moved by +1,
     # which must name the same first disagreement as the recursions
@@ -744,8 +772,10 @@ def test_certificate_accepts_walk_friezes_without_condensation(n, monkeypatch):
 def test_minors_of_vectors_that_do_not_close_are_refused(monkeypatch):
     # v_1..v_n from the recursion, so every det(v_j, v_{j+1}, v_{j+2}) is 1
     # except across the seam; the grid of their minors, indices mod n, has
-    # these v_j as its Gale vectors and passes part (c), so only part (a)
-    # refuses it
+    # these v_j as its Gale vectors. Its row 2 holds minors across the seam
+    # (i + 4 > n), where the lower recursion continues the vectors instead
+    # of wrapping them, so the row check refuses it at row 2, before the
+    # closure is looked at
     rng = random.Random(7)
     for n in range(6, 13):
         vs = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
@@ -754,10 +784,54 @@ def test_minors_of_vectors_that_do_not_close_are_refused(monkeypatch):
             vs.append(tuple(a * z - b * y + x for x, y, z in zip(*vs[-3:])))
         rows = tuple(tuple(_reference_det([vs[i], vs[(i + 1) % n], vs[(i + k + 2) % n]]) for i in range(n))
                      for k in range(1, n - 3))
-        assert list(gale_vectors(rows[0], rows[-1][2:] + rows[-1][:2]))[:n] == vs
+        high = rows[-1][2:] + rows[-1][:2]
+        assert list(gale_vectors(rows[0], high))[:n] == vs
+        generated = frieze_module._lower_rows(rows[0], high)
+        assert list(rows[0]) == next(generated) and list(rows[1]) != next(generated)
         rep, condensed, reference = _paths(FriezeGrid(n, rows), monkeypatch)
         assert condensed and not rep.ok
         assert repr(rep) == repr(reference)
+
+
+def test_rows_that_pass_the_row_check_without_closing_are_refused(monkeypatch):
+    # at n = 6, D_1 = (c,) * 6 and U_1 with U_1(i) + U_1(i+3) = c^2 make
+    # D_2(i+2) = U_1(i), so the grid of the lower recursion gives back its
+    # own D_1 and U_1 and passes the row check. These vectors do not close,
+    # so only the closure, part (a), refuses the grids
+    for c in (1, 2, 3):
+        for b in ((0, 0, 0), (1, 2, 3), (-1, 4, 2), (2, 2, 5)):
+            low, high = (c,) * 6, b + tuple(c * c - v for v in b)
+            grid = FriezeGrid(6, tuple(map(tuple, frieze_module._lower_rows(low, high))))
+            assert grid.rows[-1][2:] + grid.rows[-1][:2] == high
+            vs = list(gale_vectors(low, high))
+            assert vs[6:] != vs[:3]
+            rep, condensed, reference = _paths(grid, monkeypatch)
+            assert condensed and not rep.ok
+            assert repr(rep) == repr(reference)
+
+
+@functools.lru_cache(maxsize=None)
+def _walk_grid(n: int, seed: int) -> FriezeGrid:
+    return extend_rows(quiddity_rows(unit_specialization(random_maximal_family(GroundSet(n), 2 * n, seed))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_one_entry_changes_of_walk_friezes_get_the_condensation_report(data):
+    # one entry of a walk frieze moved by +-1 or a Fraction, or set to 0, on
+    # the int grid and on the same grid in Fractions: the certificate refuses
+    # wherever the condensation finds a failing diamond, and the report is
+    # the condensation's own, failure lists and their repr included
+    n = data.draw(st.integers(6, 14), label="n")
+    grid = _walk_grid(n, data.draw(st.integers(0, 3), label="seed"))
+    k = data.draw(st.integers(0, n - 5), label="row")
+    i = data.draw(st.integers(0, n - 1), label="position")
+    change = data.draw(st.sampled_from([1, -1, Fraction(1, 2), Fraction(-2, 3), None]), label="change")
+    as_fractions = data.draw(st.booleans(), label="Fraction grid")
+    rows = [list(map(Fraction, row)) if as_fractions else list(row) for row in grid.rows]
+    rows[k][i] = rows[k][i] * 0 if change is None else rows[k][i] + change
+    rep, _, reference = _paths(FriezeGrid(n, rows), pytest.MonkeyPatch)
+    assert repr(rep) == repr(reference)
 
 
 def test_gale_minors_equal_oracle_values():
@@ -849,24 +923,29 @@ def test_contraction_names_a_missing_frozen_edge():
 def test_certificate_stops_before_coordinates_outgrow_the_grid(entry, monkeypatch):
     # 4,300-digit entries, the most an entry string may carry, in D_1 and D_w
     # only, the other rows 1, at n = MAX_N: built to the end, the vectors
-    # would reach about n times those digits; the build stops at the first
-    # vector that disagrees with the grid
-    built = []
-    gale = frieze_module.gale_vectors
+    # would reach about n times those digits. Every value the certificate
+    # computes, the generated rows and any vectors, is recorded: the check
+    # stops at row 2, the first that differs, and builds no vector
+    rows_built, vectors_built = [], []
 
-    def recording(low, high):
-        for v in gale(low, high):
-            built.append(v)
-            yield v
+    def recording(generate, built):
+        def record(low, high):
+            for value in generate(low, high):
+                built.append(value)
+                yield value
+        return record
 
-    monkeypatch.setattr(frieze_module, "gale_vectors", recording)
+    monkeypatch.setattr(frieze_module, "_lower_rows", recording(frieze_module._lower_rows, rows_built))
+    monkeypatch.setattr(frieze_module, "gale_vectors", recording(frieze_module.gale_vectors, vectors_built))
     bits = max(Fraction(entry).numerator.bit_length(), Fraction(entry).denominator.bit_length())
     for n in (MAX_N, 8):
         grid = FriezeGrid(n, ((entry,) * n,) + ((1,) * n,) * (n - 6) + ((entry,) * n,))
-        built.clear()
+        rows_built.clear()
+        vectors_built.clear()
         assert not frieze_module._gale_certified(grid)
-        coordinates = [Fraction(c) for v in built for c in v]
-        assert max(max(c.numerator.bit_length(), c.denominator.bit_length()) for c in coordinates) <= 3 * bits
+        assert len(rows_built) == 2 and not vectors_built
+        computed = [Fraction(c) for row in rows_built + vectors_built for c in row]
+        assert max(max(c.numerator.bit_length(), c.denominator.bit_length()) for c in computed) <= 3 * bits
     # the condensation then reports as it does alone (at n = 8, where it is
     # quick on such entries; the determinants are too long for repr)
     rep, condensed, reference = _paths(grid, monkeypatch)

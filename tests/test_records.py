@@ -13,6 +13,9 @@ Claims covered:
       alone, so two equal star graphs check and realize alike
     - setting or deleting any field raises AttributeError
     - pickle and copy give an equal value of the same class
+    - FriezeGrid and QuiddityRows store rows given as lists as tuples, so
+      they hash, and refuse rows that are not a tuple or a list with
+      InvalidInputError
 """
 
 import copy
@@ -21,7 +24,7 @@ import pickle
 import pytest
 
 from sl3frieze.cyclic import GroundSet
-from sl3frieze.errors import FriezeError
+from sl3frieze.errors import FriezeError, InvalidInputError
 from sl3frieze.family import Family, canonical_family
 from sl3frieze.frieze import FriezeGrid, FriezeReport, QuiddityRows, extend_rows, quiddity_rows, validate_frieze
 from sl3frieze.mutation import MutationMove, ValuedFamily, unit_specialization
@@ -151,6 +154,29 @@ def _outcome(f, *args):
         return f(*args)
     except FriezeError as e:
         return type(e), str(e)
+
+
+def test_frieze_records_store_their_rows_as_tuples():
+    # rows given as lists are stored as tuples, so the record hashes and
+    # equals the one built from tuples
+    grid = FriezeGrid(8, [[1] * 8] * 4)
+    assert grid == FriezeGrid(8, ((1,) * 8,) * 4) and hash(grid) == hash(FriezeGrid(8, ((1,) * 8,) * 4))
+    assert type(grid.rows) is tuple and all(type(row) is tuple for row in grid.rows)
+    rows = QuiddityRows(8, (1,) * 8, [1] * 8)
+    assert rows == QuiddityRows(8, (1,) * 8, (1,) * 8) and type(rows.delta_high) is tuple
+    hash(rows)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: FriezeGrid(8, None), "^frieze rows must be a tuple or a list, got NoneType$"),
+    (lambda: FriezeGrid(8, (None,) * 4), "^a frieze row must be a tuple or a list, got NoneType$"),
+    (lambda: FriezeGrid(8, iter([(1,) * 8] * 4)), "^frieze rows must be a tuple or a list, got list_iterator$"),
+    (lambda: QuiddityRows(8, None, None), "^a quiddity row must be a tuple or a list, got NoneType$"),
+    (lambda: QuiddityRows(8, (1,) * 8, 1), "^a quiddity row must be a tuple or a list, got int$"),
+], ids=["grid-None", "row-None", "grid-iterator", "quiddity-None", "quiddity-int"])
+def test_frieze_records_refuse_rows_that_are_not_sequences(build, message):
+    with pytest.raises(InvalidInputError, match=message):
+        build()
 
 
 def test_equal_star_graphs_check_and_realize_alike(values):
