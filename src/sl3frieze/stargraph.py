@@ -14,8 +14,8 @@ disagree. The structure check reads the same masks and classification.
 ``_classify`` is the one place that groups a star's leaves: its triangulation
 points in <_x order, and each point's leaves by attachment. ``frieze``
 contracts each star of one ``family.star_index`` on that classification,
-walking each point's border sequence in place. ``border_sequences`` lays the
-sequences out as lists, for ``border_triangles`` and realization.
+walking each point's border sequence in place; ``_border_candidates`` walks the
+same sequences for ``border_triangles`` and realization.
 """
 
 from __future__ import annotations
@@ -275,30 +275,21 @@ def verify_structure_theorem(g: StarGraph) -> StructureReport:
     return StructureReport(ok=not violations, violations=violations)
 
 
-def border_sequences(x: int, n: int, star: dict) -> list:
-    """The layout of the star at x, given by its neighbour masks (bit b of
-    star[a] set iff {a,b} is an edge, a point's degree its popcount): for
-    each triangulation point p in <_x order, (p, its leaves in <_x order, its
-    border sequence). The border sequence runs from the previous
-    triangulation point through the leaves to the next one; the first and
-    last points have no wrap-around end, so the sequence of x+1 starts at its
-    leaves and that of x-1 ends at them. Each consecutive pair (a, b) of a
-    border sequence gives the border triangle {p, a, b}. Triangulation points
+def _border_candidates(x: int, n: int, star: dict) -> list:
+    """The border triangles of the star at x, given by its neighbour masks
+    (bit b of star[a] set iff {a,b} is an edge, a point's degree its
+    popcount), walked straight off _classify: for each triangulation point p
+    in <_x order, its border sequence runs from the previous triangulation
+    point through p's leaves in <_x order to the next one, and each
+    consecutive pair (a, b) of it gives the border triangle {p, a, b}. The
+    first and last points have no wrap-around end, so the sequence of x+1
+    starts at its leaves and that of x-1 ends at them. Triangulation points
     that do not run from x+1 to x-1 are an InternalConsistencyError."""
     tp, leaves_at = _classify(x, star)
     _require_endpoints(x, n, tuple(tp))
-    out = []
-    for i, p in enumerate(tp):
-        leaves = leaves_at.get(p, [])
-        # the slices are empty past either end, which cuts the wrap-around
-        out.append((p, leaves, tp[i - 1:i] + leaves + tp[i + 1:i + 2]))
-    return out
-
-
-def _border_candidates(x: int, n: int, star: dict) -> list:
-    """The border triangles {p, a, b} of the star at x, read off its border
-    sequences."""
-    return [tuple(sorted((p, a, b))) for p, _, seq in border_sequences(x, n, star) for a, b in zip(seq, seq[1:])]
+    # the slices are empty past either end, which cuts the wrap-around
+    seqs = [(p, tp[i - 1:i] + leaves_at.get(p, []) + tp[i + 1:i + 2]) for i, p in enumerate(tp)]
+    return [tuple(sorted((p, a, b))) for p, seq in seqs for a, b in zip(seq, seq[1:])]
 
 
 def border_triangles(fam: Family, x: int) -> list:

@@ -19,8 +19,9 @@ scanning every edge (``_scan_neighbours``, ``_scan_leaves_at``), and
 
 ``sl3frieze.frieze`` builds the grid by the lower row recursion.
 ``_gale_minors`` is the determinant reference it is compared with: every
-entry as the Gale minor w_i . v_{i+k+2} of the closed vectors, three products
-per entry, as the library computed the grid before.
+entry as the Gale minor w_i . v_{i+k+2} of the closed vectors, with
+``_wedges`` giving each w_i = v_i x v_{i+1}, three products per entry, as the
+library computed the grid before.
 
 Test modules import them with ``from reference import ...``.
 """
@@ -29,7 +30,7 @@ from fractions import Fraction
 
 from sl3frieze.cyclic import is_cyclic
 from sl3frieze.errors import InternalConsistencyError, PreconditionError
-from sl3frieze.frieze import QuiddityRows, _wedges
+from sl3frieze.frieze import QuiddityRows
 from sl3frieze.mutation import ValuedFamily
 from sl3frieze.stargraph import build_star_graph
 
@@ -174,6 +175,12 @@ def _reference_quiddity_rows(vf: ValuedFamily) -> QuiddityRows:
     for x in vf.family.ground.points():
         low[wrap(x - 2)], high[wrap(x - 1)] = _reference_almost_continuous_at(vf, x)
     return QuiddityRows(n, tuple(low[i] for i in range(1, n + 1)), tuple(high[i] for i in range(1, n + 1)))
+
+
+def _wedges(vs):
+    """w_j = v_j x v_{j+1} for every two consecutive vectors of vs."""
+    return [(y1 * z2 - y2 * z1, y2 * z0 - y0 * z2, y0 * z1 - y1 * z0)
+            for (y0, y1, y2), (z0, z1, z2) in zip(vs, vs[1:])]
 
 
 def _gale_minors(vs):

@@ -35,25 +35,43 @@ Claims covered:
       past MAX_N, up to 10^40, with tiny rows) end in check-frieze without a
       traceback, in exit 0, 1 or 2 as the reader and validate_frieze decide,
       and every n past MAX_N is refused with exit 2
+    - fuzzed family files (walk families at n <= 10 with triangles dropped,
+      added, replaced, moved or repeated; the file's keys with arbitrary
+      values; n past MAX_N; any JSON value) end in validate, analyze, frieze
+      and oracle without a traceback, in exit 0, 1 or 2 as the reader, the
+      family checks and the --x or --triangle argument decide; fuzzed trace
+      files (walk traces with lines dropped, repeated, swapped, edited or
+      added) end in mutate --replay in exit 0, 1 or 2, and an unedited trace
+      rebuilds the walked family
+    - huge counts and points (gen --n and --steps, analyze --x, oracle
+      --triangle, trace numbers up to 10^40 or 5,000 digits) are refused
+      with exit 2 before anything is built
 """
 
 import contextlib
 import io
 import json
 import os
+import re
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from conftest import INTRO_ROWS, intro_frieze, parse_decimal, run_fresh
 from sl3frieze import canonical_family
 from sl3frieze.cli import main
-from sl3frieze.family import Family, dump_family, load_family
+from sl3frieze.family import Family, dump_family, is_weakly_separated_family, load_family, maximal_size
 from sl3frieze.cyclic import MAX_N, GroundSet
 from sl3frieze.frieze import dump_frieze, extend_rows, format_rational, load_frieze, quiddity_rows, validate_frieze
 from sl3frieze.errors import MalformedFileError
-from sl3frieze.mutation import random_maximal_family, unit_specialization
+from sl3frieze.mutation import (
+    format_trace_line,
+    mutate,
+    random_maximal_family,
+    seeded_walk,
+    unit_specialization,
+)
 from sl3frieze.stargraph import build_star_graph, star_graph_from_dict, verify_structure_theorem
 
 
@@ -656,6 +674,19 @@ def test_gen_rejects_unrealizable_star_graph(run, tmp_path):
     assert "condition (i)" in err
 
 
+def _main(argv):
+    """(exit code, stdout, stderr) of main(argv); an argparse refusal is its
+    SystemExit code."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main([str(a) for a in argv])
+        except SystemExit as e:
+            code = e.code
+    assert "Traceback" not in stderr.getvalue()
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 12) | st.floats() | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
@@ -706,19 +737,17 @@ def test_gen_star_graph_file_fuzz(tmp_path_factory, doc):
     d = tmp_path_factory.getbasetemp()
     path, out = d / "fuzz_star_graph.json", d / "fuzz_family.json"
     path.write_text(json.dumps(doc))
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = main(["gen", "--star-graph-file", str(path), "--out", str(out)])
-    assert "Traceback" not in stderr.getvalue() and not stdout.getvalue()
+    code, stdout, stderr = _main(["gen", "--star-graph-file", path, "--out", out])
+    assert not stdout
     try:
         g = star_graph_from_dict(json.loads(path.read_text()))
     except (MalformedFileError, ValueError):
-        assert code == 2, stderr.getvalue()
+        assert code == 2, stderr
         return
     if not verify_structure_theorem(g).ok:
-        assert code == 1 and stderr.getvalue().startswith("star graph not realizable: "), stderr.getvalue()
+        assert code == 1 and stderr.startswith("star graph not realizable: "), stderr
         return
-    assert code == 0, stderr.getvalue()
+    assert code == 0, stderr
     assert build_star_graph(load_family(out.read_text()), g.x) == g
 
 
@@ -773,11 +802,8 @@ def frieze_documents(draw):
 def _check_frieze(tmp_path_factory, doc, fmt):
     path = tmp_path_factory.getbasetemp() / "fuzz_frieze.json"
     path.write_text(json.dumps(doc))
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = main(["check-frieze", str(path), "--format", fmt])
-    assert "Traceback" not in stderr.getvalue()
-    return code, path, stderr.getvalue()
+    code, _, err = _main(["check-frieze", path, "--format", fmt])
+    return code, path, err
 
 
 @settings(max_examples=200, deadline=None)
@@ -799,6 +825,170 @@ def test_check_frieze_fuzz(tmp_path_factory, doc, fmt):
 def test_check_frieze_refuses_periods_past_max_n(tmp_path_factory, doc, fmt):
     code, _, err = _check_frieze(tmp_path_factory, doc, fmt)
     assert code == 2 and err.startswith("error: "), err
+
+
+@st.composite
+def family_documents(draw):
+    """A family file's JSON value: a walk family at n <= 10, half the time,
+    with up to two edits (a triangle dropped, added, replaced by another or
+    by any JSON value, a point moved, a triangle repeated); the file's keys
+    with arbitrary values; an n past MAX_N, up to 10^40, with one triangle;
+    or any JSON value."""
+    kind = draw(st.integers(0, 5))
+    if kind <= 2:
+        n = draw(st.integers(6, 10))
+        fam = random_maximal_family(GroundSet(n), draw(st.integers(0, 40)), draw(st.integers(0, 999)))
+        tris = [list(t) for t in sorted(fam.triangles)]
+        for _ in range(draw(st.integers(0, 2))):
+            edit = draw(st.integers(0, 5))
+            i = draw(st.integers(0, len(tris) - 1)) if tris else None
+            if edit == 0 and tris:
+                del tris[i]
+            elif edit == 1:
+                tris.append(sorted(draw(st.lists(st.integers(1, n), min_size=3, max_size=3, unique=True))))
+            elif edit == 2 and tris:
+                tris[i] = draw(JSON_VALUES)
+            elif edit == 3 and tris:
+                tris[i] = sorted(draw(st.lists(st.integers(1, n), min_size=3, max_size=3, unique=True)))
+            elif edit == 4 and tris and isinstance(tris[i], list) and tris[i]:
+                tris[i][draw(st.integers(0, len(tris[i]) - 1))] = draw(st.integers(-1, n + 2))
+            elif tris:
+                tris.append(tris[i])
+        return {"schema_version": 1, "n": n, "triangles": tris}
+    if kind == 3:
+        keys = st.sampled_from(["n", "triangles", "schema_version", "extra"])
+        return draw(st.dictionaries(keys, JSON_VALUES, max_size=4))
+    if kind == 4:
+        return {"n": draw(st.integers(MAX_N + 1, 10 ** 40)), "triangles": [[1, 2, 3]]}
+    return draw(JSON_VALUES)
+
+
+TRIANGLE_SPECS = (st.tuples(st.integers(-1, 12), st.integers(-1, 12), st.integers(-1, 12))
+                  | st.sampled_from(["1,2", "1,2,3,4", "a,b,c", "", "1,,3", "1.0,2,3"]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(family_documents(), st.sampled_from(["validate", "analyze", "frieze", "oracle"]),
+       st.integers(-1, 12), TRIANGLE_SPECS, st.sampled_from(["text", "json"]))
+def test_family_file_fuzz(tmp_path_factory, doc, command, x, spec, fmt):
+    # every family file ends in exit 0, 1 (not weakly separated, or not
+    # maximal) or 2 (the file, --x or --triangle refused), as the reader and
+    # the family checks decide it, with no traceback
+    path = tmp_path_factory.getbasetemp() / "fuzz_family.json"
+    path.write_text(json.dumps(doc))
+    argv = [command, path, "--format", fmt]
+    if command == "analyze":
+        argv.append(f"--x={x}")
+    elif command == "oracle":  # "=", so that argparse takes "-1,2,3" as the value
+        argv.append("--triangle=" + (spec if isinstance(spec, str) else ",".join(map(str, spec))))
+    code, _, err = _main(argv)
+    event(f"exit {code}")
+    try:
+        fam = load_family(path.read_text(), validate=False)
+    except MalformedFileError:
+        assert code == 2 and err.startswith("error: "), err
+        return
+    if not (is_weakly_separated_family(fam)[0] and len(fam) == maximal_size(fam.ground)):
+        assert code == 1, err
+        return
+    n = fam.ground.n
+    if command == "analyze":
+        bad = not 1 <= x <= n
+    elif command == "oracle":
+        bad = isinstance(spec, str) or len(set(spec)) != 3 or not all(1 <= p <= n for p in spec)
+    else:
+        bad = False
+    assert code == (2 if bad else 0), err
+
+
+@st.composite
+def trace_texts(draw):
+    """(n, the trace of a walk from the canonical family at n <= 9, edited,
+    the walked family, whether the trace is unedited): up to three edits (a
+    line dropped, repeated or swapped with the next, a number in a line
+    replaced by another, or by 5,000 digits, a line of any text, a blank
+    line)."""
+    n = draw(st.integers(6, 9))
+    vf = unit_specialization(canonical_family(n))
+    lines = []
+    for move in seeded_walk(vf.family, draw(st.integers(0, 8)), draw(st.integers(0, 999))):
+        vf = mutate(vf, move)
+        lines.append(format_trace_line(move, vf.values[move.added]))
+    edits = draw(st.integers(0, 3))
+    for _ in range(edits):
+        edit = draw(st.integers(0, 5))
+        i = draw(st.integers(0, len(lines) - 1)) if lines else None
+        if edit == 0 and lines:
+            del lines[i]
+        elif edit == 1 and lines:
+            lines.insert(i, lines[i])
+        elif edit == 2 and len(lines) > 1 and i + 1 < len(lines):
+            lines[i], lines[i + 1] = lines[i + 1], lines[i]
+        elif edit == 3 and lines and re.search(r"[0-9]", lines[i]):
+            old = draw(st.sampled_from(re.findall(r"[0-9]+", lines[i])))
+            new = draw(st.sampled_from(["0", "1", "2", "7", str(n), str(n + 1), "10", "9" * 5000]))
+            lines[i] = lines[i].replace(old, new, 1)
+        elif edit == 4:
+            lines.append(draw(st.text(max_size=20)).replace("\n", " "))
+        else:
+            lines.append("")
+    return n, "".join(line + "\n" for line in lines), vf.family, edits == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(trace_texts())
+def test_trace_file_fuzz(tmp_path_factory, case):
+    # every trace ends in exit 0 (replayed), 1 (a move that does not apply,
+    # or a value the exchange does not give) or 2 (a line refused), with no
+    # traceback; an unedited trace rebuilds the walked family
+    n, text, walked, unedited = case
+    d = tmp_path_factory.getbasetemp()
+    base, trace, out = d / "fuzz_base.json", d / "fuzz_trace.txt", d / "fuzz_replayed.json"
+    base.write_text(dump_family(canonical_family(n)))
+    trace.write_text(text, encoding="utf-8")
+    out.unlink(missing_ok=True)
+    code, _, err = _main(["mutate", base, "--replay", trace, "--out", out])
+    event(f"exit {code}")
+    assert code in (0, 1, 2), err
+    if unedited:
+        assert code == 0 and out.read_text() == dump_family(walked), err
+    elif code:
+        assert not out.exists() and err.startswith(("error: trace line", "error: move point", "trace line")), err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--n", 10 ** 40],
+    ["gen", "--n", "8", "--steps", 10 ** 40],
+    ["gen", "--n", "8", "--steps", -1],
+    ["gen", "--n", "9" * 5000],
+    ["analyze", "FAMILY", "--x", 10 ** 40],
+    ["analyze", "FAMILY", "--x", "9" * 5000],
+    ["oracle", "FAMILY", "--triangle", f"1,2,{10 ** 40}"],
+    ["oracle", "FAMILY", "--triangle", "1,2," + "9" * 5000],
+], ids=["gen-n", "gen-steps", "gen-negative-steps", "gen-n-digits", "analyze-x", "analyze-x-digits",
+        "oracle-point", "oracle-point-digits"])
+def test_huge_counts_and_points_are_refused(tmp_path, monkeypatch, fam8, argv):
+    # nothing is built: the walk is stubbed out, and every bound is checked
+    # before it
+    import sl3frieze.cli as cli
+
+    monkeypatch.setattr(cli, "seeded_walk", lambda *args: pytest.fail("a walk ran"))
+    code, out, err = _main([fam8 if a == "FAMILY" else a for a in argv])
+    assert code == 2 and not out, err
+    assert err.startswith(("error: ", "usage: ")), err
+
+
+@pytest.mark.parametrize("line", [
+    "1:(2,3,4,5) removed={1,2,4} added={1,3,5} value=" + "9" * 5000,
+    "1:(2,3,4," + "9" * 5000 + ") removed={1,2,4} added={1,3,5} value=1",
+    f"1:(2,3,4,{10 ** 40}) removed={{1,2,4}} added={{1,3,{10 ** 40}}} value=1",
+], ids=["value-digits", "point-digits", "point-past-n"])
+def test_trace_lines_with_huge_numbers_are_refused(tmp_path, fam8, line):
+    trace = tmp_path / "trace.txt"
+    trace.write_text(line + "\n")
+    code, out, err = _main(["mutate", fam8, "--replay", trace])
+    assert code == 2 and not out, err
+    assert err.startswith(("error: trace line 1: bad number", "error: move point")), err
 
 
 def test_json_outputs_carry_schema_version(run, fam8):

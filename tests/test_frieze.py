@@ -12,10 +12,18 @@ Claims covered:
       before, by Family, and a non-point x before any value is read
     - the row recursions reproduce the known width-4 fixture exactly, and the
       two recursions fill one array (relabeling included)
-    - extend_rows decides consistency by closure of the Gale vectors; on
-      valid rows, on rows with one or two entries moved and on random
-      rational rows, n = 6..32, it gives the entrywise reference's grid or its
-      first disagreement, message included
+    - the lower recursion runs into the border rows 1, 0, 0 exactly when the
+      Gale vectors close up, on random int and Fraction rows and walk rows
+      at n = 6..40 (hypothesis) and on fixed rows with both verdicts
+    - extend_rows decides consistency by those border rows; on valid rows,
+      on rows with one or two entries moved and on random rational rows,
+      n = 6..32, it gives the entrywise reference's grid or its first
+      disagreement, message included, also where that disagreement lies in
+      row w
+    - reflecting a walk family (p -> 5 - p) gives the reflected quiddity rows
+      that extend_rows' witness runs on and the grid read as the upper
+      recursion, and rotating it (p -> p + 1) rotates the quiddity rows and
+      every grid row, at n = 6..40, 64 and 512
     - the lower row recursion that extend_rows runs gives the Gale minors of
       the closed vectors (the determinant reference in tests/reference.py)
       and both entrywise recursions, on walk families at n = 6..64 and on
@@ -26,15 +34,15 @@ Claims covered:
       matches an independent determinant recomputation, failure lists included
     - the condensed validator falls back to full expansion exactly where it
       must: zero centre entries, zero centre minors, failing corner diamonds
-    - the Gale certificate (every row the lower recursion's, then the
-      closure) accepts walk friezes and the fixture without running the
+    - the Gale certificate (every row the lower recursion's, then its
+      border rows) accepts walk friezes and the fixture without running the
       condensation, and refuses every grid the condensation fails, which then
       gets the condensation's report: one-entry changes of walk friezes (int
       and Fraction grids, hypothesis), the minors of vectors that do not
       close (refused by the row check at row 2), and n = 6 grids that pass
-      the row check and are refused by the closure alone; it stops at the
-      first row that differs, before any number it computes outgrows the
-      grid's entries, and then builds no vector; the minors equal the BFS
+      the row check and are refused by the border rows alone; it stops at
+      the first row that differs, before any number it computes outgrows the
+      grid's entries, and builds no vector; the minors equal the BFS
       oracle on every triple of four families each at n = 6, 7 and 8
     - minor_values gives those minors, refuses the targets oracle_values
       refuses with the same messages, refuses values other than 1, and
@@ -449,9 +457,9 @@ def _perturbed(q: QuiddityRows, rng, spots) -> QuiddityRows:
 def test_extend_rows_matches_entrywise_reference():
     # valid rows from random families; the same rows with one or two entries
     # moved, in either row or both; and random rational rows: the same grid,
-    # or the same first disagreement. extend_rows decides consistency by
-    # closure of the vectors and runs the upper recursion only for a witness,
-    # so this also checks that closure holds exactly when the two recursions
+    # or the same first disagreement. extend_rows decides consistency by the
+    # border rows and runs the upper recursion only for a witness, so this
+    # also checks that the border is reached exactly when the two recursions
     # agree.
     rng = random.Random(2)
     errors = cases_run = 0
@@ -510,6 +518,108 @@ def test_quiddity_rows_and_extend_rows_match_references_at_scale():
         expected = _outcome(_reference_extend, bad)
         assert isinstance(expected, str)
         assert _outcome(extend_rows, bad) == expected, n
+
+
+# at n = 6, D_1 = (c,) * 6 and U_1 with U_1(i) + U_1(i+3) = c^2 make
+# D_2(i+2) = U_1(i): the lower recursion gives back its own D_1 and U_1, and
+# its vectors do not close
+SELF_MATCHING_ROWS = [((c,) * 6, b + tuple(c * c - v for v in b))
+                      for c in (1, 2, 3) for b in ((0, 0, 0), (1, 2, 3), (-1, 4, 2), (2, 2, 5))]
+
+
+def _ends_in_border(low, high) -> bool:
+    """Whether the lower recursion from D_1 = low and U_1 = high reaches the
+    bottom border 1, 0, 0 at rows w+1..w+3."""
+    n = len(low)
+    rows = list(frieze_module._lower_rows(low, high))  # D_2..D_{n-1}
+    return rows[n - 5:] == [[1] * n, [0] * n, [0] * n]
+
+
+def _closes(low, high) -> bool:
+    vs = list(gale_vectors(low, high))
+    return vs[len(low):] == vs[:3]
+
+
+ROW_ENTRIES = st.integers(-4, 4) | st.fractions(-3, 3, max_denominator=4)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_border_rows_decide_the_closure(data):
+    # the border lemma: the lower recursion runs into the rows 1, 0, 0 exactly
+    # when the Gale vectors close up, on random int and Fraction rows (zeros
+    # included) and on walk rows with one entry moved or not, n = 6..40
+    n = data.draw(st.integers(6, 40), label="n")
+    if data.draw(st.booleans(), label="walk rows"):
+        q = _walk_grid(n, data.draw(st.integers(0, 3), label="seed"))
+        rows = [list(q.rows[0]), list(q.rows[-1][2:] + q.rows[-1][:2])]
+        if data.draw(st.booleans(), label="moved"):
+            r, i = data.draw(st.integers(0, 1), label="row"), data.draw(st.integers(0, n - 1), label="position")
+            rows[r][i] += data.draw(st.sampled_from([1, -1, Fraction(1, 2)]), label="change")
+        low, high = map(tuple, rows)
+    else:
+        low, high = (tuple(data.draw(st.lists(ROW_ENTRIES, min_size=n, max_size=n), label=name))
+                     for name in ("low", "high"))
+    assert _ends_in_border(low, high) == _closes(low, high)
+
+
+def test_border_rows_decide_the_closure_on_fixed_rows():
+    # both verdicts: walk rows at n = 6..40 and the Fraction rows of the
+    # display example close; the n = 6 rows that pass the row check and
+    # random rows do not
+    rng = random.Random(29)
+    closing = [_walk_grid(n, 0) for n in range(6, 41)]
+    cases = [(g.rows[0], g.rows[-1][2:] + g.rows[-1][:2], True) for g in closing]
+    q = intro_quiddity()
+    cases.append((q.delta_low, q.delta_high, True))
+    cases += [(low, high, False) for low, high in SELF_MATCHING_ROWS]
+    for n in range(6, 41):
+        cases.append((tuple(rng.randint(-3, 3) for _ in range(n)),
+                      tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)), False))
+    for low, high, closes in cases:
+        assert _closes(low, high) == closes
+        assert _ends_in_border(low, high) == closes
+
+
+def test_extend_rows_names_a_disagreement_in_row_w():
+    # the n = 6 rows whose recursions agree on U_1: extend_rows names the
+    # entrywise reference's first disagreement, at k = w = 2
+    errors = 0
+    for low, high in SELF_MATCHING_ROWS:
+        if 0 in low + high:
+            continue
+        q = QuiddityRows(6, low, high)
+        expected = _outcome(_reference_extend, q)
+        assert expected.startswith("row recursions disagree at U_2(")
+        assert _outcome(extend_rows, q) == expected
+        errors += 1
+    assert errors == 7
+
+
+def _relabelled(fam: Family, f) -> Family:
+    return Family(fam.ground, frozenset(tuple(sorted(map(f, t))) for t in fam.triangles))
+
+
+@pytest.mark.parametrize("n, steps", [*((n, 2 * n) for n in range(6, 41)), (64, 200), (512, 200)])
+def test_reflection_and_rotation_relabel_the_rows_and_the_grid(n, steps):
+    # p -> 5 - p (mod n) sends the family's quiddity rows to the reflected
+    # rows extend_rows runs its upper recursion on, and the image's grid at
+    # (k, 1-i-k) is the grid at (n-3-k, i+k+1), 0-based: U_k(i+1) read as a
+    # lower row. p -> p + 1 rotates both quiddity rows and every grid row
+    # right by one
+    fam = random_maximal_family(GroundSet(n), steps, n)
+    q = quiddity_rows(unit_specialization(fam))
+    grid = extend_rows(q)
+    w = n - 4
+    reflected = quiddity_rows(unit_specialization(_relabelled(fam, lambda p: (4 - p) % n + 1)))
+    low, high = q.delta_low, q.delta_high
+    assert (reflected.delta_low, reflected.delta_high) == (high[:1] + high[:0:-1], low[:1] + low[:0:-1])
+    image = extend_rows(reflected).rows
+    assert all(image[k - 1][(1 - i - k) % n] == grid.rows[n - 4 - k][(i + k + 1) % n]
+               for k in range(1, w + 1) for i in range(n))
+    rotated = quiddity_rows(unit_specialization(_relabelled(fam, lambda p: p % n + 1)))
+    assert (rotated.delta_low, rotated.delta_high) == (low[-1:] + low[:-1], high[-1:] + high[:-1])
+    assert extend_rows(rotated).rows == tuple(row[-1:] + row[:-1] for row in grid.rows)
 
 
 def test_quiddity_rows_past_max_n_are_refused():
@@ -774,8 +884,8 @@ def test_minors_of_vectors_that_do_not_close_are_refused(monkeypatch):
     # except across the seam; the grid of their minors, indices mod n, has
     # these v_j as its Gale vectors. Its row 2 holds minors across the seam
     # (i + 4 > n), where the lower recursion continues the vectors instead
-    # of wrapping them, so the row check refuses it at row 2, before the
-    # closure is looked at
+    # of wrapping them, so the row check refuses it at row 2, the first row
+    # the recursion generates from D_1, long before the border rows
     rng = random.Random(7)
     for n in range(6, 13):
         vs = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
@@ -786,28 +896,27 @@ def test_minors_of_vectors_that_do_not_close_are_refused(monkeypatch):
                      for k in range(1, n - 3))
         high = rows[-1][2:] + rows[-1][:2]
         assert list(gale_vectors(rows[0], high))[:n] == vs
-        generated = frieze_module._lower_rows(rows[0], high)
-        assert list(rows[0]) == next(generated) and list(rows[1]) != next(generated)
+        assert list(rows[1]) != next(frieze_module._lower_rows(rows[0], high))
         rep, condensed, reference = _paths(FriezeGrid(n, rows), monkeypatch)
         assert condensed and not rep.ok
         assert repr(rep) == repr(reference)
 
 
 def test_rows_that_pass_the_row_check_without_closing_are_refused(monkeypatch):
-    # at n = 6, D_1 = (c,) * 6 and U_1 with U_1(i) + U_1(i+3) = c^2 make
-    # D_2(i+2) = U_1(i), so the grid of the lower recursion gives back its
+    # the grid of the lower recursion from SELF_MATCHING_ROWS gives back its
     # own D_1 and U_1 and passes the row check. These vectors do not close,
-    # so only the closure, part (a), refuses the grids
-    for c in (1, 2, 3):
-        for b in ((0, 0, 0), (1, 2, 3), (-1, 4, 2), (2, 2, 5)):
-            low, high = (c,) * 6, b + tuple(c * c - v for v in b)
-            grid = FriezeGrid(6, tuple(map(tuple, frieze_module._lower_rows(low, high))))
-            assert grid.rows[-1][2:] + grid.rows[-1][:2] == high
-            vs = list(gale_vectors(low, high))
-            assert vs[6:] != vs[:3]
-            rep, condensed, reference = _paths(grid, monkeypatch)
-            assert condensed and not rep.ok
-            assert repr(rep) == repr(reference)
+    # and the recursion misses the border 1, 0, 0 at rows 3..5, so only the
+    # border rows, part (a), refuse the grids
+    for low, high in SELF_MATCHING_ROWS:
+        rows = [list(low), *frieze_module._lower_rows(low, high)]
+        grid = FriezeGrid(6, tuple(map(tuple, rows[:2])))
+        assert grid.rows[-1][2:] + grid.rows[-1][:2] == high
+        assert rows[2:] != [[1] * 6, [0] * 6, [0] * 6]
+        vs = list(gale_vectors(low, high))
+        assert vs[6:] != vs[:3]
+        rep, condensed, reference = _paths(grid, monkeypatch)
+        assert condensed and not rep.ok
+        assert repr(rep) == repr(reference)
 
 
 @functools.lru_cache(maxsize=None)
@@ -925,7 +1034,8 @@ def test_certificate_stops_before_coordinates_outgrow_the_grid(entry, monkeypatc
     # only, the other rows 1, at n = MAX_N: built to the end, the vectors
     # would reach about n times those digits. Every value the certificate
     # computes, the generated rows and any vectors, is recorded: the check
-    # stops at row 2, the first that differs, and builds no vector
+    # stops at row 2, the first row it generates and the first that differs,
+    # and builds no vector
     rows_built, vectors_built = [], []
 
     def recording(generate, built):
@@ -943,7 +1053,7 @@ def test_certificate_stops_before_coordinates_outgrow_the_grid(entry, monkeypatc
         rows_built.clear()
         vectors_built.clear()
         assert not frieze_module._gale_certified(grid)
-        assert len(rows_built) == 2 and not vectors_built
+        assert len(rows_built) == 1 and not vectors_built
         computed = [Fraction(c) for row in rows_built + vectors_built for c in row]
         assert max(max(c.numerator.bit_length(), c.denominator.bit_length()) for c in computed) <= 3 * bits
     # the condensation then reports as it does alone (at n = 8, where it is

@@ -14,8 +14,8 @@ Claims covered:
     - setting or deleting any field raises AttributeError
     - pickle and copy give an equal value of the same class
     - FriezeGrid and QuiddityRows store rows given as lists as tuples, so
-      they hash, and refuse rows that are not a tuple or a list with
-      InvalidInputError
+      they hash, and refuse rows that are not a tuple or a list, and a
+      period n that is a float, None or a bool, with InvalidInputError
 """
 
 import copy
@@ -176,6 +176,21 @@ def test_frieze_records_store_their_rows_as_tuples():
 ], ids=["grid-None", "row-None", "grid-iterator", "quiddity-None", "quiddity-int"])
 def test_frieze_records_refuse_rows_that_are_not_sequences(build, message):
     with pytest.raises(InvalidInputError, match=message):
+        build()
+
+
+@pytest.mark.parametrize("build, n", [
+    (lambda: FriezeGrid(8.0, ((1,) * 8,) * 4), "8.0"),
+    (lambda: FriezeGrid(None, ((1,) * 8,) * 4), "None"),
+    (lambda: FriezeGrid(True, ((1,) * 8,)), "True"),
+    (lambda: QuiddityRows(None, (1,) * 8, (1,) * 8), "None"),
+    (lambda: QuiddityRows(8.0, (1,) * 8, (1,) * 8), "8.0"),
+    (lambda: QuiddityRows(True, (1,), (1,)), "True"),
+], ids=["grid-float", "grid-None", "grid-bool", "quiddity-None", "quiddity-float", "quiddity-bool"])
+def test_frieze_records_refuse_a_period_that_is_not_an_int(build, n):
+    # a float n once passed every comparison (8.0 == 4 + 4) and failed later
+    # in validate_frieze with a bare TypeError; None failed on n > MAX_N
+    with pytest.raises(InvalidInputError, match=f"^frieze period must be an integer, got {n}$"):
         build()
 
 

@@ -6,7 +6,7 @@ Claims covered:
       marked maximal that breaks this is an internal error naming the rule's
       witness
     - the classification read off the neighbour masks, and the border
-      sequences laid out from it, agree with scans over every edge
+      triangles walked straight off it, agree with scans over every edge
     - border triangles read off the graph always already lie in the family;
       laid out straight from x's masks, they are the graph's border
       triangles, and refuse a family or point as build_star_graph does
@@ -49,10 +49,10 @@ from sl3frieze.mutation import random_maximal_family
 from sl3frieze.stargraph import (
     RULE_CONDITIONS,
     StructureReport,
+    _border_candidates,
     _border_triangles,
     _endpoints_violation,
     _noncrossing,
-    border_sequences,
     border_triangles,
     build_star_graph,
     realize_star_graph,
@@ -123,15 +123,18 @@ def _classified(g):
     return per_vertex, g.leaves, leaves_at, g.triangulation_points
 
 
-def _scanned_border_sequences(g):
-    """border_sequences rebuilt from the edge scans: the previous
-    triangulation point, the leaves, the next one, cut at both ends."""
+def _scanned_border_triangles(g):
+    """The border triangles rebuilt from the edge scans: for each
+    triangulation point p, each consecutive pair (a, b) of its border
+    sequence, the previous triangulation point, the leaves, the next one,
+    cut at both ends, gives {p, a, b}."""
     _, _, leaves_at, tp = _scanned(g)
     out = []
     for i, p in enumerate(tp):
         before = [tp[i - 1]] if i > 0 else []
         after = [tp[i + 1]] if i < len(tp) - 1 else []
-        out.append((p, leaves_at[p], before + leaves_at[p] + after))
+        seq = before + leaves_at[p] + after
+        out += [tuple(sorted((p, a, b))) for a, b in zip(seq, seq[1:])]
     return out
 
 
@@ -152,11 +155,11 @@ def test_classification_matches_edge_scans(small_corpus):
         tp = _scanned(g)[3]
         x, n = g.x, g.ground.n
         if tp and tp[0] == x % n + 1 and tp[-1] == (x - 2) % n + 1:
-            assert border_sequences(x, n, g.masks) == _scanned_border_sequences(g)
+            assert _border_candidates(x, n, g.masks) == _scanned_border_triangles(g)
             laid_out += 1
         else:
             with pytest.raises(InternalConsistencyError, match=f"x={x}, n={n}: triangulation points must run"):
-                border_sequences(x, n, g.masks)
+                _border_candidates(x, n, g.masks)
     assert laid_out > len(graphs) - 300  # every corpus star, and some random ones
 
 
@@ -290,8 +293,7 @@ def test_border_triangles_on_masks_equal_those_of_the_graph(small_corpus):
             g = build_star_graph(fam, x)
             borders = border_triangles(fam, x)
             assert borders == _border_triangles(fam, x, g.masks)
-            assert borders == [tuple(sorted((p, a, b))) for p, _, seq in _scanned_border_sequences(g)
-                               for a, b in zip(seq, seq[1:])]
+            assert borders == _scanned_border_triangles(g)
             realized = build_star_graph(realize_star_graph(g), x)
             assert realized.edges == g.edges and realized.masks == g.masks
 
