@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from .cyclic import GroundSet
@@ -369,6 +370,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse reads a value that starts with "-" and is not a plain number,
+    # such as "-1,2,3", as an option, and refuses "--triangle -1,2,3" with
+    # "expected one argument"; joined as "--triangle=-1,2,3", the value
+    # reaches the triangle check, which names the point
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] == "--triangle" and re.match("-[0-9]", argv[i + 1]):
+            argv[i:i + 2] = [f"--triangle={argv[i + 1]}"]
     ns = parser.parse_args(argv)
     try:
         code = ns.func(ns)

@@ -13,11 +13,22 @@ family, so the candidates b and d of a triangle {z,a,c} are the bits of
 nb[z][a] & nb[z][c], and a weakly separated family has at most one of each.
 The masks index by point, and ``Family`` guarantees that every triangle is
 an ascending triple of points of 1..n, so nothing here checks that again.
-``family_moves`` and the breadth-first oracle build the
-masks of a whole family; ``seeded_walk`` keeps them, and the triangles
-through each point, current across its steps, and draws moves uniformly; it
-yields the moves, and each caller applies them to its own family. This
-module loads neither ``stargraph`` nor the star index. The oracle at the
+Every move the kernel builds has five distinct points in cyclic order, so
+``family_moves`` and the walk wrap its (z,a,b,c,d) tuples as
+``MutationMove`` records without the record's checks; ``mutate`` still
+checks each move against its family.
+
+``family_moves`` and the breadth-first oracle build the masks of a whole
+family. One walk, ``_walk``, keeps the masks, the triangles through each
+point, and each point's sorted move list and move count current across its
+steps, and re-enumerates only the five points a move touches. It draws the
+index ``rng.choice(range(total))`` and finds the move from the counts:
+``choice`` reads only the length and one item of its sequence, so the draw
+is the one a choice from the joined, lexicographic move list makes, and the
+walks are the same, seed for seed. ``seeded_walk`` yields its moves as
+records, and each caller applies them to its own family;
+``random_maximal_family`` toggles them in one triangle set. This module
+loads neither ``stargraph`` nor the star index. The oracle at the
 bottom of the module evaluates arbitrary Pluecker coordinates by
 breadth-first search over moves; the label contraction, which takes the
 border values of the star graph at x to the frieze rows without a search,
@@ -67,6 +78,20 @@ class MutationMove(Record):
             raise InvalidInputError(f"move points must be pairwise distinct: {pts}")
         if not is_cyclic((a, b, c, d)):
             raise InvalidInputError(f"(a,b,c,d)={(a, b, c, d)} is not cyclically ordered")
+
+    @classmethod
+    def _unchecked(cls, z: int, a: int, b: int, c: int, d: int) -> "MutationMove":
+        """Record._unchecked with the five fields set by name, about twice as
+        fast as its loop: the walk and family_moves build every move of the
+        kernel this way."""
+        self = object.__new__(cls)
+        set_field = object.__setattr__
+        set_field(self, "z", z)
+        set_field(self, "a", a)
+        set_field(self, "b", b)
+        set_field(self, "c", c)
+        set_field(self, "d", d)
+        return self
 
     @property
     def removed(self) -> Triangle:
@@ -236,13 +261,18 @@ def _moves(nb: list, pivoted) -> list:
     outside is d. A weakly separated family has at most one of each: two b's,
     a < b1 < b2 < c, would put {z,a,b2} and {z,b1,c} in the family, and those
     two cross (two d's likewise). So more than one is an InvalidInputError
-    naming {z,a,c}."""
+    naming {z,a,c}. Every move built is valid: z, a and c are the distinct
+    points of a triangle, nb[z][a] has neither bit z nor bit a and nb[z][c]
+    lacks bit c, so b and d differ from all three, and a < b < c with d
+    outside [a, c] puts (a, b, c, d) in cyclic order."""
     moves = []
     for z, a, c in pivoted:
         row = nb[z]
         shared = row[a] & row[c]
+        if not shared & (shared - 1):  # a move needs two common neighbours
+            continue
         inner = shared & ((1 << c) - (2 << a))
-        if not inner or inner == shared:  # a move needs one b inside [a,c] and one d outside
+        if not inner or inner == shared:  # one b inside [a,c] and one d outside
             continue
         outer = shared ^ inner
         if inner & (inner - 1) or outer & (outer - 1):
@@ -261,64 +291,110 @@ def _moves_of_triangles(triangles, n: int) -> list:
 
 
 def family_moves(fam: Family) -> list:
-    """All valid moves of a family, lexicographically ordered by (z,a,b,c,d)."""
-    return [MutationMove(*m) for m in _moves_of_triangles(fam.triangles, fam.ground.n)]
+    """All valid moves of a family, lexicographically ordered by (z,a,b,c,d).
+
+    The records are built without MutationMove's checks: the kernel builds
+    only moves whose points are distinct and whose quadruple is cyclically
+    ordered (see _moves), and mutate checks each move against its family."""
+    unchecked = MutationMove._unchecked
+    return [unchecked(*m) for m in _moves_of_triangles(fam.triangles, fam.ground.n)]
 
 
-def _walk_state(triangles, n: int) -> tuple:
-    """The state the walk keeps current: the neighbour masks of the
-    triangles and, per point z, the set of pivoted triangles (z, a, c)."""
-    nb = _masks(triangles, n)
-    around = [set() for _ in range(n + 1)]
-    for t in triangles:
-        for pv in _pivoted(t):
+class _WalkState:
+    """The state the walk keeps current across its moves: the neighbour masks
+    nb of the family (see _toggle); per point z, the set of pivoted triangles
+    (z, a, c) in ``around``, and the sorted list of moves at z in
+    ``moves_at``, of length ``counts[z]``. The lists, joined in z order, are
+    the lexicographic list of _moves_of_triangles."""
+
+    __slots__ = ("nb", "around", "moves_at", "counts")
+
+    def __init__(self, triangles, n: int):
+        self.nb = nb = _masks(triangles, n)
+        self.around = around = [set() for _ in range(n + 1)]
+        for t in triangles:
+            for pv in _pivoted(t):
+                around[pv[0]].add(pv)
+        self.moves_at = [sorted(_moves(nb, pivoted)) for pivoted in around]
+        self.counts = list(map(len, self.moves_at))
+
+    def apply(self, m: tuple) -> None:
+        """Apply the move m = (z,a,b,c,d) of the current family: {z,a,c}
+        leaves and {z,b,d} enters. A move changes only triangles through its
+        five points, and the moves at a point read only that point's masks and
+        pivoted triangles, so only the five points' move lists are enumerated
+        again."""
+        z, a, b, c, d = m
+        nb, around, moves_at, counts = self.nb, self.around, self.moves_at, self.counts
+        removed, added = _ascending(z, a, c), _ascending(z, b, d)
+        _toggle(nb, removed)
+        _toggle(nb, added)
+        for pv in _pivoted(removed):
+            around[pv[0]].remove(pv)
+        for pv in _pivoted(added):
             around[pv[0]].add(pv)
-    return nb, around
+        for p in m:
+            ms = _moves(nb, around[p])
+            ms.sort()
+            moves_at[p], counts[p] = ms, len(ms)
 
 
-def _flip(nb: list, around: list, t) -> None:
-    """Toggle triangle t in the walk state (nb, around): add it when absent,
-    remove it when present."""
-    _toggle(nb, t)
-    for pv in _pivoted(t):
-        around[pv[0]] ^= {pv}
+def _walk(triangles, n: int, steps: int, seed: int):
+    """Yield `steps` moves (z,a,b,c,d) from the family of the triangles over
+    1..n, each drawn uniformly from the moves of the family the earlier moves
+    lead to, and applied to the walk state.
+
+    The draw is ``rng.choice(range(total))``, an index into the per-point
+    lists joined in z order (total is the sum of the counts), and the move at
+    that index is found from the counts; no joined list is built. CPython's
+    ``choice`` reads only ``len(seq)`` and ``seq[i]``, so the range gives the
+    index a choice from the joined list gives, and the walk draws the moves a
+    walk drawing from that list draws, seed for seed."""
+    rng = random.Random(seed)
+    state = _WalkState(triangles, n)
+    moves_at, counts = state.moves_at, state.counts
+    for _ in range(steps):
+        i = rng.choice(range(sum(counts)))
+        z = 0
+        while i >= counts[z]:
+            i -= counts[z]
+            z += 1
+        m = moves_at[z][i]
+        state.apply(m)
+        yield m
 
 
 def seeded_walk(fam: Family, steps: int, seed: int):
     """Yield `steps` MutationMoves from fam, each drawn uniformly from the
     moves of the family the earlier moves lead to; deterministic per seed.
 
-    The neighbour masks, the pivoted triangles at every point and the moves
-    at every point are kept across steps. A move changes only triangles
-    through its five points, so only their move lists are enumerated again;
-    the lists, joined in z order, are the lexicographic list family_moves
-    gives.
-    """
-    rng = random.Random(seed)
-    nb, around = _walk_state(fam.triangles, fam.ground.n)
-    moves_at = [sorted(_moves(nb, pivoted)) for pivoted in around]
-    for _ in range(steps):
-        move = MutationMove(*rng.choice([m for ms in moves_at for m in ms]))
-        _flip(nb, around, move.removed)
-        _flip(nb, around, move.added)
-        for z in move.key():
-            moves_at[z] = sorted(_moves(nb, around[z]))
-        yield move
+    The walk keeps the move list of every point across its steps and
+    enumerates again only the lists of the five points a move touches (see
+    _walk). Its moves are the kernel's, wrapped as records without
+    MutationMove's checks, as family_moves wraps them."""
+    unchecked = MutationMove._unchecked
+    for m in _walk(fam.triangles, fam.ground.n, steps, seed):
+        yield unchecked(*m)
 
 
 def random_maximal_family(ground: GroundSet, steps: int, seed: int) -> Family:
     """A maximal family obtained from the canonical family by `steps`
-    uniformly chosen moves; deterministic per seed. The moves apply to one
-    set, and the family is built once: every move of seeded_walk applies and
-    keeps the family weakly separated."""
+    uniformly chosen moves; deterministic per seed, and the family that
+    seeded_walk from the canonical family reaches. The walk's moves toggle
+    the removed and added triangles in one set, with no record built, and
+    the family is built once: every move of the walk applies and keeps the
+    family weakly separated."""
+    if isinstance(steps, bool) or not isinstance(steps, int):
+        raise InvalidInputError(f"steps must be an int, got {steps!r}")
     if steps < 0:
         raise InvalidInputError("steps must be >= 0")
     if not isinstance(ground, GroundSet):
         raise InvalidInputError(f"ground must be a GroundSet, got {ground!r}")
     fam = canonical_family(ground.n)
     triangles = set(fam.triangles)
-    for move in seeded_walk(fam, steps, seed):
-        triangles ^= {move.removed, move.added}
+    for z, a, b, c, d in _walk(fam.triangles, ground.n, steps, seed):
+        triangles.remove(_ascending(z, a, c))
+        triangles.add(_ascending(z, b, d))
     return Family._unchecked(fam.ground, frozenset(triangles), True)
 
 

@@ -23,15 +23,22 @@ entry as the Gale minor w_i . v_{i+k+2} of the closed vectors, with
 ``_wedges`` giving each w_i = v_i x v_{i+1}, three products per entry, as the
 library computed the grid before.
 
+``sl3frieze.mutation`` walks by keeping each point's move list and drawing
+an index into them. ``_reference_walk`` is the walk it is compared with: at
+every step it rebuilds the whole lexicographic move list from
+``_moves_of_triangles``, draws from that list with ``rng.choice`` and builds
+each move as a checked ``MutationMove``.
+
 Test modules import them with ``from reference import ...``.
 """
 
+import random
 from fractions import Fraction
 
 from sl3frieze.cyclic import is_cyclic
 from sl3frieze.errors import InternalConsistencyError, PreconditionError
 from sl3frieze.frieze import QuiddityRows
-from sl3frieze.mutation import ValuedFamily
+from sl3frieze.mutation import MutationMove, ValuedFamily, _moves_of_triangles
 from sl3frieze.stargraph import build_star_graph
 
 
@@ -197,3 +204,16 @@ def _gale_minors(vs):
     for s in range(3, n - 1):
         yield [p * x + q * y + r * z for p, q, r, x, y, z in
                zip(w0, w1, w2, c0[s:], c1[s:], c2[s:])]
+
+
+def _reference_walk(fam, steps: int, seed: int):
+    """The seeded walk from fam, drawing each move with ``rng.choice`` from the
+    whole move list of the current family, rebuilt at every step; yields
+    checked MutationMoves."""
+    rng = random.Random(seed)
+    triangles, n = set(fam.triangles), fam.ground.n
+    for _ in range(steps):
+        move = MutationMove(*rng.choice(_moves_of_triangles(triangles, n)))
+        triangles.remove(move.removed)
+        triangles.add(move.added)
+        yield move

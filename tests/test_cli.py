@@ -39,13 +39,16 @@ Claims covered:
       added, replaced, moved or repeated; the file's keys with arbitrary
       values; n past MAX_N; any JSON value) end in validate, analyze, frieze
       and oracle without a traceback, in exit 0, 1 or 2 as the reader, the
-      family checks and the --x or --triangle argument decide; fuzzed trace
+      family checks and the --x or --triangle argument decide, given with
+      "=" or as the next argument; fuzzed trace
       files (walk traces with lines dropped, repeated, swapped, edited or
       added) end in mutate --replay in exit 0, 1 or 2, and an unedited trace
       rebuilds the walked family
     - huge counts and points (gen --n and --steps, analyze --x, oracle
       --triangle, trace numbers up to 10^40 or 5,000 digits) are refused
       with exit 2 before anything is built
+    - oracle names a negative triangle point, exit 2, whether the triangle
+      is given as "--triangle=-1,2,3" or as "--triangle -1,2,3"
 """
 
 import contextlib
@@ -228,6 +231,15 @@ def test_oracle_matches_frieze_entry(run, fam8):
 def test_oracle_rejects_repeated_index(run, fam8):
     _, err = run("oracle", fam8, "--triangle", "1,1,6", expect=2)
     assert "distinct" in err
+
+
+@pytest.mark.parametrize("spec, point", [("-1,2,3", "-1"), ("-12,3,4", "-12"), ("1,-2,3", "-2")])
+def test_oracle_names_a_negative_point_in_either_form(run, fam8, spec, point):
+    # argparse reads "-1,2,3" as an option; the space form must still reach
+    # the triangle check, as the "=" form does, and name the point
+    for argv in (("--triangle", spec), (f"--triangle={spec}",)):
+        out, err = run("oracle", fam8, *argv, expect=2)
+        assert not out and err == f"error: triangle point {point} outside 1..8\n", argv
 
 
 def test_oracle_has_no_search_budget(run, fam8, monkeypatch, capsys):
@@ -869,18 +881,21 @@ TRIANGLE_SPECS = (st.tuples(st.integers(-1, 12), st.integers(-1, 12), st.integer
 
 @settings(max_examples=150, deadline=None)
 @given(family_documents(), st.sampled_from(["validate", "analyze", "frieze", "oracle"]),
-       st.integers(-1, 12), TRIANGLE_SPECS, st.sampled_from(["text", "json"]))
-def test_family_file_fuzz(tmp_path_factory, doc, command, x, spec, fmt):
+       st.integers(-1, 12), TRIANGLE_SPECS, st.sampled_from(["text", "json"]), st.booleans())
+def test_family_file_fuzz(tmp_path_factory, doc, command, x, spec, fmt, joined):
     # every family file ends in exit 0, 1 (not weakly separated, or not
     # maximal) or 2 (the file, --x or --triangle refused), as the reader and
-    # the family checks decide it, with no traceback
+    # the family checks decide it, with no traceback; --x and --triangle are
+    # given as "--x=-1" or as "--x -1", and a negative point is refused the
+    # same way in either form
     path = tmp_path_factory.getbasetemp() / "fuzz_family.json"
     path.write_text(json.dumps(doc))
     argv = [command, path, "--format", fmt]
     if command == "analyze":
-        argv.append(f"--x={x}")
-    elif command == "oracle":  # "=", so that argparse takes "-1,2,3" as the value
-        argv.append("--triangle=" + (spec if isinstance(spec, str) else ",".join(map(str, spec))))
+        argv += [f"--x={x}"] if joined else ["--x", x]
+    elif command == "oracle":
+        value = spec if isinstance(spec, str) else ",".join(map(str, spec))
+        argv += [f"--triangle={value}"] if joined else ["--triangle", value]
     code, _, err = _main(argv)
     event(f"exit {code}")
     try:

@@ -20,9 +20,15 @@ Claims covered:
     - valued families must contain every continuous triangle
     - move enumeration on neighbour bitmasks lists the same moves, in the same
       order, as a scan over every vertex of the star graph, up to n = 512; the
-      walk's masks and per-point triangles, updated across a move, equal the
-      ones built from scratch, and the walk that re-enumerates only the points
-      a move touches draws the same moves
+      walk's masks, per-point triangles, per-point move lists and counts,
+      updated across a move and its inverse, equal the ones built from
+      scratch, and the walk that re-enumerates only the points a move touches
+      and draws an index into its per-point lists draws the same moves as the
+      reference walk that draws from the whole move list, up to n = 512
+    - random.Random.choice picks the same index from range(k) as from a list
+      of length k, which the walk's draw relies on
+    - random_maximal_family refuses a step count that is a bool or not an
+      int
     - the oracle's values and budget messages are pinned on walk families at
       n = 8, so the order moves are enumerated in cannot drift
     - random_maximal_family gives the pinned family of each seed at n = 8, 10
@@ -72,9 +78,8 @@ from sl3frieze.mutation import (
     MutationMove,
     ValuedFamily,
     _ascending,
-    _flip,
     _moves_of_triangles,
-    _walk_state,
+    _WalkState,
     exchange_value,
     family_moves,
     format_trace_line,
@@ -86,6 +91,7 @@ from sl3frieze.mutation import (
     unit_specialization,
 )
 from sl3frieze.stargraph import build_star_graph, realize_star_graph, star_graph_from_edges
+from reference import _reference_walk
 import sl3frieze.mutation as mutation_module
 
 G8 = GroundSet(8)
@@ -547,20 +553,27 @@ def test_moves_match_reference_at_scale():
             assert _moves_of_triangles(fam.triangles, n) == _reference_moves(fam.triangles), n
 
 
+def _state_fields(state) -> tuple:
+    return state.nb, state.around, state.moves_at, state.counts
+
+
 def test_walk_state_follows_every_move():
-    # the masks and the pivoted triangles per point that the walk keeps, after
-    # a move and after its inverse, equal the ones built from scratch
-    for fam in (canonical_family(9), random_maximal_family(GroundSet(9), 30, seed=4)):
+    # the masks, the pivoted triangles, the move lists and the move counts
+    # per point that the walk keeps, after a move and after its inverse,
+    # equal the ones built from scratch; the lists, joined, are the family's
+    # moves
+    for fam in (canonical_family(9), random_maximal_family(GroundSet(9), 30, seed=4),
+                random_maximal_family(GroundSet(24), 100, seed=2)):
         n = fam.ground.n
-        state = _walk_state(fam.triangles, n)
+        state = _WalkState(fam.triangles, n)
+        start = _state_fields(_WalkState(fam.triangles, n))
         for move in family_moves(fam):
-            nb, around = state
-            _flip(nb, around, move.removed)
-            _flip(nb, around, move.added)
-            assert state == _walk_state(fam.triangles - {move.removed} | {move.added}, n), move
-            _flip(nb, around, move.added)
-            _flip(nb, around, move.removed)
-            assert state == _walk_state(fam.triangles, n), move
+            moved = fam.triangles - {move.removed} | {move.added}
+            state.apply(move.key())
+            assert _state_fields(state) == _state_fields(_WalkState(moved, n)), move
+            assert [m for ms in state.moves_at for m in ms] == _moves_of_triangles(moved, n), move
+            state.apply(move.inverse().key())
+            assert _state_fields(state) == start, move
 
 
 def test_ascending_sorts_every_order():
@@ -569,23 +582,49 @@ def test_ascending_sorts_every_order():
             assert _ascending(*p) == t
 
 
-def _reference_walk(fam, steps, seed):
-    """The seeded walk drawing from the whole reference move list at every step."""
-    rng = random.Random(seed)
-    for _ in range(steps):
-        move = MutationMove(*rng.choice(_reference_moves(fam.triangles)))
-        fam = fam.with_exchange(move.removed, move.added)
-        yield move
-
-
 def test_walk_matches_reference_walk():
-    # the walk keeps its star index and per-point move lists across steps;
-    # it must draw the same moves, so that from the same start it reaches
+    # the walk keeps its per-point move lists across steps and draws an
+    # index into them; it must draw the same moves as the reference, which
+    # draws from the whole move list, so that from the same start it reaches
     # the same families
-    for n in range(6, 33):
+    for n in range(6, 41):
+        fam = canonical_family(n)
         for seed in range(1, 6):
-            fam = canonical_family(n)
-            assert list(seeded_walk(fam, 20, seed)) == list(_reference_walk(fam, 20, seed)), (n, seed)
+            assert list(seeded_walk(fam, 30, seed)) == list(_reference_walk(fam, 30, seed)), (n, seed)
+
+
+@pytest.mark.parametrize("n", [64, 128, 512])
+def test_walk_matches_reference_walk_at_scale(n):
+    fam = canonical_family(n)
+    assert list(seeded_walk(fam, 200, 1)) == list(_reference_walk(fam, 200, 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(6, 24), st.integers(0, 60), st.integers(0, 2**32), st.integers(0, 40), st.integers(0, 999))
+def test_walk_matches_reference_walk_from_walk_families(n, steps, seed, start_steps, start_seed):
+    fam = random_maximal_family(GroundSet(n), start_steps, start_seed)
+    assert list(seeded_walk(fam, steps, seed)) == list(_reference_walk(fam, steps, seed))
+
+
+def test_choice_of_a_range_draws_the_index_of_a_list():
+    # the walk draws rng.choice(range(total)) in place of a choice from the
+    # joined move list; both must consume the random stream alike and give
+    # the same index, or every pinned walk changes
+    for seed in (0, 1, 7, 2024, 2**40 + 3):
+        by_range, by_list = random.Random(seed), random.Random(seed)
+        for k in range(1, 2001):
+            assert by_range.choice(range(k)) == by_list.choice(list(range(k))), (seed, k)
+        assert by_range.getstate() == by_list.getstate()
+
+
+@pytest.mark.parametrize("steps", [True, False, 3.5, "3", None])
+def test_random_maximal_family_refuses_steps_that_are_not_an_int(steps):
+    # a bool walked as 1 or 0 steps, a float raised a bare TypeError; the
+    # step count is checked before the ground, as a negative count is
+    with pytest.raises(InvalidInputError, match=f"^steps must be an int, got {re.escape(repr(steps))}$"):
+        random_maximal_family(G8, steps, 1)
+    with pytest.raises(InvalidInputError, match="^steps must be an int"):
+        random_maximal_family(None, steps, 1)
 
 
 def test_random_maximal_family_refuses_a_ground_that_is_not_a_ground_set():
