@@ -374,10 +374,14 @@ def main(argv=None) -> int:
     # argparse reads a value that starts with "-" and is not a plain number,
     # such as "-1,2,3", as an option, and refuses "--triangle -1,2,3" with
     # "expected one argument"; joined as "--triangle=-1,2,3", the value
-    # reaches the triangle check, which names the point
-    for i in reversed(range(len(argv) - 1)):
-        if argv[i] == "--triangle" and re.match("-[0-9]", argv[i + 1]):
-            argv[i:i + 2] = [f"--triangle={argv[i + 1]}"]
+    # reaches the triangle check, which names the point. In oracle argparse
+    # resolves every prefix of --triangle from --t on to it, as no other
+    # option of oracle starts with --t; other commands are left alone (in gen,
+    # --t is --trace-out)
+    if argv[:1] == ["oracle"]:
+        for i in reversed(range(1, len(argv) - 1)):
+            if len(argv[i]) > 2 and "--triangle".startswith(argv[i]) and re.match("-[0-9]", argv[i + 1]):
+                argv[i:i + 2] = [f"--triangle={argv[i + 1]}"]
     ns = parser.parse_args(argv)
     try:
         code = ns.func(ns)

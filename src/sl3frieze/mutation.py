@@ -30,9 +30,12 @@ records, and each caller applies them to its own family;
 ``random_maximal_family`` toggles them in one triangle set. This module
 loads neither ``stargraph`` nor the star index. The oracle at the
 bottom of the module evaluates arbitrary Pluecker coordinates by
-breadth-first search over moves; the label contraction, which takes the
-border values of the star graph at x to the frieze rows without a search,
-lives in ``frieze``.
+breadth-first search over moves. It keeps each reached family as one int,
+a bitmask over the triangles it has met, and one table with one value per
+triangle, against which every exchange it computes is checked: a value is
+one Laurent polynomial in the start cluster, whatever the path. The label
+contraction, which takes the border values of the star graph at x to the
+frieze rows without a search, lives in ``frieze``.
 """
 
 from __future__ import annotations
@@ -424,57 +427,92 @@ def oracle_values(vf: ValuedFamily, targets, budget: int = DEFAULT_ORACLE_BUDGET
     The definition-level reference, feasible at small n only: under the unit
     specialization ``frieze.minor_values`` gives the same values at any n.
     Breadth-first search over moves, propagating values exchange by exchange
-    until every target has been seen in some reached family. Path independence
-    is asserted: a family reached twice must carry the same values, and a
-    target found in two families must get the same number. Values are ints or
-    Fractions, as exchange_value gives them: all ints from the unit
+    until every target has been seen in some reached family. Values are ints
+    or Fractions, as exchange_value gives them: all ints from the unit
     specialization.
+
+    A reached family is one int key: bit i stands for the i-th triangle the
+    search meets, the start family's in lexicographic order and then each
+    triangle a move adds, when that move is first met. A move's child has the
+    key ``key ^ delta``, with delta the bits of the removed and the added
+    triangle; the five triangles of the exchange and the delta are kept per
+    move tuple, so each move is read once per search. Each family is expanded
+    by decoding its key to its triangles and enumerating their moves with
+    ``_moves_of_triangles``, in lexicographic order.
+
+    One table holds one value per triangle ever reached: the start family's
+    values, then the first value derived for each triangle. A triangle's value
+    is one Laurent polynomial in the start cluster, whatever the path, so
+    every exchange, of a child reached before too, is computed from the table
+    and compared with the table's value of the triangle it adds; a mismatch is
+    an InternalConsistencyError naming the triangle and both values. This
+    implies the check of a family reached twice: its values are those of the
+    exchanges along each path, and each was compared with the one table. It
+    also compares a target found twice, and a triangle derived twice that no
+    family revisit meets.
+
+    The budget caps the families expanded and must be an int, at least 0. The
+    visited set holds at most 1 + budget * (most moves of a family) keys, and
+    a key has one bit per triangle met, so the memory is linear in the budget.
     """
+    if isinstance(budget, bool) or not isinstance(budget, int):
+        raise InvalidInputError(f"oracle budget must be an int, got {budget!r}")
     if budget < 0:
         raise InvalidInputError(f"oracle budget must be >= 0, got {budget}")
     n = vf.family.ground.n
     wanted = _target_triangles(vf.family.ground, targets)
 
-    start = dict(vf.values)
-    found = {t: start[t] for t in wanted if t in start}
+    values = dict(vf.values)
+    found = {t: values[t] for t in wanted if t in values}
     if len(found) == len(wanted):
         return found
 
-    visited = {frozenset(start): start}
-    queue = [start]
+    met = sorted(values)  # bit i of a key is the triangle met[i]
+    bit = {t: 1 << i for i, t in enumerate(met)}
+    exchanges = {}  # move tuple -> its five triangles, the added one and the key delta
+    start = (1 << len(met)) - 1
+    visited = {start}
+    level = [start]
     expanded = 0
-    while queue:
-        next_queue = []
-        for vals in queue:
+    while level:
+        next_level = []
+        for key in level:
             expanded += 1
             if expanded > budget:
                 missing = sorted(wanted - set(found))
                 raise BudgetExceededError(budget, expanded - 1,
                                           f"targets not reached: {missing}")
-            for m in _moves_of_triangles(vals, n):
-                child = _exchange(vals, m)
-                key = frozenset(child)
-                seen = visited.get(key)
-                if seen is not None:
-                    if seen != child:
-                        raise InternalConsistencyError(
-                            f"path-dependent family values after move {m}")
+            triangles = []
+            rest = key
+            while rest:
+                low = rest & -rest
+                triangles.append(met[low.bit_length() - 1])
+                rest ^= low
+            for m in _moves_of_triangles(triangles, n):
+                ex = exchanges.get(m)
+                if ex is None:
+                    z, a, b, c, d = m
+                    zac, added = _ascending(z, a, c), _ascending(z, b, d)
+                    if added not in bit:
+                        bit[added] = 1 << len(met)
+                        met.append(added)
+                    ex = exchanges[m] = (zac, _ascending(z, a, b), _ascending(z, c, d), _ascending(z, d, a),
+                                         _ascending(z, b, c), added, bit[zac] | bit[added])
+                zac, zab, zcd, zad, zbc, added, delta = ex
+                value = exchange_value(values[zac], values[zab], values[zcd], values[zad], values[zbc])
+                known = values.setdefault(added, value)
+                if known != value:
+                    raise InternalConsistencyError(f"path-dependent value for {added}: {known} vs {value}")
+                child = key ^ delta
+                if child in visited:
                     continue
-                visited[key] = child
-                # A child agrees with its parent everywhere but on the triangle
-                # its move adds, and the parent's values already agree with
-                # found, so that triangle is the one value left to compare.
-                added = _ascending(m[0], m[2], m[4])
-                if added in wanted:
-                    if added not in found:
-                        found[added] = child[added]
-                        if len(found) == len(wanted):
-                            return found
-                    elif found[added] != child[added]:
-                        raise InternalConsistencyError(
-                            f"path-dependent value for {added}: {found[added]} vs {child[added]}")
-                next_queue.append(child)
-        queue = next_queue
+                visited.add(child)
+                if added in wanted and added not in found:
+                    found[added] = value
+                    if len(found) == len(wanted):
+                        return found
+                next_level.append(child)
+        level = next_level
     missing = sorted(wanted - set(found))
     raise BudgetExceededError(budget, expanded, f"search space exhausted, targets not reached: {missing}")
 

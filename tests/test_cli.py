@@ -48,7 +48,9 @@ Claims covered:
       --triangle, trace numbers up to 10^40 or 5,000 digits) are refused
       with exit 2 before anything is built
     - oracle names a negative triangle point, exit 2, whether the triangle
-      is given as "--triangle=-1,2,3" or as "--triangle -1,2,3"
+      is given as "--triangle=-1,2,3", as "--triangle -1,2,3" or after any
+      abbreviation argparse resolves to --triangle ("--t -1,2,3"); in gen,
+      "--t -1,2,3" stays argparse's usage error for --trace-out
 """
 
 import contextlib
@@ -236,10 +238,21 @@ def test_oracle_rejects_repeated_index(run, fam8):
 @pytest.mark.parametrize("spec, point", [("-1,2,3", "-1"), ("-12,3,4", "-12"), ("1,-2,3", "-2")])
 def test_oracle_names_a_negative_point_in_either_form(run, fam8, spec, point):
     # argparse reads "-1,2,3" as an option; the space form must still reach
-    # the triangle check, as the "=" form does, and name the point
-    for argv in (("--triangle", spec), (f"--triangle={spec}",)):
+    # the triangle check, as the "=" form does, and name the point, also
+    # after an abbreviation argparse resolves to --triangle
+    options = ("--triangle", "--triangl", "--tri", "--t")
+    for argv in ((f"--triangle={spec}",), *((option, spec) for option in options)):
         out, err = run("oracle", fam8, *argv, expect=2)
         assert not out and err == f"error: triangle point {point} outside 1..8\n", argv
+
+
+def test_gen_keeps_trace_out_abbreviated_before_a_negative_value(capsys):
+    # in gen, --t is --trace-out, and argparse still reads "-1,2,3" as an
+    # option: the usage error names --trace-out, as before
+    with pytest.raises(SystemExit) as e:
+        main(["gen", "--n", "8", "--t", "-1,2,3"])
+    assert e.value.code == 2
+    assert capsys.readouterr().err.endswith("sl3frieze gen: error: argument --trace-out: expected one argument\n")
 
 
 def test_oracle_has_no_search_budget(run, fam8, monkeypatch, capsys):

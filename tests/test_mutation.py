@@ -8,7 +8,9 @@ Claims covered:
       contraction, are exchanges: they keep unitarity at x and produce the
       two-term sums the border values dictate
     - the oracle returns stored values with zero expansions, enforces its
-      budget and refuses a negative one
+      budget and refuses a negative one, or one that is a bool or not an int
+    - the oracle compares every value it derives with its one value table,
+      and names the first that disagrees, a target or not
     - values are exact: floats and bools are refused in every argument of an
       exchange, a zero pivot is a ZeroPivotError on every path that exchanges,
       and mutate refuses an exchange whose value is zero
@@ -48,6 +50,7 @@ Claims covered:
 import hashlib
 import random
 import re
+import sys
 from fractions import Fraction
 from itertools import combinations, count, permutations
 
@@ -419,27 +422,57 @@ def test_oracle_rejects_negative_budget():
         oracle_values(vf, [(1, 2, 3)], budget=-1)
 
 
+@pytest.mark.parametrize("budget", ["5", None, 2.5, True, False])
+def test_oracle_refuses_a_budget_that_is_not_an_int(budget):
+    # a string or None raised a bare TypeError, a float or a bool was taken
+    # as a number; refused before any lookup, even for a target the family
+    # holds, as a negative budget is
+    vf = unit_specialization(canonical_family(8))
+    message = f"^oracle budget must be an int, got {re.escape(repr(budget))}$"
+    for target in ((1, 2, 3), (1, 3, 5)):
+        with pytest.raises(InvalidInputError, match=message):
+            oracle_values(vf, [target], budget=budget)
+
+
+def rigged_oracle(monkeypatch, rigged, targets):
+    """oracle_values on the unit canonical family at n = 7, with a rigged
+    exchange that gives the triangle `rigged` a new value, 100, 101, ...,
+    each time a move adds it. It reads the triangle from the search's local
+    ``added``, which the search sets before it calls exchange_value."""
+    counter = count(100)
+    exchange = mutation_module.exchange_value
+
+    def rigged_exchange(*args):
+        value = exchange(*args)
+        if sys._getframe(1).f_locals.get("added") == rigged:
+            return next(counter)
+        return value
+
+    monkeypatch.setattr(mutation_module, "exchange_value", rigged_exchange)
+    return oracle_values(unit_specialization(canonical_family(7)), targets)
+
+
 @pytest.mark.parametrize("rigged, message", [
+    # a target derived twice
     ((2, 4, 6), "path-dependent value for (2, 4, 6): 100 vs 101"),
-    ((1, 3, 5), "path-dependent family values after move (1, 3, 4, 5, 2)"),
+    # the rigged value feeds an exchange that derives {1,2,4} again, which
+    # the start family holds with value 1
+    ((1, 3, 5), "path-dependent value for (1, 2, 4): 1 vs 1/50"),
 ])
 def test_oracle_names_path_dependence(monkeypatch, rigged, message):
-    # a rigged exchange gives one triangle a new value, 100, 101, ..., each
-    # time a move adds it: the search must name the first disagreement, on a
-    # target's value or on a family reached twice, whichever it meets first
-    counter = count(100)
-    exchange = mutation_module._exchange
-
-    def rigged_exchange(values, m):
-        child = exchange(values, m)
-        z, _, b, _, d = m
-        if tuple(sorted((z, b, d))) == rigged:
-            child[rigged] = next(counter)
-        return child
-
-    monkeypatch.setattr(mutation_module, "_exchange", rigged_exchange)
+    # every value derived is compared with the one value table, so the
+    # search names the first value that disagrees with it
     with pytest.raises(InternalConsistencyError, match=f"^{re.escape(message)}$"):
-        oracle_values(unit_specialization(canonical_family(7)), combinations(range(1, 8), 3))
+        rigged_oracle(monkeypatch, rigged, combinations(range(1, 8), 3))
+
+
+def test_oracle_names_path_dependence_off_the_targets(monkeypatch):
+    # {2,4,6} is not on the grid row k = 1 of n = 7, the targets here: a
+    # search that compares only the targets found twice and the families
+    # reached twice finds the whole row before it meets either
+    row = [(1, 2, 4), (2, 3, 5), (3, 4, 6), (4, 5, 7), (1, 5, 6), (2, 6, 7), (1, 3, 7)]
+    with pytest.raises(InternalConsistencyError, match=r"^path-dependent value for \(2, 4, 6\): 100 vs 101$"):
+        rigged_oracle(monkeypatch, (2, 4, 6), row)
 
 
 def test_oracle_rejects_bad_targets():
