@@ -4,7 +4,7 @@ Each case runs `sl3frieze` in process and is compared with the sha256 digests
 in tests/golden_cli.json. Cases run in order in one directory, so later cases
 read the files that earlier `gen` cases wrote. stderr is not digested, because
 its wording may change; for unrealizable star graphs the condition letter it
-names is asserted instead.
+names is asserted instead, and for refused replays the line it writes.
 
 Record the digests again (only when a change of output is intended):
 
@@ -40,6 +40,19 @@ STAR_GRAPHS = {
     "frozen-edge": ({"x": 2, "n": 7, "edges": [[1, 3], [1, 5], [3, 4]]}, "v"),
 }
 
+# Walks at larger n, each replayed onto its canonical family and validated:
+# n = 512 with 200 steps is the walk CI's "CLI chain at MAX_N" runs.
+LONG_WALKS = ((64, 300), (512, 200))
+
+# One-line traces that `mutate --replay` refuses with exit 1 on the canonical
+# n = 8 family, each with the line it writes to stderr.
+REPLAY_REFUSALS = {
+    "missing-triangle": ("2:(4,5,6,8) removed={2,4,6} added={2,5,8} value=1",
+                         "trace line 1: required triangle (2, 4, 5) missing from family"),
+    "value-mismatch": ("1:(2,3,4,5) removed={1,2,4} added={1,3,5} value=3",
+                       "trace line 1: value mismatch, trace says 3, exchange gives 2"),
+}
+
 
 def corpus():
     """(case id, argv, files the case writes, condition letter expected on stderr)."""
@@ -70,6 +83,18 @@ def corpus():
         out = f"star-{name}.out.json"
         cases.append((f"gen-star-{name}", ["gen", "--star-graph-file", f"star-{name}.json", "--out", out],
                       [out] if condition is None else [], condition))
+    for n, steps in LONG_WALKS:
+        base, fam, trace, replayed = f"base{n}.json", f"f{n}-1.json", f"t{n}-1.txt", f"r{n}-1.json"
+        cases.append((f"gen-base-{n}", ["gen", "--n", n, "--out", base], [base], None))
+        cases.append((f"gen-{n}-1", ["gen", "--n", n, "--steps", steps, "--seed", 1, "--out", fam,
+                                     "--trace-out", trace], [fam, trace], None))
+        cases.append((f"mutate-{n}-1", ["mutate", base, "--replay", trace, "--out", replayed], [replayed], None))
+        for fmt in ("text", "json"):
+            cases.append((f"validate-{fmt}-{n}-1", ["validate", fam, "--format", fmt], [], None))
+    for name in REPLAY_REFUSALS:
+        cases.append((f"mutate-refuse-{name}",
+                       ["mutate", "base8.json", "--replay", f"refuse-{name}.txt", "--out", f"refused-{name}.json"],
+                       [], None))
     return cases
 
 
@@ -81,6 +106,8 @@ def run_corpus(workdir: Path) -> dict:
     """Run every case in workdir; case id -> (digests, stderr)."""
     for name, (graph, _) in STAR_GRAPHS.items():
         (workdir / f"star-{name}.json").write_text(json.dumps(graph))
+    for name, (line, _) in REPLAY_REFUSALS.items():
+        (workdir / f"refuse-{name}.txt").write_text(line + "\n")
     results = {}
     for case, argv, written, _ in corpus():
         argv = [str(workdir / a) if str(a).endswith((".json", ".txt")) else str(a) for a in argv]
@@ -107,6 +134,8 @@ def test_golden_cli_output(produced, case, condition):
     assert digests == golden[case]
     if condition is not None:
         assert f"condition ({condition}):" in stderr
+    if case.startswith("mutate-refuse-"):
+        assert stderr == REPLAY_REFUSALS[case.removeprefix("mutate-refuse-")][1] + "\n"
 
 
 def test_golden_corpus_is_complete():
