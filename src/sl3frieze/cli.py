@@ -11,13 +11,17 @@ quiddity rows whose Gale vectors do not close).
 
 The module loads only the layers every command needs (family and mutation);
 each command that needs ``stargraph`` or ``frieze`` imports it itself, so
-``validate``, ``mutate`` and ``gen --n`` never load them.
+``validate``, ``mutate`` and ``gen --n`` never load them. ``json`` is
+imported by the functions that read or print JSON, so ``gen --n`` loads
+neither it nor ``fractions`` nor ``separation``: its walk and the replay of
+``mutate`` exchange in one triangle set and one value dict
+(``mutation._exchange``) and write every trace line with
+``format_trace_line``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -41,8 +45,8 @@ from .family import (
     maximal_size,
 )
 from .mutation import (
+    _exchange,
     format_trace_line,
-    mutate,
     parse_trace_line,
     seeded_walk,
     unit_specialization,
@@ -79,6 +83,8 @@ def _write_out(text: str, out):
 
 
 def _emit_json(payload: dict):
+    import json
+
     print(json.dumps(payload, indent=2))
 
 
@@ -260,7 +266,10 @@ def cmd_mutate(ns) -> int:
     fam, err = _load_checked_family(ns.family)
     if err:
         return err
-    vf = unit_specialization(fam)
+    # ValuedFamily checks the continuous triangles; the replay then exchanges
+    # in one triangle set and one value dict
+    values = dict(unit_specialization(fam).values)
+    triangles = set(fam.triangles)
     for lineno, line in enumerate(_read(ns.replay).splitlines(), start=1):
         if not line.strip():
             continue
@@ -269,16 +278,15 @@ def cmd_mutate(ns) -> int:
         except InvalidInputError as e:
             raise MalformedFileError(f"trace line {lineno}: {e}") from e
         try:
-            vf = mutate(vf, move)
+            got = _exchange(fam.ground, triangles, values, move)
         except InvalidMoveError as e:
             print(f"trace line {lineno}: {e}", file=sys.stderr)
             return 1
-        got = vf.values[move.added]
         if got != expected:
             print(f"trace line {lineno}: value mismatch, trace says {expected}, exchange gives {got}",
                   file=sys.stderr)
             return 1
-    _write_out(dump_family(vf.family), ns.out)
+    _write_out(dump_family(Family._unchecked(fam.ground, frozenset(triangles), True)), ns.out)
     return 0
 
 
@@ -297,20 +305,25 @@ def cmd_gen(ns) -> int:
         raise InvalidInputError("--steps must be >= 0")
     if ns.steps > MAX_STEPS:
         raise InvalidInputError(f"--steps must be <= {MAX_STEPS}, got {ns.steps}")
-    vf = unit_specialization(canonical_family(ns.n))
+    # the walk exchanges in one triangle set and one value dict, the unit
+    # specialization of the canonical family
+    fam = canonical_family(ns.n)
+    triangles, values = set(fam.triangles), dict.fromkeys(fam.triangles, 1)
     trace_lines = []
-    for move in seeded_walk(vf.family, ns.steps, ns.seed):
-        vf = mutate(vf, move)
+    for move in seeded_walk(fam, ns.steps, ns.seed):
+        value = _exchange(fam.ground, triangles, values, move)
         if ns.trace_out:
-            trace_lines.append(format_trace_line(move, vf.values[move.added]))
+            trace_lines.append(format_trace_line(move, value))
     # the family first: a trace must not outlive a family that was never written
-    _write_out(dump_family(vf.family), ns.out)
+    _write_out(dump_family(Family._unchecked(fam.ground, frozenset(triangles), True)), ns.out)
     if ns.trace_out:
         _write(ns.trace_out, "".join(line + "\n" for line in trace_lines))
     return 0
 
 
 def _load_json(path: str):
+    import json
+
     try:
         return json.loads(_read(path))
     except (ValueError, RecursionError) as e:  # bad JSON, a number past the digit limit, too deep

@@ -9,6 +9,11 @@ checks one again. ``with_exchange`` tests only the triangle it adds, and
 its result is not marked validated; the reader, ``make_family`` and the
 families built here from valid triangles skip the test (``Record._unchecked``).
 
+The crossing test, ``separation.crossing_index``, is imported by the
+functions that test crossings, and ``json`` by ``load_family`` alone:
+``dump_family`` writes its bytes directly, so the canonical family and its
+file, which is all ``gen --n`` needs of this module, load neither.
+
 Beside ``crossing_index``, ``star_index`` holds the star graph of every point
 as neighbour bitmasks, for ``frieze``; ``stargraph`` builds its own star, and
 ``mutation`` keeps dense rows for its walk. The three builders stay apart on
@@ -21,12 +26,10 @@ Python 3.11.7, shared 2-core VM).
 
 from __future__ import annotations
 
-import json
 from itertools import combinations
 
 from .cyclic import GroundSet, Record
 from .errors import InvalidInputError, MalformedFileError
-from .separation import crossing_index
 
 Triangle = tuple  # ascending (a, b, c)
 
@@ -157,6 +160,8 @@ def is_weakly_separated_family(fam: Family):
     later position, and the lowest such position j, give the same witness as
     a scan of the pairs (i, j) in lex order. The cost is O(m) operations on
     m-bit masks for m triangles, after an O(n log n) build of the index."""
+    from .separation import crossing_index
+
     ts = fam.sorted_triangles()
     crossers = crossing_index(ts, fam.ground.n)
     for i, t in enumerate(ts):
@@ -199,6 +204,8 @@ def maximal_size(ground: GroundSet) -> int:
 
 def addable_triangles(fam: Family) -> list:
     """Triangles outside the family that are weakly separated from all of it."""
+    from .separation import crossing_index
+
     crossers = crossing_index(fam.triangles, fam.ground.n)
     return [t for t in all_triangles(fam.ground) if t not in fam.triangles and not crossers(t)]
 
@@ -218,6 +225,8 @@ def greedy_complete(fam: Family) -> Family:
     The addable triangles are in lex order, and one ``crossing_index`` over
     them gives, per chosen triangle, the candidates it rules out; the live
     candidates are a bitmask, so the next choice is its lowest bit."""
+    from .separation import crossing_index
+
     if not fam.validated:
         fam = _validated(fam)
     current = set(fam.triangles)
@@ -236,14 +245,6 @@ def greedy_complete(fam: Family) -> Family:
 #
 # {"n": 8, "triangles": [[1,2,3], [1,2,4], ...]}  (triples sorted ascending;
 # an optional "schema_version" key is accepted; anything else is rejected)
-
-def family_to_dict(fam: Family) -> dict:
-    return {
-        "schema_version": FAMILY_SCHEMA_VERSION,
-        "n": fam.ground.n,
-        "triangles": [list(t) for t in fam.sorted_triangles()],
-    }
-
 
 def family_from_dict(data, validate: bool = True) -> Family:
     if not isinstance(data, dict):
@@ -291,10 +292,19 @@ def family_from_dict(data, validate: bool = True) -> Family:
 
 
 def dump_family(fam: Family) -> str:
-    return json.dumps(family_to_dict(fam), indent=2) + "\n"
+    """The family file: json.dumps(payload, indent=2) + "\n" byte for byte,
+    where payload holds schema_version, n and the sorted triangles as lists.
+    The text is written directly, one line per point, rather than through
+    the pure-Python encoder that indent=2 selects; "%d" writes a point as
+    the encoder does, an int subclass included."""
+    triangles = ",\n".join(["    [\n      %d,\n      %d,\n      %d\n    ]" % t for t in fam.sorted_triangles()])
+    triangles = f"[\n{triangles}\n  ]" if triangles else "[]"
+    return f'{{\n  "schema_version": {FAMILY_SCHEMA_VERSION},\n  "n": {fam.ground.n},\n  "triangles": {triangles}\n}}\n'
 
 
 def load_family(text: str, validate: bool = True) -> Family:
+    import json
+
     try:
         data = json.loads(text)
     except (ValueError, RecursionError) as e:  # bad JSON, a number past the digit limit, too deep

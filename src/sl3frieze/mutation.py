@@ -15,8 +15,17 @@ The masks index by point, and ``Family`` guarantees that every triangle is
 an ascending triple of points of 1..n, so nothing here checks that again.
 Every move the kernel builds has five distinct points in cyclic order, so
 ``family_moves`` and the walk wrap its (z,a,b,c,d) tuples as
-``MutationMove`` records without the record's checks; ``mutate`` still
+``MutationMove`` records without the record's checks; the exchange still
 checks each move against its family.
+
+One step, ``_exchange``, checks a move against a triangle set and a value
+dict that its caller owns and then exchanges in place, in O(1). ``mutate``
+runs it on copies, so a ``ValuedFamily`` is never changed; ``gen`` and
+``mutate --replay`` run it on one set and one dict for the whole walk.
+``fractions`` is imported only where a value that is not an int shows up
+(``_check_entries``, an exchange that does not divide exactly, a p/q trace
+value), and the trace pattern is compiled on first use, so a walk from the
+unit specialization and its trace load neither.
 
 ``family_moves`` and the breadth-first oracle build the masks of a whole
 family. One walk, ``_walk``, keeps the masks, the triangles through each
@@ -42,7 +51,6 @@ from __future__ import annotations
 
 import random
 import re
-from fractions import Fraction
 
 from .cyclic import GroundSet, Record, is_cyclic
 from .errors import (
@@ -56,14 +64,18 @@ from .family import Family, Triangle, canonical_family, continuous_triangles, is
 
 DEFAULT_ORACLE_BUDGET = 100_000
 
-_EXACT_TYPES = frozenset((int, Fraction))
-
 
 def _check_entries(values, what: str) -> None:
     """Exact entries only: each of type int or Fraction, so a bool or a float
-    is refused."""
-    if not _EXACT_TYPES.issuperset(map(type, values)):
-        bad = next(v for v in values if type(v) not in _EXACT_TYPES)
+    is refused. ``fractions`` is imported only when an entry is not an int."""
+    types = set(map(type, values))
+    types.discard(int)
+    if not types:
+        return
+    from fractions import Fraction
+
+    if types != {Fraction}:
+        bad = next(v for v in values if type(v) is not int and type(v) is not Fraction)
         raise InvalidInputError(f"{what} entry {bad!r} is not an int or a Fraction")
 
 
@@ -161,12 +173,17 @@ def exchange_value(v_zac: int | Fraction, v_zab: int | Fraction, v_zcd: int | Fr
     InvalidInputError. The int path is taken only when all five are exactly
     int; the Fraction path checks the types unless the numerator and v_zac
     are both Fractions, so a bool multiplied by a Fraction passes as 0 or 1.
+    Five ints that divide exactly return before ``fractions`` is imported,
+    and an inexact division of ints continues on the Fraction path.
     """
     num = v_zab * v_zcd + v_zad * v_zbc
     try:
         if type(v_zac) is type(v_zab) is type(v_zcd) is type(v_zad) is type(v_zbc) is int:
             q, r = divmod(num, v_zac)
-            return Fraction(num, v_zac) if r else q
+            if not r:
+                return q
+        from fractions import Fraction
+
         if type(num) is not Fraction or type(v_zac) is not Fraction:
             _check_entries((v_zac, v_zab, v_zcd, v_zad, v_zbc), "exchange")
             num = Fraction(num)
@@ -186,41 +203,45 @@ def _ascending(p: int, q: int, r: int) -> Triangle:
     return p, q, r
 
 
-def _exchange(values: dict, m: tuple) -> dict:
-    """The values after the move m = (z,a,b,c,d), in any cyclic rotation of
-    (a,b,c,d): {z,a,c} leaves and {z,b,d} enters with its exchanged value."""
-    z, a, b, c, d = m
-    zac = _ascending(z, a, c)
-    new = dict(values)
-    new[_ascending(z, b, d)] = exchange_value(values[zac], values[_ascending(z, a, b)],
-                                              values[_ascending(z, c, d)], values[_ascending(z, d, a)],
-                                              values[_ascending(z, b, c)])
-    del new[zac]
-    return new
-
-
-def mutate(vf: ValuedFamily, move: MutationMove) -> ValuedFamily:
-    """Apply one move, propagating the exchanged value. Of the result only the
-    new value is checked: a move keeps the family maximal weakly separated
-    with every continuous triangle, so the family keeps its validated mark,
-    and exchange_value checks the types, but signed values can exchange to
-    zero."""
-    ground = vf.family.ground
+def _exchange(ground: GroundSet, triangles: set, values: dict, move: MutationMove):
+    """Apply one move in place to a triangle set and its value dict, owned by
+    the caller, and return the value of the added triangle. The move is
+    checked first, and nothing changes when a check fails: its points lie in
+    1..n, its five required triangles are present, the added one is absent,
+    and the exchanged value is nonzero (exchange_value checks the types, but
+    signed values can exchange to zero). Then {z,a,c} leaves and {z,b,d}
+    enters with that value, in O(1)."""
     for p in (move.z, move.a, move.b, move.c, move.d):
         if not ground.contains(p):
             raise InvalidInputError(f"move point {p!r} outside 1..{ground.n}")
-    for t in move.required():
-        if t not in vf.family.triangles:
+    required = move.required()
+    for t in required:
+        if t not in triangles:
             raise InvalidMoveError(f"required triangle {t} missing from family")
     added = move.added
-    if added in vf.family.triangles:
+    if added in triangles:
         raise InvalidMoveError(f"{added} already present; family cannot be maximal weakly separated")
-    values2 = _exchange(vf.values, move.key())
-    if values2[added] == 0:
+    zab, zbc, zcd, zda, zac = required
+    value = exchange_value(values[zac], values[zab], values[zcd], values[zda], values[zbc])
+    if value == 0:
         raise InvalidInputError(f"value of {added} must be nonzero")
-    fam = vf.family  # the added triangle is an ascending triple of its points
-    moved = Family._unchecked(fam.ground, fam.triangles - {move.removed} | {added}, True)
-    return ValuedFamily._unchecked(moved, values2)
+    triangles.remove(zac)
+    triangles.add(added)
+    values[added] = value
+    del values[zac]
+    return value
+
+
+def mutate(vf: ValuedFamily, move: MutationMove) -> ValuedFamily:
+    """Apply one move, propagating the exchanged value, to copies of vf's
+    triangles and values (see _exchange); vf is left as it is. A move keeps
+    the family maximal weakly separated with every continuous triangle, so
+    the result keeps the validated mark and is built unchecked."""
+    fam = vf.family
+    triangles, values = set(fam.triangles), dict(vf.values)
+    _exchange(fam.ground, triangles, values, move)
+    # the added triangle is an ascending triple of the move's points
+    return ValuedFamily._unchecked(Family._unchecked(fam.ground, frozenset(triangles), True), values)
 
 
 def _pivoted(t) -> tuple:
@@ -521,7 +542,8 @@ def oracle_values(vf: ValuedFamily, targets, budget: int = DEFAULT_ORACLE_BUDGET
 #
 # One line per move:  z:(a,b,c,d) removed={z,a,c} added={z,b,d} value=p/q
 
-_TRACE_RE = re.compile(  # [0-9], not \d, which matches any Unicode digit
+# compiled on first use, by re's own cache: gen writes lines and never reads one
+_TRACE_PATTERN = (  # [0-9], not \d, which matches any Unicode digit
     r"^([0-9]+):\(([0-9]+),([0-9]+),([0-9]+),([0-9]+)\)"
     r" removed=\{([0-9]+),([0-9]+),([0-9]+)\}"
     r" added=\{([0-9]+),([0-9]+),([0-9]+)\}"
@@ -538,15 +560,24 @@ def format_trace_line(move: MutationMove, value: int | Fraction) -> str:
 def parse_trace_line(line: str):
     """-> (MutationMove, expected value), the value an int when it is integral
     and a Fraction otherwise; raises InvalidInputError on malformed lines or
-    removed/added sets inconsistent with the move points."""
-    m = _TRACE_RE.match(line.strip())
+    removed/added sets inconsistent with the move points. A value without a
+    "/" is read by int, and only a p/q value imports ``fractions``."""
+    m = re.match(_TRACE_PATTERN, line.strip())
     if not m:
         raise InvalidInputError(f"malformed trace line: {line!r}")
     try:
         z, a, b, c, d = (int(m.group(i)) for i in range(1, 6))
         removed = tuple(sorted(int(m.group(i)) for i in range(6, 9)))
         added = tuple(sorted(int(m.group(i)) for i in range(9, 12)))
-        value = Fraction(m.group(12))
+        text = m.group(12)
+        if "/" in text:
+            from fractions import Fraction
+
+            value = Fraction(text)
+            if value.denominator == 1:
+                value = value.numerator
+        else:
+            value = int(text)
     except ZeroDivisionError:
         raise InvalidInputError(f"zero denominator in trace value: {line!r}") from None
     except ValueError as e:  # a number past Python's int string-conversion limit
@@ -554,4 +585,4 @@ def parse_trace_line(line: str):
     move = MutationMove(z, a, b, c, d)
     if move.removed != removed or move.added != added:
         raise InvalidInputError(f"trace line inconsistent with its move: {line!r}")
-    return move, value.numerator if value.denominator == 1 else value
+    return move, value

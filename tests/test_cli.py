@@ -485,15 +485,44 @@ def test_gen_writes_no_trace_when_the_family_cannot_be_written(run, tmp_path):
 
 
 GEN_MODULES = ["sl3frieze", "sl3frieze.cli", "sl3frieze.cyclic", "sl3frieze.errors",
-               "sl3frieze.family", "sl3frieze.mutation", "sl3frieze.separation"]
+               "sl3frieze.family", "sl3frieze.mutation"]
+
+# standard-library modules that a walk and its trace never run
+GEN_UNUSED_STDLIB = ("fractions", "decimal", "numbers", "json")
 
 
 def test_gen_loads_only_the_walk_layers(tmp_path):
     argv = ["gen", "--n", "12", "--steps", "5", "--seed", "3",
             "--out", str(tmp_path / "f.json"), "--trace-out", str(tmp_path / "t.txt")]
-    lines, modules = run_fresh(f"from sl3frieze.cli import main\nprint(main({argv!r}))")
-    assert lines == ["0"]
+    # the modules loaded before the package are those of a bare interpreter
+    lines, modules = run_fresh(
+        "import sys\nbare = set(sys.modules)\n"
+        f"from sl3frieze.cli import main\nprint(main({argv!r}))\n"
+        f"print([m for m in {GEN_UNUSED_STDLIB!r} if m in sys.modules and m not in bare])")
+    assert lines == ["0", "[]"]
     assert modules == GEN_MODULES
+
+
+@pytest.mark.parametrize("value, code, err", [
+    ("4/2", 0, ""),
+    ("5/3", 1, "trace line 1: value mismatch, trace says 5/3, exchange gives 2\n"),
+])
+def test_replay_of_a_fraction_value_in_a_fresh_interpreter(run, tmp_path, value, code, err):
+    # the p/q branch of the trace reader imports fractions itself; the first
+    # move of this walk exchanges {1,2,4} for {1,3,5} with value 2
+    base, walked, trace, out = (tmp_path / name for name in ("base.json", "walked.json", "trace.txt", "out.json"))
+    run("gen", "--n", "8", "--out", base)
+    run("gen", "--n", "8", "--steps", "1", "--seed", "2", "--out", walked)
+    trace.write_text(f"1:(2,3,4,5) removed={{1,2,4}} added={{1,3,5}} value={value}\n")
+    argv = ["mutate", str(base), "--replay", str(trace), "--out", str(out)]
+    lines, _ = run_fresh(
+        "import contextlib, io, sys\nfrom sl3frieze.cli import main\nerr = io.StringIO()\n"
+        f"with contextlib.redirect_stderr(err):\n    code = main({argv!r})\n"
+        "print(code, 'fractions' in sys.modules, repr(err.getvalue()))")
+    assert lines == [f"{code} True {err!r}"]
+    assert out.exists() == (code == 0)
+    if code == 0:
+        assert out.read_bytes() == walked.read_bytes()
 
 
 @pytest.mark.parametrize("argv", [

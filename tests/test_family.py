@@ -14,7 +14,9 @@ Claims covered:
       n = 128..512), both from tests/reference.py
     - the addable triangles are those that cross no member, by the
       definitional search
-    - the JSON format round-trips and rejects unknown keys / unsorted triples;
+    - the family file is json.dumps(payload, indent=2) + "\n" byte for byte
+      (random sets, no triangle, one triangle, n = 512), and the format
+      round-trips and rejects unknown keys / unsorted triples;
       a malformed file raises MalformedFileError whether or not the load
       checks weak separation
     - every bad triangle entry keeps its message (not a list, a wrong
@@ -35,7 +37,7 @@ import re
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import mask_pair_scan
 from reference import crossing_definition, masks_cross, triangle_mask
@@ -47,7 +49,6 @@ from sl3frieze.family import (
     canonical_family,
     dump_family,
     family_from_dict,
-    family_to_dict,
     frozen_triangles,
     greedy_complete,
     is_maximal_family,
@@ -264,8 +265,20 @@ def test_family_json_round_trip():
     assert again.triangles == fam.triangles
 
 
+@settings(max_examples=100, deadline=None)
+@given(triangle_sets())
+@example(Family(G6, frozenset()))
+@example(Family(GroundSet(7), frozenset({(2, 4, 7)})))
+@example(canonical_family(512))
+def test_dump_family_is_the_standard_library_encoding(fam):
+    data = {"schema_version": 1, "n": fam.ground.n, "triangles": [list(t) for t in sorted(fam.triangles)]}
+    text = dump_family(fam)
+    assert text == json.dumps(data, indent=2) + "\n"
+    assert load_family(text, validate=False) == fam
+
+
 def test_family_json_rejects_unknown_keys():
-    data = family_to_dict(frozen_triangles(G6))
+    data = json.loads(dump_family(frozen_triangles(G6)))
     data["comment"] = "nope"
     with pytest.raises(MalformedFileError):
         family_from_dict(data)

@@ -2,7 +2,9 @@
 
 Claims covered:
     - the contraction algorithm agrees with the mutation oracle at every x
-      (small samples here, the big sweeps live in the acceptance suite)
+      (small samples here, the big sweeps live in the acceptance suite), also
+      with value 1 through x and random positive Fractions elsewhere, on walk
+      families at n = 6, 7 and 8
     - the contraction straight off the star index gives the same quiddity
       rows, values and errors as the per-x contraction over edge scans it
       replaced (tests/reference.py), also on 200-step walks at n = 128 and
@@ -139,6 +141,28 @@ def test_algorithm_matches_oracle_on_canonical_families():
             vals = oracle_values(vf, [t_lo, t_hi])
             assert lo == vals[t_lo]
             assert hi == vals[t_hi]
+
+
+def test_algorithm_matches_oracle_off_the_unit_specialization():
+    # value 1 on every triangle through x and a random positive Fraction on
+    # every other: the contraction sums the other values as given, and the
+    # oracle exchanges them through exchange_value's Fraction path
+    rng = random.Random(14)
+    checked = 0
+    for n in (6, 7, 8):
+        g = GroundSet(n)
+        for seed in range(8):
+            fam = random_maximal_family(g, steps=20, seed=seed)
+            for x in g.points():
+                values = {t: 1 if x in t else Fraction(rng.randint(1, 9), rng.randint(1, 9))
+                          for t in fam.triangles}
+                vf = ValuedFamily(fam, values)
+                t_lo = tuple(sorted((g.wrap(x - 2), g.wrap(x - 1), g.wrap(x + 1))))
+                t_hi = tuple(sorted((g.wrap(x - 1), g.wrap(x + 1), g.wrap(x + 2))))
+                vals = oracle_values(vf, [t_lo, t_hi])
+                assert almost_continuous_at(vf, x) == (vals[t_lo], vals[t_hi]), (n, seed, x)
+                checked += 1
+    assert checked == 8 * (6 + 7 + 8)
 
 
 def test_algorithm_on_pure_path_star_graph():

@@ -243,6 +243,54 @@ def test_mutate_rejects_missing_triangles():
         mutate(vf, bad)
 
 
+def _signed_canonical_6() -> ValuedFamily:
+    """canonical_family(6) with value -1 on {1,2,5} and 1 elsewhere, so its
+    move (1,2,3,4,5) exchanges to 1 + (-1) = 0."""
+    fam = canonical_family(6)
+    return ValuedFamily(fam, {t: -1 if t == (1, 2, 5) else 1 for t in fam.triangles})
+
+
+@pytest.mark.parametrize("vf, move, error, message", [
+    (unit_specialization(canonical_family(8)), MutationMove(1, 2, 3, 4, 9), InvalidInputError, "move point 9 outside 1..8"),
+    (unit_specialization(canonical_family(8)), MutationMove(5, 1, 2, 3, 4), InvalidMoveError,
+     "required triangle (2, 3, 5) missing from family"),
+    (_signed_canonical_6(), MutationMove(1, 2, 3, 4, 5), InvalidInputError, "value of (1, 3, 5) must be nonzero"),
+], ids=["point", "required", "zero"])
+def test_refused_moves_change_nothing(vf, move, error, message):
+    # mutate refuses with the parent's type and message and leaves vf as it
+    # was; the in-place step checks before it writes, so a caller's set and
+    # dict are unchanged too
+    triangles, values = set(vf.family.triangles), dict(vf.values)
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        mutate(vf, move)
+    assert vf.family.triangles == triangles and vf.values == values
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        mutation_module._exchange(vf.family.ground, triangles, values, move)
+    assert vf.family.triangles == triangles and vf.values == values
+
+
+def test_exchange_refuses_an_added_triangle_already_present():
+    vf = unit_specialization(canonical_family(8))
+    values = dict(vf.values)
+    values[(1, 3, 5)] = 1
+    triangles, before = set(values), dict(values)
+    with pytest.raises(InvalidMoveError, match=r"^\(1, 3, 5\) already present; "):
+        mutation_module._exchange(G8, triangles, values, MutationMove(1, 2, 3, 4, 5))
+    assert values == before and triangles == set(before)
+
+
+def test_mutate_exchanges_copies_and_the_step_exchanges_in_place():
+    vf = unit_specialization(canonical_family(8))
+    values_before = dict(vf.values)
+    for move in family_moves(vf.family):
+        out = mutate(vf, move)
+        triangles, values = set(vf.family.triangles), dict(vf.values)
+        assert mutation_module._exchange(G8, triangles, values, move) == out.values[move.added] == 2
+        assert triangles == out.family.triangles and values == out.values
+        assert list(values) == list(out.values)
+    assert vf.family == canonical_family(8) and vf.values == values_before
+
+
 def test_valued_family_rejects_zero_and_partial_values():
     fam = canonical_family(6)
     values = {t: Fraction(1) for t in fam.triangles}
@@ -508,6 +556,41 @@ def test_trace_line_round_trip():
     # past Python's 4,300-digit int string-conversion limit
     with pytest.raises(InvalidInputError, match="bad number"):
         parse_trace_line("1:(2,4,6,8) removed={1,2,6} added={1,4,8} value=" + "1" * 5000)
+
+
+TRACE_HEAD = "1:(2,4,6,8) removed={1,2,6} added={1,4,8} value="
+
+
+@pytest.mark.parametrize("text, value", [
+    ("7", 7), ("-0", 0), ("6/3", 2), ("0012", 12), ("-10/2", -5), ("5/3", Fraction(5, 3)), ("-5/3", Fraction(-5, 3)),
+])
+def test_trace_value_is_an_int_exactly_when_integral(text, value):
+    _, got = parse_trace_line(TRACE_HEAD + text)
+    assert got == value and type(got) is type(value)
+
+
+@pytest.mark.parametrize("text", ["1/0", "0/0", "-7/0"])
+def test_trace_value_with_zero_denominator_is_named(text):
+    line = TRACE_HEAD + text
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(f'zero denominator in trace value: {line!r}')}$"):
+        parse_trace_line(line)
+
+
+@pytest.mark.parametrize("text, digits", [
+    ("1" * 5000, "1" * 5000),
+    ("-" + "1" * 5000, "1" * 5000),
+    ("0" * 4301 + "7", "0" * 4301 + "7"),
+    ("1/" + "1" * 5000, "1" * 5000),
+    ("1" * 5000 + "/3", "1" * 5000),
+    ("7/" + "0" * 4301 + "1", "0" * 4301 + "1"),
+], ids=["numerator", "negative", "leading-zeros", "denominator", "fraction-numerator", "fraction-denominator"])
+def test_trace_value_past_the_digit_limit_is_named(text, digits):
+    # numerator or denominator past Python's 4,300-digit int string-conversion
+    # limit: the message is int's own, without the sign
+    with pytest.raises(ValueError) as limit:
+        int(digits)
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(f'bad number in trace line: {limit.value}')}$"):
+        parse_trace_line(TRACE_HEAD + text)
 
 
 def _moment_minor(ts, triple):
