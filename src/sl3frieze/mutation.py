@@ -64,18 +64,19 @@ from .family import Family, Triangle, canonical_family, continuous_triangles, is
 
 DEFAULT_ORACLE_BUDGET = 100_000
 
+_INT = frozenset((int,))
+
 
 def _check_entries(values, what: str) -> None:
     """Exact entries only: each of type int or Fraction, so a bool or a float
     is refused. ``fractions`` is imported only when an entry is not an int."""
-    types = set(map(type, values))
-    types.discard(int)
-    if not types:
+    if _INT.issuperset(map(type, values)):
         return
     from fractions import Fraction
 
-    if types != {Fraction}:
-        bad = next(v for v in values if type(v) is not int and type(v) is not Fraction)
+    exact = frozenset((int, Fraction))
+    if not exact.issuperset(map(type, values)):
+        bad = next(v for v in values if type(v) not in exact)
         raise InvalidInputError(f"{what} entry {bad!r} is not an int or a Fraction")
 
 
