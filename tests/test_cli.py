@@ -23,7 +23,10 @@ Claims covered:
     - gen writes its trace only after the family, so a family that cannot be
       written leaves no trace file
     - each command loads only its own layers: gen and validate load neither
-      frieze nor stargraph
+      frieze nor stargraph, and gen --n loads neither separation nor, beyond
+      a bare interpreter, fractions, decimal, numbers or json
+    - mutate --replay of a p/q trace value, in a fresh interpreter: 4/2
+      replays as 2, 5/3 is a value mismatch, exit 1
     - fuzzed star-graph files (perturbed stars of walk families at n <= 10,
       random edge lists, and arbitrary JSON) load to a star graph or a
       MalformedFileError, and gen --star-graph-file ends without a traceback

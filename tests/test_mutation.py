@@ -18,7 +18,14 @@ Claims covered:
       unit specialization walks and searches in plain ints, with the values
       the Fraction(1) specialization gives
     - a trace value loads as an int when it is integral and as a Fraction
-      otherwise
+      otherwise (7, -0, 6/3, 0012, 5/3 among others), and a zero
+      denominator or a number past the 4,300-digit limit keeps its message
+    - a refused move (a point outside 1..n, a required triangle missing, a
+      zero value, the added triangle present) raises the same type and
+      message from mutate and from the in-place step, and changes neither
+      the ValuedFamily nor the caller's set and dict; on every move of the
+      canonical n = 8 family the step gives mutate's triangles, values and
+      value order, and mutate leaves its input as it was
     - valued families must contain every continuous triangle
     - move enumeration on neighbour bitmasks lists the same moves, in the same
       order, as a scan over every vertex of the star graph, up to n = 512; the
