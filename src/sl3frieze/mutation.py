@@ -204,7 +204,7 @@ def _ascending(p: int, q: int, r: int) -> Triangle:
     return p, q, r
 
 
-def _exchange(ground: GroundSet, triangles: set, values: dict, move: MutationMove):
+def _exchange(ground: GroundSet, triangles: set, values: dict, move: MutationMove) -> int | Fraction:
     """Apply one move in place to a triangle set and its value dict, owned by
     the caller, and return the value of the added triangle. The move is
     checked first, and nothing changes when a check fails: its points lie in

@@ -509,7 +509,7 @@ def test_gen_loads_only_the_walk_layers(tmp_path):
 @pytest.mark.parametrize("value, code, err", [
     ("4/2", 0, ""),
     ("5/3", 1, "trace line 1: value mismatch, trace says 5/3, exchange gives 2\n"),
-])
+], ids=["integral", "mismatch"])
 def test_replay_of_a_fraction_value_in_a_fresh_interpreter(run, tmp_path, value, code, err):
     # the p/q branch of the trace reader imports fractions itself; the first
     # move of this walk exchanges {1,2,4} for {1,3,5} with value 2
