@@ -4,7 +4,8 @@ Each case runs `sl3frieze` in process and is compared with the sha256 digests
 in tests/golden_cli.json. Cases run in order in one directory, so later cases
 read the files that earlier `gen` cases wrote. stderr is not digested, because
 its wording may change; for unrealizable star graphs the condition letter it
-names is asserted instead, and for refused replays the line it writes.
+names is asserted instead, and for refused replays and refused families the
+line it writes.
 
 Record the digests again (only when a change of output is intended):
 
@@ -54,6 +55,31 @@ REPLAY_REFUSALS = {
 }
 
 
+# Families over [8] that the commands needing a maximal family refuse with
+# exit 1: the canonical family with {1,2,5} swapped for a crossing triangle,
+# and the canonical family without {1,2,5}; each with the line the refusal
+# writes to stderr.
+_CANONICAL_8 = [(1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 2, 6), (1, 2, 7), (1, 2, 8), (1, 3, 4), (1, 4, 5),
+                (1, 5, 6), (1, 6, 7), (1, 7, 8), (2, 3, 4), (3, 4, 5), (4, 5, 6), (5, 6, 7), (6, 7, 8)]
+BAD_FAMILIES = {
+    "crossing": ([t for t in _CANONICAL_8 if t != (1, 2, 5)] + [(3, 6, 8)],
+                 "not weakly separated: (1, 2, 4) crosses (3, 6, 8)"),
+    "nonmaximal": ([t for t in _CANONICAL_8 if t != (1, 2, 5)],
+                   "family is not maximal: 15 triangles, expected 16"),
+}
+
+# Frieze files for `check-frieze`: the frieze of a 5-step n = 7 walk family;
+# the same grid with one entry edited (D_2(3), 7 -> 8); and the same grid with
+# 10^1500 added to each entry of row 2, whose failing diamonds have
+# determinants of more than 4,300 digits, past Python's int-string limit.
+_FRIEZE_7 = [[5, 3, 1, 9, 1, 7, 1], [11, 1, 7, 3, 5, 3, 3], [2, 4, 2, 4, 2, 2, 6]]
+FRIEZES = {
+    "valid": _FRIEZE_7,
+    "edited": [_FRIEZE_7[0], [11, 1, 8, 3, 5, 3, 3], _FRIEZE_7[2]],
+    "long": [_FRIEZE_7[0], [10 ** 1500 + e for e in _FRIEZE_7[1]], _FRIEZE_7[2]],
+}
+
+
 def corpus():
     """(case id, argv, files the case writes, condition letter expected on stderr)."""
     cases = []
@@ -95,7 +121,32 @@ def corpus():
         cases.append((f"mutate-refuse-{name}",
                        ["mutate", "base8.json", "--replay", f"refuse-{name}.txt", "--out", f"refused-{name}.json"],
                        [], None))
+    for name in BAD_FAMILIES:
+        fam = f"family-{name}.json"
+        for fmt in ("text", "json"):
+            cases.append((f"validate-{fmt}-{name}", ["validate", fam, "--format", fmt], [], None))
+        cases.append((f"analyze-refuse-{name}", ["analyze", fam, "--x", 1], [], None))
+        cases.append((f"frieze-refuse-{name}", ["frieze", fam], [], None))
+        cases.append((f"oracle-refuse-{name}", ["oracle", fam, "--triangle", "1,3,5"], [], None))
+        cases.append((f"mutate-refuse-{name}", ["mutate", fam, "--replay", "t8-1.txt"], [], None))
+    cases.append(("analyze-refuse-x", ["analyze", "base8.json", "--x", 9], [], None))
+    for name in FRIEZES:
+        for fmt in ("text", "json"):
+            cases.append((f"check-frieze-{fmt}-{name}", ["check-frieze", f"frieze-{name}.json", "--format", fmt],
+                           [], None))
     return cases
+
+
+def refusal_line(case: str):
+    """The line a refusing case writes to stderr, or None."""
+    kind, _, name = case.partition("-refuse-")
+    if kind == "mutate" and name in REPLAY_REFUSALS:
+        return REPLAY_REFUSALS[name][1]
+    if name in BAD_FAMILIES:
+        return BAD_FAMILIES[name][1]
+    if name == "x":
+        return "error: --x must lie in 1..8, got 9"
+    return None
 
 
 def _sha(data: bytes) -> str:
@@ -108,6 +159,11 @@ def run_corpus(workdir: Path) -> dict:
         (workdir / f"star-{name}.json").write_text(json.dumps(graph))
     for name, (line, _) in REPLAY_REFUSALS.items():
         (workdir / f"refuse-{name}.txt").write_text(line + "\n")
+    for name, (triangles, _) in BAD_FAMILIES.items():
+        (workdir / f"family-{name}.json").write_text(json.dumps({"schema_version": 1, "n": 8,
+                                                                 "triangles": triangles}))
+    for name, rows in FRIEZES.items():
+        (workdir / f"frieze-{name}.json").write_text(json.dumps({"schema_version": 1, "n": 7, "rows": rows}))
     results = {}
     for case, argv, written, _ in corpus():
         argv = [str(workdir / a) if str(a).endswith((".json", ".txt")) else str(a) for a in argv]
@@ -134,8 +190,9 @@ def test_golden_cli_output(produced, case, condition):
     assert digests == golden[case]
     if condition is not None:
         assert f"condition ({condition}):" in stderr
-    if case.startswith("mutate-refuse-"):
-        assert stderr == REPLAY_REFUSALS[case.removeprefix("mutate-refuse-")][1] + "\n"
+    line = refusal_line(case)
+    if line is not None:
+        assert stderr == line + "\n"
 
 
 def test_golden_corpus_is_complete():
