@@ -9,6 +9,11 @@ internal error (in analyze, a structure check that fails on a maximal family;
 in oracle and frieze, a family triangle whose Gale minor is not 1; in frieze,
 quiddity rows whose Gale vectors do not close).
 
+A command refuses its input with exit 1 by raising ``_Refusal``, whose message
+``main`` writes to stderr: a family that is not maximal weakly separated, and
+a trace line that does not replay. ``main`` maps every other outcome from the
+library's exceptions.
+
 The module loads only the layers every command needs (family and mutation);
 each command that needs ``stargraph`` or ``frieze`` imports it itself, so
 ``validate``, ``mutate`` and ``gen --n`` never load them. ``json`` is
@@ -59,6 +64,11 @@ SCHEMA_VERSION = 1
 MAX_STEPS = 100_000
 
 
+class _Refusal(Exception):
+    """Exit 1: the input is well formed but semantically invalid; the message
+    is the line main writes to stderr."""
+
+
 def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -88,19 +98,17 @@ def _emit_json(payload: dict):
     print(json.dumps(payload, indent=2))
 
 
-def _load_checked_family(path: str):
-    """Family for commands that need maximality; (family, error-exit) pair."""
+def _load_checked_family(path: str) -> Family:
+    """The family of a file, for commands that need maximality; _Refusal
+    unless it is maximal weakly separated."""
     fam = load_family(_read(path), validate=False)
     ok, pair = is_weakly_separated_family(fam)
     if not ok:
-        print(f"not weakly separated: {pair[0]} crosses {pair[1]}", file=sys.stderr)
-        return None, 1
+        raise _Refusal(f"not weakly separated: {pair[0]} crosses {pair[1]}")
     fam = Family._unchecked(fam.ground, fam.triangles, True)  # the reader checked its triangles
     if not is_maximal_family(fam):
-        print(f"family is not maximal: {len(fam)} triangles, expected {maximal_size(fam.ground)}",
-              file=sys.stderr)
-        return None, 1
-    return fam, 0
+        raise _Refusal(f"family is not maximal: {len(fam)} triangles, expected {maximal_size(fam.ground)}")
+    return fam
 
 
 def cmd_validate(ns) -> int:
@@ -131,20 +139,18 @@ def cmd_validate(ns) -> int:
 def cmd_analyze(ns) -> int:
     from .stargraph import (
         STRUCTURE_RULES,
-        _border_triangles,
+        border_triangles,
         build_star_graph,
         star_graph_to_dict,
         verify_structure_theorem,
     )
 
-    fam, err = _load_checked_family(ns.family)
-    if err:
-        return err
+    fam = _load_checked_family(ns.family)
     if not fam.ground.contains(ns.x):
         raise InvalidInputError(f"--x must lie in 1..{fam.ground.n}, got {ns.x}")
     g = build_star_graph(fam, ns.x)
     report = verify_structure_theorem(g)
-    borders = _border_triangles(fam, g.x, g.masks)
+    borders = border_triangles(fam, g.x)
     if ns.format == "json":
         _emit_json({
             "schema_version": SCHEMA_VERSION,
@@ -169,17 +175,14 @@ def cmd_analyze(ns) -> int:
             print("structure: ok")
         else:
             for rule, witness in report.violations:
-                hint = STRUCTURE_RULES.get(rule, "")
-                print(f"structure violation [{rule}]: {witness}" + (f" ({hint})" if hint else ""))
+                print(f"structure violation [{rule}]: {witness} ({STRUCTURE_RULES[rule][1]})")
     return 0 if report.ok else 3
 
 
 def cmd_frieze(ns) -> int:
     from .frieze import _certified_rows, _integral_and_positive, dump_frieze, extend_rows, render_frieze
 
-    fam, err = _load_checked_family(ns.family)
-    if err:
-        return err
+    fam = _load_checked_family(ns.family)
     # certificate parts (b), against the family, and (a), the closure that
     # extend_rows checks; the grid is then the lower row recursion of closed
     # Gale vectors, which is their minors, SL3 and tame by validate_frieze's
@@ -246,9 +249,7 @@ def _parse_triangle_arg(spec: str, ground: GroundSet):
 def cmd_oracle(ns) -> int:
     from .frieze import format_rational, minor_values
 
-    fam, err = _load_checked_family(ns.family)
-    if err:
-        return err
+    fam = _load_checked_family(ns.family)
     target = _parse_triangle_arg(ns.triangle, fam.ground)
     value = minor_values(unit_specialization(fam), [target])[target]
     if ns.format == "json":
@@ -263,9 +264,7 @@ def cmd_oracle(ns) -> int:
 
 
 def cmd_mutate(ns) -> int:
-    fam, err = _load_checked_family(ns.family)
-    if err:
-        return err
+    fam = _load_checked_family(ns.family)
     # ValuedFamily checks the continuous triangles; the replay then exchanges
     # in one triangle set and one value dict
     values = dict(unit_specialization(fam).values)
@@ -280,12 +279,9 @@ def cmd_mutate(ns) -> int:
         try:
             got = _exchange(fam.ground, triangles, values, move)
         except InvalidMoveError as e:
-            print(f"trace line {lineno}: {e}", file=sys.stderr)
-            return 1
+            raise _Refusal(f"trace line {lineno}: {e}") from e
         if got != expected:
-            print(f"trace line {lineno}: value mismatch, trace says {expected}, exchange gives {got}",
-                  file=sys.stderr)
-            return 1
+            raise _Refusal(f"trace line {lineno}: value mismatch, trace says {expected}, exchange gives {got}")
     _write_out(dump_family(Family._unchecked(fam.ground, frozenset(triangles), True)), ns.out)
     return 0
 
@@ -407,11 +403,11 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 2
+    except _Refusal as e:
+        print(e, file=sys.stderr)
+        return 1
     except ConditionViolationError as e:
         print(f"star graph not realizable: {e}", file=sys.stderr)
-        return 1
-    except InvalidMoveError as e:
-        print(f"invalid move: {e}", file=sys.stderr)
         return 1
     except InvalidInputError as e:
         print(f"error: {e}", file=sys.stderr)

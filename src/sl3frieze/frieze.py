@@ -630,14 +630,9 @@ def _decimal(v: int) -> str:
 
 def format_rational(v: int | Fraction) -> str:
     """"p" or "p/q" in lowest terms, every digit written out at any length."""
-    try:
-        if v.denominator == 1:
-            return str(v.numerator)
-        return f"{v.numerator}/{v.denominator}"
-    except ValueError:  # a part of more than 4,300 digits
-        if v.denominator == 1:
-            return _decimal(v.numerator)
-        return f"{_decimal(v.numerator)}/{_decimal(v.denominator)}"
+    if v.denominator == 1:
+        return _decimal(v.numerator)
+    return f"{_decimal(v.numerator)}/{_decimal(v.denominator)}"
 
 
 def _entry_texts(row) -> list:

@@ -127,9 +127,6 @@ class MutationMove(Record):
         {z,a,c} and {z,b,d}."""
         return MutationMove(self.z, self.b, self.c, self.d, self.a)
 
-    def key(self) -> tuple:
-        return (self.z, self.a, self.b, self.c, self.d)
-
 
 class ValuedFamily(Record):
     """A maximal family together with a nonzero value per triangle, each an
@@ -285,8 +282,9 @@ def _moves(nb: list, pivoted) -> list:
     nb[z][a] & nb[z][c]; the one strictly between a and c is b, the one
     outside is d. A weakly separated family has at most one of each: two b's,
     a < b1 < b2 < c, would put {z,a,b2} and {z,b1,c} in the family, and those
-    two cross (two d's likewise). So more than one is an InvalidInputError
-    naming {z,a,c}. Every move built is valid: z, a and c are the distinct
+    two cross (two d's likewise). So two or more common neighbours that are
+    not one b and one d, with or without a neighbour on the other side, are
+    an InvalidInputError naming {z,a,c}. Every move built is valid: z, a and c are the distinct
     points of a triangle, nb[z][a] has neither bit z nor bit a and nb[z][c]
     lacks bit c, so b and d differ from all three, and a < b < c with d
     outside [a, c] puts (a, b, c, d) in cyclic order."""
@@ -296,9 +294,7 @@ def _moves(nb: list, pivoted) -> list:
         shared = row[a] & row[c]
         if not shared & (shared - 1):  # a move needs two common neighbours
             continue
-        inner = shared & ((1 << c) - (2 << a))
-        if not inner or inner == shared:  # one b inside [a,c] and one d outside
-            continue
+        inner = shared & ((1 << c) - (2 << a))  # the b's, inside (a, c); the d's are outside
         outer = shared ^ inner
         if inner & (inner - 1) or outer & (outer - 1):
             raise InvalidInputError(f"triangle {_ascending(z, a, c)} has more than one move: "

@@ -10,7 +10,10 @@ A star is defined by x's own neighbour masks: bit b of mask[a] is set iff
 {a,b} is an edge. ``build_star_graph`` fills them in one pass over the
 triangles through x, and a ``StarGraph`` is built from them alone: its edges,
 triangulation points and leaves are read off the masks, so no two of them can
-disagree. The structure check reads the same masks and classification.
+disagree. The structure check reads the same masks and classification. One
+table, ``STRUCTURE_RULES``, gives each of its rules the condition (i)-(v)
+that ``realize_star_graph`` names on refusal and the text that ``analyze``
+prints.
 ``_classify`` is the one place that groups a star's leaves: its triangulation
 points in <_x order, and each point's leaves by attachment. ``frieze``
 contracts each star of one ``family.star_index`` on that classification,
@@ -34,24 +37,18 @@ from .separation import crossing
 
 STAR_GRAPH_SCHEMA_VERSION = 1
 
+# The structure check's rules: rule id -> (the realizability condition (i)-(v)
+# it belongs to, its text). (ii) holds by construction, since the
+# triangulation points are the vertices of degree >= 2.
 STRUCTURE_RULES = {
-    "polygon.endpoints": "triangulation points must run from x+1 to x-1",
-    "polygon.boundary": "consecutive triangulation points must be adjacent",
-    "polygon.noncrossing": "chords between triangulation points must not cross",
-    "polygon.faces": "inner faces of the triangulation must all be triangles",
-    "leaf.attachment": "non-triangulation vertices must have degree 1 into a triangulation point",
-    "leaf.location": "a leaf must lie between the neighbours of its triangulation point",
-    "leaf.order": "leaves in <_x order must attach to triangulation points in <_x order",
-    "frozen.edges": "the frozen edges {x+1,x+2} and {x-2,x-1} must be present",
-}
-
-# The realizability condition (i)-(v) each rule belongs to; (ii) holds by
-# construction, since the triangulation points are the vertices of degree >= 2.
-RULE_CONDITIONS = {
-    "polygon.endpoints": "i", "polygon.boundary": "i", "polygon.noncrossing": "i", "polygon.faces": "i",
-    "leaf.attachment": "iii", "leaf.location": "iii",
-    "leaf.order": "iv",
-    "frozen.edges": "v",
+    "polygon.endpoints": ("i", "triangulation points must run from x+1 to x-1"),
+    "polygon.boundary": ("i", "consecutive triangulation points must be adjacent"),
+    "polygon.noncrossing": ("i", "chords between triangulation points must not cross"),
+    "polygon.faces": ("i", "inner faces of the triangulation must all be triangles"),
+    "leaf.attachment": ("iii", "non-triangulation vertices must have degree 1 into a triangulation point"),
+    "leaf.location": ("iii", "a leaf must lie between the neighbours of its triangulation point"),
+    "leaf.order": ("iv", "leaves in <_x order must attach to triangulation points in <_x order"),
+    "frozen.edges": ("v", "the frozen edges {x+1,x+2} and {x-2,x-1} must be present"),
 }
 
 
@@ -206,7 +203,7 @@ def verify_structure_theorem(g: StarGraph) -> StructureReport:
     """Check all realizability conditions (i)-(v) on a star graph, reporting
     violations instead of raising.
 
-    Violations are (rule id, witness) pairs; RULE_CONDITIONS names the
+    Violations are (rule id, witness) pairs; STRUCTURE_RULES names the
     condition of each rule. The rules run in condition order, so the first
     violation names the first failed condition. The report is ok exactly when
     realize_star_graph accepts the graph.
@@ -297,12 +294,7 @@ def border_triangles(fam: Family, x: int) -> list:
     in the family, so a miss signals an upstream bug. The star is laid out as
     x's masks, with no StarGraph built."""
     _require_star(fam, x)
-    return _border_triangles(fam, x, _star_at(fam.triangles, x))
-
-
-def _border_triangles(fam: Family, x: int, star: dict) -> list:
-    """border_triangles for a caller that holds x's neighbour masks in fam."""
-    tris = _border_candidates(x, fam.ground.n, star)
+    tris = _border_candidates(x, fam.ground.n, _star_at(fam.triangles, x))
     for t in tris:
         if t not in fam.triangles:
             raise InternalConsistencyError(f"border triangle {t} missing from family at x={x}")
@@ -357,7 +349,7 @@ def realize_star_graph(g: StarGraph) -> Family:
     report = verify_structure_theorem(g)
     if not report.ok:
         rule, witness = report.violations[0]
-        raise ConditionViolationError(RULE_CONDITIONS[rule], witness)
+        raise ConditionViolationError(STRUCTURE_RULES[rule][0], witness)
     x = g.x
     base = [tuple(sorted((x, a, b))) for a, b in g.edges] + _border_candidates(x, g.ground.n, g.masks)
     try:  # ascending triples of points, so Family's own test suffices

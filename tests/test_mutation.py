@@ -121,6 +121,11 @@ def walk_families(fam, steps, seed):
         yield fam
 
 
+def points(move) -> tuple:
+    """The move's five points (z, a, b, c, d), as the kernel lists them."""
+    return move.z, move.a, move.b, move.c, move.d
+
+
 def checked_mutate(vf, move):
     """mutate, then assert that the result is maximal weakly separated and
     passes every check of a directly constructed ValuedFamily."""
@@ -234,7 +239,7 @@ def test_mutate_refuses_an_exchange_to_zero():
     # signed values: v_zab v_zcd + v_zad v_zbc = 1 + (-1) = 0
     fam = canonical_family(6)
     move = family_moves(fam)[0]
-    z, a, b, c, d = move.key()
+    z, a, b, c, d = points(move)
     values = {t: Fraction(1) for t in fam.triangles}
     values[tuple(sorted((z, a, d)))] = Fraction(-1)
     with pytest.raises(InvalidInputError, match=f"^value of {re.escape(str(move.added))} must be nonzero$"):
@@ -243,9 +248,9 @@ def test_mutate_refuses_an_exchange_to_zero():
 
 def test_mutate_rejects_missing_triangles():
     vf = unit_specialization(canonical_family(8))
-    present = {m.key() for m in family_moves(vf.family)}
+    present = {points(m) for m in family_moves(vf.family)}
     bad = MutationMove(5, 1, 2, 3, 4)
-    assert bad.key() not in present
+    assert points(bad) not in present
     with pytest.raises(InvalidMoveError):
         mutate(vf, bad)
 
@@ -692,10 +697,10 @@ def test_walk_state_follows_every_move():
         start = _state_fields(_WalkState(fam.triangles, n))
         for move in family_moves(fam):
             moved = fam.triangles - {move.removed} | {move.added}
-            state.apply(move.key())
+            state.apply(points(move))
             assert _state_fields(state) == _state_fields(_WalkState(moved, n)), move
             assert [m for ms in state.moves_at for m in ms] == _moves_of_triangles(moved, n), move
-            state.apply(move.inverse().key())
+            state.apply(points(move.inverse()))
             assert _state_fields(state) == start, move
 
 
@@ -799,16 +804,24 @@ def test_moves_of_a_family_with_a_point_outside_the_ground_set_are_refused(bad, 
 
 
 def test_a_triangle_with_two_moves_is_refused():
-    # {1,2,5} has two b's, 3 and 4, so {1,2,4} and {1,3,5} are both in the
-    # family, and they cross; the move kernel names {1,2,5}
-    fam = Family(GroundSet(6), frozenset({(1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 2, 6),
-                                          (1, 3, 5), (1, 4, 5), (1, 5, 6)}))
-    assert not is_weakly_separated_family(fam)[0]
-    message = r"^triangle \(1, 2, 5\) has more than one move: the family is not weakly separated$"
-    with pytest.raises(InvalidInputError, match=message):
-        family_moves(fam)
-    with pytest.raises(InvalidInputError, match=message):
-        next(seeded_walk(fam, 1, 1))
+    # the move kernel names the triangle whose common neighbours are not one
+    # b and one d, whether or not a neighbour lies on the other side
+    for n, triangles, pivot in [
+        # {1,2,5} has two b's, 3 and 4, so {1,2,4} and {1,3,5} are both in
+        # the family, and they cross; it also has a d, 6
+        (6, {(1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 2, 6), (1, 3, 5), (1, 4, 5), (1, 5, 6)}, (1, 2, 5)),
+        # {1,2,6} has two b's, 3 and 4, and no d
+        (8, {(1, 2, 6), (1, 2, 3), (1, 2, 4), (1, 3, 6), (1, 4, 6)}, (1, 2, 6)),
+        # {1,2,4} has two d's, 5 and 6, and no b
+        (6, {(1, 2, 4), (1, 2, 5), (1, 4, 5), (1, 2, 6), (1, 4, 6)}, (1, 2, 4)),
+    ]:
+        fam = Family(GroundSet(n), frozenset(triangles))
+        assert not is_weakly_separated_family(fam)[0]
+        message = rf"^triangle {re.escape(str(pivot))} has more than one move: the family is not weakly separated$"
+        with pytest.raises(InvalidInputError, match=message):
+            family_moves(fam)
+        with pytest.raises(InvalidInputError, match=message):
+            next(seeded_walk(fam, 1, 1))
 
 
 def test_random_walk_stays_maximal():

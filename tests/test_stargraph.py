@@ -47,10 +47,9 @@ from sl3frieze import canonical_family
 from sl3frieze.family import Family, frozen_triangles
 from sl3frieze.mutation import random_maximal_family
 from sl3frieze.stargraph import (
-    RULE_CONDITIONS,
+    STRUCTURE_RULES,
     StructureReport,
     _border_candidates,
-    _border_triangles,
     _endpoints_violation,
     _noncrossing,
     border_triangles,
@@ -286,13 +285,11 @@ def _star_families(small_corpus):
 
 def test_border_triangles_on_masks_equal_those_of_the_graph(small_corpus):
     # border_triangles lays out x's masks with no StarGraph; it gives what
-    # the graph's own masks and its edge scans give, and every star realizes
-    # back to itself
+    # the graph's edge scans give, and every star realizes back to itself
     for fam in _star_families(small_corpus):
         for x in fam.ground.points():
             g = build_star_graph(fam, x)
             borders = border_triangles(fam, x)
-            assert borders == _border_triangles(fam, x, g.masks)
             assert borders == _scanned_border_triangles(g)
             realized = build_star_graph(realize_star_graph(g), x)
             assert realized.edges == g.edges and realized.masks == g.masks
@@ -447,7 +444,7 @@ def test_structure_covers_every_condition(x, edges, rule):
     assert rule in [r for r, _ in rep.violations]
     with pytest.raises(ConditionViolationError) as exc:
         realize_star_graph(g)
-    assert exc.value.condition == RULE_CONDITIONS[rule]
+    assert exc.value.condition == STRUCTURE_RULES[rule][0]
 
 
 def _perturbed_star_graphs(count, seed):
@@ -482,7 +479,7 @@ def test_structure_check_decides_realizability():
             realize_star_graph(g)
         except ConditionViolationError as e:
             assert not rep.ok, (g.x, sorted(g.edges), e)
-            assert e.condition == RULE_CONDITIONS[rep.violations[0][0]]
+            assert e.condition == STRUCTURE_RULES[rep.violations[0][0]][0]
             seen.add(e.condition)
         else:
             assert rep.ok, (g.x, sorted(g.edges), rep.violations)
@@ -556,4 +553,4 @@ def test_structure_check_on_masks_equals_the_edge_scan():
         assert rep == _edge_scan_report(g), (g.x, g.ground.n, sorted(g.edges))
         rules.update(rule for rule, _ in rep.violations)
     assert len(stars) == 8 * 2136 + 7 * 259 + 6 * 34
-    assert rules == set(RULE_CONDITIONS)  # every rule fires somewhere
+    assert rules == set(STRUCTURE_RULES)  # every rule fires somewhere
