@@ -284,10 +284,10 @@ def _moves(nb: list, pivoted) -> list:
     a < b1 < b2 < c, would put {z,a,b2} and {z,b1,c} in the family, and those
     two cross (two d's likewise). So two or more common neighbours that are
     not one b and one d, with or without a neighbour on the other side, are
-    an InvalidInputError naming {z,a,c}. Every move built is valid: z, a and c are the distinct
-    points of a triangle, nb[z][a] has neither bit z nor bit a and nb[z][c]
-    lacks bit c, so b and d differ from all three, and a < b < c with d
-    outside [a, c] puts (a, b, c, d) in cyclic order."""
+    an InvalidInputError naming {z,a,c}. Every move built is valid: z, a and
+    c are the distinct points of a triangle, nb[z][a] has neither bit z nor
+    bit a and nb[z][c] lacks bit c, so b and d differ from all three, and
+    a < b < c with d outside [a, c] puts (a, b, c, d) in cyclic order."""
     moves = []
     for z, a, c in pivoted:
         row = nb[z]
