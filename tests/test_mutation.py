@@ -39,7 +39,10 @@ Claims covered:
     - random_maximal_family refuses a step count that is a bool or not an
       int
     - the oracle's values and budget messages are pinned on walk families at
-      n = 8, so the order moves are enumerated in cannot drift
+      n = 8, so the order moves are enumerated in cannot drift; on all
+      triples of three n = 7 walk families and the canonical n = 8 family,
+      the found dicts and the messages at budgets 0, 1, 5 and 20 are pinned
+      too, as is a search that runs out with a target unreached
     - random_maximal_family gives the pinned family of each seed at n = 8, 10
       and 24, the one a step-by-step with_exchange walk reaches
     - a family with a point outside 1..n (past n, negative, 0, a bool, a
@@ -473,6 +476,69 @@ def test_oracle_pins_values_and_budget_messages(seed):
         found = oracle_values(vf, ORACLE_ROW)
         assert [found[t] for t in ORACLE_ROW] == values
         assert all(type(found[t]) is type(v) for t, v in zip(ORACLE_ROW, values))
+
+
+# The search order on all triples, pinned: per family, a digest of the found
+# dict under the unit values and under the signed values above, and of each
+# budget message at 0, 1, 5 and 20 (the missing targets follow the order the
+# families are expanded in). Three n = 7 walk families (20 steps, seeds 1-3)
+# and the canonical n = 8 family.
+SEARCH_ORDER_PINS = {
+    (7, 1): ("9514fe46873feac4", "6411f47fc46509e8",
+             {0: "02c66da5c2af5c36", 1: "e8dbd212f9346987", 5: "afa928a239e52d4a", 20: "d7c5b763bce67749"}),
+    (7, 2): ("6059ed56fa5b988b", "de5c43c72c5ad71e",
+             {0: "4e21eddfa0441d7b", 1: "80cda6a1fa8d6027", 5: "5981197f86884db6", 20: "6fbae3335cd0dd6e"}),
+    (7, 3): ("988f267690b07bea", "62e4bb2e662a6b39",
+             {0: "dc1fcf33973dc100", 1: "2a5d0bf9156157a3", 5: "aa1ea623ce4f6e55", 20: "2119b629b1fd3e95"}),
+    (8, 0): ("0530fc7d925ee430", "7b0ea0edaeeaf93c",
+             {0: "fdd54d214148a1a6", 1: "edeb676922f38801", 5: "ecc2aa66976e1021", 20: "e04bc0d883de85ff"}),
+}
+
+
+def short_digest(x) -> str:
+    return hashlib.sha256(repr(x).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("n, seed", sorted(SEARCH_ORDER_PINS))
+def test_oracle_search_order_is_pinned(n, seed):
+    unit_digest, signed_digest, messages = SEARCH_ORDER_PINS[n, seed]
+    fam = random_maximal_family(GroundSet(n), 20, seed) if seed else canonical_family(n)
+    signed = ValuedFamily(fam, {t: Fraction((-1) ** j * (j + 1), j + 2)
+                                for j, t in enumerate(fam.sorted_triangles())})
+    targets = list(combinations(range(1, n + 1), 3))
+    vf = unit_specialization(fam)
+    for budget, digest in messages.items():
+        with pytest.raises(BudgetExceededError) as e:
+            oracle_values(vf, targets, budget)
+        text = str(e.value)
+        assert text.startswith("targets not reached: [")
+        assert text.endswith(f"] (budget={budget}, expanded={budget})")
+        assert short_digest(text) == digest, text
+    assert short_digest(sorted(oracle_values(vf, targets).items())) == unit_digest
+    assert short_digest(sorted(oracle_values(signed, targets).items())) == signed_digest
+
+
+@pytest.mark.parametrize("budget, message", [
+    (None, "search space exhausted, targets not reached: [(2, 4, 6)] (budget=100000, expanded=219)"),
+    (219, "search space exhausted, targets not reached: [(2, 4, 6)] (budget=219, expanded=219)"),
+    (218, "targets not reached: [(2, 4, 6)] (budget=218, expanded=218)"),
+    (30, "targets not reached: [(1, 3, 5), (2, 4, 6)] (budget=30, expanded=30)"),
+])
+def test_oracle_exhausts_the_search_with_a_target_unreached(monkeypatch, budget, message):
+    # every triangle lies in some maximal family, so no search of a valid
+    # family runs out; a kernel that never adds {2,4,6} leaves 219 of the 259
+    # families at n = 7 reachable from a 20-step walk family, and the search
+    # expands them all
+    kernel = mutation_module._moves
+
+    def kernel_without_246(nb, pivoted):
+        return [m for m in kernel(nb, pivoted) if _ascending(m[0], m[2], m[4]) != (2, 4, 6)]
+
+    monkeypatch.setattr(mutation_module, "_moves", kernel_without_246)
+    vf = unit_specialization(random_maximal_family(GroundSet(7), 20, 1))
+    args = () if budget is None else (budget,)
+    with pytest.raises(BudgetExceededError, match=f"^{re.escape(message)}$"):
+        oracle_values(vf, [(2, 4, 6), (1, 3, 5)], *args)
 
 
 def test_oracle_rejects_negative_budget():
