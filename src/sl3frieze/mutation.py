@@ -40,11 +40,14 @@ records, and each caller applies them to its own family;
 loads neither ``stargraph`` nor the star index. The oracle at the
 bottom of the module evaluates arbitrary Pluecker coordinates by
 breadth-first search over moves. It keeps each reached family as one int,
-a bitmask over the triangles it has met, and one table with one value per
-triangle, against which every exchange it computes is checked: a value is
-one Laurent polynomial in the start cluster, whatever the path. The label
-contraction, which takes the border values of the star graph at x to the
-frieze rows without a search, lives in ``frieze``.
+a bitmask over the mutable triangles it has met, and one table with one
+value per triangle, against which every exchange it computes is checked: a
+value is one Laurent polynomial in the start cluster, whatever the path.
+The n continuous triangles lie in every family it reaches and have no move,
+so they stay out of its keys and pivot lists, and their masks are built
+once per search. The label contraction, which takes the border values of
+the star graph at x to the frieze rows without a search, lives in
+``frieze``.
 """
 
 from __future__ import annotations
@@ -128,15 +131,24 @@ class MutationMove(Record):
         return MutationMove(self.z, self.b, self.c, self.d, self.a)
 
 
+def _check_family(fam) -> None:
+    if not isinstance(fam, Family):
+        raise InvalidInputError(f"family must be a Family, got {fam!r}")
+
+
 class ValuedFamily(Record):
     """A maximal family together with a nonzero value per triangle, each an
-    int or a Fraction. Construction checks the values, that every continuous
+    int or a Fraction. Construction checks that the family is a ``Family`` and
+    the values a dict, the values themselves, that every continuous
     triangle is present and that the family is maximal; its triangles are
     ascending triples of points of 1..n, as ``Family`` holds them."""
 
     __slots__ = ("family", "values")
 
     def __init__(self, family: Family, values: dict):
+        _check_family(family)
+        if not isinstance(values, dict):
+            raise InvalidInputError(f"values must be a dict, got {values!r}")
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "values", dict(values))  # Triangle -> int or Fraction, detached from caller
         if set(self.values) != self.family.triangles:
@@ -153,6 +165,7 @@ class ValuedFamily(Record):
 
 def unit_specialization(fam: Family) -> ValuedFamily:
     """All triangle values set to the int 1."""
+    _check_family(fam)
     return ValuedFamily(fam, dict.fromkeys(fam.triangles, 1))
 
 
@@ -424,12 +437,17 @@ def random_maximal_family(ground: GroundSet, steps: int, seed: int) -> Family:
 # No command runs it, and the walk calls _moves, not family_moves. Both stay
 # here, as does FriezeGrid.entry, because the benchmark harness (perfbench/)
 # imports them; they can move to the tests once it reads the pipeline's own
-# API instead.
+# API instead. The search keys and expands only the mutable triangles: the
+# continuous ones are frozen (see oracle_values).
 
 def _target_triangles(ground: GroundSet, targets) -> set:
     """The targets of a value oracle as ascending triangles; InvalidInputError
-    naming the first that is not a tuple or list of three distinct points of
-    1..n."""
+    naming the targets when they cannot be iterated, or the first that is not
+    a tuple or list of three distinct points of 1..n."""
+    try:
+        targets = iter(targets)
+    except TypeError:
+        raise InvalidInputError(f"targets must be an iterable of triangles, got {targets!r}") from None
     wanted = set()
     for t in targets:
         if (not isinstance(t, (tuple, list)) or len(t) != 3
@@ -449,14 +467,32 @@ def oracle_values(vf: ValuedFamily, targets, budget: int = DEFAULT_ORACLE_BUDGET
     or Fractions, as exchange_value gives them: all ints from the unit
     specialization.
 
-    A reached family is one int key: bit i stands for the i-th triangle the
-    search meets, the start family's in lexicographic order and then each
-    triangle a move adds, when that move is first met. A move's child has the
-    key ``key ^ delta``, with delta the bits of the removed and the added
-    triangle; the five triangles of the exchange and the delta are kept per
-    move tuple, so each move is read once per search. Each family is expanded
-    by decoding its key to its triangles and enumerating their moves with
-    ``_moves_of_triangles``, in lexicographic order.
+    A reached family is one int key over its mutable triangles: bit i stands
+    for the i-th triangle the search meets that is not continuous, the start
+    family's in lexicographic order and then each triangle a move adds, when
+    that move is first met. An added triangle is never continuous, since it
+    was absent from a maximal family, and every maximal family holds the n
+    continuous triangles. A move's child has the key ``key ^ delta``, with
+    delta the bits of the removed and the added triangle; the five triangles
+    of the exchange and the delta are kept per move tuple, so each move is
+    read once per search. The masks of the continuous triangles are built
+    once per search (ValuedFamily checks that vf holds them all); each family
+    is expanded by copying them, toggling the key's triangles in, and
+    handing ``_moves`` the three readings of each key triangle only. Its
+    moves are then sorted, so they come in lexicographic order.
+
+    That is every move of the family: no continuous triangle has one. Its
+    three points are cyclically consecutive, so for each reading (z, a, c)
+    one of the two arcs between a and c holds no point but z. A move needs a
+    common neighbour b of a and c strictly inside (a, c) and one d outside
+    [a, c], both other than z, so one of the two is missing. A weakly
+    separated family has at most one common neighbour on each side (see
+    _moves), so the kernel neither builds a move nor refuses the pivot; and
+    every family reached is weakly separated, as kernel moves from a
+    ValuedFamily lead to it. So each family gets the move list
+    ``_moves_of_triangles`` gives for all its triangles, and the order of
+    the search, its expansion count and its budget messages are those of a
+    search over all of them.
 
     One table holds one value per triangle ever reached: the start family's
     values, then the first value derived for each triangle. A triangle's value
@@ -471,7 +507,8 @@ def oracle_values(vf: ValuedFamily, targets, budget: int = DEFAULT_ORACLE_BUDGET
 
     The budget caps the families expanded and must be an int, at least 0. The
     visited set holds at most 1 + budget * (most moves of a family) keys, and
-    a key has one bit per triangle met, so the memory is linear in the budget.
+    a key has one bit per mutable triangle met, so the memory is linear in
+    the budget.
     """
     if isinstance(budget, bool) or not isinstance(budget, int):
         raise InvalidInputError(f"oracle budget must be an int, got {budget!r}")
@@ -485,7 +522,10 @@ def oracle_values(vf: ValuedFamily, targets, budget: int = DEFAULT_ORACLE_BUDGET
     if len(found) == len(wanted):
         return found
 
-    met = sorted(values)  # bit i of a key is the triangle met[i]
+    frozen = continuous_triangles(n)  # all in vf's family: ValuedFamily checks it
+    frozen_nb = _masks(frozen, n)
+    met = sorted(values.keys() - frozen)  # bit i of a key is the triangle met[i]
+    pivots = [_pivoted(t) for t in met]  # pivots[i]: the three readings of met[i]
     bit = {t: 1 << i for i, t in enumerate(met)}
     exchanges = {}  # move tuple -> its five triangles, the added one and the key delta
     start = (1 << len(met)) - 1
@@ -500,13 +540,18 @@ def oracle_values(vf: ValuedFamily, targets, budget: int = DEFAULT_ORACLE_BUDGET
                 missing = sorted(wanted - set(found))
                 raise BudgetExceededError(budget, expanded - 1,
                                           f"targets not reached: {missing}")
-            triangles = []
+            nb = [row.copy() for row in frozen_nb]
+            pivoted = []
             rest = key
             while rest:
                 low = rest & -rest
-                triangles.append(met[low.bit_length() - 1])
+                i = low.bit_length() - 1
+                _toggle(nb, met[i])
+                pivoted += pivots[i]
                 rest ^= low
-            for m in _moves_of_triangles(triangles, n):
+            moves = _moves(nb, pivoted)
+            moves.sort()
+            for m in moves:
                 ex = exchanges.get(m)
                 if ex is None:
                     z, a, b, c, d = m
@@ -514,6 +559,7 @@ def oracle_values(vf: ValuedFamily, targets, budget: int = DEFAULT_ORACLE_BUDGET
                     if added not in bit:
                         bit[added] = 1 << len(met)
                         met.append(added)
+                        pivots.append(_pivoted(added))
                     ex = exchanges[m] = (zac, _ascending(z, a, b), _ascending(z, c, d), _ascending(z, d, a),
                                          _ascending(z, b, c), added, bit[zac] | bit[added])
                 zac, zab, zcd, zad, zbc, added, delta = ex

@@ -16,6 +16,7 @@ Claims covered, for every family at n = 6, 7 and 8:
     - the triples whose Gale minor det(v_a, v_b, v_c) is 1 are exactly the
       family (so part (b) holds)
     - no two families have the same quiddity rows
+    - no continuous triangle has a move, the lemma the oracle's keys rest on
     - every distinct star graph at n <= 7 realizes back to itself, masks
       included
 
@@ -29,9 +30,9 @@ from itertools import combinations
 import pytest
 
 from conftest import maximal_families
-from sl3frieze.family import is_weakly_separated_family, maximal_size
+from sl3frieze.family import continuous_triangles, is_weakly_separated_family, maximal_size
 from sl3frieze.frieze import extend_rows, gale_vectors, quiddity_rows, validate_frieze
-from sl3frieze.mutation import unit_specialization
+from sl3frieze.mutation import _masks, _moves, _pivoted, unit_specialization
 from sl3frieze.stargraph import border_triangles, build_star_graph, realize_star_graph, verify_structure_theorem
 
 FAMILY_COUNTS = {6: 34, 7: 259, 8: 2136, 9: 18600}  # measured by maximal_families
@@ -58,6 +59,8 @@ def check_family(fam) -> tuple:
     assert report.is_sl3 and report.is_tame and report.integral and report.positive, sorted(fam.triangles)
     ones = {t for t in combinations(range(1, n + 1), 3) if _det(*(vs[p - 1] for p in t)) == 1}
     assert ones == fam.triangles, sorted(fam.triangles)
+    frozen = [pv for t in continuous_triangles(n) for pv in _pivoted(t)]
+    assert _moves(_masks(fam.triangles, n), frozen) == [], sorted(fam.triangles)
     return rows.delta_low, rows.delta_high
 
 

@@ -994,6 +994,12 @@ def test_minor_values_refuses_what_the_oracle_refuses():
             oracle_values(vf, [(1, 2, 3), bad])
         with pytest.raises(InvalidInputError, match=f"^bad target triangle {re.escape(repr(bad))}$"):
             minor_values(vf, [(1, 2, 3), bad])
+    for bad in (None, 5):
+        message = f"^targets must be an iterable of triangles, got {bad!r}$"
+        with pytest.raises(InvalidInputError, match=message):
+            oracle_values(vf, bad)
+        with pytest.raises(InvalidInputError, match=message):
+            minor_values(vf, bad)
     # any order of the points, as a tuple or a list, names the same triangle
     assert minor_values(vf, [[7, 1, 4], (4, 7, 1)]) == {(1, 4, 7): 3}
     # the minors are the values of the unit specialization only

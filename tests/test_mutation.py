@@ -26,7 +26,9 @@ Claims covered:
       the ValuedFamily nor the caller's set and dict; on every move of the
       canonical n = 8 family the step gives mutate's triangles, values and
       value order, and mutate leaves its input as it was
-    - valued families must contain every continuous triangle
+    - valued families must contain every continuous triangle, and refuse a
+      family that is not a Family and values that are not a dict
+    - no continuous triangle has a move in walk families at n = 9, 16 and 64
     - move enumeration on neighbour bitmasks lists the same moves, in the same
       order, as a scan over every vertex of the star graph, up to n = 512; the
       walk's masks, per-point triangles, per-point move lists and counts,
@@ -50,8 +52,8 @@ Claims covered:
       the InvalidInputError the move kernel gave, naming the point
     - a triangle with two moves, which no weakly separated family has, is an
       InvalidInputError naming it
-    - the oracle refuses a target that is not three distinct points of 1..n,
-      and a trace line accepts only the digits 0-9
+    - the oracle refuses a target that is not three distinct points of 1..n
+      and targets that cannot be iterated, and a trace line accepts only the digits 0-9
     - every value a walk adds, and every value of the family it ends at, is
       a Gale minor of the family it started from, at n up to 512, and
       mutate --replay accepts the walk's trace
@@ -324,6 +326,32 @@ def test_valued_family_requires_continuous_triangles():
     fam = Family(GroundSet(6), frozenset(tris))
     with pytest.raises(InvalidInputError, match="^family must contain all continuous triangles$"):
         ValuedFamily(fam, {t: 1 for t in tris})
+
+
+def test_valued_family_refuses_a_family_or_values_of_another_type():
+    # an AttributeError or a bare TypeError before; the wording of Family's
+    # refusal of a ground that is not a GroundSet
+    fam = canonical_family(6)
+    for bad in (None, fam.triangles, unit_specialization(fam)):
+        message = f"^family must be a Family, got {re.escape(repr(bad))}$"
+        with pytest.raises(InvalidInputError, match=message):
+            ValuedFamily(bad, {})
+        with pytest.raises(InvalidInputError, match=message):
+            unit_specialization(bad)
+    for bad in (None, sorted(fam.triangles), [(t, 1) for t in fam.triangles]):
+        with pytest.raises(InvalidInputError, match=f"^values must be a dict, got {re.escape(repr(bad))}$"):
+            ValuedFamily(fam, bad)
+
+
+def test_no_continuous_triangle_has_a_move_on_walk_families():
+    # the lemma the oracle's keys rest on (tests/test_exhaustive.py checks it
+    # on every maximal family at n <= 8)
+    for n in (9, 16, 64):
+        frozen = [pv for t in continuous_triangles(n) for pv in mutation_module._pivoted(t)]
+        for seed in (1, 2, 3):
+            fam = random_maximal_family(GroundSet(n), 3 * n, seed)
+            assert mutation_module._moves(mutation_module._masks(fam.triangles, n), frozen) == []
+            assert family_moves(fam)
 
 
 # Leaf removal at x: the leaf q2 of the triangulation point p, flanked by q1
@@ -611,6 +639,10 @@ def test_oracle_rejects_bad_targets():
     for bad in (5, (1, "a", 3)):
         with pytest.raises(InvalidInputError, match=f"^bad target triangle {re.escape(repr(bad))}$"):
             oracle_values(vf, [bad])
+    # targets that cannot be iterated raised a bare TypeError
+    for bad in (None, 5, 2.5):
+        with pytest.raises(InvalidInputError, match=f"^targets must be an iterable of triangles, got {bad!r}$"):
+            oracle_values(vf, bad)
 
 
 def test_trace_line_round_trip():
