@@ -42,8 +42,14 @@ STAR_GRAPHS = {
 }
 
 # Walks at larger n, each replayed onto its canonical family and validated:
-# n = 512 with 200 steps is the walk CI's "CLI chain at MAX_N" runs.
+# n = 512 with 200 steps is the walk CI's "CLI chain at MAX_N" runs. Each walk
+# family and its canonical base are also analyzed at x = 1, 2 and n/2 + 1.
 LONG_WALKS = ((64, 300), (512, 200))
+
+# `gen --star-graph-file` on the star at x = 1 of the n = 64 walk family: the
+# file is the "star_graph" of the named analyze case's JSON output, written
+# into the corpus directory once that case has run.
+STAR_OF_ANALYZE = ("analyze-json-64-1-x1", "star-walk64.json")
 
 # One-line traces that `mutate --replay` refuses with exit 1 on the canonical
 # n = 8 family, each with the line it writes to stderr.
@@ -117,6 +123,13 @@ def corpus():
         cases.append((f"mutate-{n}-1", ["mutate", base, "--replay", trace, "--out", replayed], [replayed], None))
         for fmt in ("text", "json"):
             cases.append((f"validate-{fmt}-{n}-1", ["validate", fam, "--format", fmt], [], None))
+            for x in (1, 2, n // 2 + 1):
+                cases.append((f"analyze-{fmt}-{n}-1-x{x}", ["analyze", fam, "--x", x, "--format", fmt], [], None))
+                cases.append((f"analyze-{fmt}-base{n}-x{x}", ["analyze", base, "--x", x, "--format", fmt],
+                              [], None))
+    star = STAR_OF_ANALYZE[1]
+    cases.append(("gen-star-walk64", ["gen", "--star-graph-file", star, "--out", "star-walk64.out.json"],
+                  ["star-walk64.out.json"], None))
     for name in REPLAY_REFUSALS:
         cases.append((f"mutate-refuse-{name}",
                        ["mutate", "base8.json", "--replay", f"refuse-{name}.txt", "--out", f"refused-{name}.json"],
@@ -170,6 +183,8 @@ def run_corpus(workdir: Path) -> dict:
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             code = main(argv)
+        if case == STAR_OF_ANALYZE[0]:
+            (workdir / STAR_OF_ANALYZE[1]).write_text(json.dumps(json.loads(out.getvalue())["star_graph"]))
         results[case] = ({
             "exit": _sha(str(code).encode()),
             "stdout": _sha(out.getvalue().encode()),
