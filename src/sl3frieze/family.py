@@ -47,6 +47,17 @@ def make_triangle(a: int, b: int, c: int, ground: GroundSet) -> Triangle:
     return tuple(sorted(t))
 
 
+def _ascending(p: int, q: int, r: int) -> Triangle:
+    """The triangle {p,q,r} as an ascending tuple, by three compare-and-swaps."""
+    if p > q:
+        p, q = q, p
+    if q > r:
+        q, r = r, q
+        if p > q:
+            p, q = q, p
+    return p, q, r
+
+
 def all_triangles(ground: GroundSet):
     """All 3-subsets of the ground set, ascending tuples in lex order."""
     return combinations(ground.points(), 3)
@@ -116,6 +127,11 @@ class Family(Record):
         if not applies:
             raise InvalidInputError("exchange does not apply to this family")
         return Family._unchecked(self.ground, self.triangles - {removed} | {added}, False)
+
+
+def _check_family(fam) -> None:
+    if not isinstance(fam, Family):
+        raise InvalidInputError(f"family must be a Family, got {fam!r}")
 
 
 def make_family(ground: GroundSet, triangles) -> Family:

@@ -53,7 +53,7 @@ from .errors import (
     PreconditionError,
 )
 from .family import star_index
-from .mutation import ValuedFamily, _check_entries, _target_triangles
+from .mutation import ValuedFamily, _check_entries, _check_valued, _target_triangles
 from .stargraph import _classify, _require_endpoints, _require_star
 
 FRIEZE_SCHEMA_VERSION = 1
@@ -258,6 +258,7 @@ def quiddity_rows(vf: ValuedFamily) -> QuiddityRows:
     labels are counted, and kept, as plain ints. The family is maximal, as
     ValuedFamily checked it, and its triangles are ascending triples of
     points of 1..n, as Family holds them."""
+    _check_valued(vf)
     if any(v != 1 for v in vf.values.values()):
         raise PreconditionError("quiddity rows need the all-ones specialization")
     fam = vf.family
@@ -419,6 +420,7 @@ def minor_values(vf: ValuedFamily, targets) -> dict:
     so each minor is the value of its triangle. The closure of the vectors,
     part (a), is not needed for this.
     """
+    _check_valued(vf)
     wanted = _target_triangles(vf.family.ground, targets)
     _, vs = _certified_rows(vf)
     return {t: _minor(vs, t) for t in wanted}

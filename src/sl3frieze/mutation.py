@@ -63,7 +63,15 @@ from .errors import (
     InvalidMoveError,
     ZeroPivotError,
 )
-from .family import Family, Triangle, canonical_family, continuous_triangles, is_maximal_family
+from .family import (
+    Family,
+    Triangle,
+    _ascending,
+    _check_family,
+    canonical_family,
+    continuous_triangles,
+    is_maximal_family,
+)
 
 DEFAULT_ORACLE_BUDGET = 100_000
 
@@ -131,11 +139,6 @@ class MutationMove(Record):
         return MutationMove(self.z, self.b, self.c, self.d, self.a)
 
 
-def _check_family(fam) -> None:
-    if not isinstance(fam, Family):
-        raise InvalidInputError(f"family must be a Family, got {fam!r}")
-
-
 class ValuedFamily(Record):
     """A maximal family together with a nonzero value per triangle, each an
     int or a Fraction. Construction checks that the family is a ``Family`` and
@@ -161,6 +164,11 @@ class ValuedFamily(Record):
             raise InvalidInputError("family must contain all continuous triangles")
         if not is_maximal_family(self.family):
             raise InvalidInputError("valued families must be maximal")
+
+
+def _check_valued(vf) -> None:
+    if not isinstance(vf, ValuedFamily):
+        raise InvalidInputError(f"valued family must be a ValuedFamily, got {vf!r}")
 
 
 def unit_specialization(fam: Family) -> ValuedFamily:
@@ -201,17 +209,6 @@ def exchange_value(v_zac: int | Fraction, v_zab: int | Fraction, v_zcd: int | Fr
         return num / v_zac
     except ZeroDivisionError:
         raise ZeroPivotError("cannot exchange across a zero value") from None
-
-
-def _ascending(p: int, q: int, r: int) -> Triangle:
-    """The triangle {p,q,r} as an ascending tuple, by three compare-and-swaps."""
-    if p > q:
-        p, q = q, p
-    if q > r:
-        q, r = r, q
-        if p > q:
-            p, q = q, p
-    return p, q, r
 
 
 def _exchange(ground: GroundSet, triangles: set, values: dict, move: MutationMove) -> int | Fraction:
@@ -514,6 +511,7 @@ def oracle_values(vf: ValuedFamily, targets, budget: int = DEFAULT_ORACLE_BUDGET
         raise InvalidInputError(f"oracle budget must be an int, got {budget!r}")
     if budget < 0:
         raise InvalidInputError(f"oracle budget must be >= 0, got {budget}")
+    _check_valued(vf)
     n = vf.family.ground.n
     wanted = _target_triangles(vf.family.ground, targets)
 

@@ -18,7 +18,13 @@ prints.
 points in <_x order, and each point's leaves by attachment. ``frieze``
 contracts each star of one ``family.star_index`` on that classification,
 walking each point's border sequence in place; ``_border_candidates`` walks the
-same sequences for ``border_triangles`` and realization.
+same sequences for ``border_triangles`` and realization, and puts each
+triangle in ascending order with ``family._ascending``, the three-compare
+helper the walk in ``mutation`` uses too.
+
+Every loop over a mask reads its set bits inline (``while m:``, taking the
+lowest bit with ``m & -m`` or the highest with ``m.bit_length()``), with no
+generator per vertex and no sort per triangle.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from .errors import (
     InvalidInputError,
     MalformedFileError,
 )
-from .family import Family, _validated, greedy_complete, is_maximal_family
+from .family import Family, _ascending, _check_family, _validated, greedy_complete, is_maximal_family
 from .separation import crossing
 
 STAR_GRAPH_SCHEMA_VERSION = 1
@@ -67,12 +73,17 @@ class StarGraph(Record):
     _shown = __slots__[:5]
 
     def __init__(self, x: int, ground: GroundSet, masks: dict):
-        # each edge read once, at its lower end
-        edges = frozenset((a, b) for a, mask in masks.items() for b in _bits(mask & -2 << a))
+        edges = []
+        for a, mask in masks.items():  # each edge read once, at its lower end
+            mask &= -2 << a
+            while mask:
+                low = mask & -mask
+                edges.append((a, low.bit_length() - 1))
+                mask ^= low
         tp, leaves_at = _classify(x, masks)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "ground", ground)
-        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "edges", frozenset(edges))
         object.__setattr__(self, "triangulation_points", tuple(tp))
         object.__setattr__(self, "leaves", {leaf: p for p, ls in leaves_at.items() for leaf in ls})
         object.__setattr__(self, "masks", dict(masks))  # a copy: the other fields were read off these
@@ -106,14 +117,6 @@ def star_graph_from_edges(x: int, ground: GroundSet, edges) -> StarGraph:
         star[a] = star.get(a, 0) | 1 << b
         star[b] = star.get(b, 0) | 1 << a
     return StarGraph(x, ground, star)
-
-
-def _bits(mask: int):
-    """The set bits of mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _star_at(triangles, x: int) -> dict:
@@ -157,8 +160,9 @@ def _require_endpoints(x: int, n: int, tp) -> None:
 
 
 def _require_star(fam: Family, x: int) -> None:
-    """InvalidInputError unless fam is maximal and x is a point of its ground
-    set: what a star of fam at x needs before it is laid out."""
+    """InvalidInputError unless fam is a maximal Family and x is a point of
+    its ground set: what a star of fam at x needs before it is laid out."""
+    _check_family(fam)
     if not is_maximal_family(fam):
         raise InvalidInputError("family is not maximal; star-graph classification needs maximality")
     if not fam.ground.contains(x):
@@ -208,10 +212,10 @@ def verify_structure_theorem(g: StarGraph) -> StructureReport:
     violation names the first failed condition. The report is ok exactly when
     realize_star_graph accepts the graph.
     """
+    if not isinstance(g, StarGraph):
+        raise InvalidInputError(f"star graph must be a StarGraph, got {g!r}")
     violations = []
     x, n, masks, leaves, tp = g.x, g.ground.n, g.masks, g.leaves, g.triangulation_points
-    wrap = g.ground.wrap
-    rank = {p: i for i, p in enumerate(tp)}  # of the triangulation points, in <_x order
     r = len(tp)
 
     witness = _endpoints_violation(x, n, tp)
@@ -222,16 +226,31 @@ def verify_structure_theorem(g: StarGraph) -> StructureReport:
     else:
         # Ascending, the points keep their cyclic neighbours: the boundary
         # edges past a are {a, next point}, and {first, last} at the first.
-        # Missing edges are named in lex order; the triangulation edges are
-        # collected in (a, -b) order, each point's chords reversed.
-        asc = sorted(tp)
-        inside = sum(1 << p for p in asc)
+        # The points are walked as the bits of one mask, lowest first; rest
+        # holds those past a. Missing edges are named in lex order; the
+        # triangulation edges are collected in (a, -b) order, each point's
+        # chords from its highest bit down.
+        rest = 0
+        for p in tp:
+            rest |= 1 << p
+        last = 1 << rest.bit_length() - 1  # the first point's edge to the last
         te = []  # the triangulation edges
-        for i, a in enumerate(asc):
-            boundary = (1 << asc[i + 1] if i + 1 < r else 0) | (1 << asc[-1] if i == 0 else 0)
-            for b in _bits(boundary & ~masks[a]):
-                violations.append(("polygon.boundary", f"missing edge {(a, b)}"))
-            te += reversed([(a, b) for b in _bits(masks[a] & inside & -2 << a)])
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            a = low.bit_length() - 1
+            mask = masks[a]
+            missing = ((rest & -rest) | last) & ~mask
+            last = 0
+            while missing:
+                low = missing & -missing
+                violations.append(("polygon.boundary", f"missing edge {(a, low.bit_length() - 1)}"))
+                missing ^= low
+            chords = mask & rest
+            while chords:
+                b = chords.bit_length() - 1
+                te.append((a, b))
+                chords ^= 1 << b
         if not _noncrossing(te):  # name every crossing pair, in lex order
             # two triangles through x cross iff their chords interleave
             te.sort()
@@ -243,33 +262,38 @@ def verify_structure_theorem(g: StarGraph) -> StructureReport:
             # Euler: inner faces = E - V + 1; all triangular iff E = 2V - 3.
             violations.append(("polygon.faces", f"{len(te)} edges on {r} points, expected {2 * r - 3}"))
 
-    # every vertex outside the triangulation points has degree 1: a leaf
-    ls = sorted(leaves)
-    for leaf in ls:
-        att = leaves[leaf]
-        i = rank.get(att)
-        if i is None:
-            violations.append(("leaf.attachment", f"leaf {leaf} hangs off {att}, not a triangulation point"))
-            continue
-        lo, hi = tp[max(i - 1, 0)], tp[min(i + 1, r - 1)]
-        if not ((lo - x) % n < (leaf - x) % n < (hi - x) % n):  # positions in <_x order
-            violations.append(("leaf.location",
-                               f"leaf {leaf} at {att} outside interval ({lo},{hi})"))
+    if leaves:  # every vertex outside the triangulation points has degree 1: a leaf
+        rank = {p: i for i, p in enumerate(tp)}  # of the triangulation points, in <_x order
+        ls = sorted(leaves)
+        for leaf in ls:
+            att = leaves[leaf]
+            i = rank.get(att)
+            if i is None:
+                violations.append(("leaf.attachment", f"leaf {leaf} hangs off {att}, not a triangulation point"))
+                continue
+            lo, hi = tp[max(i - 1, 0)], tp[min(i + 1, r - 1)]
+            if not ((lo - x) % n < (leaf - x) % n < (hi - x) % n):  # positions in <_x order
+                violations.append(("leaf.location",
+                                   f"leaf {leaf} at {att} outside interval ({lo},{hi})"))
 
-    # Sorted by <_x (ascending, rotated to start past x), the leaves must
-    # attach at positions that never decrease.
-    cut = bisect(ls, x)
-    ls = ls[cut:] + ls[:cut]
-    for l1, l2 in zip(ls, ls[1:]):
-        t1, t2 = leaves[l1], leaves[l2]
-        if (t2 - x) % n < (t1 - x) % n:
-            violations.append(("leaf.order", f"leaves {l1} (at {t1}) and {l2} (at {t2}) out of order"))
+        # Sorted by <_x (ascending, rotated to start past x), the leaves must
+        # attach at positions that never decrease.
+        cut = bisect(ls, x)
+        ls = ls[cut:] + ls[:cut]
+        for l1, l2 in zip(ls, ls[1:]):
+            t1, t2 = leaves[l1], leaves[l2]
+            if (t2 - x) % n < (t1 - x) % n:
+                violations.append(("leaf.order", f"leaves {l1} (at {t1}) and {l2} (at {t2}) out of order"))
 
-    for a, b in (sorted((wrap(x + 1), wrap(x + 2))), sorted((wrap(x - 2), wrap(x - 1)))):
+    # {x+1,x+2} and {x-2,x-1}, each put in ascending order
+    xp, xm = x % n + 1, (x - 2) % n + 1
+    for a, b in ((xp, xp % n + 1), ((xm - 2) % n + 1, xm)):
+        if a > b:
+            a, b = b, a
         if not masks.get(a, 0) >> b & 1:
             violations.append(("frozen.edges", f"frozen edge {(a, b)} missing"))
 
-    return StructureReport(ok=not violations, violations=violations)
+    return StructureReport._unchecked(not violations, violations)
 
 
 def _border_candidates(x: int, n: int, star: dict) -> list:
@@ -283,10 +307,21 @@ def _border_candidates(x: int, n: int, star: dict) -> list:
     starts at its leaves and that of x-1 ends at them. Triangulation points
     that do not run from x+1 to x-1 are an InternalConsistencyError."""
     tp, leaves_at = _classify(x, star)
-    _require_endpoints(x, n, tuple(tp))
-    # the slices are empty past either end, which cuts the wrap-around
-    seqs = [(p, tp[i - 1:i] + leaves_at.get(p, []) + tp[i + 1:i + 2]) for i, p in enumerate(tp)]
-    return [tuple(sorted((p, a, b))) for p, seq in seqs for a, b in zip(seq, seq[1:])]
+    if not tp or tp[0] != x % n + 1 or tp[-1] != (x - 2) % n + 1:
+        _require_endpoints(x, n, tuple(tp))  # raises, naming the points
+    tris = []
+    last = len(tp) - 1
+    for i, p in enumerate(tp):
+        # the border sequence in place; a is the element before b, and None
+        # at x+1, which has no previous point
+        a = tp[i - 1] if i else None
+        for b in leaves_at.get(p, ()):
+            if a is not None:
+                tris.append(_ascending(p, a, b))
+            a = b
+        if i < last and a is not None:
+            tris.append(_ascending(p, a, tp[i + 1]))
+    return tris
 
 
 def border_triangles(fam: Family, x: int) -> list:
@@ -294,9 +329,10 @@ def border_triangles(fam: Family, x: int) -> list:
     in the family, so a miss signals an upstream bug. The star is laid out as
     x's masks, with no StarGraph built."""
     _require_star(fam, x)
-    tris = _border_candidates(x, fam.ground.n, _star_at(fam.triangles, x))
+    triangles = fam.triangles
+    tris = _border_candidates(x, fam.ground.n, _star_at(triangles, x))
     for t in tris:
-        if t not in fam.triangles:
+        if t not in triangles:
             raise InternalConsistencyError(f"border triangle {t} missing from family at x={x}")
     return tris
 
@@ -351,7 +387,7 @@ def realize_star_graph(g: StarGraph) -> Family:
         rule, witness = report.violations[0]
         raise ConditionViolationError(STRUCTURE_RULES[rule][0], witness)
     x = g.x
-    base = [tuple(sorted((x, a, b))) for a, b in g.edges] + _border_candidates(x, g.ground.n, g.masks)
+    base = [_ascending(x, a, b) for a, b in g.edges] + _border_candidates(x, g.ground.n, g.masks)
     try:  # ascending triples of points, so Family's own test suffices
         fam = _validated(Family(g.ground, frozenset(base)))
     except InvalidInputError as e:

@@ -50,6 +50,9 @@ Claims covered:
       refuses with the same messages, refuses values other than 1, and
       names the first family triangle whose minor is not 1 (certificate
       part (b)) under a contraction mutant
+    - quiddity_rows, minor_values and oracle_values refuse a valued family
+      that is not a ValuedFamily (None, or a bare Family) with
+      InvalidInputError
     - both kernels match entry-by-entry references on random rational input,
       and the unit frieze stays tame, integral and positive at n = 48 and 64
     - grid and quiddity entries must be exact: int or Fraction, never a bool;
@@ -984,6 +987,20 @@ def test_gale_minors_equal_oracle_values():
             assert minors == oracle_values(vf, triples) == values
             assert all(minors[t] == 1 for t in vf.family.triangles)
             assert all(type(v) is int for v in values.values())
+
+
+@pytest.mark.parametrize("entry, args", [
+    (quiddity_rows, (None,)),
+    (quiddity_rows, (canonical_family(8),)),
+    (minor_values, (None, [(1, 2, 3)])),
+    (oracle_values, (None, [(1, 2, 3)])),
+], ids=["quiddity_rows-None", "quiddity_rows-Family", "minor_values-None", "oracle_values-None"])
+def test_valued_entry_points_refuse_an_argument_of_another_type(entry, args):
+    # a bare AttributeError before; the wording of Family's refusal of a
+    # ground that is not a GroundSet
+    message = f"^valued family must be a ValuedFamily, got {re.escape(repr(args[0]))}$"
+    with pytest.raises(InvalidInputError, match=message):
+        entry(*args)
 
 
 def test_minor_values_refuses_what_the_oracle_refuses():

@@ -25,7 +25,13 @@ Claims covered:
     - the structure check, read off the masks, gives the report of the check
       that scans the edge set (rule ids, witnesses and their order) on every
       star of every maximal family at n = 6, 7 and 8, on perturbed stars, on
-      random chord sets and on hand-made unrealizable graphs
+      random chord sets and on hand-made unrealizable graphs; past a machine
+      word (every star of walk families at n = 16, 64 and 128, and perturbed
+      stars at n = 16..64) the structure check, the classification and the
+      border walk give what the edge scans give
+    - build_star_graph, border_triangles, verify_structure_theorem and
+      realize_star_graph refuse an argument of another type with
+      InvalidInputError
 """
 
 import random
@@ -310,6 +316,20 @@ def test_border_triangles_refuses_what_build_star_graph_refuses():
         assert raised[0] == raised[1], (x, raised)
 
 
+
+@pytest.mark.parametrize("entry, args, message", [
+    (build_star_graph, (None, 1), "family must be a Family, got None"),
+    (border_triangles, (None, 1), "family must be a Family, got None"),
+    (verify_structure_theorem, (None,), "star graph must be a StarGraph, got None"),
+    (realize_star_graph, (None,), "star graph must be a StarGraph, got None"),
+], ids=["build_star_graph", "border_triangles", "verify_structure_theorem", "realize_star_graph"])
+def test_star_entry_points_refuse_an_argument_of_another_type(entry, args, message):
+    # a bare AttributeError before; the wording of Family's refusal of a
+    # ground that is not a GroundSet
+    with pytest.raises(InvalidInputError, match=f"^{message}$"):
+        entry(*args)
+
+
 # -- the nesting order on triangles through x ------------------------------------
 
 def star_precedes(A, B, x: int, n: int) -> bool:
@@ -447,14 +467,16 @@ def test_structure_covers_every_condition(x, edges, rule):
     assert exc.value.condition == STRUCTURE_RULES[rule][0]
 
 
-def _perturbed_star_graphs(count, seed):
-    """Star graphs of random maximal families (n = 7..10), each with one or
-    two edits: an edge dropped, an edge added, or an edge end moved."""
+def _perturbed_star_graphs(count, seed, sizes=(7, 10), per_family=1):
+    """count star graphs of random maximal families (n drawn from sizes, both
+    ends included; per_family stars of each family), each with one or two
+    edits: an edge dropped, an edge added, or an edge end moved."""
     rng = random.Random(seed)
-    for _ in range(count):
-        n = rng.randint(7, 10)
-        ground = GroundSet(n)
-        fam = random_maximal_family(ground, 3 * n, rng.randrange(2**32))
+    for i in range(count):
+        if i % per_family == 0:
+            n = rng.randint(*sizes)
+            ground = GroundSet(n)
+            fam = random_maximal_family(ground, 3 * n, rng.randrange(2**32))
         x = rng.randint(1, n)
         edges = sorted(build_star_graph(fam, x).edges)
         others = [p for p in ground.points() if p != x]
@@ -554,3 +576,31 @@ def test_structure_check_on_masks_equals_the_edge_scan():
         rules.update(rule for rule, _ in rep.violations)
     assert len(stars) == 8 * 2136 + 7 * 259 + 6 * 34
     assert rules == set(STRUCTURE_RULES)  # every rule fires somewhere
+
+
+def test_mask_loops_on_masks_wider_than_a_machine_word_equal_the_edge_scans():
+    # the structure check, the classification and the border walk read the
+    # masks bit by bit; past n = 63 a mask is wider than a machine word. On
+    # every star of walk families at n = 16, 64 and 128, and on perturbed
+    # stars of walk families at n = 16..64, they give what the edge scans give
+    stars = [build_star_graph(fam, x) for n in (16, 64, 128) for seed in (1, 2)
+             for fam in [random_maximal_family(GroundSet(n), 4 * n, seed)] for x in fam.ground.points()]
+    perturbed = list(_perturbed_star_graphs(400, seed=8, sizes=(16, 64), per_family=10))
+    rules, laid_out = set(), 0
+    for g in stars + perturbed:
+        x, n = g.x, g.ground.n
+        rep = verify_structure_theorem(g)
+        assert rep == _edge_scan_report(g), (x, n, sorted(g.edges))
+        rules.update(rule for rule, _ in rep.violations)
+        assert _classified(g) == _scanned(g)
+        tp = g.triangulation_points
+        if tp and tp[0] == x % n + 1 and tp[-1] == (x - 2) % n + 1:
+            assert _border_candidates(x, n, g.masks) == _scanned_border_triangles(g)
+            laid_out += 1
+        else:
+            with pytest.raises(InternalConsistencyError, match=f"x={x}, n={n}: triangulation points must run"):
+                _border_candidates(x, n, g.masks)
+    assert len(stars) == 2 * (16 + 64 + 128)
+    assert all(verify_structure_theorem(g).ok for g in stars)
+    assert max(mask.bit_length() for g in perturbed for mask in g.masks.values()) > 64
+    assert laid_out > len(stars) and rules == set(STRUCTURE_RULES), rules
