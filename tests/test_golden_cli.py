@@ -127,8 +127,7 @@ def corpus():
                 cases.append((f"analyze-{fmt}-{n}-1-x{x}", ["analyze", fam, "--x", x, "--format", fmt], [], None))
                 cases.append((f"analyze-{fmt}-base{n}-x{x}", ["analyze", base, "--x", x, "--format", fmt],
                               [], None))
-    star = STAR_OF_ANALYZE[1]
-    cases.append(("gen-star-walk64", ["gen", "--star-graph-file", star, "--out", "star-walk64.out.json"],
+    cases.append(("gen-star-walk64", ["gen", "--star-graph-file", STAR_OF_ANALYZE[1], "--out", "star-walk64.out.json"],
                   ["star-walk64.out.json"], None))
     for name in REPLAY_REFUSALS:
         cases.append((f"mutate-refuse-{name}",

@@ -18,7 +18,8 @@ Claims covered:
       admissibility conditions are reported by name
     - the non-crossing check in one pass over nested intervals decides what
       the scan of every chord pair decides, and a crossing is reported pair
-      by pair as that scan finds them
+      by pair as that scan finds them; the structure check scans chord pairs
+      on no star of a maximal family
     - the structure check covers all of conditions (i)-(v): it passes exactly
       the graphs that realization accepts, and its first violation names the
       condition that realization reports
@@ -66,6 +67,7 @@ from sl3frieze.stargraph import (
     star_graph_to_dict,
     verify_structure_theorem,
 )
+import sl3frieze.stargraph as stargraph_module
 
 G8 = GroundSet(8)
 
@@ -248,6 +250,19 @@ def test_noncrossing_pass_agrees_with_the_pairwise_scan():
         assert named == [f"edges {e1} and {e2} cross" for e1, e2 in combinations(te, 2) if chords_cross(e1, e2)]
         crossing += bool(named)
     assert crossing > 500
+
+
+def test_structure_check_scans_chord_pairs_only_when_two_cross(monkeypatch, small_corpus):
+    # the chords reach _noncrossing in (a, -b) order, so nested chords pass
+    # in one pass; the pairwise scan, which names crossing pairs, runs on no
+    # star of a maximal family
+    def scan(*args):
+        raise AssertionError("pairwise chord scan on a star whose chords do not cross")
+
+    monkeypatch.setattr(stargraph_module, "crossing", scan)
+    for fam in _star_families(small_corpus):
+        for x in fam.ground.points():
+            assert verify_structure_theorem(build_star_graph(fam, x)).ok
 
 
 def test_structure_detects_missing_boundary_edge():
